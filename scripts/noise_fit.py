@@ -16,7 +16,7 @@ from qsearch.synth import OracleSpec
 
 
 def estimate_r(circ, mask, p2, shots, seed):
-    low = synth.lower(circ)
+    low = synth.compile(circ)
     data = circ.metadata.get("data_clbits", list(range(circ.n_qubits)))
     exact = sim.run_exact(circ).marginal(data)
     p_t = exact.probability(int(mask, 2))

@@ -9,7 +9,7 @@ lowered two-qubit gate counts of the named circuit variants.
 import numpy as np
 
 from qsearch import analysis, families, sim, synth
-from qsearch.circuit import census, peephole_cancel
+from qsearch.circuit import census
 from qsearch.families import Partition
 from qsearch.synth import OracleSpec
 
@@ -24,7 +24,7 @@ def p_success(circ, mask):
 
 
 def count2(circ):
-    return census(peephole_cancel(synth.lower(circ))).two_qubit_count
+    return census(synth.compile(circ)).two_qubit_count
 
 
 def main():

@@ -153,10 +153,6 @@ class Circuit:
         if self.n_qubits < 0 or self.n_clbits < 0:
             raise ValidationError("register sizes must be non-negative")
 
-    @property
-    def depth_hint(self) -> int:
-        return len(self.instructions)
-
     def with_metadata(self, **kv) -> "Circuit":
         md = dict(self.metadata)
         md.update(kv)
@@ -405,35 +401,37 @@ def _active_qubits(gate: Gate) -> frozenset[int]:
 def strip_trailing_uncompute(circuit: Circuit) -> Circuit:
     """Drop tail gates that cannot influence any recorded measurement.
 
-    A gate is dropped when nothing after it (other than already-dropped
-    gates) touches its wires except measurements, and the wires it permutes
-    or mixes are never measured.  Typical target: the final ancilla
-    uncompute before terminal data measurements.  Output is equivalent in
-    distribution, not as a unitary.
+    Scanning backwards, a wire is dead while nothing kept after it touches
+    it, and classical while everything kept after it is measurement or an
+    x / cx on classical wires only.  An unconditioned gate is dropped when
+    its active wires are dead and its other wires (controls, diagonal
+    phases) are classical: it can only move amplitude within a dead wire or
+    change phases that no later gate turns into populations.  Typical
+    target: the final ancilla uncompute before terminal data measurements.
+    A circuit without measurements measures every wire at the end.  Output
+    is equivalent in distribution, not as a unitary.
     """
-    ops = list(circuit.instructions)
-    measured: set[int] = set()
-    kept_qubits: set[int] = set()
+    ops = circuit.instructions
+    classical = set(range(circuit.n_qubits))
+    measured = any(op.gate.name == "measure" for op in ops)
+    dead = set(classical) if measured else set()
     keep = [True] * len(ops)
     for i in range(len(ops) - 1, -1, -1):
         instr = ops[i]
         gate = instr.gate
+        qubits = set(gate.qubits)
         if gate.name == "measure":
-            measured.add(gate.qubits[0])
+            dead -= qubits
             continue
         if gate.name == "barrier":
             continue
-        if instr.condition is not None:
-            kept_qubits.update(gate.qubits)
+        active = _active_qubits(gate)
+        if instr.condition is None and active <= dead and qubits - active <= classical:
+            keep[i] = False
             continue
-        if set(gate.qubits) & kept_qubits:
-            kept_qubits.update(gate.qubits)
-            continue
-        if _active_qubits(gate) & measured:
-            kept_qubits.update(gate.qubits)
-            continue
-        # diagonal on every measured wire it touches, free on the rest
-        keep[i] = False
+        dead -= qubits
+        if gate.name not in ("x", "cx") or not qubits <= classical:
+            classical -= qubits
     out = tuple(op for op, k in zip(ops, keep) if k)
     return replace(circuit, instructions=out)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, families, qasm, sim, synth
-from .circuit import census, peephole_cancel
+from .circuit import census, peephole_cancel  # noqa: F401 - perfbench wraps cli.peephole_cancel
 from .errors import ConfigError, QsearchError, ValidationError
 from .families import FamilyRequest, Partition
 from .synth import OracleSpec
@@ -108,10 +108,6 @@ def build_request(cfg: ExperimentConfig, mask: str) -> FamilyRequest:
     )
 
 
-def _lowered(circ):
-    return peephole_cancel(synth.lower(circ))
-
-
 def _census_dict(c) -> dict:
     return {
         "two_qubit_count": c.two_qubit_count,
@@ -129,8 +125,7 @@ def cmd_build(cfg: ExperimentConfig, outdir: Path) -> int:
         circ = families.build(build_request(cfg, mask))
         path = outdir / f"circuit_{cfg.family}_{mask}.qasm"
         path.write_text(qasm.serialize(circ))
-        low = _lowered(circ)
-        cens = census(low)
+        cens = census(synth.compile(circ))
         print(
             f"{path.name}: two_qubit_count={cens.two_qubit_count} "
             f"(cx={cens.by_kind.get('cx', 0)}, cz={cens.by_kind.get('cz', 0)}) "
@@ -149,15 +144,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     exact_runs: list[analysis.OracleRun] = []
     measured_runs: list[analysis.OracleRun] = []
     p_ts = []
-    census_dict = None
+    census_dict = calls = None
     for mask in masks:
         try:
             circ = families.build(build_request(cfg, mask))
             data_bits = circ.metadata.get("data_clbits", list(range(cfg.n)))
             exact = sim.run_exact(circ).marginal(data_bits)
-            low = _lowered(circ)
+            low = synth.compile(circ)
             if census_dict is None:
                 census_dict = _census_dict(census(low))
+                calls = circ.metadata.get("oracle_calls", 1)
             p_t = exact.probability(int(mask, 2))
             p_ts.append(p_t)
             exact_runs.append(analysis.OracleRun(mask, exact))
@@ -184,7 +180,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         except QsearchError as exc:
             raise type(exc)(f"oracle {mask}: {exc}") from exc
 
-    calls = families.build(build_request(cfg, masks[0])).metadata.get("oracle_calls", 1)
     p_t_avg = float(np.mean(p_ts))
     metrics = analysis.compile_metrics(measured_runs, p_t_avg, calls)
     relabeled_measured = analysis.relabel_average(measured_runs)

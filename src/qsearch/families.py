@@ -10,16 +10,24 @@ diffusers.  Each oracle call is emitted self-contained (ancilla compute,
 polarized multi-controlled Z on ancilla + trailing block, ancilla
 uncompute); with the partial-uncompute option, peephole cancellation
 merges adjacent uncompute/recompute pairs across support-disjoint
-diffusers, and the final oracle call skips its uncompute when nothing
-after it touches the folded block, yielding the compact interleaved
-layouts the gate-count targets refer to.
+diffusers, and trailing-uncompute elimination drops the final fold
+uncompute that no measurement can observe, yielding the compact
+interleaved layouts the gate-count targets refer to.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import synth
-from .circuit import Circuit, CircuitBuilder, cx, cz, peephole_cancel, x
+from .circuit import (
+    Circuit,
+    CircuitBuilder,
+    cx,
+    cz,
+    peephole_cancel,
+    strip_trailing_uncompute,
+    x,
+)
 from .errors import (
     BadDiffuserSize,
     BadWidth,
@@ -96,7 +104,9 @@ def build(request: FamilyRequest) -> Circuit:
             schedule=request.schedule,
         )
     if fam == "partial-drzewker":
-        return build_partial_drzewker(request.oracle, request.partition)
+        return build_partial_drzewker(
+            request.oracle, request.partition, uncompute=request.uncompute
+        )
     return build_wielomianer_p43(request.oracle)
 
 
@@ -204,59 +214,26 @@ def _split_blocks(partition: Partition, n: int) -> tuple[list[int], list[int]]:
     return list(range(k1)), list(range(k1, k1 + k2))
 
 
-def _tree_ancillas(k1: int) -> int:
-    if k1 <= 1:
-        return 0
-    live, used = k1, 0
-    while live > 1:
-        live -= min(3, live) - 1
-        used += 1
-    return used
+def _block_oracle(spec: OracleSpec, block1: list[int], block2: list[int],
+                  ancillas: tuple[int, ...], clbits: tuple[int, ...] | None) -> list:
+    """One self-contained full-mask oracle call.
 
-
-class _BlockOracle:
-    """Emits self-contained full-mask oracle calls sharing one ancilla tree.
-
-    With the plain-mcz style every call is a single symbolic polarized
-    multi-controlled Z over the whole register instead.
+    Folds block 1 (X-conjugated to the mask) into an AND wire, applies the
+    polarized multi-controlled Z on that wire plus block 2, and uncomputes
+    the fold (measurement-assisted when clbits are given).  With the
+    plain-mcz style the call is one symbolic polarized multi-controlled Z
+    over the whole register instead.
     """
-
-    def __init__(self, mask: str, block1: list[int], block2: list[int],
-                 ancillas: tuple[int, ...], uncompute: str, style: str):
-        self.mask = mask
-        self.plain = style == "plain-mcz"
-        self.uncompute = uncompute
-        if self.plain:
-            qubits = tuple(block1 + block2)
-            pol = tuple(int(mask[q]) for q in qubits)
-            self.conj, self.fold, self.folds = [], [], []
-            self.piece = cz(*qubits, polarity=pol)
-            return
-        self.conj = [x(q) for q in block1 if mask[q] == "0"]
-        kind = "clean" if uncompute == "measurement-assisted" else "maslov"
-        if len(block1) > 1:
-            self.fold, self.and_wire, self.folds = synth.and_fold_tree(
-                tuple(block1), ancillas, kind=kind
-            )
-        else:
-            self.fold, self.and_wire, self.folds = [], block1[0], []
-        pol = [1 if len(block1) > 1 else int(mask[block1[0]])]
-        pol += [int(mask[q]) for q in block2]
-        self.piece = cz(self.and_wire, *block2, polarity=tuple(pol))
-
-    def emit(self, builder: CircuitBuilder, skip_uncompute: bool, aux_clbits: tuple[int, ...]) -> None:
-        builder.extend(self.conj)
-        builder.extend(self.fold)
-        builder.add(self.piece)
-        if self.uncompute == "measurement-assisted":
-            for i, (taken, anc) in reversed(list(enumerate(self.folds))):
-                builder.extend(
-                    synth.measurement_assisted_uncompute(anc, taken, aux_clbits[i])
-                )
-                builder.add(x(anc), condition=(aux_clbits[i], 1))  # reset for reuse
-        elif not skip_uncompute:
-            builder.extend(synth._adjoint(self.fold))
-        builder.extend(self.conj)
+    mask = spec.mask
+    if spec.style == "plain-mcz":
+        qubits = tuple(block1 + block2)
+        return [cz(*qubits, polarity=tuple(int(mask[q]) for q in qubits))]
+    conj = [x(q) for q in block1 if mask[q] == "0"]
+    fold, live, folds = synth.and_fold_tree(
+        tuple(block1), ancillas, kind="clean" if clbits is not None else "maslov"
+    )
+    piece = cz(*live, *block2, polarity=(1,) + tuple(int(mask[q]) for q in block2))
+    return conj + fold + [piece] + synth.uncompute_folds(fold, folds, clbits) + conj
 
 
 _SCHEDULES = {
@@ -294,37 +271,24 @@ def _build_block_family(
     n_calls = schedule.count("oracle") + (1 if extra_aa_round else 0)
 
     plain = spec.style == "plain-mcz"
-    n_anc = 0 if plain else _tree_ancillas(len(block1))
+    n_folds = 0 if plain else len(synth.fold_plan(len(block1)))
+    n_anc = n_folds
     if extra_aa_round and not plain:
-        n_anc = max(n_anc, synth.relphase_ancillas_needed(n))
+        n_anc = max(n_anc, synth.oracle_ancillas_needed(n, "ancilla-relphase"))
     ancillas = tuple(range(n, n + n_anc))
-    folds_per_call = (
-        len(synth.and_fold_tree(tuple(block1), ancillas)[2])
-        if len(block1) > 1 and not plain
-        else 0
-    )
-    aux_per_call = folds_per_call if uncompute == "measurement-assisted" else 0
+    measured = uncompute == "measurement-assisted"
+    aux_per_call = n_folds if measured else 0
     n_clbits = n + aux_per_call * schedule.count("oracle")
 
     builder = CircuitBuilder(n + n_anc, n_clbits)
     for q in range(n):
         builder.h(q)
-    oracle_emitter = _BlockOracle(spec.mask, block1, block2, ancillas, uncompute, spec.style)
-
-    # skip the last oracle's uncompute when nothing after it needs the tree
-    last_oracle = len(schedule) - 1 - schedule[::-1].index("oracle")
-    tail_clear = all(step == "g2" for step in schedule[last_oracle + 1 :]) and not extra_aa_round
-
     call_no = 0
-    for pos, step in enumerate(schedule):
+    for step in schedule:
         if step == "oracle":
-            aux = tuple(
-                n + call_no * aux_per_call + j for j in range(aux_per_call)
-            )
-            skip = (
-                uncompute == "partial" and pos == last_oracle and tail_clear
-            )
-            oracle_emitter.emit(builder, skip, aux)
+            start = n + call_no * aux_per_call
+            aux = tuple(range(start, start + aux_per_call)) if measured else None
+            builder.extend(_block_oracle(spec, block1, block2, ancillas, aux))
             call_no += 1
         elif step == "g2":
             builder.extend(synth.diffuser(len(block2), tuple(block2)))
@@ -359,7 +323,9 @@ def _build_block_family(
     )
     circ = builder.build()
     if uncompute == "partial":
-        circ = peephole_cancel(circ)
+        # uncompute/recompute pairs across disjoint diffusers cancel, and
+        # uncompute that no measurement can see falls away
+        circ = strip_trailing_uncompute(peephole_cancel(circ))
     return circ
 
 
@@ -390,7 +356,7 @@ def _build_wojter_fused(spec: OracleSpec, partition: Partition | None) -> Circui
     if not block2:
         return build_grover(spec, 1).with_metadata(family="wojter", fused=True)
     mask = spec.mask
-    n_anc = _tree_ancillas(len(block1))
+    n_anc = len(synth.fold_plan(len(block1)))
     ancillas = tuple(range(n, n + n_anc))
     builder = CircuitBuilder(n + n_anc, n)
     for q in range(n):
@@ -400,18 +366,14 @@ def _build_wojter_fused(spec: OracleSpec, partition: Partition | None) -> Circui
     builder.extend(synth.mcz_fragment(tuple(block1), method="exact-recursive", polarity=pol1))
     builder.extend(synth.diffuser(len(block1), tuple(block1)))
     # final block-2 grover step needs the mask AND of block 1 on an ancilla
-    conj = [x(q) for q in block1 if mask[q] == "0"]
-    if len(block1) > 1:
-        fold, and_wire, _ = synth.and_fold_tree(tuple(block1), ancillas)
-        builder.extend(conj)
-        builder.extend(fold)
-        builder.extend(conj)
-        pol = (1,) + tuple(int(mask[q]) for q in block2)
+    fold, live, folds = synth.and_fold_tree(tuple(block1), ancillas)
+    if folds:
+        conj = [x(q) for q in block1 if mask[q] == "0"]
+        builder.extend(conj + fold + conj)
+        pol = (1,)
     else:
-        and_wire = block1[0]
-        fold = []
-        pol = (int(mask[block1[0]]),) + tuple(int(mask[q]) for q in block2)
-    builder.add(cz(and_wire, *block2, polarity=pol))
+        pol = (int(mask[block1[0]]),)
+    builder.add(cz(*live, *block2, polarity=pol + tuple(int(mask[q]) for q in block2)))
     builder.extend(synth.diffuser(len(block2), tuple(block2)))
     _measure_all(builder, n)
     builder.metadata(

@@ -7,13 +7,13 @@ whose flat index uses qubit 0 as the most significant bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, RELPHASE_NAMES, census
+from .circuit import Circuit, Instruction, RELPHASE_NAMES, census, cx
 from .errors import (
     HasMeasurement,
     NotLowered,
@@ -92,23 +92,30 @@ class Distribution:
 
     def marginal(self, keep_bits: list[int]) -> "Distribution":
         """Marginal over the kept bit positions, in the order given."""
-        arr = self.counts if not self.exact else self.probabilities
-        shaped = arr.reshape([2] * self.n_bits)
-        drop = tuple(i for i in range(self.n_bits) if i not in keep_bits)
-        if drop:
-            shaped = shaped.sum(axis=drop)
-        remaining = [b for b in range(self.n_bits) if b in keep_bits]
-        order = [remaining.index(b) for b in keep_bits]
-        shaped = shaped.transpose(order).reshape(-1)
+        keep_bits = list(keep_bits)
+        if len(set(keep_bits)) != len(keep_bits):
+            raise ValidationError(f"marginal bits {keep_bits} repeat a bit")
+        if any(not 0 <= b < self.n_bits for b in keep_bits):
+            raise ValidationError(f"marginal bits {keep_bits} outside 0..{self.n_bits - 1}")
+        marg = _marginal(self.probabilities if self.exact else self.counts, self.n_bits, keep_bits)
         if self.exact:
-            total = shaped.sum()
-            return Distribution(len(keep_bits), probabilities=shaped / total)
-        return Distribution(len(keep_bits), counts=shaped, shots=self.shots)
+            return Distribution(len(keep_bits), probabilities=marg / marg.sum())
+        return Distribution(len(keep_bits), counts=marg, shots=self.shots)
 
     def tv_distance(self, other: "Distribution") -> float:
         if self.n_bits != other.n_bits:
             raise ValidationError("distribution widths differ")
         return 0.5 * float(np.abs(self.as_probabilities() - other.as_probabilities()).sum())
+
+
+def _marginal(arr: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
+    """Sum a length-2^n outcome vector over the bits not kept; keep's order."""
+    shaped = arr.reshape([2] * n)
+    drop = tuple(i for i in range(n) if i not in keep)
+    if drop:
+        shaped = shaped.sum(axis=drop)
+    kept = sorted(keep)
+    return shaped.transpose([kept.index(b) for b in keep]).reshape(-1)
 
 
 # gate application ---------------------------------------------------------
@@ -204,9 +211,16 @@ def _apply_gate(state: np.ndarray, gate, n: int) -> np.ndarray:
 
 # exact simulation ----------------------------------------------------------
 
-def _terminal_split(circuit: Circuit) -> tuple[list[Instruction], list[Instruction]]:
-    """Split instructions into (body, trailing unconditioned measurements)."""
+def _terminal_split(circuit: Circuit) -> tuple[list[Instruction], list[tuple[int, int]], int]:
+    """Split into (body, terminal (qubit, clbit) pairs, outcome width).
+
+    The terminal pairs are the trailing unconditioned measurements.  A
+    circuit without any measurement measures every qubit into the bit of
+    the same index at the end, so its outcome ranges over the qubits.
+    """
     instrs = list(circuit.instructions)
+    if not any(i.gate.name == "measure" for i in instrs):
+        return instrs, [(q, q) for q in range(circuit.n_qubits)], circuit.n_qubits
     k = len(instrs)
     while k > 0:
         instr = instrs[k - 1]
@@ -223,13 +237,26 @@ def _terminal_split(circuit: Circuit) -> tuple[list[Instruction], list[Instructi
         k += 1
         qubits = [i.gate.qubits[0] for i in terminal]
         clbits = [i.gate.clbit for i in terminal]
-    return instrs[:k], terminal
+    return instrs[:k], list(zip(qubits, clbits)), circuit.n_clbits
 
 
-def _measure_probability(state: np.ndarray, q: int, n: int) -> float:
-    shaped = (np.abs(state) ** 2).reshape([2] * n)
-    axes = tuple(i for i in range(n) if i != q)
-    return float(shaped.sum(axis=axes)[1])
+def _terminal_outcomes(
+    state: np.ndarray, n: int, terminal: list[tuple[int, int]], n_bits: int, base: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(outcome indices, probabilities) of measuring the terminal pairs.
+
+    base holds the bits recorded before; each pair overwrites its own bit.
+    """
+    marg = _marginal(np.abs(state) ** 2, n, [q for q, _ in terminal])
+    if abs(marg.sum() - 1.0) > _NORM_TOL * 10:
+        raise ValidationError("statevector norm drifted")
+    k = len(terminal)
+    v = np.arange(1 << k)
+    outcome = np.full(1 << k, base, dtype=np.int64)
+    for j, (_, c) in enumerate(terminal):
+        shift = n_bits - 1 - c
+        outcome = (outcome & ~(1 << shift)) | (((v >> (k - 1 - j)) & 1) << shift)
+    return outcome, marg
 
 
 def _collapse(state: np.ndarray, q: int, n: int, outcome: int, prob: float) -> np.ndarray:
@@ -247,26 +274,12 @@ def run_exact(circuit: Circuit) -> Distribution:
     n = circuit.n_qubits
     if n > MAX_EXACT_WIDTH:
         raise TooWide(f"{n} qubits exceeds exact limit {MAX_EXACT_WIDTH}")
-    has_measure = any(i.gate.name == "measure" for i in circuit.instructions)
-    if not has_measure:
-        state = np.zeros(1 << n, dtype=complex)
-        state[0] = 1.0
-        state = state[None, :]
-        for instr in circuit.instructions:
-            state = _apply_gate(state, instr.gate, n)
-            norm = np.linalg.norm(state)
-            if abs(norm - 1.0) > _NORM_TOL * 10:
-                raise ValidationError("statevector norm drifted")
-        return Distribution(n, probabilities=np.abs(state[0]) ** 2)
-
-    body, terminal = _terminal_split(circuit)
-    ncl = circuit.n_clbits
-    dim_out = 1 << ncl
-    probs = np.zeros(dim_out)
+    body, terminal, n_bits = _terminal_split(circuit)
+    probs = np.zeros(1 << n_bits)
 
     init = np.zeros(1 << n, dtype=complex)
     init[0] = 1.0
-    branches: list[tuple[np.ndarray, float, list[int]]] = [(init, 1.0, [0] * ncl)]
+    branches: list[tuple[np.ndarray, float, list[int]]] = [(init, 1.0, [0] * circuit.n_clbits)]
 
     for instr in body:
         next_branches: list[tuple[np.ndarray, float, list[int]]] = []
@@ -277,9 +290,7 @@ def run_exact(circuit: Circuit) -> Distribution:
             gate = instr.gate
             if gate.name == "measure":
                 q, c = gate.qubits[0], gate.clbit
-                p1 = _measure_probability(state, q, n)
-                p0 = 1.0 - p1
-                for outcome, p in ((0, p0), (1, p1)):
+                for outcome, p in enumerate(_marginal(np.abs(state) ** 2, n, [q])):
                     if p <= 1e-15:
                         continue
                     collapsed = _collapse(state, q, n, outcome, p)
@@ -294,31 +305,13 @@ def run_exact(circuit: Circuit) -> Distribution:
         if abs(total - 1.0) > 1e-12:
             raise ValidationError("branch weights do not sum to 1")
 
-    t_qubits = [i.gate.qubits[0] for i in terminal]
-    t_clbits = [i.gate.clbit for i in terminal]
-    k = len(t_qubits)
     for state, weight, clbits in branches:
-        base = 0
-        for c, v in enumerate(clbits):
-            base |= v << (ncl - 1 - c)
-        if k == 0:
-            probs[base] += weight
-            continue
-        shaped = (np.abs(state) ** 2).reshape([2] * n)
-        drop = tuple(i for i in range(n) if i not in t_qubits)
-        marg = shaped.sum(axis=drop) if drop else shaped
-        kept = sorted(t_qubits)
-        marg = marg.transpose([kept.index(q) for q in t_qubits]).reshape(-1)
-        v = np.arange(1 << k)
-        outcome = np.full(1 << k, base, dtype=np.int64)
-        for j, c in enumerate(t_clbits):
-            bit = (v >> (k - 1 - j)) & 1
-            outcome &= ~(1 << (ncl - 1 - c))
-            outcome |= bit << (ncl - 1 - c)
+        base = sum(v << (n_bits - 1 - c) for c, v in enumerate(clbits) if v)
+        outcome, marg = _terminal_outcomes(state, n, terminal, n_bits, base)
         np.add.at(probs, outcome, weight * marg)
 
     probs /= probs.sum()
-    return Distribution(ncl, probabilities=probs)
+    return Distribution(n_bits, probabilities=probs)
 
 
 def run_deferred(circuit: Circuit) -> Distribution:
@@ -328,9 +321,10 @@ def run_deferred(circuit: Circuit) -> Distribution:
     measurement copies its qubit onto a fresh record wire with a CX, and
     every classically conditioned gate becomes quantum-controlled on that
     record wire.  The measured qubit itself stays coherent, so later gates
-    on it (ancilla resets included) are handled correctly.
+    on it (ancilla resets included) are handled correctly.  Record wires
+    are measured into their classical bits at the end.
     """
-    body, terminal = _terminal_split(circuit)
+    body, terminal, n_bits = _terminal_split(circuit)
     mids = [i for i, instr in enumerate(body) if instr.gate.name == "measure"]
     n = circuit.n_qubits + len(mids)
     if n > MAX_EXACT_WIDTH:
@@ -341,7 +335,6 @@ def run_deferred(circuit: Circuit) -> Distribution:
     state[0] = 1.0
     state = state[None, :]
     next_wire = circuit.n_qubits
-    from .circuit import cx as _cx
 
     for instr in body:
         gate = instr.gate
@@ -355,7 +348,7 @@ def run_deferred(circuit: Circuit) -> Distribution:
             if control is not None:
                 raise HasMeasurement("conditioned measurements cannot be deferred")
             record[gate.clbit] = next_wire
-            state = _apply_gate(state, _cx(gate.qubits[0], next_wire), n)
+            state = _apply_gate(state, cx(gate.qubits[0], next_wire), n)
             next_wire += 1
             continue
         if control is None:
@@ -364,9 +357,7 @@ def run_deferred(circuit: Circuit) -> Distribution:
         ctrl, value = control
         shaped = state.reshape([1] + [2] * n)
         shaped = np.moveaxis(shaped, ctrl + 1, 1).copy()
-        from dataclasses import replace as _replace
-
-        remapped = _replace(
+        remapped = replace(
             gate, qubits=tuple(q if q < ctrl else q - 1 for q in gate.qubits)
         )
         branch = shaped[:, value].reshape(1, -1)
@@ -374,24 +365,12 @@ def run_deferred(circuit: Circuit) -> Distribution:
         shaped[:, value] = branch.reshape(shaped[:, value].shape)
         state = np.moveaxis(shaped, 1, ctrl + 1).reshape(1, -1)
 
-    ncl = circuit.n_clbits
-    probs = np.zeros(1 << ncl)
-    t_qubits = [i.gate.qubits[0] for i in terminal]
-    t_clbits = [i.gate.clbit for i in terminal]
-    k = len(t_qubits)
-    shaped = (np.abs(state[0]) ** 2).reshape([2] * n)
-    drop = tuple(i for i in range(n) if i not in t_qubits)
-    marg = shaped.sum(axis=drop) if drop else shaped
-    kept = sorted(t_qubits)
-    marg = marg.transpose([kept.index(q) for q in t_qubits]).reshape(-1)
-    v = np.arange(1 << k)
-    outcome = np.zeros(1 << k, dtype=np.int64)
-    for j, c in enumerate(t_clbits):
-        bit = (v >> (k - 1 - j)) & 1
-        outcome |= bit << (ncl - 1 - c)
+    pairs = terminal + [(wire, c) for c, wire in record.items()]
+    outcome, marg = _terminal_outcomes(state[0], n, pairs, n_bits)
+    probs = np.zeros(1 << n_bits)
     np.add.at(probs, outcome, marg)
     probs /= probs.sum()
-    return Distribution(ncl, probabilities=probs)
+    return Distribution(n_bits, probabilities=probs)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -483,19 +462,13 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Dis
     census(circuit)  # raises NotLowered when gates above 2 qubits remain
     n = circuit.n_qubits
     dim = 1 << n
-    body, terminal = _terminal_split(circuit)
-    implicit = not terminal and not any(i.gate.name == "measure" for i in body)
-    if implicit:
-        t_qubits = list(range(n))
-        t_clbits = list(range(n))
-        ncl = n
-    else:
-        ncl = circuit.n_clbits
-        t_qubits = [i.gate.qubits[0] for i in terminal]
-        t_clbits = [i.gate.clbit for i in terminal]
+    body, terminal, ncl = _terminal_split(circuit)
+    t_qubits = [q for q, _ in terminal]
+    t_clbits = [c for _, c in terminal]
 
     sites = [i for i, instr in enumerate(body) if instr.gate.name not in ("measure", "barrier")]
     mid_measures = [i for i, instr in enumerate(body) if instr.gate.name == "measure"]
+    mid_clbits = sorted({body[i].gate.clbit for i in mid_measures})
     n_sites, n_mid, n_term = len(sites), len(mid_measures), len(t_qubits)
 
     counts = np.zeros(1 << ncl, dtype=np.int64)
@@ -572,9 +545,8 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Dis
         cdf /= cdf[:, -1][:, None]
         sampled = (cdf < u_final[:, None]).sum(axis=1)
         outcome_ints = np.zeros(b, dtype=np.int64)
-        if not implicit:
-            for c in range(circuit.n_clbits):
-                outcome_ints |= clbits[:, c].astype(np.int64) << (ncl - 1 - c)
+        for c in mid_clbits:
+            outcome_ints |= clbits[:, c].astype(np.int64) << (ncl - 1 - c)
         for j, (q, c) in enumerate(zip(t_qubits, t_clbits)):
             bit = (sampled >> (n - 1 - q)) & 1
             bit ^= u_ro[:, j] < noise.p_meas

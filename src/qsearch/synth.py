@@ -24,6 +24,7 @@ from .circuit import (
     cz,
     h,
     measure,
+    peephole_cancel,
     rccx,
     rcccx,
     rz,
@@ -236,35 +237,84 @@ def measurement_assisted_uncompute(
 
 # multi-controlled Z synthesis ----------------------------------------------
 
-def mcz_plan(n_controls: int, n_ancillas: int, pair_only: bool = False) -> list[int]:
-    """Fold sizes reducing the live controls to at most two."""
-    live = n_controls
+def fold_plan(n_live: int, keep: int = 1, pair_only: bool = False) -> list[int]:
+    """Fold sizes that AND live wires into fresh ancillas, left-deep.
+
+    Each fold replaces the first 2 (pair_only) or up to 3 live wires by one
+    ancilla holding their AND, until at most `keep` live wires remain; the
+    plan uses one ancilla per fold.
+    """
     folds: list[int] = []
-    used = 0
-    while live > 2:
-        if used >= n_ancillas:
-            raise MissingAncilla(
-                f"{n_controls} controls need more than {n_ancillas} ancillas"
-            )
-        take = 2 if pair_only else min(3, live)
+    while n_live > keep:
+        take = 2 if pair_only else min(3, n_live)
         folds.append(take)
-        live -= take - 1
-        used += 1
-    if live == 2 and n_controls == 2 and used < n_ancillas:
-        folds.append(2)  # exhibit the two-control sandwich when asked for
+        n_live -= take - 1
     return folds
 
 
-def _fold_gate(kind: str, controls: tuple[int, ...], target: int, inverse: bool) -> list[Instruction]:
-    if kind == "margolus":
-        if len(controls) != 2:
-            raise MethodArityMismatch("margolus folds exactly two controls")
-        return margolus_ccx(controls[0], controls[1], target, inverse=inverse)
-    if len(controls) == 2:
-        return relphase_ccx(controls[0], controls[1], target, inverse=inverse)
-    if len(controls) == 3:
-        return relphase_cccx(*controls, target, inverse=inverse)
-    raise MethodArityMismatch("relative-phase folds take 2 or 3 controls")
+def _core_keep(n_controls: int, have_ancilla: bool = True) -> int:
+    """Live controls an ancilla-folded C^kZ leaves for its exact core.
+
+    Two, so the core is at most an exact CCZ; a two-control gate with an
+    ancilla to spare is still folded, leaving a plain CZ core.
+    """
+    return 1 if n_controls <= 2 and have_ancilla else 2
+
+
+def and_fold_tree(
+    controls: tuple[int, ...],
+    ancillas: tuple[int, ...],
+    kind: str = "maslov",
+    keep: int = 1,
+) -> tuple[list[Instruction], tuple[int, ...], list[tuple[tuple[int, ...], int]]]:
+    """Fold controls into at most `keep` wires holding their AND.
+
+    Returns (instructions, live wires, folds) where folds lists
+    (fold controls, ancilla) in compute order.  kind "maslov" uses
+    relative-phase gates (valid inside compute/uncompute sandwiches around
+    diagonal payloads), "margolus" uses pair folds, "clean" uses the
+    phase-exact AND computes.
+    """
+    plan = fold_plan(len(controls), keep, pair_only=kind == "margolus")
+    if len(plan) > len(ancillas):
+        raise MissingAncilla(
+            f"folding {len(controls)} controls needs {len(plan)} ancillas, got {len(ancillas)}"
+        )
+    live = list(controls)
+    out: list[Instruction] = []
+    folds: list[tuple[tuple[int, ...], int]] = []
+    for take, anc in zip(plan, ancillas):
+        taken = tuple(live[:take])
+        if kind == "clean":
+            out += and_compute(taken, anc)
+        elif kind == "margolus":
+            out += margolus_ccx(*taken, anc)
+        elif take == 2:
+            out += relphase_ccx(*taken, anc)
+        else:
+            out += relphase_cccx(*taken, anc)
+        folds.append((taken, anc))
+        live = [anc] + live[take:]
+    return out, tuple(live), folds
+
+
+def uncompute_folds(
+    fold: list[Instruction],
+    folds: list[tuple[tuple[int, ...], int]],
+    clbits: tuple[int, ...] | None = None,
+) -> list[Instruction]:
+    """Undo an and_fold_tree: its adjoint, or measure the ancillas out.
+
+    With clbits (one per fold) each ancilla gets the measurement-assisted
+    uncompute, then a conditioned X resets it to |0> for reuse.
+    """
+    if clbits is None:
+        return _adjoint(fold)
+    out: list[Instruction] = []
+    for (taken, anc), bit in reversed(list(zip(folds, clbits))):
+        out += measurement_assisted_uncompute(anc, taken, bit)
+        out.append(Instruction(x(anc), condition=(bit, 1)))
+    return out
 
 
 def mcz_fragment(
@@ -290,131 +340,30 @@ def mcz_fragment(
     if polarity is not None and len(polarity) != k:
         raise ValidationError("polarity must cover every qubit")
 
-    if method == "plain":
+    if k == 2 or (method == "plain" and k > 1):
         # symbolic gate; lower() expands it by the ancilla-free recursion
-        if k == 1:
-            if polarity is not None and polarity[0] == 0:
-                return _instr([x(qubits[0]), z(qubits[0]), x(qubits[0])])
-            return _instr([z(qubits[0])])
         return _instr([cz(*qubits, polarity=polarity)])
-
-    if k <= 2 or method == "exact-recursive":
-        if polarity is not None and any(p == 0 for p in polarity):
-            if k == 1:
-                core = _instr([z(qubits[0])])
-            elif k == 2:
-                return _instr([cz(*qubits, polarity=polarity)])
-            else:
-                core = mcz_recursive(qubits)
-            conj = _instr([x(q) for q, p in zip(qubits, polarity) if p == 0])
-            return conj + core + conj
-        if k == 1:
-            return _instr([z(qubits[0])])
-        if k == 2:
-            return _instr([cz(*qubits)])
-        return mcz_recursive(qubits)
+    conj = _instr([x(q) for q, p in zip(qubits, polarity or ()) if p == 0])
+    if k == 1 or method in ("plain", "exact-recursive"):
+        return conj + mcz_recursive(qubits) + conj
 
     controls, target = qubits[:-1], qubits[-1]
-    pair_only = method == "margolus"
     if method == "exact-one-ancilla":
         if not ancillas:
             raise MissingAncilla("exact-one-ancilla needs one ancilla")
-        take = 3 if len(controls) >= 3 else 2
-        folds = [take]
-        ancillas = ancillas[:1]
+        keep, ancillas = max(1, len(controls) - 2), ancillas[:1]
     else:
-        folds = mcz_plan(len(controls), len(ancillas), pair_only=pair_only)
-    if method == "measurement-assisted":
-        if len(clbits) < len(folds):
-            raise MissingAncilla(
-                f"measurement-assisted uncompute needs {len(folds)} classical bits"
-            )
-
-    conj = (
-        _instr([x(q) for q, p in zip(qubits, polarity) if p == 0])
-        if polarity is not None
-        else []
-    )
-
-    live = list(controls)
-    computes: list[tuple[tuple[int, ...], int, int]] = []  # (controls, ancilla, size)
-    body: list[Instruction] = []
-    for fi, size in enumerate(folds):
-        anc = ancillas[fi]
-        taken = tuple(live[:size])
-        if method == "measurement-assisted":
-            body += and_compute(taken, anc)
-        else:
-            body += _fold_gate("margolus" if pair_only else "maslov", taken, anc, inverse=False)
-        computes.append((taken, anc, size))
-        live = [anc] + live[size:]
-
-    central = tuple(live) + (target,)
-    if len(central) == 2:
-        body += _instr([cz(*central)])
-    else:
-        body += mcz_recursive(central)
-
-    if method == "measurement-assisted":
-        for fi, (taken, anc, _) in reversed(list(enumerate(computes))):
-            body += measurement_assisted_uncompute(anc, taken, clbits[fi])
-            # restore |0> so the ancilla can be reused by later fragments
-            body.append(Instruction(x(anc), condition=(clbits[fi], 1)))
-    else:
-        for taken, anc, _ in reversed(computes):
-            body += _fold_gate("margolus" if pair_only else "maslov", taken, anc, inverse=True)
-
-    return conj + body + conj
-
-
-def and_fold_tree(
-    controls: tuple[int, ...],
-    ancillas: tuple[int, ...],
-    kind: str = "maslov",
-) -> tuple[list[Instruction], int, list[tuple[tuple[int, ...], int]]]:
-    """Fold controls into a single wire holding their AND.
-
-    Returns (instructions, final wire, folds) where folds lists
-    (fold controls, ancilla) in compute order.  kind "maslov" uses
-    relative-phase gates (valid inside compute/uncompute sandwiches around
-    diagonal payloads), "margolus" uses pair folds, "clean" uses the
-    phase-exact AND computes.
-    """
-    live = list(controls)
-    out: list[Instruction] = []
-    folds: list[tuple[tuple[int, ...], int]] = []
-    used = 0
-    while len(live) > 1:
-        if used >= len(ancillas):
-            raise MissingAncilla(
-                f"folding {len(controls)} controls exhausted {len(ancillas)} ancillas"
-            )
-        take = min(2 if kind == "margolus" else 3, len(live))
-        taken = tuple(live[:take])
-        anc = ancillas[used]
-        used += 1
-        if kind == "clean":
-            out += and_compute(taken, anc)
-        elif kind == "margolus":
-            out += margolus_ccx(taken[0], taken[1], anc)
-        elif take == 2:
-            out += relphase_ccx(taken[0], taken[1], anc)
-        else:
-            out += relphase_cccx(*taken, anc)
-        folds.append((taken, anc))
-        live = [anc] + live[take:]
-    return out, live[0], folds
-
-
-def relphase_ancillas_needed(k: int) -> int:
-    """Ancillas the maslov fold plan uses for a k-qubit controlled Z."""
-    if k <= 3:
-        return 1 if k == 3 else 0
-    live, used = k - 1, 0
-    while live > 2:
-        live -= min(3, live) - 1
-        used += 1
-    return used
+        keep = _core_keep(len(controls), bool(ancillas))
+    measured = method == "measurement-assisted"
+    kind = "clean" if measured else "margolus" if method == "margolus" else "maslov"
+    fold, live, folds = and_fold_tree(controls, ancillas, kind, keep)
+    if measured and len(clbits) < len(folds):
+        raise MissingAncilla(
+            f"measurement-assisted uncompute needs {len(folds)} classical bits"
+        )
+    core = mcz_recursive(live + (target,))
+    unfold = uncompute_folds(fold, folds, tuple(clbits) if measured else None)
+    return conj + fold + core + unfold + conj
 
 
 # diffusers and oracles ------------------------------------------------------
@@ -467,9 +416,10 @@ def oracle(
 
 
 def oracle_ancillas_needed(n: int, style: str) -> int:
+    """Ancillas one oracle call (or relative-phase diffuser) on n wires folds into."""
     if style == "plain-mcz":
         return 0
-    return relphase_ancillas_needed(n)
+    return len(fold_plan(n - 1, _core_keep(n - 1)))
 
 
 # lowering --------------------------------------------------------------------
@@ -509,3 +459,8 @@ def lower(circuit: Circuit) -> Circuit:
         for sub in _lower_gate(instr.gate):
             builder.add(sub.gate, instr.condition if instr.condition is not None else sub.condition)
     return builder.build()
+
+
+def compile(circuit: Circuit) -> Circuit:  # noqa: A001 - the pipeline's name
+    """The compile pipeline: lower to 1q/2q gates, then peephole-cancel."""
+    return peephole_cancel(lower(circuit))

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import binom_sigma, frag_circuit, ideal_oracle_diag
 from qsearch import analysis, families, qasm, sim, synth
-from qsearch.circuit import CircuitBuilder, census, peephole_cancel
+from qsearch.circuit import CircuitBuilder, census
 from qsearch.cli import ExperimentConfig, run_experiment
 from qsearch.families import Partition
 from qsearch.sim import NoiseModel
@@ -233,7 +233,7 @@ def test_criterion_7_oracle_equivariance():
 
 def test_criterion_8_gate_count_targets():
     def count2(circ):
-        return census(peephole_cancel(synth.lower(circ))).two_qubit_count
+        return census(synth.compile(circ)).two_qubit_count
 
     grover5 = families.build_grover(OracleSpec(5, "10110", "ancilla-relphase"), 1)
     n_grover = count2(grover5)

@@ -180,6 +180,36 @@ class TestStripTrailing:
         d2 = sim.run_exact(out)
         assert d1.tv_distance(d2) < 1e-12
 
+    def test_x_conjugation_does_not_pin_uncompute(self):
+        """X on a measured wire keeps it classical, so the fold still drops."""
+        b = CircuitBuilder(4, 3)
+        for q in range(3):
+            b.h(q)
+        b.x(1)
+        b.extend(synth.relphase_ccx(0, 1, 3))
+        b.add(cz(2, 3))
+        uncompute = synth.relphase_ccx(0, 1, 3, inverse=True)
+        b.extend(uncompute)
+        b.x(1).h(2)
+        for q in range(3):
+            b.measure(q, q)
+        c = b.build()
+        out = strip_trailing_uncompute(c)
+        assert len(out.instructions) == len(c.instructions) - len(uncompute)
+        assert sim.run_exact(c).tv_distance(sim.run_exact(out)) < 1e-12
+
+    def test_measurement_free_circuit_measures_every_wire(self):
+        c = frag_circuit([h(0), cx(0, 1)], 2)
+        out = strip_trailing_uncompute(c)
+        assert out.instructions == c.instructions
+        assert sim.run_exact(c).tv_distance(sim.run_exact(out)) < 1e-12
+
+    @given(measured_circuits())
+    @settings(max_examples=150, deadline=None)
+    def test_keeps_exact_distribution(self, c):
+        out = strip_trailing_uncompute(c)
+        assert sim.run_exact(c).tv_distance(sim.run_exact(out)) < 1e-12
+
     def test_keeps_live_gates(self):
         b = CircuitBuilder(2, 2)
         b.h(0).cx(0, 1).measure(0, 0).measure(1, 1)

@@ -37,14 +37,14 @@ class TestBuild:
 
     def test_wojter_partial_not_larger_than_full(self, tmp_path):
         from qsearch import families, synth
-        from qsearch.circuit import census, peephole_cancel
+        from qsearch.circuit import census
         from qsearch.families import Partition
         from qsearch.synth import OracleSpec
 
         spec = OracleSpec(5, "10110", "ancilla-relphase")
         partial = families.build_wojter(spec, Partition((3, 2)), uncompute="partial")
         full = families.build_wojter(spec, Partition((3, 2)), uncompute="full")
-        c_partial = census(peephole_cancel(synth.lower(partial)))
+        c_partial = census(synth.compile(partial))
         c_full = census(synth.lower(full))
         assert c_partial.two_qubit_count <= c_full.two_qubit_count
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from qsearch import families, qasm, sim, synth
-from qsearch.circuit import census, peephole_cancel
+from qsearch.circuit import census
 from qsearch.errors import BadDiffuserSize, BadWidth, UnsupportedPartition
 from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
@@ -19,7 +19,7 @@ def p_success(circ, mask):
 
 
 def two_qubit_count(circ):
-    return census(peephole_cancel(synth.lower(circ))).two_qubit_count
+    return census(synth.compile(circ)).two_qubit_count
 
 
 def grover_pt(n):
@@ -184,6 +184,14 @@ class TestPartialDrzewker:
         pd = families.build_partial_drzewker(self.SPEC, self.PART)
         assert 0.0 < p_success(pd, "10110") < 1.0
 
+    @pytest.mark.parametrize("mode", families.UNCOMPUTE_MODES)
+    def test_build_forwards_uncompute(self, mode):
+        c = families.build(
+            FamilyRequest("partial-drzewker", self.SPEC, partition=self.PART, uncompute=mode)
+        )
+        assert c.metadata["uncompute"] == mode
+        assert c == families.build_partial_drzewker(self.SPEC, self.PART, uncompute=mode)
+
     def test_fewer_gates_than_full(self):
         pd = families.build_partial_drzewker(self.SPEC, self.PART)
         d = families.build_drzewker(self.SPEC, self.PART, uncompute="partial")
@@ -263,3 +271,36 @@ class TestInvariants:
         assert qasm.parse(qasm.serialize(c)) == c
         cens = census(synth.lower(c))
         assert cens.two_qubit_count > 0
+
+
+PARTIAL_UNCOMPUTE_COUNTS = {
+    (3, 2): {"drzewker": 44, "wojter": 51, "wojter-aa": 81, "partial-drzewker": 31},
+    (4, 1): {"drzewker": 54, "wojter": 55, "wojter-aa": 88, "partial-drzewker": 44},
+}
+
+
+@pytest.mark.parametrize("mask", [format(v, "05b") for v in range(32)])
+def test_partial_uncompute_counts_every_mask(mask):
+    spec = OracleSpec(5, mask, "ancilla-relphase")
+    for parts, counts in PARTIAL_UNCOMPUTE_COUNTS.items():
+        for family, expected in counts.items():
+            c = families.build(FamilyRequest(family, spec, partition=Partition(parts)))
+            assert two_qubit_count(c) == expected, (parts, family)
+
+
+@pytest.mark.parametrize("family", ["drzewker", "wojter", "wojter-aa", "partial-drzewker"])
+def test_one_wire_first_block_marks_the_mask(family):
+    """A one-wire block 1 is its own AND wire, X-conjugated to the mask."""
+    part = Partition((1, 2))
+    for mask in ("000", "011", "100", "111"):
+        ref = data_distribution(
+            families.build(FamilyRequest(family, OracleSpec(3, mask), partition=part))
+        )
+        for style in ("ancilla-relphase", "measurement-assisted"):
+            for mode in families.UNCOMPUTE_MODES:
+                req = FamilyRequest(
+                    family, OracleSpec(3, mask, style), partition=part, uncompute=mode
+                )
+                d = data_distribution(families.build(req))
+                assert d.tv_distance(ref) < 1e-12, (mask, style, mode)
+

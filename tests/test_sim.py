@@ -45,6 +45,13 @@ class TestRunExact:
             b = sim.run_deferred(circ).marginal(data)
             assert a.tv_distance(b) < 1e-10
 
+    @pytest.mark.parametrize("n_clbits", [0, 2])
+    def test_measurement_free_measures_every_wire(self, n_clbits):
+        c = frag_circuit([h(0), cx(0, 1)], 2, n_clbits)
+        for d in (sim.run_exact(c), sim.run_deferred(c)):
+            assert d.n_bits == 2
+            assert np.allclose(d.probabilities, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
+
     def test_too_wide(self):
         with pytest.raises(TooWide):
             sim.run_exact(frag_circuit([], 25))
@@ -168,6 +175,10 @@ class TestDistribution:
         d = Distribution(3, probabilities=probs)
         m = d.marginal([2, 0])
         assert m.probability(0b11) == 1.0
+        with pytest.raises(ValidationError):
+            d.marginal([0, 0])
+        with pytest.raises(ValidationError):
+            d.marginal([5])
 
     def test_tv_distance(self):
         a = Distribution(1, probabilities=np.array([1.0, 0.0]))
