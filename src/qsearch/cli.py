@@ -28,6 +28,39 @@ from .synth import OracleSpec
 SCHEMA_VERSION = 1
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# (field, type test, what the field must be); validate checks these first.
+_FIELD_TYPES = (
+    ("family", _is_str, "a string"),
+    ("n", _is_int, "an integer"),
+    ("oracle_set", lambda v: _is_str(v) or isinstance(v, list) and all(map(_is_str, v)),
+     "a string or a list of strings"),
+    ("oracle_style", _is_str, "a string"),
+    ("uncompute", _is_str, "a string"),
+    ("fused", lambda v: isinstance(v, bool), "true or false"),
+    ("iterations", _is_int, "an integer"),
+    ("partition", lambda v: v is None or isinstance(v, list) and all(map(_is_int, v)),
+     "a list of integers"),
+    ("diffuser_size", lambda v: v is None or _is_int(v), "an integer"),
+    ("shots", _is_int, "an integer"),
+    ("noise", lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+     "an object of numbers"),
+    ("seed", _is_int, "an integer"),
+    ("out", lambda v: v is None or _is_str(v), "a string"),
+)
+
+
 @dataclass
 class ExperimentConfig:
     family: str = "grover"
@@ -45,6 +78,9 @@ class ExperimentConfig:
     out: str | None = None
 
     def validate(self) -> None:
+        for name, is_type, what in _FIELD_TYPES:
+            if not is_type(getattr(self, name)):
+                raise ConfigError(f"{name}: must be {what}, got {getattr(self, name)!r}")
         if self.family not in families.FAMILIES:
             raise ConfigError(f"family: unknown family {self.family!r}")
         if not 1 <= self.n <= 16:
@@ -62,6 +98,8 @@ class ExperimentConfig:
                 )
         if self.shots < 0:
             raise ConfigError("shots: must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.oracle_set == "all" and self.n > 6:
             raise ConfigError("oracle_set: 'all' only permitted for n <= 6")
         for k in self.noise:
@@ -87,7 +125,10 @@ def resolve_masks(cfg: ExperimentConfig) -> list[str]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError("oracle_set: sample spec must be sample:<k>:<seed>")
-        k, sample_seed = int(parts[1]), int(parts[2])
+        try:
+            k, sample_seed = int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ConfigError(f"oracle_set: bad sample spec {spec!r}") from exc
         if not 1 <= k <= (1 << cfg.n):
             raise ConfigError(f"oracle_set: sample size {k} outside register")
         rng = np.random.default_rng(sample_seed)
@@ -137,7 +178,7 @@ def cmd_build(cfg: ExperimentConfig, outdir: Path) -> int:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Build, simulate and analyze every oracle in the set."""
     cfg.validate()
-    t0 = time.time()
+    t0 = time.perf_counter()
     masks = resolve_masks(cfg)
     noise = sim.NoiseModel(**{k: float(v) for k, v in cfg.noise.items()})
     oracle_rows = []
@@ -207,7 +248,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "classical_expected_calls": metrics.classical_expected_calls,
         },
         "census": census_dict,
-        "timing_seconds": round(time.time() - t0, 6),
+        "timing_seconds": round(time.perf_counter() - t0, 6),
     }
     return report
 
@@ -302,6 +343,13 @@ def cmd_sweep(cfg: ExperimentConfig, grid: list[float], outdir: Path) -> int:
 
 # argument handling -----------------------------------------------------------
 
+def _number(name: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: bad number {text!r}") from exc
+
+
 def _parse_noise(text: str) -> dict:
     out = {}
     alias = {"p1": "p1", "p2": "p2", "pm": "p_meas", "p_meas": "p_meas"}
@@ -313,7 +361,7 @@ def _parse_noise(text: str) -> dict:
         k, v = part.split("=", 1)
         if k.strip() not in alias:
             raise ConfigError(f"noise: unknown rate {k.strip()!r}")
-        out[alias[k.strip()]] = float(v)
+        out[alias[k.strip()]] = _number("noise", v)
     return out
 
 
@@ -324,6 +372,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config: {args.config} must hold a JSON object")
     cfg = ExperimentConfig()
     known = set(asdict(cfg))
     for key, value in raw.items():
@@ -411,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_build(cfg, outdir)
         if args.command == "run":
             return cmd_run(cfg, outdir)
-        grid = [float(v) for v in args.grid.split(",")]
+        grid = [_number("grid", v) for v in args.grid.split(",")]
         return cmd_sweep(cfg, grid, outdir)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,13 +7,13 @@ whose flat index uses qubit 0 as the most significant bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cache
 from math import sqrt
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, RELPHASE_NAMES, census, cx
+from .circuit import Circuit, Instruction, RELPHASE_NAMES, census, cx, x, z
 from .errors import (
     HasMeasurement,
     NotLowered,
@@ -21,8 +21,6 @@ from .errors import (
     UndefinedGateSemantics,
     ValidationError,
 )
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
 
 MAX_EXACT_WIDTH = 24
 MAX_UNITARY_WIDTH = 12
@@ -120,93 +118,78 @@ def _marginal(arr: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
 
 # gate application ---------------------------------------------------------
 
-def _bit_values(n: int, q: int) -> np.ndarray:
-    return (np.arange(1 << n) >> (n - 1 - q)) & 1
+_SQRT_HALF = sqrt(0.5)
 
 
-@lru_cache(maxsize=4096)
-def _diag_vector(key, n: int) -> np.ndarray:
-    """Diagonal for z / rz / cz gates; key carries name, qubits, pol, angle."""
-    name, qubits, polarity, angle = key
-    if name == "z":
-        return (1.0 - 2.0 * _bit_values(n, qubits[0])).astype(complex)
-    if name == "rz":
-        return np.exp(1j * angle * _bit_values(n, qubits[0]))
-    if name == "cz":
-        match = np.ones(1 << n, dtype=bool)
-        for q, p in zip(qubits, polarity):
-            match &= _bit_values(n, q) == p
-        diag = np.ones(1 << n, dtype=complex)
-        diag[match] = -1.0
-        return diag
-    raise UndefinedGateSemantics(name)
+def _at(n: int, fixed, rows=slice(None)) -> tuple:
+    """Index of a (B, 2, ..., 2) view: the given rows, with the given
+    (wire, value) pairs fixed."""
+    idx = [rows] + [slice(None)] * n
+    for q, v in fixed:
+        idx[q + 1] = v
+    return tuple(idx)
 
 
-@lru_cache(maxsize=4096)
-def _perm_vector(key, n: int) -> np.ndarray:
-    """Index permutation for x / cx gates (an involution)."""
-    name, qubits, polarity = key
-    idx = np.arange(1 << n)
-    if name == "x":
-        return idx ^ (1 << (n - 1 - qubits[0]))
-    if name == "cx":
-        controls, target = qubits[:-1], qubits[-1]
-        match = np.ones(1 << n, dtype=bool)
-        for q, p in zip(controls, polarity):
-            match &= _bit_values(n, q) == p
-        return idx ^ (match.astype(np.int64) << (n - 1 - target))
-    raise UndefinedGateSemantics(name)
-
-
-@lru_cache(maxsize=64)
-def _relphase_matrix(name: str, inverse: bool) -> np.ndarray:
-    """Dense matrix of a relative-phase primitive, from its lowering."""
+@cache
+def _relphase_phases(name: str, inverse: bool) -> tuple[tuple[tuple[int, ...], complex], ...]:
+    """(basis pattern, phase) pairs where a relative-phase primitive's matrix
+    differs from the C^kX it approximates, derived from its lowering."""
     from . import synth
 
     k = 3 if name == "rccx" else 4
-    if name == "rccx":
-        frag = synth.relphase_ccx(0, 1, 2, inverse=inverse)
-    else:
-        frag = synth.relphase_cccx(0, 1, 2, 3, inverse=inverse)
-    u = np.eye(1 << k, dtype=complex)
-    for instr in frag:
-        u = _apply_gate(u, instr.gate, k)
-    return u.T.copy()
+    lowering = synth.relphase_ccx if name == "rccx" else synth.relphase_cccx
+    u = np.eye(1 << k, dtype=complex)  # row b becomes U|b>
+    for instr in lowering(*range(k), inverse=inverse):
+        _apply_gate(u, instr.gate, k)
+    perm = np.eye(1 << k, dtype=complex)
+    _apply_gate(perm, cx(*range(k)), k)
+    phases = (u * perm).sum(axis=0)  # U = diag(phases) . C^kX
+    if not np.allclose(u, perm * phases[None, :], atol=1e-12):
+        raise UndefinedGateSemantics(f"{name} lowering is not C^kX times a diagonal")
+    return tuple(
+        (tuple((j >> (k - 1 - w)) & 1 for w in range(k)), complex(phases[j]))
+        for j in range(1 << k)
+        if abs(phases[j] - 1.0) > 1e-12
+    )
 
 
-def _apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix on the given qubits of a (B, 2^n) batch."""
-    b = state.shape[0]
-    k = len(qubits)
-    shaped = state.reshape([b] + [2] * n)
-    axes = [q + 1 for q in qubits]
-    shaped = np.moveaxis(shaped, axes, range(n - k + 1, n + 1))
-    shaped = shaped.reshape(-1, 1 << k) @ matrix.T
-    shaped = shaped.reshape([b] + [2] * n)
-    shaped = np.moveaxis(shaped, range(n - k + 1, n + 1), axes)
-    return shaped.reshape(b, 1 << n)
+def _apply_gate(state: np.ndarray, gate, n: int, extra=()) -> None:
+    """Apply one gate in place to a C-contiguous (B, 2^n) batch.
 
-
-def _apply_gate(state: np.ndarray, gate, n: int) -> np.ndarray:
-    """Apply one gate to a (B, 2^n) batch of statevectors."""
+    The gate fixes some wires of the (B, 2, ..., 2) view (its controls with
+    their polarities, plus the (wire, value) pairs in extra) and acts on the
+    remaining slice: a phase, a swap of the target's 0 and 1 slices, or a
+    Hadamard mix of those two slices.
+    """
     name = gate.name
     if name == "barrier":
-        return state
-    if name in ("z", "rz"):
-        diag = _diag_vector((name, gate.qubits, None, gate.angle), n)
-        return state * diag[None, :]
-    if name == "cz":
-        diag = _diag_vector(("cz", gate.qubits, gate.effective_polarity(), None), n)
-        return state * diag[None, :]
-    if name in ("x", "cx"):
-        key = (name, gate.qubits, gate.effective_polarity() if name == "cx" else None)
-        perm = _perm_vector(key, n)
-        return state[:, perm]
+        return
+    view = state.reshape((state.shape[0],) + (2,) * n)
+    qubits = gate.qubits
+    if name in ("z", "rz", "cz"):
+        polarity = gate.effective_polarity() if name == "cz" else (1,)
+        phase = np.exp(1j * gate.angle) if name == "rz" else -1.0
+        view[_at(n, (*extra, *zip(qubits, polarity)))] *= phase
+        return
+    if name not in ("x", "cx", "h") and name not in RELPHASE_NAMES:
+        raise UndefinedGateSemantics(f"no matrix semantics for {name!r}")
+    polarity = gate.effective_polarity() if name == "cx" else (1,) * (len(qubits) - 1)
+    fixed = (*extra, *zip(qubits[:-1], polarity))
+    lo = view[_at(n, (*fixed, (qubits[-1], 0)))]
+    hi = view[_at(n, (*fixed, (qubits[-1], 1)))]
     if name == "h":
-        return _apply_matrix(state, _H, gate.qubits, n)
+        diff = lo - hi
+        lo += hi
+        lo *= _SQRT_HALF
+        diff *= _SQRT_HALF
+        hi[...] = diff
+        return
+    lo_copy = lo.copy()
+    lo[...] = hi
+    hi[...] = lo_copy
     if name in RELPHASE_NAMES:
-        return _apply_matrix(state, _relphase_matrix(name, gate.inverse), gate.qubits, n)
-    raise UndefinedGateSemantics(f"no matrix semantics for {name!r}")
+        for bits, phase in _relphase_phases(name, gate.inverse):
+            view[_at(n, (*extra, *zip(qubits, bits)))] *= phase
 
 
 # exact simulation ----------------------------------------------------------
@@ -260,9 +243,9 @@ def _terminal_outcomes(
 
 
 def _collapse(state: np.ndarray, q: int, n: int, outcome: int, prob: float) -> np.ndarray:
-    keep = _bit_values(n, q) == outcome
-    out = np.where(keep, state, 0.0)
-    return out / sqrt(prob)
+    out = state / sqrt(prob)
+    out.reshape((1,) + (2,) * n)[_at(n, ((q, 1 - outcome),))] = 0.0
+    return out
 
 
 def run_exact(circuit: Circuit) -> Distribution:
@@ -298,8 +281,8 @@ def run_exact(circuit: Circuit) -> Distribution:
                     bits[c] = outcome
                     next_branches.append((collapsed, weight * p, bits))
             else:
-                out = _apply_gate(state[None, :], gate, n)[0]
-                next_branches.append((out, weight, clbits))
+                _apply_gate(state[None, :], gate, n)
+                next_branches.append((state, weight, clbits))
         branches = next_branches
         total = sum(w for _, w, _ in branches)
         if abs(total - 1.0) > 1e-12:
@@ -331,39 +314,26 @@ def run_deferred(circuit: Circuit) -> Distribution:
         raise TooWide(f"{n} qubits exceeds exact limit {MAX_EXACT_WIDTH}")
 
     record: dict[int, int] = {}  # classical bit -> record wire
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
-    state = state[None, :]
+    state = np.zeros((1, 1 << n), dtype=complex)
+    state[0, 0] = 1.0
     next_wire = circuit.n_qubits
 
     for instr in body:
         gate = instr.gate
-        control = None
+        control = ()
         if instr.condition is not None:
             bit, value = instr.condition
             if bit not in record:
                 raise ValidationError("condition on a bit with no deferred measurement")
-            control = (record[bit], value)
+            control = ((record[bit], value),)
         if gate.name == "measure":
-            if control is not None:
+            if control:
                 raise HasMeasurement("conditioned measurements cannot be deferred")
             record[gate.clbit] = next_wire
-            state = _apply_gate(state, cx(gate.qubits[0], next_wire), n)
+            _apply_gate(state, cx(gate.qubits[0], next_wire), n)
             next_wire += 1
-            continue
-        if control is None:
-            state = _apply_gate(state, gate, n)
-            continue
-        ctrl, value = control
-        shaped = state.reshape([1] + [2] * n)
-        shaped = np.moveaxis(shaped, ctrl + 1, 1).copy()
-        remapped = replace(
-            gate, qubits=tuple(q if q < ctrl else q - 1 for q in gate.qubits)
-        )
-        branch = shaped[:, value].reshape(1, -1)
-        branch = _apply_gate(branch, remapped, n - 1)
-        shaped[:, value] = branch.reshape(shaped[:, value].shape)
-        state = np.moveaxis(shaped, 1, ctrl + 1).reshape(1, -1)
+        else:
+            _apply_gate(state, gate, n, control)
 
     pairs = terminal + [(wire, c) for c, wire in record.items()]
     outcome, marg = _terminal_outcomes(state[0], n, pairs, n_bits)
@@ -386,7 +356,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     dim = 1 << n
     batch = np.eye(dim, dtype=complex)  # row b is basis state b
     for instr in circuit.instructions:
-        batch = _apply_gate(batch, instr.gate, n)
+        _apply_gate(batch, instr.gate, n)
     return batch.T.copy()
 
 
@@ -412,40 +382,12 @@ def ancilla_block(u: np.ndarray, n_data: int, n_anc: int) -> tuple[np.ndarray, f
 
 # noisy simulation ----------------------------------------------------------
 
-_PAULI_1Q = ("x", "y", "z")
-
-
-@lru_cache(maxsize=2048)
-def _pauli_table(qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xor masks, phase vectors) for the non-identity Paulis on qubits."""
-    dim = 1 << n
-    singles = []
-    for q in qubits:
-        mask_bit = 1 << (n - 1 - q)
-        bits = _bit_values(n, q)
-        singles.append(
-            {
-                "i": (0, np.ones(dim, dtype=complex)),
-                "x": (mask_bit, np.ones(dim, dtype=complex)),
-                "y": (mask_bit, 1j * (2.0 * bits - 1.0)),
-                "z": (0, (1.0 - 2.0 * bits).astype(complex)),
-            }
-        )
-    if len(qubits) == 1:
-        combos = [(p,) for p in _PAULI_1Q]
-    else:
-        labels = ("i", "x", "y", "z")
-        combos = [
-            (a, b) for a in labels for b in labels if not (a == "i" and b == "i")
-        ]
-    masks = np.zeros(len(combos), dtype=np.int64)
-    phases = np.ones((len(combos), dim), dtype=complex)
-    for ci, combo in enumerate(combos):
-        for sq, p in zip(singles, combo):
-            m, ph = sq[p]
-            masks[ci] ^= m
-            phases[ci] *= ph
-    return masks, phases
+# Non-identity Paulis on a gate's wires, in the order a pick indexes them,
+# as (pick, wire, [has a Z part, has an X part]) tables.
+_PAULIS = {
+    k: np.array([[[p in "yz", p in "xy"] for p in label] for label in labels])
+    for k, labels in ((1, "xyz"), (2, [a + b for a in "ixyz" for b in "ixyz"][1:]))
+}
 
 
 def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Distribution:
@@ -494,50 +436,54 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Dis
 
         state = np.zeros((b, dim), dtype=complex)
         state[:, 0] = 1.0
+        view = state.reshape((b,) + (2,) * n)
+        all_rows = np.arange(b)
         clbits = np.zeros((b, circuit.n_clbits), dtype=np.int8)
         site_no = mid_no = 0
         for instr in body:
             gate = instr.gate
             if gate.name == "barrier":
                 continue
-            active = (
-                clbits[:, instr.condition[0]] == instr.condition[1]
-                if instr.condition is not None
-                else np.ones(b, dtype=bool)
-            )
+            if instr.condition is None:
+                rows = all_rows
+            else:
+                rows = np.nonzero(clbits[:, instr.condition[0]] == instr.condition[1])[0]
             if gate.name == "measure":
                 q, c = gate.qubits[0], gate.clbit
-                rows = np.nonzero(active)[0]
                 if rows.size:
-                    bits = _bit_values(n, q)
-                    p1 = (np.abs(state[rows]) ** 2)[:, bits == 1].sum(axis=1)
+                    one = np.abs(view[_at(n, ((q, 1),), rows)]) ** 2
+                    p1 = one.reshape(rows.size, -1).sum(axis=1)
                     outcome = (u_mid[rows, mid_no] < p1).astype(np.int8)
                     for o in (0, 1):
                         rr = rows[outcome == o]
                         if not rr.size:
                             continue
-                        state[rr] *= (bits == o)[None, :]
+                        view[_at(n, ((q, 1 - o),), rr)] = 0.0
                         norms = np.linalg.norm(state[rr], axis=1)
                         state[rr] /= norms[:, None]
                     flips = (u_mid_ro[rows, mid_no] < noise.p_meas).astype(np.int8)
                     clbits[rows, c] = outcome ^ flips
                 mid_no += 1
                 continue
-            rows = np.nonzero(active)[0]
-            if rows.size:
-                state[rows] = _apply_gate(state[rows], gate, n)
-                p_err = noise.p2 if len(gate.qubits) == 2 else noise.p1
-                if p_err > 0.0:
-                    hit = rows[u_site[rows, site_no] < p_err]
-                    if hit.size:
-                        masks, phases = _pauli_table(gate.qubits, n)
-                        n_paulis = masks.shape[0]
-                        picks = pauli_pick[hit, site_no] % n_paulis
-                        idx = np.arange(dim)
-                        for val in np.unique(picks):
-                            rr = hit[picks == val]
-                            perm = idx ^ masks[val]
-                            state[rr] = state[rr][:, perm] * phases[val][None, :]
+            if rows.size == b:
+                _apply_gate(state, gate, n)
+            elif rows.size:
+                sub = state[rows]
+                _apply_gate(sub, gate, n)
+                state[rows] = sub
+            p_err = noise.p2 if len(gate.qubits) == 2 else noise.p1
+            if p_err > 0.0:
+                hit = rows[u_site[rows, site_no] < p_err]
+                paulis = _PAULIS[len(gate.qubits)]
+                parts = paulis[pauli_pick[hit, site_no] % len(paulis)]
+                for j, q in enumerate(gate.qubits):
+                    # z then x on a wire is -iY: a global phase per trajectory
+                    for k, op in enumerate((z(q), x(q))):
+                        rr = hit[parts[:, j, k]]
+                        if rr.size:
+                            sub = state[rr]
+                            _apply_gate(sub, op, n)
+                            state[rr] = sub
             site_no += 1
 
         probs = np.abs(state) ** 2

@@ -50,7 +50,6 @@ METHODS = (
 ORACLE_STYLES = (
     "plain-mcz",
     "ancilla-relphase",
-    "ancilla-relphase-partial-uncompute",
     "measurement-assisted",
 )
 
@@ -407,7 +406,6 @@ def oracle(
         return _instr([cz(*qubits, polarity=polarity)])
     method = {
         "ancilla-relphase": "relphase-maslov",
-        "ancilla-relphase-partial-uncompute": "relphase-maslov",
         "measurement-assisted": "measurement-assisted",
     }[spec.style]
     return mcz_fragment(

@@ -4,7 +4,7 @@ from math import pi
 import numpy as np
 from hypothesis import strategies as st
 
-from qsearch import sim
+from qsearch import sim, synth
 from qsearch.circuit import (
     Circuit,
     CircuitBuilder,
@@ -26,6 +26,43 @@ def frag_circuit(frag, n_qubits, n_clbits=0) -> Circuit:
 
 def frag_unitary(frag, n_qubits) -> np.ndarray:
     return sim.unitary_of(frag_circuit(frag, n_qubits))
+
+
+def dense_gate(gate, n) -> np.ndarray:
+    """Reference 2^n x 2^n matrix of one gate, built without sim.
+
+    Phase and permutation gates come from the bits of each basis index
+    (qubit 0 most significant), h from a Kronecker product, and rccx /
+    rcccx from the product of their lowering's reference matrices.
+    """
+    dim = 1 << n
+    idx = np.arange(dim)
+    name, qs = gate.name, gate.qubits
+    if name == "h":
+        h1 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        return np.kron(np.kron(np.eye(1 << qs[0]), h1), np.eye(1 << (n - 1 - qs[0])))
+    if name in ("rccx", "rcccx"):
+        lowering = synth.relphase_ccx if name == "rccx" else synth.relphase_cccx
+        return dense_unitary([i.gate for i in lowering(*qs, inverse=gate.inverse)], n)
+    fixed = qs if name in ("z", "rz", "cz") else qs[:-1]
+    polarity = (1,) if name in ("z", "rz") else gate.effective_polarity()
+    match = np.ones(dim, dtype=bool)
+    for q, p in zip(fixed, polarity):
+        match &= ((idx >> (n - 1 - q)) & 1) == p
+    if name in ("z", "rz", "cz"):
+        phase = np.exp(1j * gate.angle) if name == "rz" else -1.0
+        return np.diag(np.where(match, phase, 1.0).astype(complex))
+    m = np.zeros((dim, dim), dtype=complex)  # x / cx: flip the target where matched
+    m[idx ^ (match.astype(np.int64) << (n - 1 - qs[-1])), idx] = 1.0
+    return m
+
+
+def dense_unitary(gates, n) -> np.ndarray:
+    """Product of dense_gate matrices, first gate rightmost."""
+    u = np.eye(1 << n, dtype=complex)
+    for g in gates:
+        u = dense_gate(g, n) @ u
+    return u
 
 
 def ideal_oracle_diag(n: int, mask: str) -> np.ndarray:

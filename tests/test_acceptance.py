@@ -101,14 +101,13 @@ def test_criterion_5_synthesis_equivalence_suite():
                 frag_circuit(synth.oracle(OracleSpec(n, mask, "plain-mcz")), n)
             )
             worst_unitary = max(worst_unitary, sim.phase_aligned_distance(u, ideal))
-            # ancilla styles: block-restricted unitary plus leakage
-            for style in ("ancilla-relphase", "ancilla-relphase-partial-uncompute"):
-                frag = synth.oracle(OracleSpec(n, mask, style), ancillas=ancillas)
-                u = sim.unitary_of(frag_circuit(frag, n + n_anc))
-                block, leak = sim.ancilla_block(u, n, n_anc)
-                worst_unitary = max(
-                    worst_unitary, leak, sim.phase_aligned_distance(block, ideal)
-                )
+            # ancilla style: block-restricted unitary plus leakage
+            frag = synth.oracle(OracleSpec(n, mask, "ancilla-relphase"), ancillas=ancillas)
+            u = sim.unitary_of(frag_circuit(frag, n + n_anc))
+            block, leak = sim.ancilla_block(u, n, n_anc)
+            worst_unitary = max(
+                worst_unitary, leak, sim.phase_aligned_distance(block, ideal)
+            )
             # measurement-assisted: distributional against the plain oracle
             b = CircuitBuilder(n + n_anc, n + n_anc)
             for q in range(n):

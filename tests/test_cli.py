@@ -187,6 +187,35 @@ class TestConfig:
         assert all(len(m) == 5 for m in masks)
         assert masks == resolve_masks(cfg)  # seeded, stable
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["run", "--oracle-set", "sample:x:1"], None),
+            (["run", "--noise", "p2=abc"], None),
+            (["sweep", "--grid", "0,abc"], None),
+            (["run"], {"n": "3"}),
+            (["run"], [1, 2]),
+            (["run"], {"partition": "3,2"}),
+            (["run"], {"noise": {"p2": "x"}}),
+            (["run"], {"shots": 1.5}),
+            (["run"], {"oracle_set": [101]}),
+            (["run"], {"seed": -1}),
+            (["run"], {"out": 5}),
+        ],
+        ids=["sample-spec", "noise-rate", "grid-value", "n-string", "json-list",
+             "partition-string", "noise-string", "shots-float", "oracle-set-int",
+             "seed-negative", "out-int"],
+    )
+    def test_bad_input_is_one_error_line(self, argv, config, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QSEARCH_OUT", str(tmp_path))
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_env_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QSEARCH_OUT", str(tmp_path))
         rc = main(["build", "--family", "grover", "--n", "2", "--oracle", "11"])

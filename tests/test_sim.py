@@ -3,9 +3,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import binom_sigma, frag_circuit, ideal_oracle_diag, unitary_circuits
+from conftest import (
+    binom_sigma,
+    dense_gate,
+    dense_unitary,
+    frag_circuit,
+    ideal_oracle_diag,
+    measured_circuits,
+    unitary_circuits,
+)
 from qsearch import families, sim, synth
-from qsearch.circuit import CircuitBuilder, cx, cz, h, measure, x
+from qsearch.circuit import CircuitBuilder, cx, cz, h, measure, rcccx, x, z
 from qsearch.errors import HasMeasurement, NotLowered, TooWide, ValidationError
 from qsearch.sim import Distribution, NoiseModel
 from qsearch.synth import OracleSpec
@@ -44,6 +52,11 @@ class TestRunExact:
             a = sim.run_exact(circ).marginal(data)
             b = sim.run_deferred(circ).marginal(data)
             assert a.tv_distance(b) < 1e-10
+
+    @given(measured_circuits())
+    @settings(max_examples=40, deadline=None)
+    def test_deferred_controls_match_branching(self, c):
+        assert sim.run_exact(c).tv_distance(sim.run_deferred(c)) < 1e-10
 
     @pytest.mark.parametrize("n_clbits", [0, 2])
     def test_measurement_free_measures_every_wire(self, n_clbits):
@@ -96,6 +109,28 @@ class TestUnitaryOf:
         with pytest.raises(TooWide):
             sim.unitary_of(frag_circuit([], 13))
 
+    @given(unitary_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_reference(self, c):
+        ref = dense_unitary([i.gate for i in c.instructions], c.n_qubits)
+        assert np.abs(sim.unitary_of(c) - ref).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            cx(5, 2, 0, 3, polarity=(0, 1, 0)),
+            cx(4, 1, 5, 0, 2, polarity=(1, 0, 0, 1)),
+            cz(5, 3, 0, 1, polarity=(0, 1, 1, 0)),
+            cz(5, 4, 2, 1, 0, polarity=(0, 1, 0, 1, 1)),
+            rcccx(5, 3, 0, 2),
+            rcccx(5, 3, 0, 2, inverse=True),
+            rcccx(1, 4, 2, 0, inverse=True),
+        ],
+    )
+    def test_wide_gates_match_dense_reference(self, gate):
+        u = sim.unitary_of(frag_circuit([gate], 6))
+        assert np.abs(u - dense_gate(gate, 6)).max() < 1e-10
+
     @given(unitary_circuits(max_qubits=4))
     @settings(max_examples=30, deadline=None)
     def test_unitarity(self, c):
@@ -132,6 +167,21 @@ class TestRunNoisy:
         d = sim.run_noisy(low, NoiseModel(p2=1.0), shots, seed=5).marginal([0, 1, 2])
         p = d.probability(0b111)
         assert abs(p - 1 / 8) < 4 * binom_sigma(1 / 8, shots)
+
+    @pytest.mark.parametrize("walls", [False, True])
+    def test_two_qubit_pauli_is_uniform(self, walls):
+        # outcome 00 has 3 of the 15 Paulis (no X part; no Z part inside H walls)
+        wall = [h(0), h(1)] if walls else []
+        c = frag_circuit(wall + [cx(0, 1)] + wall, 2)
+        shots = 6000
+        p = sim.run_noisy(c, NoiseModel(p2=1.0), shots, seed=13).as_probabilities()
+        for got, want in zip(p, np.array([3, 4, 4, 4]) / 15):
+            assert abs(got - want) < 4 * binom_sigma(want, shots)
+
+    def test_one_qubit_pauli_flips_two_thirds(self):
+        shots = 6000
+        d = sim.run_noisy(frag_circuit([z(0)], 1), NoiseModel(p1=1.0), shots, seed=17)
+        assert abs(d.probability(1) - 2 / 3) < 4 * binom_sigma(2 / 3, shots)
 
     def test_seed_reproducibility(self):
         c = synth.lower(families.build_grover(OracleSpec(3, "011", "plain-mcz"), 1))
