@@ -115,6 +115,8 @@ def _derive_seed(seed: int, *key: int) -> int:
 def resolve_masks(cfg: ExperimentConfig) -> list[str]:
     spec = cfg.oracle_set
     if isinstance(spec, list):
+        if not spec:
+            raise ConfigError("oracle_set: the mask list is empty")
         for m in spec:
             if len(m) != cfg.n or any(ch not in "01" for ch in m):
                 raise ConfigError(f"oracle_set: mask {m!r} is not an {cfg.n}-bit pattern")
@@ -283,9 +285,17 @@ def cmd_plot(report_path: Path, outdir: Path | None = None) -> int:
         report = json.loads(report_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"report: cannot read {report_path}: {exc}") from exc
-    theory = report["relabeled_theoretical"]
-    measured = report["relabeled_average"]
-    n = report["config"]["n"]
+    try:
+        theory = report["relabeled_theoretical"]
+        measured = report["relabeled_average"]
+        n = report["config"]["n"]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"report: {report_path} is not a qsearch report") from exc
+    if not (_is_int(n) and 1 <= n <= 16 and all(
+        isinstance(s, list) and len(s) == 1 << n and all(map(_is_number, s))
+        for s in (theory, measured)
+    )):
+        raise ConfigError(f"report: {report_path} has malformed relabeled averages")
     stem = report_path.with_suffix("")
     if outdir is not None:
         stem = outdir / stem.name
@@ -406,6 +416,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.shots is not None:
         cfg.shots = args.shots
     if args.noise is not None:
+        if not isinstance(cfg.noise, dict):  # the flag's rates merge into the file's
+            raise ConfigError(f"noise: must be an object of numbers, got {cfg.noise!r}")
         cfg.noise = {**cfg.noise, **_parse_noise(args.noise)}
     if args.seed is not None:
         cfg.seed = args.seed
@@ -419,8 +431,15 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return Path(cfg.out or os.environ.get("QSEARCH_OUT") or ".")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors follow the one-line error contract."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qsearch", description=__doc__)
+    parser = _Parser(prog="qsearch", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
@@ -450,8 +469,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         if args.command == "plot":
             outdir = Path(args.out) if args.out else None
             return cmd_plot(Path(args.report), outdir)

@@ -24,6 +24,7 @@ from .errors import (
 
 MAX_EXACT_WIDTH = 24
 MAX_UNITARY_WIDTH = 12
+TRAJECTORY_CHUNK = 8192  # fixed, so trajectory t's draws never depend on the shot total
 _NORM_TOL = 1e-12
 
 
@@ -395,9 +396,15 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Dis
 
     After each 1- or 2-qubit gate a uniformly random non-identity Pauli on
     the touched qubits is inserted with probability p1 / p2; recorded bits
-    flip with probability p_meas.  Trajectory t draws from an independent
-    stream seeded by (seed, t); results are reproducible and merge-order
-    independent.
+    flip with probability p_meas.
+
+    Trajectories run in chunks of TRAJECTORY_CHUNK.  Chunk c draws every
+    uniform it needs in one row-major block from the stream seeded by
+    SeedSequence(entropy=seed, spawn_key=(c,)); row r holds trajectory
+    c * TRAJECTORY_CHUNK + r, its columns split into site-hit, Pauli-pick,
+    mid-measure, mid-readout, final-sample and terminal-readout draws.
+    Trajectory t therefore depends only on (seed, t): a run of more shots
+    extends a run of fewer, and results merge in any order.
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
@@ -412,27 +419,14 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Dis
     mid_measures = [i for i, instr in enumerate(body) if instr.gate.name == "measure"]
     mid_clbits = sorted({body[i].gate.clbit for i in mid_measures})
     n_sites, n_mid, n_term = len(sites), len(mid_measures), len(t_qubits)
+    splits = np.cumsum([n_sites, n_sites, n_mid, n_mid, 1])
 
     counts = np.zeros(1 << ncl, dtype=np.int64)
-    chunk_size = 8192
-    for start in range(0, shots, chunk_size):
-        b = min(chunk_size, shots - start)
-        u_site = np.empty((b, n_sites))
-        pauli_pick = np.empty((b, n_sites), dtype=np.int64)
-        u_mid = np.empty((b, n_mid))
-        u_mid_ro = np.empty((b, n_mid))
-        u_final = np.empty(b)
-        u_ro = np.empty((b, n_term))
-        for r in range(b):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(start + r,))
-            )
-            u_site[r] = rng.random(n_sites)
-            pauli_pick[r] = rng.integers(0, 15, n_sites)
-            u_mid[r] = rng.random(n_mid)
-            u_mid_ro[r] = rng.random(n_mid)
-            u_final[r] = rng.random()
-            u_ro[r] = rng.random(n_term)
+    for chunk, start in enumerate(range(0, shots, TRAJECTORY_CHUNK)):
+        b = min(TRAJECTORY_CHUNK, shots - start)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+        draws = rng.random((b, splits[-1] + n_term))
+        u_site, u_pick, u_mid, u_mid_ro, u_final, u_ro = np.split(draws, splits, axis=1)
 
         state = np.zeros((b, dim), dtype=complex)
         state[:, 0] = 1.0
@@ -475,7 +469,7 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Dis
             if p_err > 0.0:
                 hit = rows[u_site[rows, site_no] < p_err]
                 paulis = _PAULIS[len(gate.qubits)]
-                parts = paulis[pauli_pick[hit, site_no] % len(paulis)]
+                parts = paulis[(u_pick[hit, site_no] * len(paulis)).astype(np.int64)]
                 for j, q in enumerate(gate.qubits):
                     # z then x on a wire is -iY: a global phase per trajectory
                     for k, op in enumerate((z(q), x(q))):
@@ -489,7 +483,7 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Dis
         probs = np.abs(state) ** 2
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1][:, None]
-        sampled = (cdf < u_final[:, None]).sum(axis=1)
+        sampled = (cdf < u_final).sum(axis=1)
         outcome_ints = np.zeros(b, dtype=np.int64)
         for c in mid_clbits:
             outcome_ints |= clbits[:, c].astype(np.int64) << (ncl - 1 - c)

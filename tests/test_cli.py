@@ -1,12 +1,15 @@
 """CLI subcommands, config validation, report artifacts."""
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import binom_sigma
-from qsearch import qasm
+from qsearch import families, qasm, synth
 from qsearch.cli import (
     ExperimentConfig,
     cmd_build,
@@ -201,10 +204,15 @@ class TestConfig:
             (["run"], {"oracle_set": [101]}),
             (["run"], {"seed": -1}),
             (["run"], {"out": 5}),
+            (["run", "--n", "abc"], None),
+            (["run", "--family", "nope"], None),
+            (["run", "--noise", "p2=0.1"], {"noise": None}),
+            (["build"], {"oracle_set": []}),
         ],
         ids=["sample-spec", "noise-rate", "grid-value", "n-string", "json-list",
              "partition-string", "noise-string", "shots-float", "oracle-set-int",
-             "seed-negative", "out-int"],
+             "seed-negative", "out-int", "n-flag-string", "family-flag-choice",
+             "noise-null-with-flag", "oracle-set-empty"],
     )
     def test_bad_input_is_one_error_line(self, argv, config, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QSEARCH_OUT", str(tmp_path))
@@ -216,8 +224,110 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_plot_rejects_non_report(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 3}))
+        assert main(["plot", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_env_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QSEARCH_OUT", str(tmp_path))
         rc = main(["build", "--family", "grover", "--n", "2", "--oracle", "11"])
         assert rc == 0
         assert (tmp_path / "circuit_grover_11.qasm").exists()
+
+
+# CLI fuzzing: random flag lists and config objects, bounded to n <= 4 and
+# shots <= 64 so that every accepted input runs in milliseconds.
+
+_JUNK = st.sampled_from(["abc", "", "-1", "1.5", "3,2", "p2", "sample:x:1"])
+_FLAG_VALUES = {
+    "--family": st.sampled_from(families.FAMILIES),
+    "--n": st.integers(-1, 4).map(str),
+    "--iterations": st.integers(-1, 2).map(str),
+    "--partition": st.sampled_from(["2,1", "2,2", "3,1", "1,1", "0,2"]),
+    "--diffuser-size": st.integers(-1, 4).map(str),
+    "--oracle": st.text("01", max_size=4),
+    "--oracle-set": st.sampled_from(["all", "sample:2:1", "sample:9:1", "sample:1"]),
+    "--style": st.sampled_from(synth.ORACLE_STYLES),
+    "--uncompute": st.sampled_from(families.UNCOMPUTE_MODES),
+    "--shots": st.integers(-1, 64).map(str),
+    "--noise": st.sampled_from(["p2=0.01", "p1=0.1,pm=0.2", "p2=2", "p3=1", "p2=abc"]),
+    "--seed": st.integers(-1, 9).map(str),
+}
+_GRID = st.sampled_from(["0", "0,0.1", "0.1,0", "0,abc", "1"])
+_JSON_JUNK = st.sampled_from([None, True, -1, 1.5, "3", [], {}, [1], {"p2": "x"}])
+_CONFIG_VALUES = {
+    "family": st.sampled_from(families.FAMILIES),
+    "n": st.integers(-1, 4),
+    "oracle_set": st.one_of(st.sampled_from(["all", "sample:2:3"]),
+                            st.lists(st.text("01", min_size=1, max_size=4), max_size=3)),
+    "oracle_style": st.sampled_from(synth.ORACLE_STYLES),
+    "uncompute": st.sampled_from(families.UNCOMPUTE_MODES),
+    "fused": st.booleans(),
+    "iterations": st.integers(0, 2),
+    "partition": st.lists(st.integers(0, 3), max_size=3),
+    "diffuser_size": st.integers(0, 4),
+    "shots": st.integers(-1, 64),
+    "noise": st.dictionaries(st.sampled_from(["p1", "p2", "p_meas", "p9"]),
+                             st.floats(-0.5, 1.5), max_size=3),
+    "seed": st.integers(-1, 9),
+}
+
+
+def _mostly(good, junk):
+    """Draw from good, or from junk one time in six."""
+    return st.integers(0, 5).flatmap(lambda k: junk if k == 0 else good)
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv without --config, config JSON value or None)."""
+    command = draw(_mostly(st.sampled_from(["build", "run", "sweep", "plot"]), st.just("bogus")))
+    argv = [command]
+    if command == "plot":
+        reports = ["missing.json", "report_grover_2q.json", "cfg.json", "."]
+        argv.append(draw(st.sampled_from(reports)))
+    else:
+        for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=5, unique=True)):
+            argv += [flag, draw(_mostly(_FLAG_VALUES[flag], _JUNK))]
+    if command == "sweep":
+        argv += draw(_mostly(_GRID.map(lambda g: ["--grid", g]), st.just([])))
+    argv += draw(st.lists(st.sampled_from(["--fused", "--fused", "--bogus", "7"]), max_size=1))
+    fields = st.fixed_dictionaries({}, optional={
+        **{k: _mostly(v, _JSON_JUNK) for k, v in _CONFIG_VALUES.items()},
+        "out": _mostly(st.none(), st.just(5)),
+    })
+    junk = st.one_of(_JSON_JUNK, st.just({"bogus": 1}))
+    config = draw(st.one_of(st.none(), _mostly(fields, junk)))
+    return argv, config
+
+
+class TestFuzz:
+    @given(cli_inputs())
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_input_exits_cleanly(self, tmp_path, monkeypatch, capsys, inputs):
+        argv, config = inputs
+        monkeypatch.setenv("QSEARCH_OUT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", "cfg.json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print beside the error line
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error:") and err.count("\n") == 1

@@ -183,6 +183,37 @@ class TestRunNoisy:
         d = sim.run_noisy(frag_circuit([z(0)], 1), NoiseModel(p1=1.0), shots, seed=17)
         assert abs(d.probability(1) - 2 / 3) < 4 * binom_sigma(2 / 3, shots)
 
+    @pytest.mark.parametrize("p2", [0.2, 0.3])
+    def test_pauli_pick_independent_of_hit(self, p2):
+        # 12 of the 15 non-identity 2-qubit Paulis carry an X or Y part; a pick
+        # drawn from the hit's own uniform would favour the first 15*p2 Paulis
+        shots = 20000
+        c = frag_circuit([cx(0, 1)], 2)
+        d = sim.run_noisy(c, NoiseModel(p2=p2), shots, seed=21)
+        want = p2 * 12 / 15
+        assert abs(1 - d.probability(0b00) - want) < 4 * binom_sigma(want, shots)
+
+    @pytest.mark.parametrize(
+        "fewer, more", [(200, 300), (sim.TRAJECTORY_CHUNK, sim.TRAJECTORY_CHUNK + 500)]
+    )
+    def test_more_shots_extend_fewer(self, fewer, more):
+        # trajectory t depends only on (seed, t), inside a chunk and across chunks;
+        # 64 near-uniform outcomes make two independent samples differ below zero
+        b = CircuitBuilder(6, 6)
+        for q in range(6):
+            b.h(q)
+        b.measure(0, 0)
+        b.add(x(1), condition=(0, 1))
+        b.add(cx(1, 2))
+        for q in range(1, 6):
+            b.measure(q, q)
+        c = b.build()
+        noise = NoiseModel(p1=0.05, p2=0.1, p_meas=0.05)
+        extra = sim.run_noisy(c, noise, more, seed=8).counts - sim.run_noisy(
+            c, noise, fewer, seed=8
+        ).counts
+        assert (extra >= 0).all() and extra.sum() == more - fewer
+
     def test_seed_reproducibility(self):
         c = synth.lower(families.build_grover(OracleSpec(3, "011", "plain-mcz"), 1))
         noise = NoiseModel(p1=0.01, p2=0.02, p_meas=0.01)
