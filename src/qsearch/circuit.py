@@ -352,34 +352,31 @@ def _inverse_pair(a: Instruction, b: Instruction) -> bool:
 def peephole_cancel(circuit: Circuit) -> Circuit:
     """Remove inverse pairs separated only by support-disjoint instructions.
 
-    Runs to a fixed point; the result is unitarily equivalent to the input
-    and never has a larger gate census.
+    One forward pass: every qubit and classical bit keeps a stack of the
+    kept instructions on it.  A gate cancels against the instruction on top
+    of all its stacks when the two form an inverse pair; popping that pair
+    exposes the earlier instructions, so nested pairs cancel in the same
+    pass.  A barrier fences every qubit and a condition's bit counts as
+    support.  The result is unitarily equivalent to the input, never has a
+    larger gate census, and a second call removes nothing.
     """
-    ops = list(circuit.instructions)
-    supports = [_support(op, circuit.n_qubits) for op in ops]
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(ops):
-            a = ops[i]
-            if a.gate.name in ("measure", "barrier"):
-                i += 1
-                continue
-            qs_a, cs_a = supports[i]
-            removed = False
-            for j in range(i + 1, len(ops)):
-                qs_b, cs_b = supports[j]
-                if qs_a & qs_b or cs_a & cs_b:
-                    if _inverse_pair(a, ops[j]):
-                        del ops[j], supports[j]
-                        del ops[i], supports[i]
-                        changed = True
-                        removed = True
-                    break
-            if not removed:
-                i += 1
-    return replace(circuit, instructions=tuple(ops))
+    ops = circuit.instructions
+    qubit_stacks: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
+    clbit_stacks: list[list[int]] = [[] for _ in range(circuit.n_clbits)]
+    kept = [True] * len(ops)
+    for j, instr in enumerate(ops):
+        qs, cs = _support(instr, circuit.n_qubits)
+        stacks = [qubit_stacks[q] for q in qs] + [clbit_stacks[c] for c in cs]
+        tops = {s[-1] if s else None for s in stacks}
+        top = tops.pop() if len(tops) == 1 else None
+        if top is not None and _inverse_pair(ops[top], instr):
+            for s in stacks:
+                s.pop()
+            kept[top] = kept[j] = False
+        else:
+            for s in stacks:
+                s.append(j)
+    return replace(circuit, instructions=tuple(op for op, k in zip(ops, kept) if k))
 
 
 # Wires a gate preserves in the computational basis (controls / diagonals)
@@ -387,14 +384,8 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
 def _active_qubits(gate: Gate) -> frozenset[int]:
     if gate.name in ("z", "rz", "cz"):
         return frozenset()
-    if gate.name == "x":
-        return frozenset(gate.qubits)
-    if gate.name == "cx":
-        return frozenset({gate.qubits[-1]})
-    if gate.name in RELPHASE_NAMES:
-        return frozenset({gate.qubits[-1]})
-    if gate.name == "h":
-        return frozenset(gate.qubits)
+    if gate.name in ("cx", "rccx", "rcccx"):
+        return frozenset(gate.qubits[-1:])
     return frozenset(gate.qubits)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, families, qasm, sim, synth
-from .circuit import census, peephole_cancel  # noqa: F401 - perfbench wraps cli.peephole_cancel
+from .circuit import census, peephole_cancel  # noqa: F401 - perfbench's tests read it
 from .errors import ConfigError, QsearchError, ValidationError
 from .families import FamilyRequest, Partition
 from .synth import OracleSpec

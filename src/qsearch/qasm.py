@@ -27,7 +27,6 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     Gate,
-    Instruction,
     cx,
     cz,
     measure,

@@ -16,7 +16,6 @@ import numpy as np
 from .circuit import Circuit, Instruction, RELPHASE_NAMES, census, cx, x, z
 from .errors import (
     HasMeasurement,
-    NotLowered,
     TooWide,
     UndefinedGateSemantics,
     ValidationError,

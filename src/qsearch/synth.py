@@ -12,7 +12,7 @@ H^k . C^{k-1}Z(polarity 0...0) . H^k which equals -(2|s><s| - I).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import pi
 
 from .circuit import (
@@ -25,8 +25,6 @@ from .circuit import (
     h,
     measure,
     peephole_cancel,
-    rccx,
-    rcccx,
     rz,
     x,
     z,
@@ -140,10 +138,6 @@ def exact_ccz(a: int, b: int, c: int) -> list[Instruction]:
     )
 
 
-def exact_ccx(a: int, b: int, c: int) -> list[Instruction]:
-    return _instr([h(c)]) + exact_ccz(a, b, c) + _instr([h(c)])
-
-
 def mcp(theta: float, controls: tuple[int, ...], target: int) -> list[Instruction]:
     """Multi-controlled phase gate by the ancilla-free recursion."""
     controls = tuple(controls)
@@ -155,20 +149,13 @@ def mcp(theta: float, controls: tuple[int, ...], target: int) -> list[Instructio
             [rz(theta / 2, c), cx(c, target), rz(-theta / 2, target), cx(c, target), rz(theta / 2, target)]
         )
     rest, last = controls[:-1], controls[-1]
+    flip = _lower_gate(cx(*rest, last))
     out = mcp(theta / 2, (last,), target)
-    out += _mcx_exact(rest, last)
+    out += flip
     out += mcp(-theta / 2, (last,), target)
-    out += _mcx_exact(rest, last)
+    out += flip
     out += mcp(theta / 2, rest, target)
     return out
-
-
-def _mcx_exact(controls: tuple[int, ...], target: int) -> list[Instruction]:
-    if len(controls) == 1:
-        return _instr([cx(controls[0], target)])
-    if len(controls) == 2:
-        return exact_ccx(controls[0], controls[1], target)
-    return _instr([h(target)]) + mcz_recursive(tuple(controls) + (target,)) + _instr([h(target)])
 
 
 def mcz_recursive(qubits: tuple[int, ...]) -> list[Instruction]:
@@ -430,22 +417,17 @@ def _lower_gate(gate: Gate) -> list[Instruction]:
         return relphase_ccx(*gate.qubits, inverse=gate.inverse)
     if name == "rcccx":
         return relphase_cccx(*gate.qubits, inverse=gate.inverse)
-    if name == "cx":
-        controls, target = gate.qubits[:-1], gate.qubits[-1]
+    if name in ("cx", "cz"):
+        # polarity-0 controls become X conjugation around the all-ones gate
         pol = gate.effective_polarity()
-        conj = _instr([x(q) for q, p in zip(controls, pol) if p == 0])
-        if len(controls) == 1:
-            core = [Instruction(cx(controls[0], target))]
-        else:
-            core = _instr([h(target)]) + mcz_recursive(tuple(controls) + (target,)) + _instr([h(target)])
-        return conj + core + conj
-    if name == "cz":
-        pol = gate.effective_polarity()
-        conj = _instr([x(q) for q, p in zip(gate.qubits, pol) if p == 0])
+        conj = _instr([x(q) for q, p in zip(gate.controls(), pol) if p == 0])
         if len(gate.qubits) == 2:
-            core = [Instruction(cz(*gate.qubits))]
-        else:
+            core = [Instruction(replace(gate, polarity=None))]
+        elif name == "cz":
             core = mcz_recursive(gate.qubits)
+        else:
+            wrap = _instr([h(gate.qubits[-1])])
+            core = wrap + mcz_recursive(gate.qubits) + wrap
         return conj + core + conj
     raise ValidationError(f"cannot lower gate {name!r}")
 
@@ -455,7 +437,7 @@ def lower(circuit: Circuit) -> Circuit:
     builder = CircuitBuilder(circuit.n_qubits, circuit.n_clbits, metadata=dict(circuit.metadata))
     for instr in circuit.instructions:
         for sub in _lower_gate(instr.gate):
-            builder.add(sub.gate, instr.condition if instr.condition is not None else sub.condition)
+            builder.add(sub.gate, instr.condition)
     return builder.build()
 
 

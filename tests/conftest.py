@@ -1,4 +1,5 @@
 """Shared helpers and hypothesis strategies."""
+from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -8,6 +9,8 @@ from qsearch import sim, synth
 from qsearch.circuit import (
     Circuit,
     CircuitBuilder,
+    _inverse_pair,
+    _support,
     cx,
     cz,
     h,
@@ -26,6 +29,53 @@ def frag_circuit(frag, n_qubits, n_clbits=0) -> Circuit:
 
 def frag_unitary(frag, n_qubits) -> np.ndarray:
     return sim.unitary_of(frag_circuit(frag, n_qubits))
+
+
+def peephole_reference(circuit: Circuit) -> Circuit:
+    """The fixed-point peephole scan that circuit.peephole_cancel replaced.
+
+    From every instruction it rescans forward to the first later one whose
+    support overlaps, drops the two when they are an inverse pair, and
+    repeats whole passes until nothing changes.
+    """
+    ops = list(circuit.instructions)
+    supports = [_support(op, circuit.n_qubits) for op in ops]
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(ops):
+            a = ops[i]
+            if a.gate.name in ("measure", "barrier"):
+                i += 1
+                continue
+            qs_a, cs_a = supports[i]
+            removed = False
+            for j in range(i + 1, len(ops)):
+                qs_b, cs_b = supports[j]
+                if qs_a & qs_b or cs_a & cs_b:
+                    if _inverse_pair(a, ops[j]):
+                        del ops[j], supports[j]
+                        del ops[i], supports[i]
+                        changed = True
+                        removed = True
+                    break
+            if not removed:
+                i += 1
+    return replace(circuit, instructions=tuple(ops))
+
+
+def wire_sequences(circuit: Circuit) -> tuple[dict, dict]:
+    """Per-qubit and per-clbit instruction sequences, in circuit order."""
+    qubits: dict[int, list] = {}
+    clbits: dict[int, list] = {}
+    for instr in circuit.instructions:
+        qs, cs = _support(instr, circuit.n_qubits)
+        for q in qs:
+            qubits.setdefault(q, []).append(instr)
+        for c in cs:
+            clbits.setdefault(c, []).append(instr)
+    return qubits, clbits
 
 
 def dense_gate(gate, n) -> np.ndarray:

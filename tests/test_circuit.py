@@ -1,14 +1,23 @@
 """Circuit IR: construction, census, peephole cancellation, serialization."""
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import frag_circuit, unitary_circuits, measured_circuits
+from conftest import (
+    frag_circuit,
+    measured_circuits,
+    peephole_reference,
+    unitary_circuits,
+    wire_sequences,
+)
 from qsearch import sim, synth
 from qsearch.circuit import (
     Circuit,
     CircuitBuilder,
     Instruction,
     append,
+    barrier,
     census,
     concat,
     cx,
@@ -17,6 +26,7 @@ from qsearch.circuit import (
     measure,
     peephole_cancel,
     rccx,
+    rz,
     strip_trailing_uncompute,
     x,
     z,
@@ -164,6 +174,52 @@ class TestPeephole:
         assert after.one_qubit_count <= before.one_qubit_count
         for kind, count in after.by_kind.items():
             assert count <= before.by_kind.get(kind, 0)
+
+    def test_nested_pairs_cancel_in_one_call(self):
+        c = frag_circuit([x(0), h(0), h(1), h(0), x(0)], 2)
+        assert peephole_cancel(c).instructions == (Instruction(h(1)),)
+
+    def test_barrier_blocks(self):
+        c = frag_circuit([x(0), barrier(), x(0)], 1)
+        assert peephole_cancel(c) == c
+
+    def test_measure_into_condition_bit_blocks(self):
+        """Two gates conditioned on bit 0 stay when bit 0 is re-measured between."""
+        b = CircuitBuilder(3, 2)
+        b.measure(2, 1)
+        b.add(measure(0, 0), condition=(1, 0))
+        b.add(x(1), condition=(0, 1))
+        b.add(measure(0, 0), condition=(1, 1))  # exclusive with the first write
+        b.add(x(1), condition=(0, 1))
+        c = b.build()
+        assert peephole_cancel(c) == c
+        without = replace(c, instructions=c.instructions[:3] + c.instructions[4:])
+        assert len(peephole_cancel(without).instructions) == 2
+
+    def test_rz_cancels_only_against_its_inverse(self):
+        assert peephole_cancel(frag_circuit([rz(0.3, 0), rz(-0.3, 0)], 1)).instructions == ()
+        c = frag_circuit([rz(0.3, 0), rz(0.3, 0)], 1)
+        assert peephole_cancel(c) == c
+
+    def test_relphase_pair_cancels(self):
+        c = frag_circuit([rccx(0, 1, 2), rccx(0, 1, 2, inverse=True)], 3)
+        assert peephole_cancel(c).instructions == ()
+
+    @staticmethod
+    def _check_against_reference(c):
+        out = peephole_cancel(c)
+        assert wire_sequences(out) == wire_sequences(peephole_reference(c))
+        assert peephole_cancel(out) == out
+
+    @given(measured_circuits())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_measured(self, c):
+        self._check_against_reference(c)
+
+    @given(unitary_circuits(max_qubits=5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_lowered(self, c):
+        self._check_against_reference(synth.lower(c))
 
 
 class TestStripTrailing:
