@@ -117,9 +117,13 @@ def resolve_masks(cfg: ExperimentConfig) -> list[str]:
     if isinstance(spec, list):
         if not spec:
             raise ConfigError("oracle_set: the mask list is empty")
+        seen = set()
         for m in spec:
             if len(m) != cfg.n or any(ch not in "01" for ch in m):
                 raise ConfigError(f"oracle_set: mask {m!r} is not an {cfg.n}-bit pattern")
+            if m in seen:
+                raise ConfigError(f"oracle_set: mask {m!r} is repeated")
+            seen.add(m)
         return list(spec)
     if spec == "all":
         return [format(v, f"0{cfg.n}b") for v in range(1 << cfg.n)]
@@ -178,7 +182,12 @@ def cmd_build(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Build, simulate and analyze every oracle in the set."""
+    """Build, simulate and analyze every oracle in the set.
+
+    Only the circuits a run uses are compiled: the first mask's, whose
+    census goes in the report, and in a sampled run each mask's, for the
+    trajectory simulator.
+    """
     cfg.validate()
     t0 = time.perf_counter()
     masks = resolve_masks(cfg)
@@ -193,7 +202,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             circ = families.build(build_request(cfg, mask))
             data_bits = circ.metadata.get("data_clbits", list(range(cfg.n)))
             exact = sim.run_exact(circ).marginal(data_bits)
-            low = synth.compile(circ)
+            if census_dict is None or cfg.shots > 0:  # exact-only: the first mask alone
+                low = synth.compile(circ)
             if census_dict is None:
                 census_dict = _census_dict(census(low))
                 calls = circ.metadata.get("oracle_calls", 1)
@@ -490,6 +500,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,6 @@ from math import pi
 
 from .circuit import (
     Circuit,
-    CircuitBuilder,
     Gate,
     Instruction,
     cx,
@@ -433,12 +432,18 @@ def _lower_gate(gate: Gate) -> list[Instruction]:
 
 
 def lower(circuit: Circuit) -> Circuit:
-    """Expand polarities, relative-phase primitives and wide gates to 1q/2q."""
-    builder = CircuitBuilder(circuit.n_qubits, circuit.n_clbits, metadata=dict(circuit.metadata))
-    for instr in circuit.instructions:
-        for sub in _lower_gate(instr.gate):
-            builder.add(sub.gate, instr.condition)
-    return builder.build()
+    """Expand polarities, relative-phase primitives and wide gates to 1q/2q.
+
+    The output is not validated again: each gate becomes gates on a subset
+    of its own wires under the same condition, and measurements pass
+    through in order, so a valid input gives a valid output.
+    """
+    out = [
+        Instruction(sub.gate, instr.condition)
+        for instr in circuit.instructions
+        for sub in _lower_gate(instr.gate)
+    ]
+    return Circuit(circuit.n_qubits, circuit.n_clbits, tuple(out), dict(circuit.metadata))
 
 
 def compile(circuit: Circuit) -> Circuit:  # noqa: A001 - the pipeline's name

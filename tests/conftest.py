@@ -65,6 +65,19 @@ def peephole_reference(circuit: Circuit) -> Circuit:
     return replace(circuit, instructions=tuple(ops))
 
 
+def lower_reference(circuit: Circuit) -> Circuit:
+    """The builder loop that synth.lower replaced.
+
+    Every lowered gate goes through CircuitBuilder.add with its source
+    instruction's condition, so each one is validated again.
+    """
+    builder = CircuitBuilder(circuit.n_qubits, circuit.n_clbits, metadata=dict(circuit.metadata))
+    for instr in circuit.instructions:
+        for sub in synth._lower_gate(instr.gate):
+            builder.add(sub.gate, instr.condition)
+    return builder.build()
+
+
 def wire_sequences(circuit: Circuit) -> tuple[dict, dict]:
     """Per-qubit and per-clbit instruction sequences, in circuit order."""
     qubits: dict[int, list] = {}

@@ -3,7 +3,12 @@
 Run with -s to see the per-criterion PASS lines.
 """
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +265,30 @@ def test_criterion_8_gate_count_targets():
         f"wojter fused={n_w_fused} (target 31; layout-faithful build {n_w_faithful}, "
         "sub-iteration fusion documented)"
     )
+
+
+def test_reference_tables_script_counts():
+    """scripts/reference_tables.py prints the paper's lowered two-qubit counts."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reference_tables.py")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    counts = [
+        (label, int(count))
+        for label, count in re.findall(r"^  (.+): (\d+) 2q gates", out, flags=re.M)
+    ]
+    assert counts == [
+        ("Grover, 1 ancilla, relative-phase oracle (target 36)", 36),
+        ("Drzewker (3,2), partial uncompute (target 44)", 44),
+        ("Wojter (3,2), layout-faithful partial uncompute", 51),
+        ("Wojter (3,2), fused sub-iterations (target 31)", 25),
+        ("Partial Drzewker (3,2)", 31),
+        ("Wojter-AA (3,2)", 81),
+        ("Grover, measurement-enhanced oracle", 38),
+    ]
 
 
 def test_criterion_9_noise_model_properties():

@@ -9,16 +9,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import binom_sigma
-from qsearch import families, qasm, synth
+from qsearch import families, qasm, sim, synth
+from qsearch.circuit import census
 from qsearch.cli import (
     ExperimentConfig,
+    _census_dict,
+    build_request,
     cmd_build,
     cmd_plot,
     cmd_run,
     cmd_sweep,
     main,
+    resolve_masks,
     run_experiment,
 )
+from qsearch.errors import ConfigError
 
 
 def read_report(path: Path) -> dict:
@@ -106,6 +111,33 @@ class TestRun:
         bad.write_text(json.dumps({"family": "grover", "frobnicate": 1}))
         rc = main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "argv, compiles",
+        [(["--n", "4"], 1), (["--n", "3", "--shots", "16"], 8)],
+        ids=["exact-compiles-first-mask", "sampled-compiles-each-mask-once"],
+    )
+    def test_compiles_each_circuit_once(self, argv, compiles, tmp_path, monkeypatch):
+        calls = []
+        compile_ = synth.compile
+
+        def counting(circuit):
+            calls.append(circuit)
+            return compile_(circuit)
+
+        monkeypatch.setattr(synth, "compile", counting)
+        assert main(["run", "--oracle-set", "all", "--out", str(tmp_path)] + argv) == 0
+        assert len(calls) == compiles
+
+    @pytest.mark.parametrize("shots", [0, 16])
+    def test_census_is_first_masks(self, shots):
+        cfg = ExperimentConfig(family="grover", n=3, oracle_set=["111", "000"], shots=shots)
+        first, last = (
+            _census_dict(census(synth.compile(families.build(build_request(cfg, m)))))
+            for m in cfg.oracle_set
+        )
+        assert first["one_qubit_count"] != last["one_qubit_count"]
+        assert run_experiment(cfg)["census"] == first
 
 
 class TestPlot:
@@ -208,11 +240,12 @@ class TestConfig:
             (["run", "--family", "nope"], None),
             (["run", "--noise", "p2=0.1"], {"noise": None}),
             (["build"], {"oracle_set": []}),
+            (["run"], {"oracle_set": ["101", "101"]}),
         ],
         ids=["sample-spec", "noise-rate", "grid-value", "n-string", "json-list",
              "partition-string", "noise-string", "shots-float", "oracle-set-int",
              "seed-negative", "out-int", "n-flag-string", "family-flag-choice",
-             "noise-null-with-flag", "oracle-set-empty"],
+             "noise-null-with-flag", "oracle-set-empty", "oracle-set-repeated"],
     )
     def test_bad_input_is_one_error_line(self, argv, config, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QSEARCH_OUT", str(tmp_path))
@@ -223,6 +256,25 @@ class TestConfig:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_repeated_mask_named(self):
+        cfg = ExperimentConfig(family="grover", n=3, oracle_set=["110", "101", "101"])
+        with pytest.raises(ConfigError, match="oracle_set: mask '101' is repeated"):
+            resolve_masks(cfg)
+
+    @pytest.mark.parametrize(
+        "exc", [MemoryError("Unable to allocate 3.80 GiB for an array"), MemoryError()],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_is_one_runtime_error_line(self, exc, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(sim, "run_noisy", exhausted)
+        rc = main(["run", "--n", "3", "--oracle", "101", "--shots", "8", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
     def test_help_and_version_exit_zero(self, argv, capsys):

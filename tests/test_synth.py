@@ -1,11 +1,29 @@
 """Synthesis: diffusers, oracles, multi-controlled Z, relative-phase gates."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import frag_circuit, frag_unitary, ideal_diffuser, ideal_oracle_diag
-from qsearch import sim, synth
+from conftest import (
+    frag_circuit,
+    frag_unitary,
+    ideal_diffuser,
+    ideal_oracle_diag,
+    lower_reference,
+    measured_circuits,
+    unitary_circuits,
+)
+from qsearch import families, sim, synth
 from qsearch.circuit import CircuitBuilder, census, cz, h, z
-from qsearch.errors import BadArity, BadMask, MethodArityMismatch, MissingAncilla
+from qsearch.errors import (
+    BadArity,
+    BadMask,
+    MethodArityMismatch,
+    MissingAncilla,
+    QsearchError,
+)
+from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
 
 
@@ -245,11 +263,64 @@ class TestMeasurementAssisted:
         assert abs(outcome.probability(0) - 0.5) < 1e-12  # H|0> measured: uniform
 
     def test_grover_variant_matches_unitary(self):
-        from qsearch import families
-
         cm = families.build_grover(OracleSpec(5, "01011", "measurement-assisted"), 1)
         cu = families.build_grover(OracleSpec(5, "01011", "ancilla-relphase"), 1)
         dm = sim.run_exact(cm).marginal(list(range(5)))
         du = sim.run_exact(cu).marginal(list(range(5)))
         assert dm.tv_distance(du) < 1e-10
         assert abs(dm.probability(0b01011) - (3 - 4 / 32) ** 2 / 32) < 1e-10
+
+
+def family_circuits(family: str, style: str, max_n: int = 5):
+    """Every circuit the family builds at n <= max_n in the style, on three masks.
+
+    Runs every uncompute mode (and wojter's fused form); widths and
+    partitions the family refuses are skipped.
+    """
+    for n, uncompute, fused in itertools.product(
+        range(1, max_n + 1), families.UNCOMPUTE_MODES, (False, True)
+    ):
+        if fused and family != "wojter":
+            continue
+        partition = Partition((n - 2, 2)) if n >= 4 else Partition((n - 1, 1)) if n >= 2 else None
+        for mask in ("1" * n, "0" * n, ("10" * n)[:n]):
+            try:
+                circuit = families.build(FamilyRequest(
+                    family, OracleSpec(n, mask, style), partition=partition,
+                    diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused,
+                ))
+            except QsearchError:
+                continue
+            yield circuit
+
+
+class TestLower:
+    """lower builds its output directly; the builder loop it replaced is the reference."""
+
+    @staticmethod
+    def assert_matches_reference(c):
+        out, ref = synth.lower(c), lower_reference(c)
+        assert out.instructions == ref.instructions
+        assert (out.n_qubits, out.n_clbits) == (ref.n_qubits, ref.n_clbits)
+        assert out.metadata == ref.metadata and out.metadata is not c.metadata
+        rebuilt = frag_circuit(out.instructions, out.n_qubits, out.n_clbits)
+        assert rebuilt.instructions == out.instructions  # CircuitBuilder accepts each one
+
+    @given(unitary_circuits(max_qubits=5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_unitary(self, c):
+        self.assert_matches_reference(c)
+
+    @given(measured_circuits())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_measured(self, c):
+        self.assert_matches_reference(c)
+
+    @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
+    @pytest.mark.parametrize("family", families.FAMILIES)
+    def test_matches_reference_families(self, family, style):
+        built = 0
+        for c in family_circuits(family, style):
+            self.assert_matches_reference(c)
+            built += 1
+        assert built >= 9
