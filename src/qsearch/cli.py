@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -181,32 +181,54 @@ def cmd_build(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Build, simulate and analyze every oracle in the set.
+def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
+    """Build every oracle in the set and compute its exact distribution.
 
+    Returns (mask, data bits, exact data-bit distribution, compiled circuit
+    or None) per mask, plus the census and oracle calls of the first mask.
     Only the circuits a run uses are compiled: the first mask's, whose
     census goes in the report, and in a sampled run each mask's, for the
-    trajectory simulator.
+    trajectory simulator.  Nothing here depends on the noise or the seed.
     """
-    cfg.validate()
-    t0 = time.perf_counter()
-    masks = resolve_masks(cfg)
-    noise = sim.NoiseModel(**{k: float(v) for k, v in cfg.noise.items()})
-    oracle_rows = []
-    exact_runs: list[analysis.OracleRun] = []
-    measured_runs: list[analysis.OracleRun] = []
-    p_ts = []
+    oracles = []
     census_dict = calls = None
-    for mask in masks:
+    for mask in resolve_masks(cfg):
         try:
             circ = families.build(build_request(cfg, mask))
             data_bits = circ.metadata.get("data_clbits", list(range(cfg.n)))
             exact = sim.run_exact(circ).marginal(data_bits)
-            if census_dict is None or cfg.shots > 0:  # exact-only: the first mask alone
-                low = synth.compile(circ)
+            low = synth.compile(circ) if census_dict is None or cfg.shots > 0 else None
             if census_dict is None:
                 census_dict = _census_dict(census(low))
                 calls = circ.metadata.get("oracle_calls", 1)
+        except QsearchError as exc:
+            raise type(exc)(f"oracle {mask}: {exc}") from exc
+        oracles.append((mask, data_bits, exact, low))
+    return oracles, census_dict, calls
+
+
+def _noise_model(cfg: ExperimentConfig) -> sim.NoiseModel:
+    return sim.NoiseModel(**{k: float(v) for k, v in cfg.noise.items()})
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Build, simulate and analyze every oracle in the set."""
+    cfg.validate()
+    t0 = time.perf_counter()
+    noise = _noise_model(cfg)
+    return _report(cfg, noise, _exact_oracles(cfg), t0)
+
+
+def _report(cfg: ExperimentConfig, noise: sim.NoiseModel, exact_oracles, t0: float) -> dict:
+    """Sample each oracle under cfg's noise and seed when cfg.shots > 0, and
+    analyze the runs; exact_oracles comes from _exact_oracles(cfg)."""
+    oracles, census_dict, calls = exact_oracles
+    oracle_rows = []
+    exact_runs: list[analysis.OracleRun] = []
+    measured_runs: list[analysis.OracleRun] = []
+    p_ts = []
+    for mask, data_bits, exact, low in oracles:
+        try:
             p_t = exact.probability(int(mask, 2))
             p_ts.append(p_t)
             exact_runs.append(analysis.OracleRun(mask, exact))
@@ -347,12 +369,15 @@ def cmd_sweep(cfg: ExperimentConfig, grid: list[float], outdir: Path) -> int:
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ConfigError("grid: must be ascending")
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    cfg.validate()
+    points = []
     for i, p2 in enumerate(grid):
-        point = ExperimentConfig(**{**asdict(cfg), "noise": {**cfg.noise, "p2": p2}})
-        point.seed = _derive_seed(cfg.seed, i)
-        report = run_experiment(point)
-        m = report["metrics"]
+        point = replace(cfg, noise={**cfg.noise, "p2": p2}, seed=_derive_seed(cfg.seed, i))
+        points.append((p2, point, _noise_model(point)))
+    exact_oracles = _exact_oracles(cfg)  # once: only the noise and the seed vary by point
+    rows = []
+    for p2, point, noise in points:
+        m = _report(point, noise, exact_oracles, time.perf_counter())["metrics"]
         rows.append((p2, m["p_succ"], m["r"]))
     lines = ["p2,p_succ,r"] + [f"{_sig6(a)},{_sig6(b)},{_sig6(c)}" for a, b, c in rows]
     path = outdir / f"sweep_{cfg.family}_{cfg.n}q.csv"

@@ -2,8 +2,10 @@
 
 Exact mode enumerates mid-circuit measurement branches with Born-rule
 weights; noisy mode samples Monte-Carlo trajectories with depolarizing
-Pauli insertions and readout flips.  Statevectors are numpy complex arrays
-whose flat index uses qubit 0 as the most significant bit.
+Pauli insertions and readout flips.  Both keep their branches or
+trajectories as the rows of one (B, 2^n) complex batch, next to a
+(B, n_bits) table of classical bits.  A row's flat index uses qubit 0 as
+the most significant bit.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ MAX_EXACT_WIDTH = 24
 MAX_UNITARY_WIDTH = 12
 TRAJECTORY_CHUNK = 8192  # fixed, so trajectory t's draws never depend on the shot total
 _NORM_TOL = 1e-12
+_BLOCK = 1 << 20  # amplitudes per block of rows that a gate or collapse works on
 
 
 @dataclass
@@ -95,7 +98,8 @@ class Distribution:
             raise ValidationError(f"marginal bits {keep_bits} repeat a bit")
         if any(not 0 <= b < self.n_bits for b in keep_bits):
             raise ValidationError(f"marginal bits {keep_bits} outside 0..{self.n_bits - 1}")
-        marg = _marginal(self.probabilities if self.exact else self.counts, self.n_bits, keep_bits)
+        arr = self.probabilities if self.exact else self.counts
+        marg = _marginal(arr[None], self.n_bits, keep_bits)[0]
         if self.exact:
             return Distribution(len(keep_bits), probabilities=marg / marg.sum())
         return Distribution(len(keep_bits), counts=marg, shots=self.shots)
@@ -106,14 +110,15 @@ class Distribution:
         return 0.5 * float(np.abs(self.as_probabilities() - other.as_probabilities()).sum())
 
 
-def _marginal(arr: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
-    """Sum a length-2^n outcome vector over the bits not kept; keep's order."""
-    shaped = arr.reshape([2] * n)
-    drop = tuple(i for i in range(n) if i not in keep)
+def _marginal(batch: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
+    """Sum each row of a (B, 2^n) batch over the bits not kept; the
+    (B, 2^len(keep)) result orders its bits as keep does."""
+    shaped = batch.reshape((len(batch),) + (2,) * n)
+    drop = tuple(i + 1 for i in range(n) if i not in keep)
     if drop:
         shaped = shaped.sum(axis=drop)
     kept = sorted(keep)
-    return shaped.transpose([kept.index(b) for b in keep]).reshape(-1)
+    return shaped.transpose([0] + [kept.index(b) + 1 for b in keep]).reshape(len(batch), -1)
 
 
 # gate application ---------------------------------------------------------
@@ -192,6 +197,44 @@ def _apply_gate(state: np.ndarray, gate, n: int, extra=()) -> None:
             view[_at(n, (*extra, *zip(qubits, bits)))] *= phase
 
 
+# rows of a batch -------------------------------------------------------------
+
+def _rows(instr: Instruction, clbits: np.ndarray) -> np.ndarray:
+    """Rows of a batch whose classical bits meet instr's condition."""
+    if instr.condition is None:
+        return np.arange(len(clbits))
+    bit, value = instr.condition
+    return np.nonzero(clbits[:, bit] == value)[0]
+
+
+def _apply_rows(state: np.ndarray, gate, n: int, rows: np.ndarray) -> None:
+    """Apply one gate in place to the given rows of a (B, 2^n) batch, by _BLOCK."""
+    if rows.size == len(state) and rows.size << n <= _BLOCK:
+        return _apply_gate(state, gate, n)  # the common case, without the loop
+    step = max(1, _BLOCK >> n)
+    for i in range(0, rows.size, step):
+        if rows.size == len(state):
+            _apply_gate(state[i:i + step], gate, n)  # a view of the batch
+        else:
+            sub = state[rows[i:i + step]]
+            _apply_gate(sub, gate, n)
+            state[rows[i:i + step]] = sub
+
+
+def _collapse(state: np.ndarray, n: int, rows: np.ndarray, q: int, value: int) -> None:
+    """Project the given rows onto wire q = value and renormalise each, by _BLOCK."""
+    state.reshape((len(state),) + (2,) * n)[_at(n, ((q, 1 - value),), rows)] = 0.0
+    step = max(1, _BLOCK >> n)
+    for i in range(0, rows.size, step):
+        block = rows[i:i + step]
+        state[block] /= np.linalg.norm(state[block], axis=1)[:, None]
+
+
+def _outcome_index(clbits: np.ndarray) -> np.ndarray:
+    """Outcome index of each row of a (B, n_bits) clbit table, bit 0 most significant."""
+    return clbits.astype(np.int64) @ (1 << np.arange(clbits.shape[1] - 1, -1, -1))
+
+
 # exact simulation ----------------------------------------------------------
 
 def _terminal_split(circuit: Circuit) -> tuple[list[Instruction], list[tuple[int, int]], int]:
@@ -210,42 +253,46 @@ def _terminal_split(circuit: Circuit) -> tuple[list[Instruction], list[tuple[int
         if instr.gate.name != "measure" or instr.condition is not None:
             break
         k -= 1
-    terminal = instrs[k:]
-    qubits = [i.gate.qubits[0] for i in terminal]
-    clbits = [i.gate.clbit for i in terminal]
-    while len(set(qubits)) != len(qubits) or len(set(clbits)) != len(clbits):
+    pairs = [(i.gate.qubits[0], i.gate.clbit) for i in instrs[k:]]
+    while len({q for q, _ in pairs}) < len(pairs) or len({c for _, c in pairs}) < len(pairs):
         # re-measurement in the tail: push the first back into the body
-        moved = terminal.pop(0)
-        instrs.insert(k, moved)
+        pairs.pop(0)
         k += 1
-        qubits = [i.gate.qubits[0] for i in terminal]
-        clbits = [i.gate.clbit for i in terminal]
-    return instrs[:k], list(zip(qubits, clbits)), circuit.n_clbits
+    return instrs[:k], pairs, circuit.n_clbits
 
 
-def _terminal_outcomes(
-    state: np.ndarray, n: int, terminal: list[tuple[int, int]], n_bits: int, base: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """(outcome indices, probabilities) of measuring the terminal pairs.
+def _exact_width(n_qubits: int, body: list[Instruction]) -> int:
+    """n qubits plus m mid-circuit measurements, refused above MAX_EXACT_WIDTH.
 
-    base holds the bits recorded before; each pair overwrites its own bit.
+    Deferral holds one row of 2^(n+m) amplitudes and branching up to 2^m
+    rows of 2^n, so one bound serves both, checked before any work.
     """
-    marg = _marginal(np.abs(state) ** 2, n, [q for q, _ in terminal])
-    if abs(marg.sum() - 1.0) > _NORM_TOL * 10:
+    width = n_qubits + sum(i.gate.name == "measure" for i in body)
+    if width > MAX_EXACT_WIDTH:
+        raise TooWide(f"{n_qubits} qubits and {width - n_qubits} mid-circuit measurements "
+                      f"exceed exact limit {MAX_EXACT_WIDTH}")
+    return width
+
+
+def _terminal_distribution(state: np.ndarray, n: int, terminal: list[tuple[int, int]],
+                           clbits: np.ndarray, weights: np.ndarray) -> Distribution:
+    """Distribution of measuring the terminal pairs on every row of a batch.
+
+    Row r carries weight weights[r] and the bits clbits[r] recorded before;
+    each terminal pair overwrites its own bit.
+    """
+    probs = np.abs(state)
+    probs **= 2  # in place: the batch may hold 2^m branch rows
+    marg = _marginal(probs, n, [q for q, _ in terminal])
+    if np.abs(marg.sum(axis=1) - 1.0).max() > _NORM_TOL * 10:
         raise ValidationError("statevector norm drifted")
-    k = len(terminal)
-    v = np.arange(1 << k)
-    outcome = np.full(1 << k, base, dtype=np.int64)
-    for j, (_, c) in enumerate(terminal):
-        shift = n_bits - 1 - c
-        outcome = (outcome & ~(1 << shift)) | (((v >> (k - 1 - j)) & 1) << shift)
-    return outcome, marg
-
-
-def _collapse(state: np.ndarray, q: int, n: int, outcome: int, prob: float) -> np.ndarray:
-    out = state / sqrt(prob)
-    out.reshape((1,) + (2,) * n)[_at(n, ((q, 1 - outcome),))] = 0.0
-    return out
+    k, cols = len(terminal), [c for _, c in terminal]
+    clbits[:, cols] = 0
+    patterns = np.zeros((1 << k, clbits.shape[1]), dtype=np.int8)
+    patterns[:, cols] = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    outcome = _outcome_index(clbits)[:, None] + _outcome_index(patterns)
+    probs = np.bincount(outcome.ravel(), (weights[:, None] * marg).ravel(), 1 << clbits.shape[1])
+    return Distribution(clbits.shape[1], probabilities=probs / probs.sum())
 
 
 def run_exact(circuit: Circuit) -> Distribution:
@@ -253,48 +300,41 @@ def run_exact(circuit: Circuit) -> Distribution:
 
     With no measurement instructions all qubits are implicitly measured in
     wire order; otherwise the distribution ranges over the classical bits.
+    Each branch is a row of one batch with a Born-rule weight and a row of
+    classical bits; a measurement whose two outcomes both have probability
+    above 1e-15 appends a copy of the row for outcome 1.
     """
     n = circuit.n_qubits
-    if n > MAX_EXACT_WIDTH:
-        raise TooWide(f"{n} qubits exceeds exact limit {MAX_EXACT_WIDTH}")
     body, terminal, n_bits = _terminal_split(circuit)
-    probs = np.zeros(1 << n_bits)
-
-    init = np.zeros(1 << n, dtype=complex)
-    init[0] = 1.0
-    branches: list[tuple[np.ndarray, float, list[int]]] = [(init, 1.0, [0] * circuit.n_clbits)]
+    _exact_width(n, body)
+    state = np.zeros((1, 1 << n), dtype=complex)
+    state[0, 0] = 1.0
+    weights = np.ones(1)
+    clbits = np.zeros((1, n_bits), dtype=np.int8)
 
     for instr in body:
-        next_branches: list[tuple[np.ndarray, float, list[int]]] = []
-        for state, weight, clbits in branches:
-            if instr.condition is not None and clbits[instr.condition[0]] != instr.condition[1]:
-                next_branches.append((state, weight, clbits))
-                continue
-            gate = instr.gate
-            if gate.name == "measure":
-                q, c = gate.qubits[0], gate.clbit
-                for outcome, p in enumerate(_marginal(np.abs(state) ** 2, n, [q])):
-                    if p <= 1e-15:
-                        continue
-                    collapsed = _collapse(state, q, n, outcome, p)
-                    bits = list(clbits)
-                    bits[c] = outcome
-                    next_branches.append((collapsed, weight * p, bits))
-            else:
-                _apply_gate(state[None, :], gate, n)
-                next_branches.append((state, weight, clbits))
-        branches = next_branches
-        total = sum(w for _, w, _ in branches)
-        if abs(total - 1.0) > 1e-12:
+        rows = _rows(instr, clbits)
+        gate = instr.gate
+        if gate.name != "measure":
+            _apply_rows(state, gate, n, rows)
+            continue
+        q, c = gate.qubits[0], gate.clbit
+        p = _marginal(np.abs(state) ** 2, n, [q])[rows]
+        live = p > 1e-15
+        split = live.all(axis=1)
+        one = rows.copy()
+        one[split] = np.arange(len(state), len(state) + split.sum())  # the appended copies
+        grown = np.concatenate([np.arange(len(state)), rows[split]])  # one gather, no temporary
+        state, weights, clbits = state[grown], weights[grown], clbits[grown]
+        for value, dest in ((0, rows), (1, one)):
+            dest = dest[live[:, value]]
+            _collapse(state, n, dest, q, value)
+            weights[dest] *= p[live[:, value], value]
+            clbits[dest, c] = value
+        if abs(weights.sum() - 1.0) > 1e-12:
             raise ValidationError("branch weights do not sum to 1")
 
-    for state, weight, clbits in branches:
-        base = sum(v << (n_bits - 1 - c) for c, v in enumerate(clbits) if v)
-        outcome, marg = _terminal_outcomes(state, n, terminal, n_bits, base)
-        np.add.at(probs, outcome, weight * marg)
-
-    probs /= probs.sum()
-    return Distribution(n_bits, probabilities=probs)
+    return _terminal_distribution(state, n, terminal, clbits, weights)
 
 
 def run_deferred(circuit: Circuit) -> Distribution:
@@ -308,10 +348,7 @@ def run_deferred(circuit: Circuit) -> Distribution:
     are measured into their classical bits at the end.
     """
     body, terminal, n_bits = _terminal_split(circuit)
-    mids = [i for i, instr in enumerate(body) if instr.gate.name == "measure"]
-    n = circuit.n_qubits + len(mids)
-    if n > MAX_EXACT_WIDTH:
-        raise TooWide(f"{n} qubits exceeds exact limit {MAX_EXACT_WIDTH}")
+    n = _exact_width(circuit.n_qubits, body)
 
     record: dict[int, int] = {}  # classical bit -> record wire
     state = np.zeros((1, 1 << n), dtype=complex)
@@ -336,11 +373,8 @@ def run_deferred(circuit: Circuit) -> Distribution:
             _apply_gate(state, gate, n, control)
 
     pairs = terminal + [(wire, c) for c, wire in record.items()]
-    outcome, marg = _terminal_outcomes(state[0], n, pairs, n_bits)
-    probs = np.zeros(1 << n_bits)
-    np.add.at(probs, outcome, marg)
-    probs /= probs.sum()
-    return Distribution(n_bits, probabilities=probs)
+    no_bits = np.zeros((1, n_bits), dtype=np.int8)
+    return _terminal_distribution(state, n, pairs, no_bits, np.ones(1))
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -409,61 +443,38 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Dis
         raise ValidationError("shots must be >= 1")
     census(circuit)  # raises NotLowered when gates above 2 qubits remain
     n = circuit.n_qubits
-    dim = 1 << n
     body, terminal, ncl = _terminal_split(circuit)
-    t_qubits = [q for q, _ in terminal]
-    t_clbits = [c for _, c in terminal]
 
-    sites = [i for i, instr in enumerate(body) if instr.gate.name not in ("measure", "barrier")]
-    mid_measures = [i for i, instr in enumerate(body) if instr.gate.name == "measure"]
-    mid_clbits = sorted({body[i].gate.clbit for i in mid_measures})
-    n_sites, n_mid, n_term = len(sites), len(mid_measures), len(t_qubits)
+    n_mid = sum(instr.gate.name == "measure" for instr in body)
+    n_sites = sum(instr.gate.name != "barrier" for instr in body) - n_mid
     splits = np.cumsum([n_sites, n_sites, n_mid, n_mid, 1])
 
     counts = np.zeros(1 << ncl, dtype=np.int64)
     for chunk, start in enumerate(range(0, shots, TRAJECTORY_CHUNK)):
         b = min(TRAJECTORY_CHUNK, shots - start)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
-        draws = rng.random((b, splits[-1] + n_term))
+        draws = rng.random((b, splits[-1] + len(terminal)))
         u_site, u_pick, u_mid, u_mid_ro, u_final, u_ro = np.split(draws, splits, axis=1)
 
-        state = np.zeros((b, dim), dtype=complex)
+        state = np.zeros((b, 1 << n), dtype=complex)
         state[:, 0] = 1.0
-        view = state.reshape((b,) + (2,) * n)
-        all_rows = np.arange(b)
-        clbits = np.zeros((b, circuit.n_clbits), dtype=np.int8)
+        clbits = np.zeros((b, ncl), dtype=np.int8)
         site_no = mid_no = 0
         for instr in body:
             gate = instr.gate
             if gate.name == "barrier":
                 continue
-            if instr.condition is None:
-                rows = all_rows
-            else:
-                rows = np.nonzero(clbits[:, instr.condition[0]] == instr.condition[1])[0]
+            rows = _rows(instr, clbits)
             if gate.name == "measure":
-                q, c = gate.qubits[0], gate.clbit
-                if rows.size:
-                    one = np.abs(view[_at(n, ((q, 1),), rows)]) ** 2
-                    p1 = one.reshape(rows.size, -1).sum(axis=1)
-                    outcome = (u_mid[rows, mid_no] < p1).astype(np.int8)
-                    for o in (0, 1):
-                        rr = rows[outcome == o]
-                        if not rr.size:
-                            continue
-                        view[_at(n, ((q, 1 - o),), rr)] = 0.0
-                        norms = np.linalg.norm(state[rr], axis=1)
-                        state[rr] /= norms[:, None]
-                    flips = (u_mid_ro[rows, mid_no] < noise.p_meas).astype(np.int8)
-                    clbits[rows, c] = outcome ^ flips
+                q = gate.qubits[0]
+                p1 = _marginal(np.abs(state) ** 2, n, [q])[rows, 1]
+                outcome = (u_mid[rows, mid_no] < p1).astype(np.int8)
+                for value in (0, 1):
+                    _collapse(state, n, rows[outcome == value], q, value)
+                clbits[rows, gate.clbit] = outcome ^ (u_mid_ro[rows, mid_no] < noise.p_meas)
                 mid_no += 1
                 continue
-            if rows.size == b:
-                _apply_gate(state, gate, n)
-            elif rows.size:
-                sub = state[rows]
-                _apply_gate(sub, gate, n)
-                state[rows] = sub
+            _apply_rows(state, gate, n, rows)
             p_err = noise.p2 if len(gate.qubits) == 2 else noise.p1
             if p_err > 0.0:
                 hit = rows[u_site[rows, site_no] < p_err]
@@ -472,25 +483,14 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Dis
                 for j, q in enumerate(gate.qubits):
                     # z then x on a wire is -iY: a global phase per trajectory
                     for k, op in enumerate((z(q), x(q))):
-                        rr = hit[parts[:, j, k]]
-                        if rr.size:
-                            sub = state[rr]
-                            _apply_gate(sub, op, n)
-                            state[rr] = sub
+                        _apply_rows(state, op, n, hit[parts[:, j, k]])
             site_no += 1
 
-        probs = np.abs(state) ** 2
-        cdf = np.cumsum(probs, axis=1)
+        cdf = np.cumsum(np.abs(state) ** 2, axis=1)
         cdf /= cdf[:, -1][:, None]
         sampled = (cdf < u_final).sum(axis=1)
-        outcome_ints = np.zeros(b, dtype=np.int64)
-        for c in mid_clbits:
-            outcome_ints |= clbits[:, c].astype(np.int64) << (ncl - 1 - c)
-        for j, (q, c) in enumerate(zip(t_qubits, t_clbits)):
-            bit = (sampled >> (n - 1 - q)) & 1
-            bit ^= u_ro[:, j] < noise.p_meas
-            outcome_ints &= ~(1 << (ncl - 1 - c))
-            outcome_ints |= bit.astype(np.int64) << (ncl - 1 - c)
-        counts += np.bincount(outcome_ints, minlength=1 << ncl)
+        for j, (q, c) in enumerate(terminal):
+            clbits[:, c] = ((sampled >> (n - 1 - q)) & 1) ^ (u_ro[:, j] < noise.p_meas)
+        counts += np.bincount(_outcome_index(clbits), minlength=1 << ncl)
 
     return Distribution(ncl, counts=counts, shots=shots)

@@ -1,11 +1,12 @@
 """Shared helpers and hypothesis strategies."""
+import itertools
 from dataclasses import replace
-from math import pi
+from math import pi, sqrt
 
 import numpy as np
 from hypothesis import strategies as st
 
-from qsearch import sim, synth
+from qsearch import families, sim, synth
 from qsearch.circuit import (
     Circuit,
     CircuitBuilder,
@@ -19,6 +20,9 @@ from qsearch.circuit import (
     x,
     z,
 )
+from qsearch.errors import QsearchError, TooWide, ValidationError
+from qsearch.families import FamilyRequest, Partition
+from qsearch.synth import OracleSpec
 
 
 def frag_circuit(frag, n_qubits, n_clbits=0) -> Circuit:
@@ -76,6 +80,118 @@ def lower_reference(circuit: Circuit) -> Circuit:
         for sub in synth._lower_gate(instr.gate):
             builder.add(sub.gate, instr.condition)
     return builder.build()
+
+
+# The list-of-branches exact simulator that sim.run_exact replaced, with the
+# single-state helpers it used.
+
+def _marginal(arr: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
+    """Sum a length-2^n outcome vector over the bits not kept; keep's order."""
+    shaped = arr.reshape([2] * n)
+    drop = tuple(i for i in range(n) if i not in keep)
+    if drop:
+        shaped = shaped.sum(axis=drop)
+    kept = sorted(keep)
+    return shaped.transpose([kept.index(b) for b in keep]).reshape(-1)
+
+
+def _terminal_outcomes(
+    state: np.ndarray, n: int, terminal: list[tuple[int, int]], n_bits: int, base: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(outcome indices, probabilities) of measuring the terminal pairs.
+
+    base holds the bits recorded before; each pair overwrites its own bit.
+    """
+    marg = _marginal(np.abs(state) ** 2, n, [q for q, _ in terminal])
+    if abs(marg.sum() - 1.0) > sim._NORM_TOL * 10:
+        raise ValidationError("statevector norm drifted")
+    k = len(terminal)
+    v = np.arange(1 << k)
+    outcome = np.full(1 << k, base, dtype=np.int64)
+    for j, (_, c) in enumerate(terminal):
+        shift = n_bits - 1 - c
+        outcome = (outcome & ~(1 << shift)) | (((v >> (k - 1 - j)) & 1) << shift)
+    return outcome, marg
+
+
+def _collapse(state: np.ndarray, q: int, n: int, outcome: int, prob: float) -> np.ndarray:
+    out = state / sqrt(prob)
+    out.reshape((1,) + (2,) * n)[sim._at(n, ((q, 1 - outcome),))] = 0.0
+    return out
+
+
+def run_exact_reference(circuit: Circuit) -> sim.Distribution:
+    """Exact outcome distribution from a Python list of (state, weight,
+    clbits) branches, looped over per instruction."""
+    n = circuit.n_qubits
+    if n > sim.MAX_EXACT_WIDTH:
+        raise TooWide(f"{n} qubits exceeds exact limit {sim.MAX_EXACT_WIDTH}")
+    body, terminal, n_bits = sim._terminal_split(circuit)
+    probs = np.zeros(1 << n_bits)
+
+    init = np.zeros(1 << n, dtype=complex)
+    init[0] = 1.0
+    branches: list[tuple[np.ndarray, float, list[int]]] = [(init, 1.0, [0] * circuit.n_clbits)]
+
+    for instr in body:
+        next_branches: list[tuple[np.ndarray, float, list[int]]] = []
+        for state, weight, clbits in branches:
+            if instr.condition is not None and clbits[instr.condition[0]] != instr.condition[1]:
+                next_branches.append((state, weight, clbits))
+                continue
+            gate = instr.gate
+            if gate.name == "measure":
+                q, c = gate.qubits[0], gate.clbit
+                for outcome, p in enumerate(_marginal(np.abs(state) ** 2, n, [q])):
+                    if p <= 1e-15:
+                        continue
+                    collapsed = _collapse(state, q, n, outcome, p)
+                    bits = list(clbits)
+                    bits[c] = outcome
+                    next_branches.append((collapsed, weight * p, bits))
+            else:
+                sim._apply_gate(state[None, :], gate, n)
+                next_branches.append((state, weight, clbits))
+        branches = next_branches
+        total = sum(w for _, w, _ in branches)
+        if abs(total - 1.0) > 1e-12:
+            raise ValidationError("branch weights do not sum to 1")
+
+    for state, weight, clbits in branches:
+        base = sum(v << (n_bits - 1 - c) for c, v in enumerate(clbits) if v)
+        outcome, marg = _terminal_outcomes(state, n, terminal, n_bits, base)
+        np.add.at(probs, outcome, weight * marg)
+
+    probs /= probs.sum()
+    return sim.Distribution(n_bits, probabilities=probs)
+
+
+def family_circuits(family: str, style: str, max_n: int = 5, all_masks: bool = False):
+    """Every circuit the family builds at n <= max_n in the style, on three
+    masks (1...1, 0...0, 1010...) or on every mask.
+
+    Runs every uncompute mode (and wojter's fused form); widths and
+    partitions the family refuses are skipped.
+    """
+    for n, uncompute, fused in itertools.product(
+        range(1, max_n + 1), families.UNCOMPUTE_MODES, (False, True)
+    ):
+        if fused and family != "wojter":
+            continue
+        partition = Partition((n - 2, 2)) if n >= 4 else Partition((n - 1, 1)) if n >= 2 else None
+        masks = (
+            [format(v, f"0{n}b") for v in range(1 << n)] if all_masks
+            else ["1" * n, "0" * n, ("10" * n)[:n]]
+        )
+        for mask in masks:
+            try:
+                circuit = families.build(FamilyRequest(
+                    family, OracleSpec(n, mask, style), partition=partition,
+                    diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused,
+                ))
+            except QsearchError:
+                continue
+            yield circuit
 
 
 def wire_sequences(circuit: Circuit) -> tuple[dict, dict]:

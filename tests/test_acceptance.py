@@ -291,6 +291,21 @@ def test_reference_tables_script_counts():
     ]
 
 
+def test_noise_fit_script_output():
+    """scripts/noise_fit.py's seeded bisection prints the same fit for a given shot count."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "noise_fit.py"), "--shots", "2000"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.splitlines() == [
+        "fitted p2 = 0.01750  ->  3-qubit Grover R = 0.853 (target 0.85)",
+        "same p2 on 4-qubit partial (k=3): R = 0.787  (reference hardware value: 0.63)",
+    ]
+
+
 def test_criterion_9_noise_model_properties():
     t0 = time.time()
     mask = "101"

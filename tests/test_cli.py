@@ -23,7 +23,7 @@ from qsearch.cli import (
     resolve_masks,
     run_experiment,
 )
-from qsearch.errors import ConfigError
+from qsearch.errors import ConfigError, ValidationError
 
 
 def read_report(path: Path) -> dict:
@@ -200,6 +200,38 @@ class TestSweep:
         p = float(rows[1].split(",")[1])
         assert abs(p - 1 / 8) < 4 * binom_sigma(1 / 8, 20000)
 
+    def test_builds_simulates_and_compiles_each_mask_once(self, tmp_path, monkeypatch):
+        # reusing each mask's exact stage must leave a fixed-seed sweep's CSV as it was
+        calls = {"build": 0, "run_exact": 0, "compile": 0}
+        for module, name in ((families, "build"), (sim, "run_exact"), (synth, "compile")):
+            def counting(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        argv = ["sweep", "--family", "grover", "--n", "5", "--style", "ancilla-relphase",
+                "--oracle-set", "all", "--shots", "16", "--grid", "0,0.01,0.02,0.05,0.1",
+                "--seed", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == {"build": 32, "run_exact": 32, "compile": 32}
+        assert (tmp_path / "sweep_grover_5q.csv").read_text() == (
+            "p2,p_succ,r\n"
+            "0,0.253906,0.982987\n"
+            "0.01,0.197266,0.763705\n"
+            "0.02,0.142578,0.551985\n"
+            "0.05,0.0839844,0.325142\n"
+            "0.1,0.0527344,0.204159\n"
+        )
+
+    def test_bad_grid_point_refused_before_any_build(self, tmp_path, monkeypatch):
+        def unexpected(request):
+            raise AssertionError("built a circuit before checking the grid")
+
+        monkeypatch.setattr(families, "build", unexpected)
+        cfg = ExperimentConfig(family="grover", n=3, oracle_set=["111"], shots=10)
+        with pytest.raises(ValidationError, match="p2=2.0 outside"):
+            cmd_sweep(cfg, [0.0, 2.0], tmp_path)
+
     def test_grid_must_ascend(self, tmp_path):
         cfg = ExperimentConfig(family="grover", n=3, oracle_set=["111"], shots=10)
         with pytest.raises(Exception):
@@ -241,11 +273,14 @@ class TestConfig:
             (["run", "--noise", "p2=0.1"], {"noise": None}),
             (["build"], {"oracle_set": []}),
             (["run"], {"oracle_set": ["101", "101"]}),
+            (["run", "--family", "grover", "--n", "10", "--style", "measurement-assisted",
+              "--iterations", "3", "--oracle", "1111111111"], None),
         ],
         ids=["sample-spec", "noise-rate", "grid-value", "n-string", "json-list",
              "partition-string", "noise-string", "shots-float", "oracle-set-int",
              "seed-negative", "out-int", "n-flag-string", "family-flag-choice",
-             "noise-null-with-flag", "oracle-set-empty", "oracle-set-repeated"],
+             "noise-null-with-flag", "oracle-set-empty", "oracle-set-repeated",
+             "exact-branching-too-wide"],
     )
     def test_bad_input_is_one_error_line(self, argv, config, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QSEARCH_OUT", str(tmp_path))

@@ -7,9 +7,11 @@ from conftest import (
     binom_sigma,
     dense_gate,
     dense_unitary,
+    family_circuits,
     frag_circuit,
     ideal_oracle_diag,
     measured_circuits,
+    run_exact_reference,
     unitary_circuits,
 )
 from qsearch import families, sim, synth
@@ -68,6 +70,25 @@ class TestRunExact:
     def test_too_wide(self):
         with pytest.raises(TooWide):
             sim.run_exact(frag_circuit([], 25))
+
+    def test_refuses_branching_past_exact_width(self, monkeypatch):
+        # 3 qubits and 2 mid-circuit measurements: 4 branch rows of 2^3, or 2^5 deferred
+        b = CircuitBuilder(3, 3)
+        b.h(0).h(1).measure(0, 0).measure(1, 1)
+        b.add(x(2), condition=(0, 1))
+        b.measure(2, 2)
+        c = b.build()
+        monkeypatch.setattr(sim, "MAX_EXACT_WIDTH", 5)
+        assert sim.run_exact(c).tv_distance(sim.run_deferred(c)) < 1e-12
+
+        def unexpected(*args):
+            raise AssertionError("simulated a gate before checking the width")
+
+        monkeypatch.setattr(sim, "MAX_EXACT_WIDTH", 4)
+        monkeypatch.setattr(sim, "_apply_gate", unexpected)
+        for run in (sim.run_exact, sim.run_deferred):
+            with pytest.raises(TooWide, match="3 qubits and 2 mid-circuit measurements exceed"):
+                run(c)
 
     def test_mid_measure_branch_weights(self):
         b = CircuitBuilder(2, 2)
@@ -136,6 +157,31 @@ class TestUnitaryOf:
     def test_unitarity(self, c):
         u = sim.unitary_of(c)
         assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-10)
+
+
+class TestRunExactReference:
+    """run_exact keeps its branches as rows of one batch; the list-of-branches
+    loop it replaced is the reference."""
+
+    @staticmethod
+    def assert_matches_reference(c):
+        got, want = sim.run_exact(c), run_exact_reference(c)
+        assert got.n_bits == want.n_bits
+        assert np.abs(got.probabilities - want.probabilities).max() <= 1e-15
+
+    @given(measured_circuits())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_measured(self, c):
+        self.assert_matches_reference(c)
+
+    @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
+    @pytest.mark.parametrize("family", families.FAMILIES)
+    def test_matches_reference_families(self, family, style):
+        circuits = list(family_circuits(family, style, max_n=4, all_masks=True))
+        assert circuits
+        for c in circuits:
+            self.assert_matches_reference(c)
+            self.assert_matches_reference(synth.compile(c))
 
 
 class TestNoiseModel:
@@ -227,6 +273,32 @@ class TestRunNoisy:
         a = sim.run_noisy(c, noise, 5000, seed=1)
         b = sim.run_noisy(c, noise, 5000, seed=2)
         assert not np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize(
+        "circuit, noise, seed, counts",
+        [
+            (
+                families.build_wielomianer_p43(OracleSpec(4, "1011", "plain-mcz")),
+                NoiseModel(p1=0.01, p2=0.01, p_meas=0.05), 5,
+                [4, 5, 5, 4, 8, 4, 15, 9, 3, 4, 10, 3, 6, 6, 6, 8,
+                 12, 1, 25, 6, 14, 6, 60, 22, 8, 5, 6, 1, 13, 1, 10, 10],
+            ),
+            (
+                families.build_grover(OracleSpec(5, "10110", "measurement-assisted"), 1),
+                NoiseModel(p1=0.01, p2=0.02, p_meas=0.03), 6,
+                [10, 1, 3, 5, 2, 4, 5, 1, 2, 7, 4, 1, 4, 4, 5, 4,
+                 8, 3, 1, 2, 6, 4, 4, 1, 6, 4, 3, 4, 4, 5, 9, 5,
+                 7, 4, 0, 3, 8, 3, 2, 5, 4, 10, 9, 1, 19, 8, 3, 9,
+                 3, 4, 7, 5, 7, 4, 6, 3, 5, 5, 4, 3, 3, 7, 4, 4],
+            ),
+        ],
+        ids=["wielomianer-p43", "measurement-assisted-grover5"],
+    )
+    def test_seeded_counts_pinned(self, circuit, noise, seed, counts):
+        # mid-circuit measurements, readout flips and conditioned gates; a
+        # given seed keeps giving these counts
+        d = sim.run_noisy(synth.compile(circuit), noise, 300, seed=seed)
+        assert d.counts.tolist() == counts
 
     def test_readout_flip_only(self):
         b = CircuitBuilder(1, 1)

@@ -1,11 +1,10 @@
 """Synthesis: diffusers, oracles, multi-controlled Z, relative-phase gates."""
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    family_circuits,
     frag_circuit,
     frag_unitary,
     ideal_diffuser,
@@ -21,9 +20,7 @@ from qsearch.errors import (
     BadMask,
     MethodArityMismatch,
     MissingAncilla,
-    QsearchError,
 )
-from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
 
 
@@ -269,29 +266,6 @@ class TestMeasurementAssisted:
         du = sim.run_exact(cu).marginal(list(range(5)))
         assert dm.tv_distance(du) < 1e-10
         assert abs(dm.probability(0b01011) - (3 - 4 / 32) ** 2 / 32) < 1e-10
-
-
-def family_circuits(family: str, style: str, max_n: int = 5):
-    """Every circuit the family builds at n <= max_n in the style, on three masks.
-
-    Runs every uncompute mode (and wojter's fused form); widths and
-    partitions the family refuses are skipped.
-    """
-    for n, uncompute, fused in itertools.product(
-        range(1, max_n + 1), families.UNCOMPUTE_MODES, (False, True)
-    ):
-        if fused and family != "wojter":
-            continue
-        partition = Partition((n - 2, 2)) if n >= 4 else Partition((n - 1, 1)) if n >= 2 else None
-        for mask in ("1" * n, "0" * n, ("10" * n)[:n]):
-            try:
-                circuit = families.build(FamilyRequest(
-                    family, OracleSpec(n, mask, style), partition=partition,
-                    diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused,
-                ))
-            except QsearchError:
-                continue
-            yield circuit
 
 
 class TestLower:
