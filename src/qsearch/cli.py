@@ -186,6 +186,7 @@ def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
 
     Returns (mask, data bits, exact data-bit distribution, compiled circuit
     or None) per mask, plus the census and oracle calls of the first mask.
+    A call count outside 1..2^n is refused before any simulation.
     Only the circuits a run uses are compiled: the first mask's, whose
     census goes in the report, and in a sampled run each mask's, for the
     trajectory simulator.  Nothing here depends on the noise or the seed.
@@ -195,12 +196,14 @@ def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
     for mask in resolve_masks(cfg):
         try:
             circ = families.build(build_request(cfg, mask))
+            if calls is None:
+                calls = circ.metadata.get("oracle_calls", 1)
+                analysis.classical_baselines(cfg.n, calls)  # refuses calls outside 1..2^n up front
             data_bits = circ.metadata.get("data_clbits", list(range(cfg.n)))
             exact = sim.run_exact(circ).marginal(data_bits)
             low = synth.compile(circ) if census_dict is None or cfg.shots > 0 else None
             if census_dict is None:
                 census_dict = _census_dict(census(low))
-                calls = circ.metadata.get("oracle_calls", 1)
         except QsearchError as exc:
             raise type(exc)(f"oracle {mask}: {exc}") from exc
         oracles.append((mask, data_bits, exact, low))

@@ -76,6 +76,10 @@ class TooWide(ValidationError):
     pass
 
 
+class OverBudget(ValidationError):
+    """A run would need more memory than the simulator's stated budget."""
+
+
 class HasMeasurement(ValidationError):
     pass
 

@@ -18,6 +18,7 @@ import numpy as np
 from .circuit import Circuit, Instruction, RELPHASE_NAMES, census, cx, x, z
 from .errors import (
     HasMeasurement,
+    OverBudget,
     TooWide,
     UndefinedGateSemantics,
     ValidationError,
@@ -25,6 +26,7 @@ from .errors import (
 
 MAX_EXACT_WIDTH = 24
 MAX_UNITARY_WIDTH = 12
+MAX_NOISY_BYTES = 1 << 30  # one trajectory chunk's uniforms plus its largest state batch
 TRAJECTORY_CHUNK = 8192  # fixed, so trajectory t's draws never depend on the shot total
 _NORM_TOL = 1e-12
 _BLOCK = 1 << 20  # amplitudes per block of rows that a gate or collapse works on
@@ -207,18 +209,18 @@ def _rows(instr: Instruction, clbits: np.ndarray) -> np.ndarray:
     return np.nonzero(clbits[:, bit] == value)[0]
 
 
-def _apply_rows(state: np.ndarray, gate, n: int, rows: np.ndarray) -> None:
-    """Apply one gate in place to the given rows of a (B, 2^n) batch, by _BLOCK."""
-    if rows.size == len(state) and rows.size << n <= _BLOCK:
-        return _apply_gate(state, gate, n)  # the common case, without the loop
+def _apply_rows(state: np.ndarray, gate, n: int, rows: np.ndarray | None = None) -> None:
+    """Apply one gate in place to the given rows of a (B, 2^n) batch, or to
+    all of them when rows is None, by _BLOCK."""
     step = max(1, _BLOCK >> n)
-    for i in range(0, rows.size, step):
-        if rows.size == len(state):
+    if rows is None or rows.size == len(state):
+        for i in range(0, len(state), step):
             _apply_gate(state[i:i + step], gate, n)  # a view of the batch
-        else:
-            sub = state[rows[i:i + step]]
-            _apply_gate(sub, gate, n)
-            state[rows[i:i + step]] = sub
+        return
+    for i in range(0, rows.size, step):
+        sub = state[rows[i:i + step]]
+        _apply_gate(sub, gate, n)
+        state[rows[i:i + step]] = sub
 
 
 def _collapse(state: np.ndarray, n: int, rows: np.ndarray, q: int, value: int) -> None:
@@ -313,11 +315,11 @@ def run_exact(circuit: Circuit) -> Distribution:
     clbits = np.zeros((1, n_bits), dtype=np.int8)
 
     for instr in body:
-        rows = _rows(instr, clbits)
         gate = instr.gate
         if gate.name != "measure":
-            _apply_rows(state, gate, n, rows)
+            _apply_rows(state, gate, n, None if instr.condition is None else _rows(instr, clbits))
             continue
+        rows = _rows(instr, clbits)
         q, c = gate.qubits[0], gate.clbit
         p = _marginal(np.abs(state) ** 2, n, [q])[rows]
         live = p > 1e-15
@@ -424,6 +426,19 @@ _PAULIS = {
 }
 
 
+def _insert_paulis(state: np.ndarray, n: int, qubits, rows: np.ndarray, picks: np.ndarray) -> None:
+    """Apply to each given row of a batch the non-identity Pauli on qubits
+    that its uniform in picks selects."""
+    if not rows.size:
+        return
+    paulis = _PAULIS[len(qubits)]
+    parts = paulis[(picks * len(paulis)).astype(np.int64)]
+    for j, q in enumerate(qubits):
+        # z then x on a wire is -iY: a global phase per trajectory
+        for k, op in enumerate((z(q), x(q))):
+            _apply_rows(state, op, n, rows[parts[:, j, k]])
+
+
 def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Distribution:
     """Monte-Carlo trajectory sampling of a lowered circuit.
 
@@ -437,60 +452,101 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Dis
     c * TRAJECTORY_CHUNK + r, its columns split into site-hit, Pauli-pick,
     mid-measure, mid-readout, final-sample and terminal-readout draws.
     Trajectory t therefore depends only on (seed, t): a run of more shots
-    extends a run of fewer, and results merge in any order.
+    extends a run of fewer, and results merge in any order.  A chunk whose
+    draws and largest batch would take more than MAX_NOISY_BYTES is
+    refused before any draw.
+
+    Every draw is made before any gate runs, so each trajectory's first
+    Pauli insertion is known up front.  Until it, the trajectory's state is
+    the error-free one, which a single reference row (row 0 of the batch)
+    carries for every such trajectory.  A trajectory gets a row of its own,
+    a copy of the reference row, just before the instruction of its first
+    insertion, or before the first measurement or classically conditioned
+    instruction, whichever comes first.  Own rows follow row 0 in the order
+    they are made, so gates act on a prefix of the batch.  A trajectory
+    that never leaves the reference row samples the reference row's
+    distribution with its own final-sample and readout draws.  Each kernel
+    works row by row, so an own row holds bit for bit the state that
+    trajectory would reach on its own, and the counts for a given seed are
+    those of simulating every trajectory separately.
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     census(circuit)  # raises NotLowered when gates above 2 qubits remain
     n = circuit.n_qubits
     body, terminal, ncl = _terminal_split(circuit)
+    body = [instr for instr in body if instr.gate.name != "barrier"]
 
     n_mid = sum(instr.gate.name == "measure" for instr in body)
-    n_sites = sum(instr.gate.name != "barrier" for instr in body) - n_mid
-    splits = np.cumsum([n_sites, n_sites, n_mid, n_mid, 1])
+    splits = np.cumsum([len(body) - n_mid] * 2 + [n_mid] * 2 + [1])
+    cols = int(splits[-1]) + len(terminal)
+    b = min(shots, TRAJECTORY_CHUNK)
+    need = b * cols * 8 + (b + 1) * (16 << n)
+    if need > MAX_NOISY_BYTES:
+        raise OverBudget(
+            f"{b} trajectories of {cols} uniforms and {n}-qubit states need "
+            f"{need / 2**30:.2f} GiB per chunk, over the {MAX_NOISY_BYTES / 2**30:.2f} GiB budget"
+        )
+    rates = np.array([noise.p2 if len(instr.gate.qubits) == 2 else noise.p1 for instr in body])
+    # the cap: instructions before the first measurement or conditioned one are all error sites
+    cap = next((i for i, instr in enumerate(body)
+                if instr.gate.name == "measure" or instr.condition is not None), len(body))
 
     counts = np.zeros(1 << ncl, dtype=np.int64)
     for chunk, start in enumerate(range(0, shots, TRAJECTORY_CHUNK)):
         b = min(TRAJECTORY_CHUNK, shots - start)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
-        draws = rng.random((b, splits[-1] + len(terminal)))
+        draws = rng.random((b, cols))
         u_site, u_pick, u_mid, u_mid_ro, u_final, u_ro = np.split(draws, splits, axis=1)
 
-        state = np.zeros((b, 1 << n), dtype=complex)
-        state[:, 0] = 1.0
-        clbits = np.zeros((b, ncl), dtype=np.int8)
-        site_no = mid_no = 0
-        for instr in body:
+        # own[t]: the instruction before which trajectory t leaves the reference
+        # row, its first insertion (the number of sites it passes unhit) or the cap
+        own = np.logical_and.accumulate(u_site[:, :cap] >= rates[:cap], axis=1).sum(axis=1)
+        order = np.argsort(own, kind="stable")  # own row j belongs to trajectory order[j]
+        made = np.searchsorted(own[order], np.arange(len(body)), side="right").tolist()
+
+        state = np.zeros((b + 1, 1 << n), dtype=complex)
+        state[0, 0] = 1.0
+        own_rows = state[1:]
+        clbits = np.zeros((b, ncl), dtype=np.int8)  # row j: trajectory order[j]
+        active = site_no = mid_no = 0
+        for i, instr in enumerate(body):
+            if made[i] > active:
+                state[1 + active:1 + made[i]] = state[0]
+                active = made[i]
             gate = instr.gate
-            if gate.name == "barrier":
-                continue
-            rows = _rows(instr, clbits)
             if gate.name == "measure":
+                rows = _rows(instr, clbits)
                 q = gate.qubits[0]
-                p1 = _marginal(np.abs(state) ** 2, n, [q])[rows, 1]
-                outcome = (u_mid[rows, mid_no] < p1).astype(np.int8)
+                p1 = _marginal(np.abs(own_rows) ** 2, n, [q])[rows, 1]
+                outcome = (u_mid[order[rows], mid_no] < p1).astype(np.int8)
                 for value in (0, 1):
-                    _collapse(state, n, rows[outcome == value], q, value)
-                clbits[rows, gate.clbit] = outcome ^ (u_mid_ro[rows, mid_no] < noise.p_meas)
+                    _collapse(own_rows, n, rows[outcome == value], q, value)
+                clbits[rows, gate.clbit] = outcome ^ (u_mid_ro[order[rows], mid_no] < noise.p_meas)
                 mid_no += 1
                 continue
-            _apply_rows(state, gate, n, rows)
-            p_err = noise.p2 if len(gate.qubits) == 2 else noise.p1
-            if p_err > 0.0:
-                hit = rows[u_site[rows, site_no] < p_err]
-                paulis = _PAULIS[len(gate.qubits)]
-                parts = paulis[(u_pick[hit, site_no] * len(paulis)).astype(np.int64)]
-                for j, q in enumerate(gate.qubits):
-                    # z then x on a wire is -iY: a global phase per trajectory
-                    for k, op in enumerate((z(q), x(q))):
-                        _apply_rows(state, op, n, hit[parts[:, j, k]])
+            rows = None if instr.condition is None else _rows(instr, clbits)
+            if rows is None:
+                # the live prefix: the reference row while a trajectory is on it, and the own rows
+                _apply_rows(state[int(active == b):1 + active], gate, n)
+            else:
+                _apply_rows(own_rows, gate, n, rows)
+            if rates[i] > 0.0:
+                live = order[:active] if rows is None else order[rows]
+                hit = np.flatnonzero(u_site[live, site_no] < rates[i])
+                if rows is not None:
+                    hit = rows[hit]
+                _insert_paulis(own_rows, n, gate.qubits, hit, u_pick[order[hit], site_no])
             site_no += 1
 
-        cdf = np.cumsum(np.abs(state) ** 2, axis=1)
+        cdf = np.cumsum(np.abs(state[:1 + active]) ** 2, axis=1)
         cdf /= cdf[:, -1][:, None]
-        sampled = (cdf < u_final).sum(axis=1)
+        sampled = np.empty(b, dtype=np.int64)
+        sampled[:active] = (cdf[1:] < u_final[order[:active]]).sum(axis=1)
+        # cdf[0] never decreases, so searchsorted counts its entries below each draw
+        sampled[active:] = np.searchsorted(cdf[0], u_final[order[active:], 0])
         for j, (q, c) in enumerate(terminal):
-            clbits[:, c] = ((sampled >> (n - 1 - q)) & 1) ^ (u_ro[:, j] < noise.p_meas)
+            clbits[:, c] = ((sampled >> (n - 1 - q)) & 1) ^ (u_ro[order, j] < noise.p_meas)
         counts += np.bincount(_outcome_index(clbits), minlength=1 << ncl)
 
     return Distribution(ncl, counts=counts, shots=shots)

@@ -12,6 +12,7 @@ from qsearch.circuit import (
     CircuitBuilder,
     _inverse_pair,
     _support,
+    census,
     cx,
     cz,
     h,
@@ -164,6 +165,67 @@ def run_exact_reference(circuit: Circuit) -> sim.Distribution:
 
     probs /= probs.sum()
     return sim.Distribution(n_bits, probabilities=probs)
+
+
+def run_noisy_reference(circuit: Circuit, noise: sim.NoiseModel, shots: int,
+                        seed: int) -> sim.Distribution:
+    """The trajectory sampler that sim.run_noisy replaced: every trajectory
+    has a row of its own from the first gate on, with the same draws."""
+    if shots < 1:
+        raise ValidationError("shots must be >= 1")
+    census(circuit)  # raises NotLowered when gates above 2 qubits remain
+    n = circuit.n_qubits
+    body, terminal, ncl = sim._terminal_split(circuit)
+
+    n_mid = sum(instr.gate.name == "measure" for instr in body)
+    n_sites = sum(instr.gate.name != "barrier" for instr in body) - n_mid
+    splits = np.cumsum([n_sites, n_sites, n_mid, n_mid, 1])
+
+    counts = np.zeros(1 << ncl, dtype=np.int64)
+    for chunk, start in enumerate(range(0, shots, sim.TRAJECTORY_CHUNK)):
+        b = min(sim.TRAJECTORY_CHUNK, shots - start)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+        draws = rng.random((b, splits[-1] + len(terminal)))
+        u_site, u_pick, u_mid, u_mid_ro, u_final, u_ro = np.split(draws, splits, axis=1)
+
+        state = np.zeros((b, 1 << n), dtype=complex)
+        state[:, 0] = 1.0
+        clbits = np.zeros((b, ncl), dtype=np.int8)
+        site_no = mid_no = 0
+        for instr in body:
+            gate = instr.gate
+            if gate.name == "barrier":
+                continue
+            rows = sim._rows(instr, clbits)
+            if gate.name == "measure":
+                q = gate.qubits[0]
+                p1 = sim._marginal(np.abs(state) ** 2, n, [q])[rows, 1]
+                outcome = (u_mid[rows, mid_no] < p1).astype(np.int8)
+                for value in (0, 1):
+                    sim._collapse(state, n, rows[outcome == value], q, value)
+                clbits[rows, gate.clbit] = outcome ^ (u_mid_ro[rows, mid_no] < noise.p_meas)
+                mid_no += 1
+                continue
+            sim._apply_rows(state, gate, n, rows)
+            p_err = noise.p2 if len(gate.qubits) == 2 else noise.p1
+            if p_err > 0.0:
+                hit = rows[u_site[rows, site_no] < p_err]
+                paulis = sim._PAULIS[len(gate.qubits)]
+                parts = paulis[(u_pick[hit, site_no] * len(paulis)).astype(np.int64)]
+                for j, q in enumerate(gate.qubits):
+                    # z then x on a wire is -iY: a global phase per trajectory
+                    for k, op in enumerate((z(q), x(q))):
+                        sim._apply_rows(state, op, n, hit[parts[:, j, k]])
+            site_no += 1
+
+        cdf = np.cumsum(np.abs(state) ** 2, axis=1)
+        cdf /= cdf[:, -1][:, None]
+        sampled = (cdf < u_final).sum(axis=1)
+        for j, (q, c) in enumerate(terminal):
+            clbits[:, c] = ((sampled >> (n - 1 - q)) & 1) ^ (u_ro[:, j] < noise.p_meas)
+        counts += np.bincount(sim._outcome_index(clbits), minlength=1 << ncl)
+
+    return sim.Distribution(ncl, counts=counts, shots=shots)
 
 
 def family_circuits(family: str, style: str, max_n: int = 5, all_masks: bool = False):

@@ -275,12 +275,14 @@ class TestConfig:
             (["run"], {"oracle_set": ["101", "101"]}),
             (["run", "--family", "grover", "--n", "10", "--style", "measurement-assisted",
               "--iterations", "3", "--oracle", "1111111111"], None),
+            (["run", "--n", "3", "--iterations", "100000", "--oracle", "101"], None),
+            (["run", "--n", "3", "--iterations", "1000", "--oracle", "101"], None),
         ],
         ids=["sample-spec", "noise-rate", "grid-value", "n-string", "json-list",
              "partition-string", "noise-string", "shots-float", "oracle-set-int",
              "seed-negative", "out-int", "n-flag-string", "family-flag-choice",
              "noise-null-with-flag", "oracle-set-empty", "oracle-set-repeated",
-             "exact-branching-too-wide"],
+             "exact-branching-too-wide", "oracle-calls-far-over", "oracle-calls-over"],
     )
     def test_bad_input_is_one_error_line(self, argv, config, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QSEARCH_OUT", str(tmp_path))
@@ -310,6 +312,27 @@ class TestConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+    def test_oracle_calls_refused_before_simulating(self, tmp_path, monkeypatch, capsys):
+        argv = ["--n", "3", "--iterations", "9", "--oracle", "101", "--out", str(tmp_path)]
+        assert main(["build"] + argv) == 0
+        capsys.readouterr()
+
+        def unexpected(*args):
+            raise AssertionError("simulated before checking the oracle calls")
+
+        monkeypatch.setattr(sim, "run_exact", unexpected)
+        assert main(["run"] + argv) == 1
+        assert capsys.readouterr().err == "error: oracle 101: oracle calls 9 outside 1..8\n"
+
+    def test_noisy_memory_budget_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", 1 << 16)
+        rc = main(["run", "--n", "3", "--oracle", "101", "--shots", "100", "--noise", "p2=0.01",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: oracle 101: 100 trajectories") and err.count("\n") == 1
+        assert "over the 0.00 GiB budget" in err
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
     def test_help_and_version_exit_zero(self, argv, capsys):

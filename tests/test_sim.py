@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     binom_sigma,
@@ -12,11 +13,12 @@ from conftest import (
     ideal_oracle_diag,
     measured_circuits,
     run_exact_reference,
+    run_noisy_reference,
     unitary_circuits,
 )
 from qsearch import families, sim, synth
 from qsearch.circuit import CircuitBuilder, cx, cz, h, measure, rcccx, x, z
-from qsearch.errors import HasMeasurement, NotLowered, TooWide, ValidationError
+from qsearch.errors import HasMeasurement, NotLowered, OverBudget, TooWide, ValidationError
 from qsearch.sim import Distribution, NoiseModel
 from qsearch.synth import OracleSpec
 
@@ -184,6 +186,70 @@ class TestRunExactReference:
             self.assert_matches_reference(synth.compile(c))
 
 
+class TestRunNoisyReference:
+    """run_noisy shares one error-free reference row until each trajectory's
+    first Pauli insertion; the loop that gave every trajectory its own row
+    from the start is the reference, and counts must match it exactly."""
+
+    NOISES = [
+        NoiseModel(),
+        NoiseModel(p1=0.05),
+        NoiseModel(p2=0.05),
+        NoiseModel(p1=0.02, p2=0.05, p_meas=0.03),
+        NoiseModel(p2=1.0),
+    ]
+
+    @staticmethod
+    def assert_matches_reference(c, noise, shots, seed):
+        got = sim.run_noisy(c, noise, shots, seed)
+        want = run_noisy_reference(c, noise, shots, seed)
+        assert got.counts.tolist() == want.counts.tolist()
+
+    @given(measured_circuits(), st.sampled_from(NOISES), st.integers(1, 200),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_measured(self, c, noise, shots, seed):
+        self.assert_matches_reference(synth.compile(c), noise, shots, seed)
+
+    @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
+    @pytest.mark.parametrize("family", families.FAMILIES)
+    def test_matches_reference_families(self, family, style):
+        # the noise models take turns; in every family and style each one
+        # meets measurement-free and measurement-bearing circuits alike
+        circuits = list(family_circuits(family, style, max_n=5))
+        assert len(circuits) >= len(self.NOISES)
+        for i, c in enumerate(circuits):
+            noise = self.NOISES[i % len(self.NOISES)]
+            self.assert_matches_reference(synth.compile(c), noise, 40, i)
+
+    @pytest.mark.parametrize(
+        "n, mask, shots, seed, counts",
+        [
+            (6, "101101", 160, 11,
+                [2, 5, 3, 1, 4, 6, 2, 3, 3, 2, 1, 0, 3, 3, 0, 4,
+                 2, 2, 1, 4, 2, 4, 1, 3, 2, 2, 3, 5, 0, 4, 1, 0,
+                 2, 3, 2, 2, 0, 1, 4, 3, 0, 2, 4, 1, 4, 12, 5, 3,
+                 1, 4, 1, 1, 1, 4, 1, 4, 0, 2, 2, 4, 2, 2, 2, 3]),
+            (7, "0110100", 80, 12,
+                [1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1,
+                 1, 0, 2, 1, 2, 0, 1, 0, 1, 2, 0, 0, 1, 1, 0, 0,
+                 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+                 1, 0, 0, 0, 2, 1, 0, 1, 2, 1, 1, 1, 0, 1, 0, 0,
+                 1, 1, 2, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0,
+                 0, 2, 0, 0, 1, 3, 1, 0, 0, 1, 0, 0, 1, 1, 2, 0,
+                 0, 2, 1, 1, 1, 1, 1, 1, 1, 2, 0, 0, 0, 0, 0, 1,
+                 1, 3, 2, 0, 0, 1, 0, 1, 0, 0, 1, 1, 2, 0, 0, 2]),
+        ],
+        ids=["grover6", "grover7"],
+    )
+    def test_measurement_free_counts_pinned(self, n, mask, shots, seed, counts):
+        # error-free trajectories share the reference row here; a given seed
+        # keeps giving the counts the per-trajectory loop gave
+        c = synth.compile(families.build_grover(OracleSpec(n, mask, "ancilla-relphase"), 1))
+        d = sim.run_noisy(c, NoiseModel(p2=0.01), shots, seed=seed)
+        assert d.counts.tolist() == counts
+
+
 class TestNoiseModel:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -299,6 +365,21 @@ class TestRunNoisy:
         # given seed keeps giving these counts
         d = sim.run_noisy(synth.compile(circuit), noise, 300, seed=seed)
         assert d.counts.tolist() == counts
+
+    def test_memory_budget_edge(self, monkeypatch):
+        # 2 sites and 2 terminal bits: 10 rows of 7 uniforms, and 11 rows of 4 amplitudes
+        c = frag_circuit([h(0), cx(0, 1)], 2)
+        need = 10 * 7 * 8 + 11 * 4 * 16
+        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", need)
+        assert sim.run_noisy(c, NoiseModel(p2=0.5), 10, seed=1).shots == 10
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("drew uniforms before checking the budget")
+
+        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", need - 1)
+        monkeypatch.setattr(np.random, "default_rng", unexpected)
+        with pytest.raises(OverBudget, match=r"10 trajectories of 7 uniforms .* over the"):
+            sim.run_noisy(c, NoiseModel(p2=0.5), 10, seed=1)
 
     def test_readout_flip_only(self):
         b = CircuitBuilder(1, 1)
