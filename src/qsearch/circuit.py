@@ -112,10 +112,6 @@ def cz(*qubits: int, polarity: tuple[int, ...] | None = None) -> Gate:
     return Gate("cz", qs, polarity=pol)
 
 
-# mcz is the same symmetric gate; the alias matches the text format.
-mcz = cz
-
-
 def rccx(a: int, b: int, c: int, inverse: bool = False) -> Gate:
     _check_distinct((a, b, c))
     return Gate("rccx", (a, b, c), inverse=inverse)
@@ -284,17 +280,6 @@ class GateCensus:
     one_qubit_count: int
     measure_count: int
     by_kind: dict
-
-    def __add__(self, other: "GateCensus") -> "GateCensus":
-        merged = dict(self.by_kind)
-        for k, v in other.by_kind.items():
-            merged[k] = merged.get(k, 0) + v
-        return GateCensus(
-            self.two_qubit_count + other.two_qubit_count,
-            self.one_qubit_count + other.one_qubit_count,
-            self.measure_count + other.measure_count,
-            merged,
-        )
 
 
 def census(circuit: Circuit) -> GateCensus:

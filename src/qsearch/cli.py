@@ -186,7 +186,8 @@ def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
 
     Returns (mask, data bits, exact data-bit distribution, compiled circuit
     or None) per mask, plus the census and oracle calls of the first mask.
-    A call count outside 1..2^n is refused before any simulation.
+    A call count outside 1..2^n is refused before any simulation, and
+    grover's, its iteration count, before any build.
     Only the circuits a run uses are compiled: the first mask's, whose
     census goes in the report, and in a sampled run each mask's, for the
     trajectory simulator.  Nothing here depends on the noise or the seed.
@@ -195,6 +196,9 @@ def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
     census_dict = calls = None
     for mask in resolve_masks(cfg):
         try:
+            if calls is None and cfg.family == "grover" and cfg.iterations >= 1:
+                calls = cfg.iterations  # refused before a build that grows with it
+                analysis.classical_baselines(cfg.n, calls)
             circ = families.build(build_request(cfg, mask))
             if calls is None:
                 calls = circ.metadata.get("oracle_calls", 1)
@@ -414,53 +418,36 @@ def _parse_noise(text: str) -> dict:
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's fields, then each given flag over the field it names."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "grid")}
     raw: dict = {}
-    if args.config:
+    path = flags.pop("config", None)
+    if path:
         try:
-            raw = json.loads(Path(args.config).read_text())
+            raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
+            raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         if not isinstance(raw, dict):
-            raise ConfigError(f"config: {args.config} must hold a JSON object")
+            raise ConfigError(f"config: {path} must hold a JSON object")
     cfg = ExperimentConfig()
     known = set(asdict(cfg))
     for key, value in raw.items():
         if key not in known:
             raise ConfigError(f"config: unknown field {key!r}")
         setattr(cfg, key, value)
-    if args.family is not None:
-        cfg.family = args.family
-    if args.n is not None:
-        cfg.n = args.n
-    if args.iterations is not None:
-        cfg.iterations = args.iterations
-    if args.partition is not None:
+    if "oracle" in flags:  # --oracle-set wins over it
+        flags.setdefault("oracle_set", [flags.pop("oracle")])
+    if "partition" in flags:
         try:
-            cfg.partition = [int(p) for p in args.partition.split(",")]
+            flags["partition"] = [int(p) for p in flags["partition"].split(",")]
         except ValueError as exc:
-            raise ConfigError(f"partition: bad value {args.partition!r}") from exc
-    if args.diffuser_size is not None:
-        cfg.diffuser_size = args.diffuser_size
-    if args.oracle is not None:
-        cfg.oracle_set = [args.oracle]
-    if args.oracle_set is not None:
-        cfg.oracle_set = args.oracle_set
-    if args.style is not None:
-        cfg.oracle_style = args.style
-    if args.uncompute is not None:
-        cfg.uncompute = args.uncompute
-    if args.fused:
-        cfg.fused = True
-    if args.shots is not None:
-        cfg.shots = args.shots
-    if args.noise is not None:
+            raise ConfigError(f"partition: bad value {flags['partition']!r}") from exc
+    if "noise" in flags:
         if not isinstance(cfg.noise, dict):  # the flag's rates merge into the file's
             raise ConfigError(f"noise: must be an object of numbers, got {cfg.noise!r}")
-        cfg.noise = {**cfg.noise, **_parse_noise(args.noise)}
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
+        flags["noise"] = {**cfg.noise, **_parse_noise(flags["noise"])}
+    for key, value in flags.items():
+        setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -480,7 +467,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qsearch", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config")
     common.add_argument("--family", choices=families.FAMILIES)
     common.add_argument("--n", type=int)
@@ -489,7 +476,7 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--diffuser-size", type=int, dest="diffuser_size")
     common.add_argument("--oracle", help="single mask, e.g. 10110")
     common.add_argument("--oracle-set", dest="oracle_set", help="all | sample:k:seed")
-    common.add_argument("--style", choices=synth.ORACLE_STYLES)
+    common.add_argument("--style", dest="oracle_style", choices=synth.ORACLE_STYLES)
     common.add_argument("--uncompute", choices=families.UNCOMPUTE_MODES)
     common.add_argument("--fused", action="store_true")
     common.add_argument("--shots", type=int)

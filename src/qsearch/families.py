@@ -1,17 +1,20 @@
 """Builders for the experiment circuit families.
 
-Wire layout: search qubits 0..n-1 (measured into classical bits 0..n-1 at
-the end), ancillas after them, auxiliary classical bits after the data
-bits.  Every builder records family, mask, options and the oracle-call
-count in the circuit metadata; metadata values stay JSON-representable.
+Every family but wielomianer is one skeleton, `_search_circuit`: an H-wall
+on search qubits 0..n-1, a family body, then search qubit q measured into
+classical bit q, with family, n, mask, data bits and diffuser phase in the
+metadata (values stay JSON-representable).  Ancillas follow the search
+qubits, auxiliary classical bits the data bits.  `_grover_round`, one
+full-register oracle call and then a diffuser, serves grover, partial and
+the wojter-aa closing round, and alone picks the diffuser method.
 
 The block families interleave full-mask oracle calls with block-local
-diffusers.  Each oracle call is emitted self-contained (ancilla compute,
-polarized multi-controlled Z on ancilla + trailing block, ancilla
-uncompute); with the partial-uncompute option, peephole cancellation
-merges adjacent uncompute/recompute pairs across support-disjoint
-diffusers, and trailing-uncompute elimination drops the final fold
-uncompute that no measurement can observe, yielding the compact
+diffusers in the order `_SCHEDULES` gives.  Each oracle call is emitted
+self-contained (ancilla compute, polarized multi-controlled Z on ancilla +
+trailing block, ancilla uncompute); with the partial-uncompute option,
+peephole cancellation merges adjacent uncompute/recompute pairs across
+support-disjoint diffusers, and trailing-uncompute elimination drops the
+final fold uncompute that no measurement can observe, yielding the compact
 interleaved layouts the gate-count targets refer to.
 """
 from __future__ import annotations
@@ -73,7 +76,6 @@ class FamilyRequest:
     diffuser_size: int | None = None
     uncompute: str = "partial"
     fused: bool = False
-    schedule: list[str] | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -83,36 +85,48 @@ class FamilyRequest:
 
 
 def build(request: FamilyRequest) -> Circuit:
-    fam = request.family
+    fam, spec = request.family, request.oracle
     if fam == "grover":
-        return build_grover(request.oracle, request.iterations)
+        return build_grover(spec, request.iterations)
     if fam == "partial":
-        return build_partial(request.oracle, request.diffuser_size)
-    if fam == "wojter":
-        return build_wojter(
-            request.oracle,
-            request.partition,
-            uncompute=request.uncompute,
-            fused=request.fused,
-            schedule=request.schedule,
-        )
-    if fam == "wojter-aa":
-        return build_wojter_aa(request.oracle, request.partition, uncompute=request.uncompute)
-    if fam == "drzewker":
-        return build_drzewker(
-            request.oracle, request.partition, uncompute=request.uncompute,
-            schedule=request.schedule,
-        )
-    if fam == "partial-drzewker":
-        return build_partial_drzewker(
-            request.oracle, request.partition, uncompute=request.uncompute
-        )
-    return build_wielomianer_p43(request.oracle)
+        return build_partial(spec, request.diffuser_size)
+    if fam == "wielomianer":
+        return build_wielomianer_p43(spec)
+    if fam == "wojter" and request.fused:
+        return _build_wojter_fused(spec, request.partition)
+    return _build_block_family(fam, spec, request.partition, request.uncompute)
 
 
-def _measure_all(builder: CircuitBuilder, n: int) -> None:
+def _search_circuit(
+    family: str, spec: OracleSpec, n_anc: int, n_clbits: int, body: list, **metadata
+) -> Circuit:
+    """The H-wall, the body, then search wire q measured into bit q."""
+    n = spec.n
+    builder = CircuitBuilder(n + n_anc, n_clbits)
+    for q in range(n):
+        builder.h(q)
+    builder.extend(body)
     for q in range(n):
         builder.measure(q, q)
+    builder.metadata(
+        family=family,
+        n=n,
+        mask=spec.mask,
+        data_clbits=list(range(n)),
+        diffuser_phase="-1",
+        **metadata,
+    )
+    return builder.build()
+
+
+def _grover_round(
+    spec: OracleSpec, k: int, ancillas: tuple[int, ...], clbits: tuple[int, ...] = ()
+) -> list:
+    """One full-register oracle call, then the diffuser on wires 0..k-1."""
+    method = "plain" if spec.style == "plain-mcz" else "relphase-maslov"
+    return synth.oracle(spec, ancillas=ancillas, clbits=clbits) + synth.diffuser(
+        k, tuple(range(k)), method=method, ancillas=ancillas
+    )
 
 
 def _oracle_wiring(spec: OracleSpec) -> tuple[int, int]:
@@ -127,75 +141,44 @@ def build_grover(spec: OracleSpec, iterations: int = 1) -> Circuit:
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
     n = spec.n
-    n_anc, aux_per_iter = _oracle_wiring(spec)
+    n_anc, aux = _oracle_wiring(spec)
     ancillas = tuple(range(n, n + n_anc))
-    n_clbits = n + aux_per_iter * iterations
-    builder = CircuitBuilder(n + n_anc, n_clbits)
-    for q in range(n):
-        builder.h(q)
-    diffuser_method = "plain" if spec.style == "plain-mcz" else "relphase-maslov"
+    body = []
     for it in range(iterations):
-        clbits = tuple(n + it * aux_per_iter + j for j in range(aux_per_iter))
-        builder.extend(synth.oracle(spec, ancillas=ancillas, clbits=clbits))
-        builder.extend(
-            synth.diffuser(n, tuple(range(n)), method=diffuser_method, ancillas=ancillas)
-        )
-    _measure_all(builder, n)
-    builder.metadata(
-        family="grover",
-        n=n,
-        mask=spec.mask,
+        body += _grover_round(spec, n, ancillas, tuple(range(n + it * aux, n + (it + 1) * aux)))
+    return _search_circuit(
+        "grover", spec, n_anc, n + aux * iterations, body,
         oracle_style=spec.style,
         oracle_calls=iterations,
         iterations=iterations,
-        data_clbits=list(range(n)),
         ancillas=list(ancillas),
-        diffuser_phase="-1",
     )
-    return builder.build()
 
 
-def build_partial(
-    spec: OracleSpec,
-    diffuser_size: int | None,
-    diffuser_qubits: tuple[int, ...] | None = None,
-) -> Circuit:
-    """Single oracle call followed by a diffuser on k of the n qubits."""
+def build_partial(spec: OracleSpec, diffuser_size: int | None) -> Circuit:
+    """Single oracle call followed by a diffuser on the first k of the n qubits."""
     n = spec.n
     k = diffuser_size if diffuser_size is not None else min(3, n)
     if not 1 <= k <= n:
         raise BadDiffuserSize(f"diffuser size {k} outside 1..{n}")
-    targets = tuple(diffuser_qubits) if diffuser_qubits is not None else tuple(range(k))
-    if len(targets) != k or any(not 0 <= q < n for q in targets):
-        raise BadDiffuserSize("diffuser qubits must be k distinct search wires")
-    n_anc, n_aux = _oracle_wiring(spec)
-    ancillas = tuple(range(n, n + n_anc))
-    builder = CircuitBuilder(n + n_anc, n + n_aux)
-    for q in range(n):
-        builder.h(q)
-    builder.extend(
-        synth.oracle(spec, ancillas=ancillas, clbits=tuple(range(n, n + n_aux)))
-    )
-    diffuser_method = "plain" if spec.style == "plain-mcz" else "relphase-maslov"
-    builder.extend(synth.diffuser(k, targets, method=diffuser_method, ancillas=ancillas))
-    _measure_all(builder, n)
-    builder.metadata(
-        family="partial",
-        n=n,
-        mask=spec.mask,
+    n_anc, aux = _oracle_wiring(spec)
+    body = _grover_round(spec, k, tuple(range(n, n + n_anc)), tuple(range(n, n + aux)))
+    return _search_circuit(
+        "partial", spec, n_anc, n + aux, body,
         oracle_style=spec.style,
         diffuser_size=k,
-        diffuser_qubits=list(targets),
+        diffuser_qubits=list(range(k)),
         oracle_calls=1,
-        data_clbits=list(range(n)),
-        diffuser_phase="-1",
     )
-    return builder.build()
 
 
 # block families -------------------------------------------------------------
 
-def _split_blocks(partition: Partition, n: int) -> tuple[list[int], list[int]]:
+def _split_blocks(
+    family: str, partition: Partition | None, n: int
+) -> tuple[list[int], list[int]]:
+    if partition is None:
+        raise UnsupportedPartition(f"{family} needs a partition")
     if partition.n != n:
         raise UnsupportedPartition(
             f"partition {list(partition.parts)} does not sum to n={n}"
@@ -236,92 +219,65 @@ def _block_oracle(spec: OracleSpec, block1: list[int], block2: list[int],
     return conj + fold + [piece] + synth.uncompute_folds(fold, folds, clbits) + conj
 
 
+_WOJTER = ["oracle", "g2", "oracle", "g2", "oracle", "g3", "oracle", "g2"]
 _SCHEDULES = {
-    "wojter": ["oracle", "g2", "oracle", "g2", "oracle", "g3", "oracle", "g2"],
+    "wojter": _WOJTER,
+    "wojter-aa": _WOJTER,
     "drzewker": ["oracle", "g2", "oracle", "g3", "oracle", "g2"],
     "partial-drzewker": ["oracle", "g2", "oracle", "g3"],
 }
 
 
 def _build_block_family(
-    family: str,
-    spec: OracleSpec,
-    partition: Partition | None,
-    uncompute: str,
-    schedule: list[str] | None,
-    extra_aa_round: bool = False,
+    family: str, spec: OracleSpec, partition: Partition | None, uncompute: str
 ) -> Circuit:
+    """Oracle calls and block diffusers in the order _SCHEDULES[family] gives;
+    wojter-aa closes with one full-register Grover round."""
     n = spec.n
-    if partition is None:
-        raise UnsupportedPartition(f"{family} needs a partition")
-    block1, block2 = _split_blocks(partition, n)
-    if not block2:  # degenerate single block: one Grover iteration
-        iterations = 2 if extra_aa_round else 1
+    block1, block2 = _split_blocks(family, partition, n)
+    aa = family == "wojter-aa"
+    if not block2:  # degenerate single block: Grover, plus wojter-aa's closing round
         circ = build_grover(
             OracleSpec(n, spec.mask, "ancilla-relphase" if n >= 4 else "plain-mcz"),
-            iterations,
+            2 if aa else 1,
         )
         return circ.with_metadata(
             family=family, partition=list(partition.parts), degenerate=True
         )
 
-    schedule = list(schedule) if schedule is not None else list(_SCHEDULES[family])
-    if any(step not in ("oracle", "g2", "g3") for step in schedule):
-        raise ValidationError("schedule steps must be oracle, g2 or g3")
-    n_calls = schedule.count("oracle") + (1 if extra_aa_round else 0)
-
+    schedule = _SCHEDULES[family]
     plain = spec.style == "plain-mcz"
     n_folds = 0 if plain else len(synth.fold_plan(len(block1)))
-    n_anc = n_folds
-    if extra_aa_round and not plain:
-        n_anc = max(n_anc, synth.oracle_ancillas_needed(n, "ancilla-relphase"))
+    n_anc = max(n_folds, synth.oracle_ancillas_needed(n, spec.style) if aa else 0)
     ancillas = tuple(range(n, n + n_anc))
     measured = uncompute == "measurement-assisted"
-    aux_per_call = n_folds if measured else 0
-    n_clbits = n + aux_per_call * schedule.count("oracle")
+    aux = n_folds if measured else 0
+    n_clbits = n + aux * schedule.count("oracle")
 
-    builder = CircuitBuilder(n + n_anc, n_clbits)
-    for q in range(n):
-        builder.h(q)
+    body = []
     call_no = 0
     for step in schedule:
         if step == "oracle":
-            start = n + call_no * aux_per_call
-            aux = tuple(range(start, start + aux_per_call)) if measured else None
-            builder.extend(_block_oracle(spec, block1, block2, ancillas, aux))
+            start = n + call_no * aux
+            clbits = tuple(range(start, start + aux)) if measured else None
+            body += _block_oracle(spec, block1, block2, ancillas, clbits)
             call_no += 1
-        elif step == "g2":
-            builder.extend(synth.diffuser(len(block2), tuple(block2)))
         else:
-            builder.extend(synth.diffuser(len(block1), tuple(block1)))
-
-    if extra_aa_round:
+            block = tuple(block2 if step == "g2" else block1)
+            body += synth.diffuser(len(block), block)
+    if aa:
         aa_style = "plain-mcz" if plain else "ancilla-relphase"
-        builder.extend(synth.oracle(OracleSpec(n, spec.mask, aa_style), ancillas=ancillas))
-        builder.extend(
-            synth.diffuser(
-                n,
-                tuple(range(n)),
-                method="plain" if plain else "relphase-maslov",
-                ancillas=ancillas,
-            )
-        )
+        body += _grover_round(OracleSpec(n, spec.mask, aa_style), n, ancillas)
 
-    _measure_all(builder, n)
-    builder.metadata(
-        family=family if not extra_aa_round else "wojter-aa",
-        n=n,
-        mask=spec.mask,
+    circ = _search_circuit(
+        family, spec, n_anc, n_clbits, body,
         partition=list(partition.parts),
         uncompute=uncompute,
-        oracle_calls=n_calls,
+        oracle_calls=call_no + aa,
         schedule=list(schedule),
-        data_clbits=list(range(n)),
         ancillas=list(ancillas),
         oracle_tree="fold3-left-deep",
-        diffuser_phase="-1",
     )
-    circ = builder.build()
     if uncompute == "partial":
         # uncompute/recompute pairs across disjoint diffusers cancel, and
         # uncompute that no measurement can see falls away
@@ -330,11 +286,7 @@ def _build_block_family(
 
 
 def build_wojter(
-    spec: OracleSpec,
-    partition: Partition | None,
-    uncompute: str = "partial",
-    fused: bool = False,
-    schedule: list[str] | None = None,
+    spec: OracleSpec, partition: Partition | None, uncompute: str = "partial", fused: bool = False
 ) -> Circuit:
     """Block-search circuit: block-2 sub-iterations build a block-1 oracle.
 
@@ -345,50 +297,39 @@ def build_wojter(
     """
     if fused:
         return _build_wojter_fused(spec, partition)
-    return _build_block_family("wojter", spec, partition, uncompute, schedule)
+    return _build_block_family("wojter", spec, partition, uncompute)
 
 
 def _build_wojter_fused(spec: OracleSpec, partition: Partition | None) -> Circuit:
     n = spec.n
-    if partition is None:
-        raise UnsupportedPartition("wojter needs a partition")
-    block1, block2 = _split_blocks(partition, n)
+    block1, block2 = _split_blocks("wojter", partition, n)
     if not block2:
         return build_grover(spec, 1).with_metadata(family="wojter", fused=True)
     mask = spec.mask
     n_anc = len(synth.fold_plan(len(block1)))
     ancillas = tuple(range(n, n + n_anc))
-    builder = CircuitBuilder(n + n_anc, n)
-    for q in range(n):
-        builder.h(q)
     # block-1 phase oracle (the collapsed sub-iteration body), then diffuser
     pol1 = tuple(int(mask[q]) for q in block1)
-    builder.extend(synth.mcz_fragment(tuple(block1), method="exact-recursive", polarity=pol1))
-    builder.extend(synth.diffuser(len(block1), tuple(block1)))
+    body = synth.mcz_fragment(tuple(block1), method="exact-recursive", polarity=pol1)
+    body += synth.diffuser(len(block1), tuple(block1))
     # final block-2 grover step needs the mask AND of block 1 on an ancilla
     fold, live, folds = synth.and_fold_tree(tuple(block1), ancillas)
     if folds:
         conj = [x(q) for q in block1 if mask[q] == "0"]
-        builder.extend(conj + fold + conj)
+        body += conj + fold + conj
         pol = (1,)
     else:
         pol = (int(mask[block1[0]]),)
-    builder.add(cz(*live, *block2, polarity=pol + tuple(int(mask[q]) for q in block2)))
-    builder.extend(synth.diffuser(len(block2), tuple(block2)))
-    _measure_all(builder, n)
-    builder.metadata(
-        family="wojter",
-        n=n,
-        mask=mask,
+    body.append(cz(*live, *block2, polarity=pol + tuple(int(mask[q]) for q in block2)))
+    body += synth.diffuser(len(block2), tuple(block2))
+    return _search_circuit(
+        "wojter", spec, n_anc, n, body,
         partition=list(partition.parts),
         fused=True,
         oracle_calls=4,
-        data_clbits=list(range(n)),
         ancillas=list(ancillas),
         oracle_tree="fold3-left-deep",
-        diffuser_phase="-1",
     )
-    return builder.build()
 
 
 def build_wojter_aa(
@@ -397,17 +338,14 @@ def build_wojter_aa(
     uncompute: str = "partial",
 ) -> Circuit:
     """Wojter followed by one full oracle + full-register diffuser round."""
-    return _build_block_family("wojter", spec, partition, uncompute, None, extra_aa_round=True)
+    return _build_block_family("wojter-aa", spec, partition, uncompute)
 
 
 def build_drzewker(
-    spec: OracleSpec,
-    partition: Partition | None,
-    uncompute: str = "partial",
-    schedule: list[str] | None = None,
+    spec: OracleSpec, partition: Partition | None, uncompute: str = "partial"
 ) -> Circuit:
     """Same block structure as wojter with one sub-iteration group fewer."""
-    return _build_block_family("drzewker", spec, partition, uncompute, schedule)
+    return _build_block_family("drzewker", spec, partition, uncompute)
 
 
 def build_partial_drzewker(
@@ -416,7 +354,7 @@ def build_partial_drzewker(
     uncompute: str = "partial",
 ) -> Circuit:
     """Drzewker truncated after its first two diffusers; ancilla uncomputed."""
-    return _build_block_family("partial-drzewker", spec, partition, uncompute, None)
+    return _build_block_family("partial-drzewker", spec, partition, uncompute)
 
 
 def build_wielomianer_p43(spec: OracleSpec) -> Circuit:

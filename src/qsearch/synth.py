@@ -376,15 +376,10 @@ def diffuser(
 
 
 def oracle(
-    spec: OracleSpec,
-    qubits: tuple[int, ...] | None = None,
-    ancillas: tuple[int, ...] = (),
-    clbits: tuple[int, ...] = (),
+    spec: OracleSpec, ancillas: tuple[int, ...] = (), clbits: tuple[int, ...] = ()
 ) -> list[Instruction]:
-    """Phase oracle: -1 exactly on |mask>, +1 elsewhere, for every style."""
-    qubits = tuple(qubits) if qubits is not None else tuple(range(spec.n))
-    if len(qubits) != spec.n:
-        raise BadMask("oracle qubit list must match the mask width")
+    """Phase oracle on wires 0..n-1: -1 exactly on |mask>, +1 elsewhere, for every style."""
+    qubits = tuple(range(spec.n))
     polarity = tuple(int(ch) for ch in spec.mask)
     if spec.style == "plain-mcz":
         if spec.n == 1:

@@ -325,6 +325,16 @@ class TestConfig:
         assert main(["run"] + argv) == 1
         assert capsys.readouterr().err == "error: oracle 101: oracle calls 9 outside 1..8\n"
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "0,0.1"]])
+    def test_oracle_calls_refused_before_building(self, command, tmp_path, monkeypatch, capsys):
+        def unexpected(*args):
+            raise AssertionError("built before checking the oracle calls")
+
+        monkeypatch.setattr(families, "build", unexpected)
+        argv = ["--n", "3", "--iterations", "100000", "--oracle", "101", "--out", str(tmp_path)]
+        assert main(command + argv) == 1
+        assert capsys.readouterr().err == "error: oracle 101: oracle calls 100000 outside 1..8\n"
+
     def test_noisy_memory_budget_is_one_error_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sim, "MAX_NOISY_BYTES", 1 << 16)
         rc = main(["run", "--n", "3", "--oracle", "101", "--shots", "100", "--noise", "p2=0.01",

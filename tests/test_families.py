@@ -121,10 +121,6 @@ class TestWojter:
         with pytest.raises(UnsupportedPartition):
             families.build_wojter(OracleSpec(6, "101101", "ancilla-relphase"), Partition((3, 3)))
 
-    def test_schedule_override(self):
-        c = families.build_wojter(self.SPEC, self.PART, schedule=["oracle", "g2"])
-        assert c.metadata["oracle_calls"] == 1
-
 
 class TestWojterAA:
     SPEC = OracleSpec(5, "10110", "ancilla-relphase")
@@ -139,6 +135,12 @@ class TestWojterAA:
         a = families.build_wojter_aa(self.SPEC, Partition((5,)))
         b = families.build_grover(self.SPEC, 2)
         assert data_distribution(a).tv_distance(data_distribution(b)) < 1e-12
+        assert a.metadata["family"] == "wojter-aa"
+        assert '"family": "wojter-aa"' in qasm.serialize(a)
+
+    def test_needs_a_partition(self):
+        with pytest.raises(UnsupportedPartition, match="^wojter-aa needs a partition$"):
+            families.build_wojter_aa(self.SPEC, None)
 
     def test_call_count(self):
         base = families.build_wojter(self.SPEC, self.PART)

@@ -1,6 +1,7 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no module
+defines a private top-level name it never reads.
 
-No linter ships with the test dependencies, so this check parses each
+No linter ships with the test dependencies, so these checks parse each
 module with the standard-library ast instead.  As with flake8, an import
 line marked `# noqa: F401` is a deliberate re-export and is skipped.
 """
@@ -11,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qsearch"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_from_imports(source: str) -> list[str]:
@@ -41,3 +43,45 @@ def test_detects_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_from_imports(path):
     assert unused_from_imports(path.read_text()) == []
+
+
+def orphaned_private_names(source: str) -> list[str]:
+    """Top-level `_name` functions, classes and constants the module never reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        name for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_detects_orphaned_private_name():
+    source = (
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "__dunder__ = 3\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _orphan():\n"
+        "    _orphan_local = 4\n"
+        "class _Unread:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _helper()\n"
+    )
+    assert orphaned_private_names(source) == ["_UNUSED", "_orphan", "_Unread"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_orphaned_private_names(path):
+    assert orphaned_private_names(path.read_text()) == []
