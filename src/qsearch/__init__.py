@@ -5,9 +5,7 @@ from .circuit import (
     CircuitBuilder,
     GateCensus,
     Instruction,
-    append,
     census,
-    concat,
     peephole_cancel,
     strip_trailing_uncompute,
 )
@@ -28,10 +26,8 @@ __all__ = [
     "NoiseModel",
     "OracleSpec",
     "Partition",
-    "append",
     "build",
     "census",
-    "concat",
     "diffuser",
     "lower",
     "mcz_fragment",

@@ -33,7 +33,6 @@ class OracleRun:
 
     mask: str
     distribution: Distribution
-    shots: int | None = None
 
     def __post_init__(self):
         if len(self.mask) != self.distribution.n_bits:
@@ -142,9 +141,10 @@ def compile_metrics(
     p_succ = float(np.mean(per_oracle))
     worst = float(min(per_oracle))
     n = len(runs[0].mask)
-    total_shots = sum(r.shots or 0 for r in runs)
+    shots = [r.distribution.shots or 0 for r in runs]  # 0 for an exact run
+    total_shots = sum(shots)
     if total_shots:
-        total_successes = round(sum((r.shots or 0) * p for r, p in zip(runs, per_oracle)))
+        total_successes = round(sum(s * p for s, p in zip(shots, per_oracle)))
         ci = confidence_interval(int(total_successes), total_shots)
     else:
         ci = (p_succ, p_succ)

@@ -12,6 +12,7 @@ corresponding basis index is int("10110", 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import isfinite
 
 from .errors import (
     IndexOutOfRange,
@@ -23,11 +24,8 @@ from .errors import (
 
 # Gate names understood by the IR.  'cx' covers 1..k controls (target last),
 # 'cz' is the symmetric multi-controlled Z on >= 2 qubits.
-GATE_NAMES = frozenset(
-    {"h", "x", "z", "rz", "cx", "cz", "rccx", "rcccx", "measure", "barrier"}
-)
+GATE_NAMES = frozenset({"h", "x", "z", "rz", "cx", "cz", "measure", "barrier"})
 _SELF_INVERSE = frozenset({"h", "x", "z", "cx", "cz"})
-RELPHASE_NAMES = frozenset({"rccx", "rcccx"})
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,6 @@ class Gate:
     angle: float | None = None  # rz only
     polarity: tuple[int, ...] | None = None  # cx: per control; cz: per qubit
     clbit: int | None = None  # measure only
-    inverse: bool = False  # rccx / rcccx direction
 
     def controls(self) -> tuple[int, ...]:
         if self.name == "cx":
@@ -112,16 +109,6 @@ def cz(*qubits: int, polarity: tuple[int, ...] | None = None) -> Gate:
     return Gate("cz", qs, polarity=pol)
 
 
-def rccx(a: int, b: int, c: int, inverse: bool = False) -> Gate:
-    _check_distinct((a, b, c))
-    return Gate("rccx", (a, b, c), inverse=inverse)
-
-
-def rcccx(a: int, b: int, c: int, d: int, inverse: bool = False) -> Gate:
-    _check_distinct((a, b, c, d))
-    return Gate("rcccx", (a, b, c, d), inverse=inverse)
-
-
 def measure(q: int, clbit: int) -> Gate:
     return Gate("measure", (q,), clbit=clbit)
 
@@ -168,6 +155,8 @@ def _validate_instruction(
         if not 0 <= q < n_qubits:
             raise IndexOutOfRange(f"qubit {q} outside register of size {n_qubits}")
     _check_distinct(gate.qubits)
+    if gate.name == "rz" and not isfinite(gate.angle):
+        raise ValidationError(f"rz angle {gate.angle} is not finite")
     if instr.condition is not None:
         bit, value = instr.condition
         if not 0 <= bit < n_clbits:
@@ -195,21 +184,6 @@ def _validate_instruction(
                     f"classical bit {bit} written twice on one branch path"
                 )
         written.setdefault(bit, []).append(instr.condition)
-
-
-def _written_bits(circuit: Circuit) -> dict[int, list[tuple[int, int] | None]]:
-    written: dict[int, list[tuple[int, int] | None]] = {}
-    for instr in circuit.instructions:
-        if instr.gate.name == "measure":
-            written.setdefault(instr.gate.clbit, []).append(instr.condition)
-    return written
-
-
-def append(circuit: Circuit, instr: Instruction) -> Circuit:
-    """Return a new circuit with instr appended; the input is unchanged."""
-    written = _written_bits(circuit)
-    _validate_instruction(circuit.n_qubits, circuit.n_clbits, written, instr)
-    return replace(circuit, instructions=circuit.instructions + (instr,))
 
 
 class CircuitBuilder:
@@ -290,8 +264,6 @@ def census(circuit: Circuit) -> GateCensus:
         gate = instr.gate
         if gate.name == "barrier":
             continue
-        if gate.name in RELPHASE_NAMES:
-            raise NotLowered(i, f"relative-phase primitive {gate.name} not lowered")
         if gate.name == "measure":
             meas += 1
             by_kind["measure"] = by_kind.get("measure", 0) + 1
@@ -329,8 +301,6 @@ def _inverse_pair(a: Instruction, b: Instruction) -> bool:
         return ga.polarity == gb.polarity
     if ga.name == "rz":
         return gb.angle == -ga.angle
-    if ga.name in RELPHASE_NAMES:
-        return ga.inverse != gb.inverse
     return False
 
 
@@ -369,7 +339,7 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
 def _active_qubits(gate: Gate) -> frozenset[int]:
     if gate.name in ("z", "rz", "cz"):
         return frozenset()
-    if gate.name in ("cx", "rccx", "rcccx"):
+    if gate.name == "cx":
         return frozenset(gate.qubits[-1:])
     return frozenset(gate.qubits)
 
@@ -410,10 +380,3 @@ def strip_trailing_uncompute(circuit: Circuit) -> Circuit:
             classical -= qubits
     out = tuple(op for op, k in zip(ops, keep) if k)
     return replace(circuit, instructions=out)
-
-
-def concat(a: Circuit, b: Circuit) -> Circuit:
-    """Concatenate two circuits over the same registers."""
-    if a.n_qubits != b.n_qubits or a.n_clbits != b.n_clbits:
-        raise ValidationError("register mismatch in concat")
-    return replace(a, instructions=a.instructions + b.instructions)

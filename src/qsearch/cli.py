@@ -243,9 +243,9 @@ def _report(cfg: ExperimentConfig, noise: sim.NoiseModel, exact_oracles, t0: flo
                 noisy = sim.run_noisy(
                     low, noise, cfg.shots, _derive_seed(cfg.seed, int(mask, 2))
                 ).marginal(data_bits)
-                run = analysis.OracleRun(mask, noisy, shots=cfg.shots)
+                run = analysis.OracleRun(mask, noisy)
             else:
-                run = analysis.OracleRun(mask, exact, shots=None)
+                run = analysis.OracleRun(mask, exact)
             measured_runs.append(run)
             oracle_rows.append(
                 {

@@ -1,7 +1,8 @@
 """Exception taxonomy for the toolkit.
 
-Validation-style errors (bad user input) derive from ValidationError so the
-CLI can map them to exit code 1; everything else maps to exit code 2.
+Validation-style errors (bad user input, a malformed circuit file included)
+derive from ValidationError so the CLI can map them to exit code 1;
+everything else maps to exit code 2.
 """
 
 
@@ -34,7 +35,7 @@ class NotLowered(ValidationError):
         super().__init__(f"instruction {index}: {message}")
 
 
-class ParseError(QsearchError):
+class ParseError(ValidationError):
     def __init__(self, message: str, line: int, column: int = 0):
         self.line = line
         self.column = column

@@ -7,33 +7,22 @@ Grammar (subset):
     cx|ccx|cccx q[i], ..., q[t];      # last operand is the target
     cz q[i], q[j];
     mcz(k) q[i0], ..., q[ik-1];
-    rccx|rccxdg|rcccx|rcccxdg q[...];
     measure q[i] -> c[j];
     if (c[j]==v) <gate>;
     barrier;
     # comment
 
 Extensions over the plain subset: a `!` prefix on a control operand marks
-control-on-zero polarity (`cx !q[0], q[1];`), the `dg` suffix is the inverse
-direction of a relative-phase gate, and a `# meta: {...}` comment carries
-circuit metadata as JSON (use JSON-representable values: lists, not tuples).
+control-on-zero polarity (`cx !q[0], q[1];`), and a `# meta: {...}` comment
+carries circuit metadata as JSON (use JSON-representable values: lists, not
+tuples).  Every error is a ParseError that names its line.
 """
 from __future__ import annotations
 
 import json
 import re
 
-from .circuit import (
-    Circuit,
-    CircuitBuilder,
-    Gate,
-    cx,
-    cz,
-    measure,
-    rccx,
-    rcccx,
-    rz,
-)
+from .circuit import Circuit, CircuitBuilder, Gate, cx, cz, measure, rz
 from .circuit import barrier as barrier_gate
 from .circuit import h as h_gate
 from .circuit import x as x_gate
@@ -66,9 +55,6 @@ def _gate_text(gate: Gate) -> str:
         ops = ", ".join(_operand(q, p == 0) for q, p in zip(gate.qubits, pol))
         head = "cz" if len(gate.qubits) == 2 else f"mcz({len(gate.qubits)})"
         return f"{head} {ops}"
-    if name in ("rccx", "rcccx"):
-        head = name + ("dg" if gate.inverse else "")
-        return f"{head} " + ", ".join(_operand(q) for q in gate.qubits)
     if name == "measure":
         return f"measure {_operand(gate.qubits[0])} -> c[{gate.clbit}]"
     if name == "barrier":
@@ -143,14 +129,6 @@ def _build_gate(name: str, param: str | None, operands: list[tuple[int, bool]], 
             raise ParseError("cz takes two operands", line)
         pol = tuple(0 if neg else 1 for neg in negs)
         return cz(*qubits, polarity=pol)
-    if name in ("rccx", "rccxdg", "rcccx", "rcccxdg"):
-        inverse = name.endswith("dg")
-        base = name[:-2] if inverse else name
-        want = 3 if base == "rccx" else 4
-        if len(qubits) != want or any(negs):
-            raise ParseError(f"{base} takes {want} plain operands", line)
-        ctor = rccx if base == "rccx" else rcccx
-        return ctor(*qubits, inverse=inverse)
     raise ParseError(f"unknown gate {name!r}", line)
 
 
@@ -196,25 +174,27 @@ def parse(text: str) -> Circuit:
 
     builder = CircuitBuilder(n_qubits, n_clbits, metadata=metadata)
     for stmt, lineno in body:
-        condition = None
-        m = _IF_RE.match(stmt)
-        if m:
-            condition = (int(m.group(1)), int(m.group(2)))
-            stmt = m.group(3).strip()
-        m = _MEASURE_RE.match(stmt)
-        if m:
-            gate = measure(int(m.group(1)), int(m.group(2)))
-        elif stmt == "barrier":
-            gate = barrier_gate()
-        else:
-            m = _GATE_RE.match(stmt)
-            if not m:
-                raise ParseError(f"cannot parse statement {stmt!r}", lineno)
-            name, param, rest = m.groups()
-            operands = _parse_operands(rest, lineno) if rest.strip() else []
-            gate = _build_gate(name, param, operands, lineno)
         try:
+            condition = None
+            m = _IF_RE.match(stmt)
+            if m:
+                condition = (int(m.group(1)), int(m.group(2)))
+                stmt = m.group(3).strip()
+            m = _MEASURE_RE.match(stmt)
+            if m:
+                gate = measure(int(m.group(1)), int(m.group(2)))
+            elif stmt == "barrier":
+                gate = barrier_gate()
+            else:
+                m = _GATE_RE.match(stmt)
+                if not m:
+                    raise ParseError(f"cannot parse statement {stmt!r}", lineno)
+                name, param, rest = m.groups()
+                operands = _parse_operands(rest, lineno) if rest.strip() else []
+                gate = _build_gate(name, param, operands, lineno)
             builder.add(gate, condition)
-        except ValidationError as exc:
+        except ParseError:
+            raise
+        except ValidationError as exc:  # a gate or builder check, given its line
             raise ParseError(str(exc), lineno) from exc
     return builder.build()

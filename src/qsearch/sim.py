@@ -10,12 +10,11 @@ the most significant bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import sqrt
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, RELPHASE_NAMES, census, cx, x, z
+from .circuit import Circuit, Instruction, census, cx, x, z
 from .errors import (
     HasMeasurement,
     OverBudget,
@@ -46,10 +45,6 @@ class NoiseModel:
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"noise rate {name}={v} outside [0, 1]")
 
-    @property
-    def trivial(self) -> bool:
-        return self.p1 == 0.0 and self.p2 == 0.0 and self.p_meas == 0.0
-
 
 @dataclass
 class Distribution:
@@ -70,7 +65,7 @@ class Distribution:
             self.probabilities = np.asarray(self.probabilities, dtype=float)
             if self.probabilities.shape != (dim,):
                 raise ValidationError("probability vector has wrong length")
-            if abs(self.probabilities.sum() - 1.0) > 1e-12:
+            if not abs(self.probabilities.sum() - 1.0) <= 1e-12:  # NaN fails too
                 raise ValidationError("exact probabilities must sum to 1")
         if self.counts is not None:
             self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -137,29 +132,6 @@ def _at(n: int, fixed, rows=slice(None)) -> tuple:
     return tuple(idx)
 
 
-@cache
-def _relphase_phases(name: str, inverse: bool) -> tuple[tuple[tuple[int, ...], complex], ...]:
-    """(basis pattern, phase) pairs where a relative-phase primitive's matrix
-    differs from the C^kX it approximates, derived from its lowering."""
-    from . import synth
-
-    k = 3 if name == "rccx" else 4
-    lowering = synth.relphase_ccx if name == "rccx" else synth.relphase_cccx
-    u = np.eye(1 << k, dtype=complex)  # row b becomes U|b>
-    for instr in lowering(*range(k), inverse=inverse):
-        _apply_gate(u, instr.gate, k)
-    perm = np.eye(1 << k, dtype=complex)
-    _apply_gate(perm, cx(*range(k)), k)
-    phases = (u * perm).sum(axis=0)  # U = diag(phases) . C^kX
-    if not np.allclose(u, perm * phases[None, :], atol=1e-12):
-        raise UndefinedGateSemantics(f"{name} lowering is not C^kX times a diagonal")
-    return tuple(
-        (tuple((j >> (k - 1 - w)) & 1 for w in range(k)), complex(phases[j]))
-        for j in range(1 << k)
-        if abs(phases[j] - 1.0) > 1e-12
-    )
-
-
 def _apply_gate(state: np.ndarray, gate, n: int, extra=()) -> None:
     """Apply one gate in place to a C-contiguous (B, 2^n) batch.
 
@@ -178,9 +150,9 @@ def _apply_gate(state: np.ndarray, gate, n: int, extra=()) -> None:
         phase = np.exp(1j * gate.angle) if name == "rz" else -1.0
         view[_at(n, (*extra, *zip(qubits, polarity)))] *= phase
         return
-    if name not in ("x", "cx", "h") and name not in RELPHASE_NAMES:
+    if name not in ("x", "cx", "h"):
         raise UndefinedGateSemantics(f"no matrix semantics for {name!r}")
-    polarity = gate.effective_polarity() if name == "cx" else (1,) * (len(qubits) - 1)
+    polarity = gate.effective_polarity() if name == "cx" else ()  # h and x have no controls
     fixed = (*extra, *zip(qubits[:-1], polarity))
     lo = view[_at(n, (*fixed, (qubits[-1], 0)))]
     hi = view[_at(n, (*fixed, (qubits[-1], 1)))]
@@ -194,9 +166,6 @@ def _apply_gate(state: np.ndarray, gate, n: int, extra=()) -> None:
     lo_copy = lo.copy()
     lo[...] = hi
     hi[...] = lo_copy
-    if name in RELPHASE_NAMES:
-        for bits, phase in _relphase_phases(name, gate.inverse):
-            view[_at(n, (*extra, *zip(qubits, bits)))] *= phase
 
 
 # rows of a batch -------------------------------------------------------------
@@ -286,7 +255,7 @@ def _terminal_distribution(state: np.ndarray, n: int, terminal: list[tuple[int, 
     probs = np.abs(state)
     probs **= 2  # in place: the batch may hold 2^m branch rows
     marg = _marginal(probs, n, [q for q, _ in terminal])
-    if np.abs(marg.sum(axis=1) - 1.0).max() > _NORM_TOL * 10:
+    if not np.abs(marg.sum(axis=1) - 1.0).max() <= _NORM_TOL * 10:  # NaN fails too
         raise ValidationError("statevector norm drifted")
     k, cols = len(terminal), [c for _, c in terminal]
     clbits[:, cols] = 0
@@ -333,7 +302,7 @@ def run_exact(circuit: Circuit) -> Distribution:
             _collapse(state, n, dest, q, value)
             weights[dest] *= p[live[:, value], value]
             clbits[dest, c] = value
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:  # NaN fails too
             raise ValidationError("branch weights do not sum to 1")
 
     return _terminal_distribution(state, n, terminal, clbits, weights)

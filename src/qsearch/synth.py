@@ -80,8 +80,6 @@ def _adjoint(gates: list[Instruction]) -> list[Instruction]:
         g = instr.gate
         if g.name == "rz":
             g = rz(-g.angle, g.qubits[0])
-        elif g.name in ("rccx", "rcccx"):
-            g = Gate(g.name, g.qubits, inverse=not g.inverse)
         # h, x, z, cx, cz are self-inverse
         out.append(Instruction(g, instr.condition))
     return out
@@ -192,32 +190,17 @@ def and_compute(controls: tuple[int, ...], target: int) -> list[Instruction]:
 
 
 def measurement_assisted_uncompute(
-    ancilla: int,
-    controls: tuple[int, ...],
-    clbit: int,
-    polarity: tuple[int, ...] | None = None,
+    ancilla: int, controls: tuple[int, ...], clbit: int
 ) -> list[Instruction]:
     """X-basis measurement of a computed AND ancilla plus phase correction.
 
     Replaces the unitary uncompute: H on the ancilla, measure, and when the
-    outcome is 1 apply C^{k-1}Z on the controls (with the compute's
-    polarity) to cancel the kicked-back phase.
+    outcome is 1 apply C^{k-1}Z on the (2 or 3) controls to cancel the
+    kicked-back phase.
     """
-    controls = tuple(controls)
-    if len(controls) >= 2:
-        correction = cz(*controls, polarity=polarity)
-        fix = [Instruction(correction, condition=(clbit, 1))]
-    else:
-        q = controls[0]
-        if polarity is not None and polarity[0] == 0:
-            fix = [
-                Instruction(x(q), condition=(clbit, 1)),
-                Instruction(z(q), condition=(clbit, 1)),
-                Instruction(x(q), condition=(clbit, 1)),
-            ]
-        else:
-            fix = [Instruction(z(q), condition=(clbit, 1))]
-    return _instr([h(ancilla), measure(ancilla, clbit)]) + fix
+    return _instr([h(ancilla), measure(ancilla, clbit)]) + [
+        Instruction(cz(*controls), condition=(clbit, 1))
+    ]
 
 
 # multi-controlled Z synthesis ----------------------------------------------
@@ -407,10 +390,6 @@ def _lower_gate(gate: Gate) -> list[Instruction]:
     name = gate.name
     if name in ("h", "x", "z", "rz", "measure", "barrier"):
         return [Instruction(gate)]
-    if name == "rccx":
-        return relphase_ccx(*gate.qubits, inverse=gate.inverse)
-    if name == "rcccx":
-        return relphase_cccx(*gate.qubits, inverse=gate.inverse)
     if name in ("cx", "cz"):
         # polarity-0 controls become X conjugation around the all-ones gate
         pol = gate.effective_polarity()
@@ -427,7 +406,7 @@ def _lower_gate(gate: Gate) -> list[Instruction]:
 
 
 def lower(circuit: Circuit) -> Circuit:
-    """Expand polarities, relative-phase primitives and wide gates to 1q/2q.
+    """Expand polarities and wide gates to 1q/2q.
 
     The output is not validated again: each gate becomes gates on a subset
     of its own wires under the same condition, and measurements pass

@@ -16,7 +16,6 @@ from qsearch.circuit import (
     cx,
     cz,
     h,
-    rccx,
     rz,
     x,
     z,
@@ -273,8 +272,7 @@ def dense_gate(gate, n) -> np.ndarray:
     """Reference 2^n x 2^n matrix of one gate, built without sim.
 
     Phase and permutation gates come from the bits of each basis index
-    (qubit 0 most significant), h from a Kronecker product, and rccx /
-    rcccx from the product of their lowering's reference matrices.
+    (qubit 0 most significant), and h from a Kronecker product.
     """
     dim = 1 << n
     idx = np.arange(dim)
@@ -282,9 +280,6 @@ def dense_gate(gate, n) -> np.ndarray:
     if name == "h":
         h1 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         return np.kron(np.kron(np.eye(1 << qs[0]), h1), np.eye(1 << (n - 1 - qs[0])))
-    if name in ("rccx", "rcccx"):
-        lowering = synth.relphase_ccx if name == "rccx" else synth.relphase_cccx
-        return dense_unitary([i.gate for i in lowering(*qs, inverse=gate.inverse)], n)
     fixed = qs if name in ("z", "rz", "cz") else qs[:-1]
     polarity = (1,) if name in ("z", "rz") else gate.effective_polarity()
     match = np.ones(dim, dtype=bool)
@@ -327,20 +322,18 @@ def unitary_gates(draw, n):
     if n >= 2:
         choices += ["cx", "cz"]
     if n >= 3:
-        choices += ["rccx", "mcz3"]
+        choices += ["ccx", "mcz3"]
     kind = draw(st.sampled_from(choices))
-    arity = {"h": 1, "x": 1, "z": 1, "rz": 1, "cx": 2, "cz": 2, "rccx": 3, "mcz3": 3}[kind]
+    arity = {"h": 1, "x": 1, "z": 1, "rz": 1, "cx": 2, "cz": 2, "ccx": 3, "mcz3": 3}[kind]
     qs = draw(st.permutations(range(n))).copy()[:arity]
     if kind in ("h", "x", "z"):
         return {"h": h, "x": x, "z": z}[kind](qs[0])
     if kind == "rz":
         return rz(draw(st.sampled_from([pi / 4, -pi / 4, pi / 2, -pi / 2])), qs[0])
-    if kind == "cx":
-        return cx(*qs, polarity=(draw(st.integers(0, 1)),))
+    if kind in ("cx", "ccx"):
+        return cx(*qs, polarity=tuple(draw(st.integers(0, 1)) for _ in qs[1:]))
     if kind == "cz":
         return cz(*qs)
-    if kind == "rccx":
-        return rccx(*qs, inverse=draw(st.booleans()))
     return cz(*qs, polarity=tuple(draw(st.integers(0, 1)) for _ in qs))
 
 

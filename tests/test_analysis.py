@@ -42,7 +42,7 @@ class TestSuccessProbability:
         counts = np.zeros(4, dtype=int)
         counts[0b10] = 300
         counts[0b01] = 700
-        run = OracleRun("10", Distribution(2, counts=counts, shots=1000), shots=1000)
+        run = OracleRun("10", Distribution(2, counts=counts, shots=1000))
         assert success_probability(run) == pytest.approx(0.30)
 
 
@@ -207,3 +207,10 @@ class TestCompileMetrics:
         assert m.r == pytest.approx(1.0)
         assert m.ci[0] <= m.p_succ <= m.ci[1]
         assert m.classical_single_call == pytest.approx(1 / 8)
+
+    def test_sampled_runs_take_shots_from_their_distribution(self):
+        counts = np.array([0, 0, 300, 700])
+        runs = [OracleRun("10", Distribution(2, counts=counts, shots=1000)),
+                OracleRun("01", Distribution(2, counts=counts[::-1], shots=1000))]
+        m = analysis.compile_metrics(runs, 0.5, 1)
+        assert m.ci == confidence_interval(600, 2000)

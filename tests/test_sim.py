@@ -17,7 +17,7 @@ from conftest import (
     unitary_circuits,
 )
 from qsearch import families, sim, synth
-from qsearch.circuit import CircuitBuilder, cx, cz, h, measure, rcccx, x, z
+from qsearch.circuit import Circuit, CircuitBuilder, Instruction, cx, cz, h, measure, rz, x, z
 from qsearch.errors import HasMeasurement, NotLowered, OverBudget, TooWide, ValidationError
 from qsearch.sim import Distribution, NoiseModel
 from qsearch.synth import OracleSpec
@@ -145,9 +145,6 @@ class TestUnitaryOf:
             cx(4, 1, 5, 0, 2, polarity=(1, 0, 0, 1)),
             cz(5, 3, 0, 1, polarity=(0, 1, 1, 0)),
             cz(5, 4, 2, 1, 0, polarity=(0, 1, 0, 1, 1)),
-            rcccx(5, 3, 0, 2),
-            rcccx(5, 3, 0, 2, inverse=True),
-            rcccx(1, 4, 2, 0, inverse=True),
         ],
     )
     def test_wide_gates_match_dense_reference(self, gate):
@@ -422,3 +419,14 @@ class TestDistribution:
     def test_counts_validation(self):
         with pytest.raises(ValidationError):
             Distribution(1, counts=np.array([3, 4]), shots=10)
+
+    def test_nan_probabilities_refused(self):
+        with pytest.raises(ValidationError, match="sum to 1"):
+            Distribution(1, probabilities=[float("nan"), float("nan")])
+
+    def test_nan_statevector_refused(self):
+        """A NaN angle that bypasses the builder fails the norm check, not silently."""
+        ops = (h(0), rz(float("nan"), 0), h(0), measure(0, 0))
+        c = Circuit(1, 1, tuple(Instruction(g) for g in ops))
+        with pytest.raises(ValidationError, match="norm drifted"):
+            sim.run_exact(c)
