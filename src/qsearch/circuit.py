@@ -11,7 +11,7 @@ corresponding basis index is int("10110", 2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import isfinite
 
 from .errors import (
@@ -127,6 +127,8 @@ class Instruction:
 
 @dataclass(frozen=True)
 class Circuit:
+    """An immutable circuit; made directly, it checks every instruction as CircuitBuilder does."""
+
     n_qubits: int
     n_clbits: int
     instructions: tuple[Instruction, ...] = ()
@@ -135,11 +137,32 @@ class Circuit:
     def __post_init__(self):
         if self.n_qubits < 0 or self.n_clbits < 0:
             raise ValidationError("register sizes must be non-negative")
+        written: dict[int, list[tuple[int, int] | None]] = {}
+        for instr in self.instructions:
+            _validate_instruction(self.n_qubits, self.n_clbits, written, instr)
+
+    @classmethod
+    def _trusted(
+        cls, n_qubits: int, n_clbits: int, instructions: tuple[Instruction, ...], metadata: dict
+    ) -> "Circuit":
+        """Make a Circuit without checking it again.
+
+        For the builder and for passes whose output is valid whenever their
+        input is: each keeps or rewrites instructions of a checked circuit.
+        """
+        circuit = object.__new__(cls)
+        circuit.__dict__.update(
+            n_qubits=n_qubits, n_clbits=n_clbits, instructions=instructions, metadata=metadata
+        )
+        return circuit
+
+    def _with_instructions(self, instructions: tuple[Instruction, ...]) -> "Circuit":
+        return Circuit._trusted(self.n_qubits, self.n_clbits, instructions, self.metadata)
 
     def with_metadata(self, **kv) -> "Circuit":
         md = dict(self.metadata)
         md.update(kv)
-        return replace(self, metadata=md)
+        return Circuit._trusted(self.n_qubits, self.n_clbits, self.instructions, md)
 
 
 def _validate_instruction(
@@ -148,6 +171,8 @@ def _validate_instruction(
     written: dict[int, list[tuple[int, int] | None]],
     instr: Instruction,
 ) -> None:
+    if not isinstance(instr, Instruction):
+        raise ValidationError(f"{instr!r} is not an Instruction")
     gate = instr.gate
     if gate.name not in GATE_NAMES:
         raise ValidationError(f"unknown gate {gate.name!r}")
@@ -240,7 +265,7 @@ class CircuitBuilder:
         return self
 
     def build(self) -> Circuit:
-        return Circuit(
+        return Circuit._trusted(
             self.n_qubits,
             self.n_clbits,
             tuple(self._instructions),
@@ -331,7 +356,7 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
         else:
             for s in stacks:
                 s.append(j)
-    return replace(circuit, instructions=tuple(op for op, k in zip(ops, kept) if k))
+    return circuit._with_instructions(tuple(op for op, k in zip(ops, kept) if k))
 
 
 # Wires a gate preserves in the computational basis (controls / diagonals)
@@ -379,4 +404,4 @@ def strip_trailing_uncompute(circuit: Circuit) -> Circuit:
         if gate.name not in ("x", "cx") or not qubits <= classical:
             classical -= qubits
     out = tuple(op for op, k in zip(ops, keep) if k)
-    return replace(circuit, instructions=out)
+    return circuit._with_instructions(out)

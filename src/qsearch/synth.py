@@ -13,6 +13,7 @@ H^k . C^{k-1}Z(polarity 0...0) . H^k which equals -(2|s><s| - I).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import pi
 
 from .circuit import (
@@ -135,8 +136,104 @@ def exact_ccz(a: int, b: int, c: int) -> list[Instruction]:
     )
 
 
+def _tof(a: int, b: int, c: int) -> list[Instruction]:
+    """Exact Toffoli on target c: the exact CCZ between H gates, 6 CX."""
+    wrap = _instr([h(c)])
+    return wrap + exact_ccz(a, b, c) + wrap
+
+
+def _mcx_chain(
+    controls: tuple[int, ...], target: int, ancillas: tuple[int, ...]
+) -> list[Instruction]:
+    """C^mX with m - 2 borrowed wires in any state, each restored (Barenco Lemma 7.2).
+
+    The chain is top . V . top . V, where top is the exact Toffoli onto the
+    target and V runs a ladder of Toffolis down the borrowed wires to the
+    one on the first two controls, and back up.  The Toffolis aimed at
+    borrowed wires are relative-phase ones (Maslov 2016): each going down
+    is undone by its inverse coming back, and the bottom one is inverted
+    in the second V.
+    Their phases are diagonal on wires that top only reads, so they cancel
+    and the chain is an exact C^mX.  Two-qubit count: 12m - 18 for m >= 2.
+    """
+    m = len(controls)
+    if m == 1:
+        return _instr([cx(controls[0], target)])
+    if m == 2:
+        return _tof(*controls, target)
+    anc = ancillas[: m - 2]
+    top = _tof(controls[-1], anc[-1], target)
+    down = [
+        g for i in range(m - 3, 0, -1) for g in relphase_ccx(controls[i + 1], anc[i - 1], anc[i])
+    ]
+    back = _adjoint(down)
+    bottom = relphase_ccx(controls[0], controls[1], anc[0])
+    return top + down + bottom + back + top + down + _adjoint(bottom) + back
+
+
+def _mcx_dirty(controls: tuple[int, ...], target: int, borrowed: int) -> list[Instruction]:
+    """C^mX(controls -> target) borrowing one idle wire in any state (Barenco Lemma 7.3).
+
+    The controls split in halves c1, c2; g1 = C^{|c1|}X(c1 -> borrowed)
+    borrows c2 and the target, g2 = C^{|c2|+1}X(c2 + borrowed -> target)
+    borrows c1, and g1 g2 g1 g2 flips the target by AND(c1) AND(c2) while
+    the borrowed wire ends as it began.  Linear in m: 24m - 48 two-qubit
+    gates for m >= 3.
+    """
+    half = (len(controls) + 1) // 2
+    c1, c2 = controls[:half], controls[half:]
+    g1 = _mcx_chain(c1, borrowed, c2 + (target,))
+    g2 = _mcx_chain(c2 + (borrowed,), target, c1)
+    return g1 + g2 + g1 + g2
+
+
+def _chain_twoq(m: int) -> int:
+    return 1 if m == 1 else 12 * m - 18
+
+
+def _dirty_twoq(m: int) -> int:
+    half = (m + 1) // 2
+    return 2 * _chain_twoq(half) + 2 * _chain_twoq(m - half + 1)
+
+
+# mcp borrows for flips on this many controls or more: at 3 the two forms tie
+# at 24 and below it the ancilla-free one is smaller, so C^kZ for k <= 4 stays.
+_BORROW_MIN_CONTROLS = 4
+
+
+@lru_cache(maxsize=None)
+def mcz_twoq(k: int) -> int:
+    """Lowered two-qubit count of C^kZ on k controls, which C^kX shares.
+
+    A closed form over the recursion of mcp, so no circuit is built:
+    T(k) = 4 + 2 F(k-1) + P(k-1), where P(m) is mcp's count on m controls
+    and the flip F(m) is _mcx_dirty's 24m - 48 from 4 controls on, T(m)
+    below that.
+    """
+    if k < 3:
+        return (0, 1, 6)[k]
+    return _mcp_twoq(k)
+
+
+@lru_cache(maxsize=None)
+def _mcp_twoq(k: int) -> int:
+    if k < 2:
+        return 2 * k
+    m = k - 1
+    flip = _dirty_twoq(m) if m >= _BORROW_MIN_CONTROLS else mcz_twoq(m)
+    return 4 + 2 * flip + _mcp_twoq(m)
+
+
 def mcp(theta: float, controls: tuple[int, ...], target: int) -> list[Instruction]:
-    """Multi-controlled phase gate by the ancilla-free recursion."""
+    """Multi-controlled phase gate with no ancilla (Barenco Lemma 7.5).
+
+    C^kP(theta) = CP(theta/2)(last, target) . C^{k-1}X(rest -> last) .
+    CP(-theta/2)(last, target) . C^{k-1}X(rest -> last) .
+    C^{k-1}P(theta/2)(rest, target).  The target is idle during each
+    C^{k-1}X flip, so from 4 controls on, where it is smaller, the flip
+    borrows it by _mcx_dirty; below that the flip is the ancilla-free
+    C^{k-1}X.  The two-qubit count grows quadratically in k (mcz_twoq).
+    """
     controls = tuple(controls)
     if not controls:
         return _instr([rz(theta, target)])
@@ -146,7 +243,10 @@ def mcp(theta: float, controls: tuple[int, ...], target: int) -> list[Instructio
             [rz(theta / 2, c), cx(c, target), rz(-theta / 2, target), cx(c, target), rz(theta / 2, target)]
         )
     rest, last = controls[:-1], controls[-1]
-    flip = _lower_gate(cx(*rest, last))
+    if len(rest) >= _BORROW_MIN_CONTROLS:
+        flip = _mcx_dirty(rest, last, target)
+    else:
+        flip = _lower_gate(cx(*rest, last))
     out = mcp(theta / 2, (last,), target)
     out += flip
     out += mcp(-theta / 2, (last,), target)
@@ -156,7 +256,12 @@ def mcp(theta: float, controls: tuple[int, ...], target: int) -> list[Instructio
 
 
 def mcz_recursive(qubits: tuple[int, ...]) -> list[Instruction]:
-    """Exact C^{k-1}Z lowering with no ancilla."""
+    """Exact C^{k-1}Z lowering with no ancilla.
+
+    Up to three qubits: Z, CZ, the 6-CX exact CCZ; wider, mcp(pi) on the
+    last qubit, whose inner flips on 4 or more controls borrow that qubit.
+    mcz_twoq gives the two-qubit count without building it.
+    """
     qubits = tuple(qubits)
     if len(qubits) == 1:
         return _instr([z(qubits[0])])
@@ -417,7 +522,7 @@ def lower(circuit: Circuit) -> Circuit:
         for instr in circuit.instructions
         for sub in _lower_gate(instr.gate)
     ]
-    return Circuit(circuit.n_qubits, circuit.n_clbits, tuple(out), dict(circuit.metadata))
+    return Circuit._trusted(circuit.n_qubits, circuit.n_clbits, tuple(out), dict(circuit.metadata))
 
 
 def compile(circuit: Circuit) -> Circuit:  # noqa: A001 - the pipeline's name

@@ -291,6 +291,26 @@ def test_reference_tables_script_counts():
     ]
 
 
+def test_reference_tables_script_plain_mcz_section():
+    """The script's last section prints one plain-mcz Grover iteration's lowered 2q count."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reference_tables.py")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.split("== plain-mcz Grover, lowered 2q ==\n")[1].splitlines() == [
+        "  n=4  twoq=48",
+        "  n=5  twoq=152",
+        "  n=6  twoq=352",
+        "  n=7  twoq=648",
+        "  n=8  twoq=1040",
+        "  n=9  twoq=1528",
+        "  n=10  twoq=2112",
+    ]
+
+
 def test_noise_fit_script_output():
     """scripts/noise_fit.py's seeded bisection prints the same fit for a given shot count."""
     root = Path(__file__).resolve().parents[1]

@@ -12,8 +12,10 @@ from conftest import (
     unitary_circuits,
     wire_sequences,
 )
-from qsearch import sim, synth
+from qsearch import circuit as circuit_module
+from qsearch import families, sim, synth
 from qsearch.circuit import (
+    Circuit,
     CircuitBuilder,
     Instruction,
     barrier,
@@ -37,6 +39,7 @@ from qsearch.errors import (
     ValidationError,
 )
 from qsearch.qasm import parse, serialize
+from qsearch.synth import OracleSpec
 
 
 class TestAppend:
@@ -77,6 +80,43 @@ class TestAppend:
     def test_non_finite_rz_refused(self, angle):
         with pytest.raises(ValidationError, match="not finite"):
             CircuitBuilder(1, 0).add(rz(angle, 0))
+
+
+class TestDirectCircuit:
+    """A Circuit made directly is checked as CircuitBuilder.add checks each instruction."""
+
+    def test_non_finite_rz_refused(self):
+        ops = (h(0), rz(float("nan"), 0), h(0), measure(0, 0))
+        with pytest.raises(ValidationError, match="not finite"):
+            Circuit(1, 1, tuple(Instruction(g) for g in ops))
+
+    def test_clbit_out_of_range_refused(self):
+        with pytest.raises(ValidationError, match="classical bit 3"):
+            Circuit(1, 1, (Instruction(h(0)), Instruction(measure(0, 3))))
+
+    def test_condition_before_measure_refused(self):
+        with pytest.raises(UnwrittenClassicalBit):
+            Circuit(2, 1, (Instruction(x(1), condition=(0, 1)),))
+
+    def test_bare_gate_refused(self):
+        with pytest.raises(ValidationError, match="not an Instruction"):
+            Circuit(1, 0, (h(0),))
+
+    def test_each_instruction_checked_once(self, monkeypatch):
+        """Direct construction checks every instruction; the builder checks each once
+        as it is added, and lower, peephole, strip and with_metadata check none again."""
+        calls = []
+        real = circuit_module._validate_instruction
+        monkeypatch.setattr(
+            circuit_module, "_validate_instruction", lambda *a: calls.append(1) or real(*a)
+        )
+        c = families.build_grover(OracleSpec(4, "0110"), 1)
+        assert len(calls) == len(c.instructions)
+        calls.clear()
+        strip_trailing_uncompute(synth.compile(c)).with_metadata(tag=1)
+        assert calls == []
+        Circuit(c.n_qubits, c.n_clbits, c.instructions)
+        assert len(calls) == len(c.instructions)
 
 
 class TestCensus:

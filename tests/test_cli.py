@@ -1,5 +1,6 @@
 """CLI subcommands, config validation, report artifacts."""
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -55,6 +56,14 @@ class TestBuild:
         c_partial = census(synth.compile(partial))
         c_full = census(synth.lower(full))
         assert c_partial.two_qubit_count <= c_full.two_qubit_count
+
+    def test_plain_mcz_n16_builds_polynomially(self, tmp_path, capsys):
+        """Plain-mcz Grover-16 lowers to thousands of 2q gates, not millions."""
+        assert 2 * synth.mcz_twoq(15) <= 13_000  # oracle and diffuser; checked before building
+        rc = main(["build", "--n", "16", "--oracle", "1" * 16, "--out", str(tmp_path)])
+        assert rc == 0
+        count = int(re.search(r"two_qubit_count=(\d+)", capsys.readouterr().out).group(1))
+        assert count <= 13_000
 
     def test_partition_validation_names_field(self, capsys):
         rc = main(["build", "--family", "wojter", "--n", "5", "--partition", "3,3",

@@ -425,8 +425,8 @@ class TestDistribution:
             Distribution(1, probabilities=[float("nan"), float("nan")])
 
     def test_nan_statevector_refused(self):
-        """A NaN angle that bypasses the builder fails the norm check, not silently."""
+        """A NaN angle that skips every circuit check fails the norm check, not silently."""
         ops = (h(0), rz(float("nan"), 0), h(0), measure(0, 0))
-        c = Circuit(1, 1, tuple(Instruction(g) for g in ops))
+        c = Circuit._trusted(1, 1, tuple(Instruction(g) for g in ops), {})
         with pytest.raises(ValidationError, match="norm drifted"):
             sim.run_exact(c)

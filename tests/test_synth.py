@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     family_circuits,
@@ -14,7 +15,7 @@ from conftest import (
     unitary_circuits,
 )
 from qsearch import families, sim, synth
-from qsearch.circuit import CircuitBuilder, census, cz, h, z
+from qsearch.circuit import CircuitBuilder, census, cx, cz, h, measure, z
 from qsearch.errors import (
     BadArity,
     BadMask,
@@ -298,3 +299,101 @@ class TestLower:
             self.assert_matches_reference(c)
             built += 1
         assert built >= 9
+
+
+def distance_on_states(a, b, n_qubits, n_states=4):
+    """phase_aligned_distance of two measurement-free circuits on random states.
+
+    Each circuit acts on the same n_states Gaussian-random states, so two
+    circuits differing beyond a global phase give a nonzero distance
+    without building a 2^n x 2^n unitary.
+    """
+    rng = np.random.default_rng(n_qubits)
+    shape = (n_states, 1 << n_qubits)
+    states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    outs = []
+    for circuit in (a, b):
+        batch = states.copy()
+        for instr in circuit.instructions:
+            sim._apply_gate(batch, instr.gate, n_qubits)
+        outs.append(batch.T)
+    return sim.phase_aligned_distance(*outs)
+
+
+def polarities(width):
+    return [tuple((v >> i) & 1 for i in range(width)) for v in range(1 << width)]
+
+
+class TestBorrowedMcz:
+    """Wide cz/cx lower through mcp, whose flips borrow the idle phase target."""
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    @pytest.mark.parametrize("name", ["cz", "cx"])
+    def test_twoq_closed_form_matches_census(self, name, k):
+        expected = synth.mcz_twoq(k)  # before lowering: without borrowing, C^14Z is 4.6M gates
+        gate = (cz if name == "cz" else cx)(*range(k + 1))
+        lowered = synth.lower(frag_circuit([gate], k + 1))
+        assert census(lowered).two_qubit_count == expected
+
+    def test_twoq_counts_pinned(self):
+        assert [synth.mcz_twoq(k) for k in range(1, 9)] == [1, 6, 24, 76, 176, 324, 520, 764]
+
+    @pytest.mark.parametrize("k", range(3, 8))
+    def test_lowered_unitary_matches_symbolic(self, k):
+        expected = synth.mcz_twoq(k)
+        for gate in (cz(*range(k + 1)), cx(*range(k + 1))):
+            symbolic = frag_circuit([gate], k + 1)
+            lowered = synth.lower(symbolic)
+            assert census(lowered).two_qubit_count == expected
+            distance = sim.phase_aligned_distance(sim.unitary_of(lowered), sim.unitary_of(symbolic))
+            assert distance < 1e-10, gate
+
+    @pytest.mark.parametrize("k", range(8, 11))
+    def test_wide_matches_symbolic_on_states(self, k):
+        expected = synth.mcz_twoq(k)
+        for gate in (cz(*range(k + 1)), cx(*range(k + 1))):
+            symbolic = frag_circuit([gate], k + 1)
+            lowered = synth.lower(symbolic)
+            assert census(lowered).two_qubit_count == expected
+            assert distance_on_states(lowered, symbolic, k + 1) < 1e-10, gate
+
+    @pytest.mark.parametrize("k", range(3, 6))
+    def test_every_polarity_matches_symbolic(self, k):
+        gates = [cz(*range(k + 1), polarity=p) for p in polarities(k + 1)]
+        gates += [cx(*range(k + 1), polarity=p) for p in polarities(k)]
+        expected = synth.mcz_twoq(k)
+        for gate in gates:
+            symbolic = frag_circuit([gate], k + 1)
+            lowered = synth.lower(symbolic)
+            assert census(lowered).two_qubit_count == expected
+            assert distance_on_states(lowered, symbolic, k + 1) < 1e-10, gate
+
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_drawn_polarity_matches_symbolic(self, data):
+        k = data.draw(st.integers(6, 10), label="k")
+        name = data.draw(st.sampled_from(["cz", "cx"]), label="name")
+        width = k + 1 if name == "cz" else k
+        pol = tuple(data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width)))
+        expected = synth.mcz_twoq(k)
+        gate = (cz if name == "cz" else cx)(*range(k + 1), polarity=pol)
+        symbolic = frag_circuit([gate], k + 1)
+        lowered = synth.lower(symbolic)
+        assert census(lowered).two_qubit_count == expected
+        assert distance_on_states(lowered, symbolic, k + 1) < 1e-10
+
+    def test_conditioned_wide_cx_keeps_condition(self):
+        expected = synth.mcz_twoq(6)
+        b = CircuitBuilder(8, 1).add(h(7)).add(measure(7, 0))
+        b.add(cx(*range(7), polarity=(1, 0, 1, 1, 0, 1)), condition=(0, 1))
+        lowered = synth.lower(b.build()).instructions[2:]
+        assert {instr.condition for instr in lowered} == {(0, 1)}
+        assert sum(len(i.gate.qubits) == 2 for i in lowered) == expected
+
+    def test_plain_mcz_grover_counts_pinned(self):
+        """One plain-mcz Grover iteration: oracle and diffuser, each a C^{n-1}Z."""
+        expected = {2: 2, 3: 12, 4: 48, 5: 152, 6: 352, 7: 648, 8: 1040, 9: 1528, 10: 2112}
+        for n, count in expected.items():
+            c = families.build_grover(OracleSpec(n, "1" * n, "plain-mcz"), 1)
+            assert census(synth.lower(c)).two_qubit_count == count, n
+            assert census(synth.compile(c)).two_qubit_count == count, n
