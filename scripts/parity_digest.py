@@ -1,0 +1,65 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over what building, compiling and exact simulation
+produce for every small circuit, so that two checkouts can be compared.
+
+For every family x oracle style x uncompute mode x fused form x mask at
+n = 1..max_n (partition (n-2, 2), or (n-1, 1) below 4 qubits; diffuser
+size max(1, n-1)), the digest covers the `qasm.serialize` text of the
+built and of the compiled circuit, the compiled census, and the raw bytes
+of the `run_exact` probabilities of both.  A refused build adds its
+exception class and message instead.  Run it once with each checkout's
+`src` on PYTHONPATH and compare the two lines:
+
+    PYTHONPATH=src python3 scripts/parity_digest.py --max-n 5
+"""
+import argparse
+import hashlib
+import itertools
+
+from qsearch import families, qasm, sim, synth
+from qsearch.circuit import census
+from qsearch.errors import QsearchError
+from qsearch.families import FamilyRequest, Partition
+from qsearch.synth import OracleSpec
+
+
+def configs(max_n: int):
+    """(family, style, n, uncompute mode, fused, mask) in a fixed order."""
+    for family, style, n, uncompute, fused in itertools.product(
+        families.FAMILIES, synth.ORACLE_STYLES, range(1, max_n + 1),
+        families.UNCOMPUTE_MODES, (False, True),
+    ):
+        if fused and family != "wojter":
+            continue
+        for v in range(1 << n):
+            yield family, style, n, uncompute, fused, format(v, f"0{n}b")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-n", type=int, default=5, help="largest search width (default 5)")
+    args = parser.parse_args()
+    digest = hashlib.sha256()
+    built = 0
+    for family, style, n, uncompute, fused, mask in configs(args.max_n):
+        digest.update(f"{family} {style} {n} {uncompute} {fused} {mask}\n".encode())
+        partition = Partition((n - 2, 2)) if n >= 4 else Partition((n - 1, 1)) if n >= 2 else None
+        try:
+            circuit = families.build(FamilyRequest(
+                family, OracleSpec(n, mask, style), partition=partition,
+                diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused,
+            ))
+        except QsearchError as exc:
+            digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+            continue
+        compiled = synth.compile(circuit)
+        for c in (circuit, compiled):
+            digest.update(qasm.serialize(c).encode())
+            digest.update(sim.run_exact(c).probabilities.tobytes())
+        digest.update(f"{census(compiled)!r}\n".encode())
+        built += 1
+    print(f"{digest.hexdigest()}  {built} circuits, n <= {args.max_n}")
+
+
+if __name__ == "__main__":
+    main()

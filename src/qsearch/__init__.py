@@ -11,7 +11,7 @@ from .circuit import (
 )
 from .families import FamilyRequest, Partition, build
 from .qasm import parse, serialize
-from .sim import Distribution, NoiseModel, run_exact, run_noisy, unitary_of
+from .sim import Distribution, NoiseModel, run_exact, run_exact_batch, run_noisy, unitary_of
 from .synth import OracleSpec, diffuser, lower, mcz_fragment, oracle
 
 __version__ = "0.1.0"
@@ -35,6 +35,7 @@ __all__ = [
     "parse",
     "peephole_cancel",
     "run_exact",
+    "run_exact_batch",
     "run_noisy",
     "serialize",
     "strip_trailing_uncompute",

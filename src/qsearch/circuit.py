@@ -179,7 +179,8 @@ def _validate_instruction(
     for q in gate.qubits:
         if not 0 <= q < n_qubits:
             raise IndexOutOfRange(f"qubit {q} outside register of size {n_qubits}")
-    _check_distinct(gate.qubits)
+    if len(gate.qubits) > 1:
+        _check_distinct(gate.qubits)
     if gate.name == "rz" and not isfinite(gate.angle):
         raise ValidationError(f"rz angle {gate.angle} is not finite")
     if instr.condition is not None:
@@ -222,7 +223,9 @@ class CircuitBuilder:
         self._metadata = dict(metadata or {})
 
     def add(self, gate: Gate, condition: tuple[int, int] | None = None) -> "CircuitBuilder":
-        instr = Instruction(gate, condition)
+        return self._append(Instruction(gate, condition))
+
+    def _append(self, instr: Instruction) -> "CircuitBuilder":
         _validate_instruction(self.n_qubits, self.n_clbits, self._written, instr)
         self._instructions.append(instr)
         return self
@@ -230,8 +233,7 @@ class CircuitBuilder:
     def extend(self, gates, condition: tuple[int, int] | None = None) -> "CircuitBuilder":
         for g in gates:
             if isinstance(g, Instruction):
-                cond = g.condition if condition is None else condition
-                self.add(g.gate, cond)
+                self._append(g if condition is None else Instruction(g.gate, condition))
             else:
                 self.add(g, condition)
         return self
@@ -303,19 +305,6 @@ def census(circuit: Circuit) -> GateCensus:
     return GateCensus(two, one, meas, by_kind)
 
 
-def _support(instr: Instruction, n_qubits: int) -> tuple[frozenset[int], frozenset[int]]:
-    """(qubit support, classical-bit support); barrier fences every wire."""
-    gate = instr.gate
-    if gate.name == "barrier":
-        return frozenset(range(n_qubits)), frozenset()
-    clbits = set()
-    if gate.name == "measure":
-        clbits.add(gate.clbit)
-    if instr.condition is not None:
-        clbits.add(instr.condition[0])
-    return frozenset(gate.qubits), frozenset(clbits)
-
-
 def _inverse_pair(a: Instruction, b: Instruction) -> bool:
     if a.condition != b.condition:
         return False
@@ -345,10 +334,18 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     clbit_stacks: list[list[int]] = [[] for _ in range(circuit.n_clbits)]
     kept = [True] * len(ops)
     for j, instr in enumerate(ops):
-        qs, cs = _support(instr, circuit.n_qubits)
-        stacks = [qubit_stacks[q] for q in qs] + [clbit_stacks[c] for c in cs]
-        tops = {s[-1] if s else None for s in stacks}
-        top = tops.pop() if len(tops) == 1 else None
+        gate = instr.gate
+        if gate.name == "barrier":
+            stacks = qubit_stacks
+        else:
+            stacks = [qubit_stacks[q] for q in gate.qubits]
+            if gate.name == "measure":
+                stacks.append(clbit_stacks[gate.clbit])
+            if instr.condition is not None and instr.condition[0] != gate.clbit:
+                stacks.append(clbit_stacks[instr.condition[0]])
+        top = stacks[0][-1] if stacks and stacks[0] else None
+        if len(stacks) > 1 and not all(s and s[-1] == top for s in stacks):
+            top = None  # the stacks disagree
         if top is not None and _inverse_pair(ops[top], instr):
             for s in stacks:
                 s.pop()

@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,8 @@ def resolve_masks(cfg: ExperimentConfig) -> list[str]:
             raise ConfigError(f"oracle_set: bad sample spec {spec!r}") from exc
         if not 1 <= k <= (1 << cfg.n):
             raise ConfigError(f"oracle_set: sample size {k} outside register")
+        if sample_seed < 0:
+            raise ConfigError(f"oracle_set: sample seed {sample_seed} must be >= 0")
         rng = np.random.default_rng(sample_seed)
         picks = rng.choice(1 << cfg.n, size=k, replace=False)
         return [format(int(v), f"0{cfg.n}b") for v in sorted(picks)]
@@ -187,13 +190,20 @@ def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
     Returns (mask, data bits, exact data-bit distribution, compiled circuit
     or None) per mask, plus the census and oracle calls of the first mask.
     A call count outside 1..2^n is refused before any simulation, and
-    grover's, its iteration count, before any build.
+    grover's, its iteration count, before any build; so is a circuit too
+    wide to simulate exactly.
+    The circuits are simulated in groups, in mask order, each by one
+    sim.run_exact_batch call.  A circuit of n qubits and m mid-circuit
+    measurements may need 2^(n+m) amplitudes, and a group takes circuits
+    while their total stays within sim._BLOCK (at least one circuit).
     Only the circuits a run uses are compiled: the first mask's, whose
     census goes in the report, and in a sampled run each mask's, for the
     trajectory simulator.  Nothing here depends on the noise or the seed.
     """
     oracles = []
     census_dict = calls = None
+    group: list[tuple] = []  # (mask, data bits, circuit, compiled circuit or None)
+    amplitudes = 0
     for mask in resolve_masks(cfg):
         try:
             if calls is None and cfg.family == "grover" and cfg.iterations >= 1:
@@ -203,15 +213,34 @@ def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
             if calls is None:
                 calls = circ.metadata.get("oracle_calls", 1)
                 analysis.classical_baselines(cfg.n, calls)  # refuses calls outside 1..2^n up front
+            size = 1 << sim.exact_width(circ)
             data_bits = circ.metadata.get("data_clbits", list(range(cfg.n)))
-            exact = sim.run_exact(circ).marginal(data_bits)
             low = synth.compile(circ) if census_dict is None or cfg.shots > 0 else None
             if census_dict is None:
                 census_dict = _census_dict(census(low))
         except QsearchError as exc:
             raise type(exc)(f"oracle {mask}: {exc}") from exc
-        oracles.append((mask, data_bits, exact, low))
-    return oracles, census_dict, calls
+        if group and amplitudes + size > sim._BLOCK:
+            oracles += _simulate(group)
+            group, amplitudes = [], 0
+        group.append((mask, data_bits, circ, low))
+        amplitudes += size
+    return oracles + _simulate(group), census_dict, calls
+
+
+def _simulate(group: list[tuple]) -> list[tuple]:
+    """Exact data-bit distributions of a group of _exact_oracles from one batch."""
+    try:
+        dists = sim.run_exact_batch([circ for _, _, circ, _ in group])
+    except QsearchError as exc:
+        raise type(exc)(f"oracle {group[exc.circuit or 0][0]}: {exc}") from exc
+    oracles = []
+    for (mask, data_bits, _, low), dist in zip(group, dists):
+        try:
+            oracles.append((mask, data_bits, dist.marginal(data_bits), low))
+        except QsearchError as exc:
+            raise type(exc)(f"oracle {mask}: {exc}") from exc
+    return oracles
 
 
 def _noise_model(cfg: ExperimentConfig) -> sim.NoiseModel:
@@ -283,7 +312,9 @@ def _report(cfg: ExperimentConfig, noise: sim.NoiseModel, exact_oracles, t0: flo
             "ci_high": metrics.ci[1],
             "ci_method": "wilson-95",
             "oracle_calls_per_circuit": metrics.oracle_calls_per_circuit,
-            "expected_calls_quantum": metrics.expected_calls_quantum,
+            # infinite when no run succeeded, which JSON cannot hold: null
+            "expected_calls_quantum": metrics.expected_calls_quantum
+            if isfinite(metrics.expected_calls_quantum) else None,
             "classical_single_call": metrics.classical_single_call,
             "classical_guess_call": metrics.classical_guess_call,
             "classical_expected_calls": metrics.classical_expected_calls,

@@ -7,7 +7,13 @@ everything else maps to exit code 2.
 
 
 class QsearchError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    An error that a run over a list of circuits raises for one of them sets
+    circuit to that circuit's index.
+    """
+
+    circuit: int | None = None
 
 
 class ValidationError(QsearchError):

@@ -1,16 +1,17 @@
 """Dense statevector simulation.
 
 Exact mode enumerates mid-circuit measurement branches with Born-rule
-weights; noisy mode samples Monte-Carlo trajectories with depolarizing
-Pauli insertions and readout flips.  Both keep their branches or
-trajectories as the rows of one (B, 2^n) complex batch, next to a
-(B, n_bits) table of classical bits.  A row's flat index uses qubit 0 as
-the most significant bit.
+weights, for many circuits of one width at once; noisy mode samples
+Monte-Carlo trajectories with depolarizing Pauli insertions and readout
+flips.  Both keep their branches or trajectories as the rows of one
+(B, 2^n) complex batch, next to a (B, n_bits) table of classical bits.  A
+row's flat index uses qubit 0 as the most significant bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from operator import attrgetter
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .circuit import Circuit, Instruction, census, cx, x, z
 from .errors import (
     HasMeasurement,
     OverBudget,
+    QsearchError,
     TooWide,
     UndefinedGateSemantics,
     ValidationError,
@@ -266,46 +268,154 @@ def _terminal_distribution(state: np.ndarray, n: int, terminal: list[tuple[int, 
     return Distribution(clbits.shape[1], probabilities=probs / probs.sum())
 
 
+def exact_width(circuit: Circuit) -> int:
+    """n + m for a circuit of n qubits and m mid-circuit measurements; its
+    exact run holds at most 2^(n+m) amplitudes.  Raises TooWide above
+    MAX_EXACT_WIDTH."""
+    return _exact_width(circuit.n_qubits, _terminal_split(circuit)[0])
+
+
+# the fields that make two instructions equal, as one tuple
+_instruction_key = attrgetter(
+    "gate.name", "gate.qubits", "gate.angle", "gate.polarity", "gate.clbit", "condition")
+
+
+def _blame(exc: QsearchError, circuit: int) -> QsearchError:
+    if exc.circuit is None:
+        exc.circuit = circuit
+    return exc
+
+
+def run_exact_batch(circuits: list[Circuit]) -> list[Distribution]:
+    """Exact outcome distribution of each circuit, all simulated in one batch.
+
+    With no measurement instructions all qubits of a circuit are implicitly
+    measured in wire order; otherwise its distribution ranges over its
+    classical bits.  Every branch of every circuit is a row of one batch,
+    with an owner (the circuit's index), a Born-rule weight and a row of
+    classical bits; a measurement whose two outcomes both have probability
+    above 1e-15 appends a copy of the row for outcome 1.
+
+    Each circuit keeps a pointer to its next instruction.  Each step takes
+    the instruction that the circuit furthest behind waits for (on a tie,
+    the one most circuits wait for), applies it once to the rows of every
+    circuit waiting at an equal instruction, and advances those circuits.
+    Each row still gets exactly its own circuit's instructions, in order,
+    through row-wise kernels, so a circuit's distribution is bit for bit the
+    one it gets alone.  The one exception is a one-wire circuit with an rz:
+    numpy multiplies a lone complex amplitude without the fused
+    multiply-add of its vector loop, so there the last bit may differ.
+
+    The circuits must share a qubit count.  Each is refused when n + m >
+    MAX_EXACT_WIDTH, before any work; an error that concerns one circuit
+    carries its index as the exception's circuit attribute.
+    """
+    circuits = list(circuits)
+    if not circuits:
+        return []
+    n = circuits[0].n_qubits
+    if any(c.n_qubits != n for c in circuits):
+        widths = sorted({c.n_qubits for c in circuits})
+        raise ValidationError(f"circuits of one batch must share a width, got {widths} qubits")
+    bodies, terminals, n_bits = [], [], []
+    for i, c in enumerate(circuits):
+        body, terminal, bits = _terminal_split(c)
+        try:
+            _exact_width(n, body)
+        except QsearchError as exc:
+            raise _blame(exc, i)
+        bodies.append([instr for instr in body if instr.gate.name != "barrier"])
+        terminals.append(terminal)
+        n_bits.append(bits)
+
+    count = len(circuits)
+    state = np.zeros((count, 1 << n), dtype=complex)
+    state[:, 0] = 1.0
+    owner = np.arange(count)
+    weights = np.ones(count)
+    clbits = np.zeros((count, max(n_bits)), dtype=np.int8)
+
+    # each circuit's instructions as codes, equal codes for equal instructions
+    codes: dict[tuple, int] = {}
+    streams = [[codes.setdefault(key, len(codes)) for key in map(_instruction_key, body)]
+               for body in bodies]
+    pos = [0] * count
+    waiting: dict[int, list[int]] = {}  # code -> the circuits whose next instruction it is
+    lag = [0] * len(codes)  # code -> the smallest pointer among the circuits waiting at it
+    for i, stream in enumerate(streams):
+        if stream:
+            waiting.setdefault(stream[0], []).append(i)
+
+    while waiting:
+        code = min(waiting, key=lambda k: (lag[k], -len(waiting[k])))
+        group = waiting.pop(code)
+        instr = bodies[group[0]][pos[group[0]]]
+        try:
+            if len(group) == count and instr.condition is None:
+                rows = None
+            else:
+                member = np.zeros(count, dtype=bool)
+                member[group] = True
+                select = member[owner]
+                if instr.condition is not None:
+                    bit, value = instr.condition
+                    select &= clbits[:, bit] == value
+                rows = np.flatnonzero(select)
+            gate = instr.gate
+            if gate.name != "measure":
+                _apply_rows(state, gate, n, rows)
+            else:
+                if rows is None:
+                    rows = np.arange(len(state))
+                q, c = gate.qubits[0], gate.clbit
+                p = _marginal(np.abs(state[rows]) ** 2, n, [q])
+                live = p > 1e-15
+                split = live.all(axis=1)
+                one = rows.copy()
+                one[split] = np.arange(len(state), len(state) + split.sum())  # the appended copies
+                grown = np.concatenate([np.arange(len(state)), rows[split]])  # one gather
+                state, weights, clbits, owner = (
+                    state[grown], weights[grown], clbits[grown], owner[grown])
+                for value, dest in ((0, rows), (1, one)):
+                    dest = dest[live[:, value]]
+                    _collapse(state, n, dest, q, value)
+                    weights[dest] *= p[live[:, value], value]
+                    clbits[dest, c] = value
+                total = np.bincount(owner, weights, minlength=count)
+                for i in group:
+                    if not abs(total[i] - 1.0) <= 1e-12:  # NaN fails too
+                        raise _blame(ValidationError("branch weights do not sum to 1"), i)
+        except QsearchError as exc:
+            raise _blame(exc, group[0])
+        for i in group:
+            at = pos[i] = pos[i] + 1
+            if at < len(streams[i]):
+                code = streams[i][at]
+                if code in waiting:
+                    waiting[code].append(i)
+                    if at < lag[code]:
+                        lag[code] = at
+                else:
+                    waiting[code] = [i]
+                    lag[code] = at
+
+    out = []
+    for i, terminal in enumerate(terminals):
+        rows = np.flatnonzero(owner == i)
+        try:
+            out.append(_terminal_distribution(
+                state[rows], n, terminal, clbits[rows, :n_bits[i]], weights[rows]))
+        except QsearchError as exc:
+            raise _blame(exc, i)
+    return out
+
+
 def run_exact(circuit: Circuit) -> Distribution:
     """Exact outcome distribution; branches over mid-circuit measurements.
 
-    With no measurement instructions all qubits are implicitly measured in
-    wire order; otherwise the distribution ranges over the classical bits.
-    Each branch is a row of one batch with a Born-rule weight and a row of
-    classical bits; a measurement whose two outcomes both have probability
-    above 1e-15 appends a copy of the row for outcome 1.
+    A batch of one circuit: see run_exact_batch.
     """
-    n = circuit.n_qubits
-    body, terminal, n_bits = _terminal_split(circuit)
-    _exact_width(n, body)
-    state = np.zeros((1, 1 << n), dtype=complex)
-    state[0, 0] = 1.0
-    weights = np.ones(1)
-    clbits = np.zeros((1, n_bits), dtype=np.int8)
-
-    for instr in body:
-        gate = instr.gate
-        if gate.name != "measure":
-            _apply_rows(state, gate, n, None if instr.condition is None else _rows(instr, clbits))
-            continue
-        rows = _rows(instr, clbits)
-        q, c = gate.qubits[0], gate.clbit
-        p = _marginal(np.abs(state) ** 2, n, [q])[rows]
-        live = p > 1e-15
-        split = live.all(axis=1)
-        one = rows.copy()
-        one[split] = np.arange(len(state), len(state) + split.sum())  # the appended copies
-        grown = np.concatenate([np.arange(len(state)), rows[split]])  # one gather, no temporary
-        state, weights, clbits = state[grown], weights[grown], clbits[grown]
-        for value, dest in ((0, rows), (1, one)):
-            dest = dest[live[:, value]]
-            _collapse(state, n, dest, q, value)
-            weights[dest] *= p[live[:, value], value]
-            clbits[dest, c] = value
-        if not abs(weights.sum() - 1.0) <= 1e-12:  # NaN fails too
-            raise ValidationError("branch weights do not sum to 1")
-
-    return _terminal_distribution(state, n, terminal, clbits, weights)
+    return run_exact_batch([circuit])[0]
 
 
 def run_deferred(circuit: Circuit) -> Distribution:

@@ -11,7 +11,6 @@ from qsearch.circuit import (
     Circuit,
     CircuitBuilder,
     _inverse_pair,
-    _support,
     census,
     cx,
     cz,
@@ -35,6 +34,19 @@ def frag_unitary(frag, n_qubits) -> np.ndarray:
     return sim.unitary_of(frag_circuit(frag, n_qubits))
 
 
+def support(instr, n_qubits: int) -> tuple[frozenset[int], frozenset[int]]:
+    """(qubit support, classical-bit support); barrier fences every wire."""
+    gate = instr.gate
+    if gate.name == "barrier":
+        return frozenset(range(n_qubits)), frozenset()
+    clbits = set()
+    if gate.name == "measure":
+        clbits.add(gate.clbit)
+    if instr.condition is not None:
+        clbits.add(instr.condition[0])
+    return frozenset(gate.qubits), frozenset(clbits)
+
+
 def peephole_reference(circuit: Circuit) -> Circuit:
     """The fixed-point peephole scan that circuit.peephole_cancel replaced.
 
@@ -43,7 +55,7 @@ def peephole_reference(circuit: Circuit) -> Circuit:
     repeats whole passes until nothing changes.
     """
     ops = list(circuit.instructions)
-    supports = [_support(op, circuit.n_qubits) for op in ops]
+    supports = [support(op, circuit.n_qubits) for op in ops]
     changed = True
     while changed:
         changed = False
@@ -227,9 +239,10 @@ def run_noisy_reference(circuit: Circuit, noise: sim.NoiseModel, shots: int,
     return sim.Distribution(ncl, counts=counts, shots=shots)
 
 
-def family_circuits(family: str, style: str, max_n: int = 5, all_masks: bool = False):
-    """Every circuit the family builds at n <= max_n in the style, on three
-    masks (1...1, 0...0, 1010...) or on every mask.
+def family_mask_sets(family: str, style: str, max_n: int = 5, all_masks: bool = False):
+    """The circuits the family builds at n <= max_n in the style, one list
+    per build option set, on three masks (1...1, 0...0, 1010...) or on
+    every mask.
 
     Runs every uncompute mode (and wojter's fused form); widths and
     partitions the family refuses are skipped.
@@ -244,15 +257,23 @@ def family_circuits(family: str, style: str, max_n: int = 5, all_masks: bool = F
             [format(v, f"0{n}b") for v in range(1 << n)] if all_masks
             else ["1" * n, "0" * n, ("10" * n)[:n]]
         )
+        circuits = []
         for mask in masks:
             try:
-                circuit = families.build(FamilyRequest(
+                circuits.append(families.build(FamilyRequest(
                     family, OracleSpec(n, mask, style), partition=partition,
                     diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused,
-                ))
+                )))
             except QsearchError:
                 continue
-            yield circuit
+        if circuits:
+            yield circuits
+
+
+def family_circuits(family: str, style: str, max_n: int = 5, all_masks: bool = False):
+    """Every circuit of family_mask_sets, one at a time."""
+    for circuits in family_mask_sets(family, style, max_n, all_masks):
+        yield from circuits
 
 
 def wire_sequences(circuit: Circuit) -> tuple[dict, dict]:
@@ -260,7 +281,7 @@ def wire_sequences(circuit: Circuit) -> tuple[dict, dict]:
     qubits: dict[int, list] = {}
     clbits: dict[int, list] = {}
     for instr in circuit.instructions:
-        qs, cs = _support(instr, circuit.n_qubits)
+        qs, cs = support(instr, circuit.n_qubits)
         for q in qs:
             qubits.setdefault(q, []).append(instr)
         for c in cs:
@@ -348,9 +369,11 @@ def unitary_circuits(draw, max_qubits=5, max_depth=18):
 
 
 @st.composite
-def measured_circuits(draw, max_qubits=4, max_depth=14):
-    """Circuits that may contain measurements and valid conditions."""
-    n = draw(st.integers(1, max_qubits))
+def measured_circuits(draw, max_qubits=4, max_depth=14, n=None):
+    """Circuits that may contain measurements and valid conditions, on n
+    qubits or on 1..max_qubits."""
+    if n is None:
+        n = draw(st.integers(1, max_qubits))
     b = CircuitBuilder(n, n)
     written: list[int] = []
     free_bits = list(range(n))

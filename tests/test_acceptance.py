@@ -381,3 +381,19 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
     path.write_text(json.dumps(r1, indent=2, sort_keys=True))
     assert json.loads(path.read_text())["metrics"]["p_succ"] == r1["metrics"]["p_succ"]
     _report("PASS criterion 10: fixed-seed byte stability and artifact round-trips")
+
+
+def test_parity_digest_script_is_deterministic():
+    """scripts/parity_digest.py prints the same digest line on every run."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    lines = [
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "parity_digest.py"), "--max-n", "3"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert lines[0] == lines[1]
+    assert re.fullmatch(r"[0-9a-f]{64}  792 circuits, n <= 3\n", lines[0])

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import binom_sigma
 from qsearch import families, qasm, sim, synth
-from qsearch.circuit import census
+from qsearch.circuit import Circuit, Instruction, census, rz
 from qsearch.cli import (
     ExperimentConfig,
     _census_dict,
+    _exact_oracles,
     build_request,
     cmd_build,
     cmd_plot,
@@ -108,6 +109,20 @@ class TestRun:
         assert len(report["relabeled_average"]) == 16
         # re-analysis from the report alone: success bucket equals p_succ
         assert report["relabeled_average"][0] == pytest.approx(report["metrics"]["p_succ"])
+
+    def test_report_is_strict_json_when_nothing_succeeds(self, tmp_path):
+        # full depolarization and one shot: p_succ is 0 and the expected calls infinite
+        argv = ["run", "--family", "grover", "--n", "4", "--oracle", "1011", "--shots", "1",
+                "--noise", "p2=1", "--seed", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        text = (tmp_path / "report_grover_4q.json").read_text()
+        report = json.loads(text, parse_constant=refuse)
+        assert report["metrics"]["p_succ"] == 0.0
+        assert report["metrics"]["expected_calls_quantum"] is None
 
     def test_error_names_oracle(self):
         cfg = ExperimentConfig(family="wielomianer", n=5, oracle_set=["10110"])
@@ -211,10 +226,11 @@ class TestSweep:
 
     def test_builds_simulates_and_compiles_each_mask_once(self, tmp_path, monkeypatch):
         # reusing each mask's exact stage must leave a fixed-seed sweep's CSV as it was
-        calls = {"build": 0, "run_exact": 0, "compile": 0}
-        for module, name in ((families, "build"), (sim, "run_exact"), (synth, "compile")):
+        # run_exact_batch counts the circuits it simulates
+        calls = {"build": 0, "run_exact_batch": 0, "compile": 0}
+        for module, name in ((families, "build"), (sim, "run_exact_batch"), (synth, "compile")):
             def counting(*args, _fn=getattr(module, name), _name=name):
-                calls[_name] += 1
+                calls[_name] += len(args[0]) if _name == "run_exact_batch" else 1
                 return _fn(*args)
 
             monkeypatch.setattr(module, name, counting)
@@ -222,7 +238,7 @@ class TestSweep:
                 "--oracle-set", "all", "--shots", "16", "--grid", "0,0.01,0.02,0.05,0.1",
                 "--seed", "3", "--out", str(tmp_path)]
         assert main(argv) == 0
-        assert calls == {"build": 32, "run_exact": 32, "compile": 32}
+        assert calls == {"build": 32, "run_exact_batch": 32, "compile": 32}
         assert (tmp_path / "sweep_grover_5q.csv").read_text() == (
             "p2,p_succ,r\n"
             "0,0.253906,0.982987\n"
@@ -267,6 +283,8 @@ class TestConfig:
         "argv, config",
         [
             (["run", "--oracle-set", "sample:x:1"], None),
+            (["run", "--n", "3", "--oracle-set", "sample:3:-1"], None),
+            (["build", "--n", "3", "--oracle-set", "sample:3:-1"], None),
             (["run", "--noise", "p2=abc"], None),
             (["sweep", "--grid", "0,abc"], None),
             (["run"], {"n": "3"}),
@@ -287,7 +305,7 @@ class TestConfig:
             (["run", "--n", "3", "--iterations", "100000", "--oracle", "101"], None),
             (["run", "--n", "3", "--iterations", "1000", "--oracle", "101"], None),
         ],
-        ids=["sample-spec", "noise-rate", "grid-value", "n-string", "json-list",
+        ids=["sample-spec", "sample-seed-negative", "sample-seed-negative-build", "noise-rate", "grid-value", "n-string", "json-list",
              "partition-string", "noise-string", "shots-float", "oracle-set-int",
              "seed-negative", "out-int", "n-flag-string", "family-flag-choice",
              "noise-null-with-flag", "oracle-set-empty", "oracle-set-repeated",
@@ -330,7 +348,7 @@ class TestConfig:
         def unexpected(*args):
             raise AssertionError("simulated before checking the oracle calls")
 
-        monkeypatch.setattr(sim, "run_exact", unexpected)
+        monkeypatch.setattr(sim, "run_exact_batch", unexpected)
         assert main(["run"] + argv) == 1
         assert capsys.readouterr().err == "error: oracle 101: oracle calls 9 outside 1..8\n"
 
@@ -438,6 +456,83 @@ def cli_inputs(draw):
     junk = st.one_of(_JSON_JUNK, st.just({"bogus": 1}))
     config = draw(st.one_of(st.none(), _mostly(fields, junk)))
     return argv, config
+
+
+class TestExactBatches:
+    """`run` and `sweep` simulate a run's masks in groups, each by one
+    sim.run_exact_batch call."""
+
+    def test_groups_do_not_change_distributions(self, monkeypatch):
+        cfg = ExperimentConfig(family="grover", n=3, oracle_set="all",
+                               oracle_style="measurement-assisted")
+        width = sim.exact_width(families.build(build_request(cfg, "000")))
+        assert width > 3  # n wires and m mid-circuit measurements
+        run_exact_batch = sim.run_exact_batch
+        results = {}
+        for block, group in ((1 << width, 1), ((2 << width) + 1, 2), (1 << (width + 3), 8)):
+            sizes = []
+
+            def batch(circuits):
+                sizes.append(len(circuits))
+                return run_exact_batch(circuits)
+
+            monkeypatch.setattr(sim, "run_exact_batch", batch)
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            oracles, _, _ = _exact_oracles(cfg)
+            assert sizes == [group] * (8 // group)
+            assert [o[0] for o in oracles] == resolve_masks(cfg)
+            results[group] = [o[2].probabilities for o in oracles]
+        for group in (2, 8):
+            assert all(map(np.array_equal, results[1], results[group]))
+
+    def test_shared_instructions_run_once(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(family="wojter-aa", n=5, oracle_style="ancilla-relphase",
+                               partition=[3, 2])
+        circuits = [families.build(build_request(cfg, m)) for m in resolve_masks(cfg)]
+        calls = [0]
+        apply_gate = sim._apply_gate
+
+        def counting(*args):
+            calls[0] += 1
+            return apply_gate(*args)
+
+        monkeypatch.setattr(sim, "_apply_gate", counting)
+        for c in circuits:
+            sim.run_exact(c)
+        one_by_one, calls[0] = calls[0], 0
+        argv = ["run", "--family", "wojter-aa", "--n", "5", "--style", "ancilla-relphase",
+                "--partition", "3,2", "--oracle-set", "all", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert 8 * calls[0] <= one_by_one
+
+    def test_too_wide_refused_before_simulating(self, tmp_path, monkeypatch, capsys):
+        def unexpected(*args):
+            raise AssertionError("simulated before checking the exact width")
+
+        monkeypatch.setattr(sim, "run_exact_batch", unexpected)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"oracle_set": ["0000000000", "1111111111"]}))
+        assert main(["run", "--family", "grover", "--n", "10", "--style", "measurement-assisted",
+                     "--iterations", "3", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: oracle 0000000000: 14 qubits and 12 mid-circuit measurements "
+            "exceed exact limit 24\n")
+
+    def test_error_names_the_failing_mask(self, tmp_path, monkeypatch, capsys):
+        build = families.build
+
+        def nan_for_101(request):
+            c = build(request)
+            if request.oracle.mask != "101":
+                return c
+            ops = (Instruction(rz(float("nan"), 0)),) + c.instructions
+            return Circuit._trusted(c.n_qubits, c.n_clbits, ops, c.metadata)
+
+        monkeypatch.setattr(families, "build", nan_for_101)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"oracle_set": ["110", "101", "011"]}))
+        assert main(["run", "--n", "3", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: oracle 101: statevector norm drifted\n"
 
 
 class TestFuzz:

@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, and no module
-defines a private top-level name it never reads.
+"""Source hygiene: no module or script imports a name it never uses, and
+none defines a private top-level name it never reads.
 
 No linter ships with the test dependencies, so these checks parse each
 module with the standard-library ast instead.  As with flake8, an import
@@ -10,9 +10,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qsearch"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-ALL_MODULES = sorted(SRC.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qsearch"
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + SCRIPTS
+ALL_MODULES = sorted(SRC.glob("*.py")) + SCRIPTS
+
+
+def _id(path: Path) -> str:
+    return path.name if path.parent == SRC else f"scripts/{path.name}"
 
 
 def unused_from_imports(source: str) -> list[str]:
@@ -40,7 +46,7 @@ def test_detects_unused_name():
     assert unused_from_imports(source) == ["pi", "p"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_id)
 def test_no_unused_from_imports(path):
     assert unused_from_imports(path.read_text()) == []
 
@@ -82,6 +88,6 @@ def test_detects_orphaned_private_name():
     assert orphaned_private_names(source) == ["_UNUSED", "_orphan", "_Unread"]
 
 
-@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", ALL_MODULES, ids=_id)
 def test_no_orphaned_private_names(path):
     assert orphaned_private_names(path.read_text()) == []

@@ -9,6 +9,7 @@ from conftest import (
     dense_gate,
     dense_unitary,
     family_circuits,
+    family_mask_sets,
     frag_circuit,
     ideal_oracle_diag,
     measured_circuits,
@@ -181,6 +182,81 @@ class TestRunExactReference:
         for c in circuits:
             self.assert_matches_reference(c)
             self.assert_matches_reference(synth.compile(c))
+
+
+class TestRunExactBatch:
+    """run_exact_batch simulates many circuits as rows of one batch; each
+    circuit's distribution is the one it gets alone."""
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(measured_circuits(n=n), min_size=1, max_size=6)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_per_circuit(self, circuits):
+        got = sim.run_exact_batch(circuits)
+        assert len(got) == len(circuits)
+        for c, d in zip(circuits, got):
+            want = run_exact_reference(c)
+            assert d.n_bits == want.n_bits
+            assert np.abs(d.probabilities - want.probabilities).max() <= 1e-15
+
+    @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
+    @pytest.mark.parametrize("family", families.FAMILIES)
+    def test_bit_identical_to_one_circuit_runs(self, family, style):
+        # each list holds one build option set's circuits for every mask, as `--oracle-set all`
+        for circuits in family_mask_sets(family, style, max_n=5, all_masks=True):
+            for c, d in zip(circuits, sim.run_exact_batch(circuits)):
+                assert np.array_equal(d.probabilities, sim.run_exact(c).probabilities)
+
+    @pytest.mark.parametrize("family, diffuser_size", [("grover", None), ("partial", 3)])
+    def test_bit_identical_at_six_qubits(self, family, diffuser_size):
+        circuits = [
+            families.build(families.FamilyRequest(
+                family, OracleSpec(6, format(v, "06b"), "plain-mcz"), diffuser_size=diffuser_size))
+            for v in range(64)
+        ]
+        for c, d in zip(circuits, sim.run_exact_batch(circuits)):
+            assert np.array_equal(d.probabilities, sim.run_exact(c).probabilities)
+
+    def test_mixed_widths_refused(self):
+        with pytest.raises(ValidationError, match="share a width"):
+            sim.run_exact_batch([frag_circuit([h(0)], 1), frag_circuit([h(0)], 2)])
+
+    def test_empty_batch(self):
+        assert sim.run_exact_batch([]) == []
+
+    def test_shared_instruction_runs_once(self, monkeypatch):
+        calls = []
+        apply_gate = sim._apply_gate
+        monkeypatch.setattr(sim, "_apply_gate", lambda s, g, n: calls.append(g) or apply_gate(s, g, n))
+        circuits = [frag_circuit([h(0), h(1), x(q), cz(0, 1)], 2) for q in (0, 1, 0)]
+        dists = sim.run_exact_batch(circuits)
+        # h(0), h(1) and cz(0, 1) once each for all three; x(0) once for two, x(1) once
+        assert sorted(g.name for g in calls) == ["cz", "h", "h", "x", "x"]
+        assert dists[0].probabilities.tolist() == dists[2].probabilities.tolist()
+
+    def test_mid_circuit_measurements_branch_per_circuit(self):
+        b = CircuitBuilder(2, 2)
+        b.h(0).measure(0, 0)
+        b.add(x(1), condition=(0, 1))
+        b.measure(1, 1)
+        branching = b.build()
+        plain = frag_circuit([h(1)], 2)
+        for batch in ([branching, plain], [plain, branching, branching]):
+            for c, d in zip(batch, sim.run_exact_batch(batch)):
+                assert d.probabilities.tolist() == sim.run_exact(c).probabilities.tolist()
+
+    def test_errors_name_their_circuit(self, monkeypatch):
+        ops = (h(0), rz(float("nan"), 0), h(0), measure(0, 0))
+        bad = Circuit._trusted(1, 1, tuple(Instruction(g) for g in ops), {})
+        good = frag_circuit([h(0), measure(0, 0)], 1, 1)
+        with pytest.raises(ValidationError, match="norm drifted") as info:
+            sim.run_exact_batch([good, good, bad, good])
+        assert info.value.circuit == 2
+        monkeypatch.setattr(sim, "MAX_EXACT_WIDTH", 2)
+        wide = frag_circuit([h(0), measure(0, 0), h(0), measure(0, 1), h(0), measure(0, 2)], 1, 3)
+        with pytest.raises(TooWide) as info:
+            sim.run_exact_batch([good, wide])
+        assert info.value.circuit == 1
 
 
 class TestRunNoisyReference:
