@@ -7,8 +7,11 @@ n = 1..max_n (partition (n-2, 2), or (n-1, 1) below 4 qubits; diffuser
 size max(1, n-1)), the digest covers the `qasm.serialize` text of the
 built and of the compiled circuit, the compiled census, and the raw bytes
 of the `run_exact` probabilities of both.  A refused build adds its
-exception class and message instead.  Run it once with each checkout's
-`src` on PYTHONPATH and compare the two lines:
+exception class and message instead.  Each option set's masks are built
+by one `families.build_masks` call, as `qsearch run` builds them; a
+refusal comes before the first circuit and is recorded for every mask.
+Run it once with each checkout's `src` on PYTHONPATH and compare the two
+lines:
 
     PYTHONPATH=src python3 scripts/parity_digest.py --max-n 5
 """
@@ -23,16 +26,14 @@ from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
 
 
-def configs(max_n: int):
-    """(family, style, n, uncompute mode, fused, mask) in a fixed order."""
+def option_sets(max_n: int):
+    """(family, style, n, uncompute mode, fused) in a fixed order."""
     for family, style, n, uncompute, fused in itertools.product(
         families.FAMILIES, synth.ORACLE_STYLES, range(1, max_n + 1),
         families.UNCOMPUTE_MODES, (False, True),
     ):
-        if fused and family != "wojter":
-            continue
-        for v in range(1 << n):
-            yield family, style, n, uncompute, fused, format(v, f"0{n}b")
+        if not fused or family == "wojter":
+            yield family, style, n, uncompute, fused
 
 
 def main():
@@ -41,23 +42,28 @@ def main():
     args = parser.parse_args()
     digest = hashlib.sha256()
     built = 0
-    for family, style, n, uncompute, fused, mask in configs(args.max_n):
-        digest.update(f"{family} {style} {n} {uncompute} {fused} {mask}\n".encode())
+    for family, style, n, uncompute, fused in option_sets(args.max_n):
+        masks = [format(v, f"0{n}b") for v in range(1 << n)]
         partition = Partition((n - 2, 2)) if n >= 4 else Partition((n - 1, 1)) if n >= 2 else None
+        request = FamilyRequest(
+            family, OracleSpec(n, masks[0], style), partition=partition,
+            diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused,
+        )
         try:
-            circuit = families.build(FamilyRequest(
-                family, OracleSpec(n, mask, style), partition=partition,
-                diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused,
-            ))
+            circuits = list(families.build_masks(request, masks))
         except QsearchError as exc:
-            digest.update(f"{type(exc).__name__}: {exc}\n".encode())
-            continue
-        compiled = synth.compile(circuit)
-        for c in (circuit, compiled):
-            digest.update(qasm.serialize(c).encode())
-            digest.update(sim.run_exact(c).probabilities.tobytes())
-        digest.update(f"{census(compiled)!r}\n".encode())
-        built += 1
+            circuits = [exc] * len(masks)
+        for mask, circuit in zip(masks, circuits):
+            digest.update(f"{family} {style} {n} {uncompute} {fused} {mask}\n".encode())
+            if isinstance(circuit, QsearchError):
+                digest.update(f"{type(circuit).__name__}: {circuit}\n".encode())
+                continue
+            compiled = synth.compile(circuit)
+            for c in (circuit, compiled):
+                digest.update(qasm.serialize(c).encode())
+                digest.update(sim.run_exact(c).probabilities.tobytes())
+            digest.update(f"{census(compiled)!r}\n".encode())
+            built += 1
     print(f"{digest.hexdigest()}  {built} circuits, n <= {args.max_n}")
 
 

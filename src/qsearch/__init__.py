@@ -9,7 +9,7 @@ from .circuit import (
     peephole_cancel,
     strip_trailing_uncompute,
 )
-from .families import FamilyRequest, Partition, build
+from .families import FamilyRequest, Partition, build, build_masks
 from .qasm import parse, serialize
 from .sim import Distribution, NoiseModel, run_exact, run_exact_batch, run_noisy, unitary_of
 from .synth import OracleSpec, diffuser, lower, mcz_fragment, oracle
@@ -27,6 +27,7 @@ __all__ = [
     "OracleSpec",
     "Partition",
     "build",
+    "build_masks",
     "census",
     "diffuser",
     "lower",

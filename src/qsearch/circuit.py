@@ -275,6 +275,51 @@ class CircuitBuilder:
         )
 
 
+class CircuitTemplate:
+    """Circuits that share all but a few gates, each made by filling one template.
+
+    `parts` lists, in circuit order, gate lists and holes.  A gate list
+    (Gates or Instructions) is checked once, here, as CircuitBuilder.extend
+    checks it.  A hole is a function of the key that `fill` gets; the gates
+    it returns are checked at every fill, against the classical bits
+    written before the hole.  This is sound because a hole may not
+    measure: it writes no classical bit, so the bits written before every
+    instruction, and with them the classical checks of the fixed gates
+    (bits written, conditions read), are the same for every key.
+    """
+
+    def __init__(self, n_qubits: int, n_clbits: int, parts) -> None:
+        builder = CircuitBuilder(n_qubits, n_clbits)
+        done = builder._instructions
+        self.n_qubits, self.n_clbits = n_qubits, n_clbits
+        self._fixed: list[tuple[Instruction, ...]] = []  # the gates around the holes
+        self._holes: list[tuple] = []  # (hole, the bits written before it)
+        start = 0
+        for part in parts:
+            if callable(part):
+                self._fixed.append(tuple(done[start:]))
+                start = len(done)
+                written = {bit: list(conds) for bit, conds in builder._written.items()}
+                self._holes.append((part, written))
+            else:
+                builder.extend(part)
+        self._fixed.append(tuple(done[start:]))
+
+    def fill(self, key, metadata: dict) -> Circuit:
+        """The circuit with every hole filled for key; it keeps metadata as given."""
+        n_qubits, n_clbits = self.n_qubits, self.n_clbits
+        out = list(self._fixed[0])
+        for (hole, written), fixed in zip(self._holes, self._fixed[1:]):
+            for gate in hole(key):
+                instr = gate if isinstance(gate, Instruction) else Instruction(gate)
+                if instr.gate.name == "measure":
+                    raise ValidationError("a template hole cannot measure")
+                _validate_instruction(n_qubits, n_clbits, written, instr)
+                out.append(instr)
+            out += fixed
+        return Circuit._trusted(n_qubits, n_clbits, tuple(out), metadata)
+
+
 @dataclass(frozen=True)
 class GateCensus:
     two_qubit_count: int

@@ -90,6 +90,21 @@ class ExperimentConfig:
             raise ConfigError(f"oracle_style: unknown style {self.oracle_style!r}")
         if self.uncompute not in families.UNCOMPUTE_MODES:
             raise ConfigError(f"uncompute: unknown mode {self.uncompute!r}")
+        # an option the family's circuit does not read is refused, not recorded
+        if self.iterations != 1 and self.family != "grover":
+            raise ConfigError(f"iterations: only grover repeats its round, "
+                              f"got {self.iterations} for {self.family}")
+        if self.diffuser_size is not None and self.family != "partial":
+            raise ConfigError(
+                f"diffuser_size: only partial takes a diffuser size, not {self.family}"
+            )
+        if self.fused and self.family != "wojter":
+            raise ConfigError(f"fused: only wojter has a fused form, not {self.family}")
+        if self.partition is not None and self.family not in families.BLOCK_FAMILIES:
+            raise ConfigError(
+                f"partition: only {', '.join(families.BLOCK_FAMILIES)} take a partition, "
+                f"not {self.family}"
+            )
         if self.partition is not None:
             if any(p < 1 for p in self.partition):
                 raise ConfigError("partition: parts must be positive")
@@ -171,8 +186,8 @@ def _census_dict(c) -> dict:
 
 def cmd_build(cfg: ExperimentConfig, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    for mask in resolve_masks(cfg):
-        circ = families.build(build_request(cfg, mask))
+    masks = resolve_masks(cfg)
+    for mask, circ in zip(masks, families.build_masks(build_request(cfg, masks[0]), masks)):
         path = outdir / f"circuit_{cfg.family}_{mask}.qasm"
         path.write_text(qasm.serialize(circ))
         cens = census(synth.compile(circ))
@@ -185,7 +200,8 @@ def cmd_build(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
-    """Build every oracle in the set and compute its exact distribution.
+    """Build every oracle in the set, by one families.build_masks call, and
+    compute its exact distribution.
 
     Returns (mask, data bits, exact data-bit distribution, compiled circuit
     or None) per mask, plus the census and oracle calls of the first mask.
@@ -204,12 +220,14 @@ def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
     census_dict = calls = None
     group: list[tuple] = []  # (mask, data bits, circuit, compiled circuit or None)
     amplitudes = 0
-    for mask in resolve_masks(cfg):
+    masks = resolve_masks(cfg)
+    circuits = families.build_masks(build_request(cfg, masks[0]), masks)
+    for mask in masks:
         try:
             if calls is None and cfg.family == "grover" and cfg.iterations >= 1:
                 calls = cfg.iterations  # refused before a build that grows with it
                 analysis.classical_baselines(cfg.n, calls)
-            circ = families.build(build_request(cfg, mask))
+            circ = next(circuits)
             if calls is None:
                 calls = circ.metadata.get("oracle_calls", 1)
                 analysis.classical_baselines(cfg.n, calls)  # refuses calls outside 1..2^n up front

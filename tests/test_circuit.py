@@ -17,6 +17,7 @@ from qsearch import families, sim, synth
 from qsearch.circuit import (
     Circuit,
     CircuitBuilder,
+    CircuitTemplate,
     Instruction,
     barrier,
     census,
@@ -38,6 +39,7 @@ from qsearch.errors import (
     UnwrittenClassicalBit,
     ValidationError,
 )
+from qsearch.families import FamilyRequest, Partition
 from qsearch.qasm import parse, serialize
 from qsearch.synth import OracleSpec
 
@@ -117,6 +119,88 @@ class TestDirectCircuit:
         assert calls == []
         Circuit(c.n_qubits, c.n_clbits, c.instructions)
         assert len(calls) == len(c.instructions)
+
+    def test_each_fragment_checked_once_per_run(self, monkeypatch):
+        """Over a k-mask run each mask-independent instruction is checked once, and
+        each mask gate once per mask: 1111's circuit is all fragments, and every
+        other mask adds an X on each side of the oracle for each zero bit."""
+        checked = []
+        real = circuit_module._validate_instruction
+        monkeypatch.setattr(
+            circuit_module, "_validate_instruction", lambda *a: checked.append(a[3]) or real(*a)
+        )
+        masks = [format(v, "04b") for v in range(16)]
+        request = FamilyRequest("grover", OracleSpec(4, "0000", "ancilla-relphase"))
+        circuits = list(families.build_masks(request, masks))
+        assert len(checked) == len(circuits[-1].instructions) + sum(2 * m.count("0") for m in masks)
+        assert sum(len(c.instructions) for c in circuits) > 8 * len(checked)
+
+    @pytest.mark.parametrize("family,uncompute", [("wojter", "measurement-assisted"),
+                                                  ("drzewker", "full"), ("wielomianer", "full")])
+    def test_every_instruction_of_every_circuit_checked(self, monkeypatch, family, uncompute):
+        """Each instruction object is checked as often as it occurs in one circuit:
+        fragments are shared by the run's circuits, mask gates are each circuit's own."""
+        checked = []
+        real = circuit_module._validate_instruction
+        monkeypatch.setattr(
+            circuit_module, "_validate_instruction", lambda *a: checked.append(a[3]) or real(*a)
+        )
+        n = 4 if family == "wielomianer" else 5
+        masks = [format(v, f"0{n}b") for v in range(1 << n)]
+        request = FamilyRequest(family, OracleSpec(n, masks[0], "ancilla-relphase"),
+                                partition=Partition((3, 2)), uncompute=uncompute)
+        circuits = list(families.build_masks(request, masks))
+        most = Counter()
+        for c in circuits:
+            most |= Counter(map(id, c.instructions))
+        assert Counter(map(id, checked)) == most
+
+    def test_bad_fragment_refused_at_the_first_mask(self, monkeypatch):
+        diffuser = synth.diffuser
+        monkeypatch.setattr(
+            synth, "diffuser", lambda *a, **kw: diffuser(*a, **kw) + [Instruction(x(99))]
+        )
+        request = FamilyRequest("grover", OracleSpec(3, "000", "ancilla-relphase"))
+        circuits = families.build_masks(request, ["000", "111"])
+        with pytest.raises(ValidationError, match="qubit 99 outside register of size 4"):
+            next(circuits)
+
+
+class TestCircuitTemplate:
+    def test_holes_checked_at_each_fill(self):
+        template = CircuitTemplate(2, 1, [[h(0)], lambda q: [cx(0, q)], [measure(0, 0)]])
+        assert template.fill(1, {}).instructions[1] == Instruction(cx(0, 1))
+        with pytest.raises(IndexOutOfRange):
+            template.fill(2, {})
+        with pytest.raises(ValidationError, match="duplicate qubit"):
+            template.fill(0, {})
+
+    def test_fixed_parts_checked_once_at_construction(self):
+        with pytest.raises(IndexOutOfRange):
+            CircuitTemplate(1, 0, [[h(0)], lambda key: [], [x(1)]])
+
+    def test_hole_cannot_measure(self):
+        template = CircuitTemplate(1, 1, [lambda key: [measure(0, 0)]])
+        with pytest.raises(ValidationError, match="cannot measure"):
+            template.fill(None, {})
+
+    def test_hole_conditions_read_bits_written_before_it(self):
+        def hole(key):
+            return [Instruction(x(1), condition=(0, 1))]
+
+        early = CircuitTemplate(2, 1, [hole, [measure(0, 0)]])
+        with pytest.raises(UnwrittenClassicalBit):
+            early.fill(None, {})
+        late = CircuitTemplate(2, 1, [[measure(0, 0)], hole])
+        assert late.fill(None, {}).instructions[1].condition == (0, 1)
+
+    def test_each_fill_owns_its_hole_gates_and_metadata(self):
+        template = CircuitTemplate(2, 0, [[h(0)], lambda q: [x(q)], [h(1)]])
+        a, b = template.fill(0, {"k": 0}), template.fill(1, {"k": 1})
+        assert [i.gate for i in a.instructions] == [h(0), x(0), h(1)]
+        assert [i.gate for i in b.instructions] == [h(0), x(1), h(1)]
+        assert a.instructions[0] is b.instructions[0]
+        assert (a.metadata, b.metadata) == ({"k": 0}, {"k": 1})
 
 
 class TestCensus:

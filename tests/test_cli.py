@@ -226,19 +226,28 @@ class TestSweep:
 
     def test_builds_simulates_and_compiles_each_mask_once(self, tmp_path, monkeypatch):
         # reusing each mask's exact stage must leave a fixed-seed sweep's CSV as it was
-        # run_exact_batch counts the circuits it simulates
-        calls = {"build": 0, "run_exact_batch": 0, "compile": 0}
-        for module, name in ((families, "build"), (sim, "run_exact_batch"), (synth, "compile")):
+        # run_exact_batch counts the circuits it simulates, "built" those build_masks yields
+        calls = {"build_masks": 0, "built": 0, "run_exact_batch": 0, "compile": 0}
+        for module, name in ((sim, "run_exact_batch"), (synth, "compile")):
             def counting(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] += len(args[0]) if _name == "run_exact_batch" else 1
                 return _fn(*args)
 
             monkeypatch.setattr(module, name, counting)
+        build_masks = families.build_masks
+
+        def counting_builds(request, masks):
+            calls["build_masks"] += 1
+            for circuit in build_masks(request, masks):
+                calls["built"] += 1
+                yield circuit
+
+        monkeypatch.setattr(families, "build_masks", counting_builds)
         argv = ["sweep", "--family", "grover", "--n", "5", "--style", "ancilla-relphase",
                 "--oracle-set", "all", "--shots", "16", "--grid", "0,0.01,0.02,0.05,0.1",
                 "--seed", "3", "--out", str(tmp_path)]
         assert main(argv) == 0
-        assert calls == {"build": 32, "run_exact_batch": 32, "compile": 32}
+        assert calls == {"build_masks": 1, "built": 32, "run_exact_batch": 32, "compile": 32}
         assert (tmp_path / "sweep_grover_5q.csv").read_text() == (
             "p2,p_succ,r\n"
             "0,0.253906,0.982987\n"
@@ -249,10 +258,10 @@ class TestSweep:
         )
 
     def test_bad_grid_point_refused_before_any_build(self, tmp_path, monkeypatch):
-        def unexpected(request):
+        def unexpected(request, masks):
             raise AssertionError("built a circuit before checking the grid")
 
-        monkeypatch.setattr(families, "build", unexpected)
+        monkeypatch.setattr(families, "build_masks", unexpected)
         cfg = ExperimentConfig(family="grover", n=3, oracle_set=["111"], shots=10)
         with pytest.raises(ValidationError, match="p2=2.0 outside"):
             cmd_sweep(cfg, [0.0, 2.0], tmp_path)
@@ -320,6 +329,30 @@ class TestConfig:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "partial", "--n", "4", "--oracle", "1011", "--iterations", "3"],
+             "iterations: only grover repeats its round, got 3 for partial"),
+            (["--family", "wojter", "--n", "5", "--partition", "3,2", "--oracle", "10110",
+              "--diffuser-size", "2"],
+             "diffuser_size: only partial takes a diffuser size, not wojter"),
+            (["--family", "grover", "--n", "5", "--oracle", "10110", "--partition", "3,2"],
+             "partition: only wojter, wojter-aa, drzewker, partial-drzewker take a partition, "
+             "not grover"),
+            (["--family", "drzewker", "--n", "5", "--partition", "3,2", "--oracle", "10110",
+              "--fused"],
+             "fused: only wojter has a fused form, not drzewker"),
+        ],
+        ids=["iterations", "diffuser-size", "partition", "fused"],
+    )
+    def test_option_the_family_ignores_refused(self, flags, message, tmp_path, capsys):
+        """The circuit would not read the option, yet the report would record it."""
+        for command in ("run", "build"):
+            assert main([command, *flags, "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_mask_named(self):
         cfg = ExperimentConfig(family="grover", n=3, oracle_set=["110", "101", "101"])
@@ -519,16 +552,16 @@ class TestExactBatches:
             "exceed exact limit 24\n")
 
     def test_error_names_the_failing_mask(self, tmp_path, monkeypatch, capsys):
-        build = families.build
+        build_masks = families.build_masks
 
-        def nan_for_101(request):
-            c = build(request)
-            if request.oracle.mask != "101":
-                return c
-            ops = (Instruction(rz(float("nan"), 0)),) + c.instructions
-            return Circuit._trusted(c.n_qubits, c.n_clbits, ops, c.metadata)
+        def nan_for_101(request, masks):
+            for mask, c in zip(masks, build_masks(request, masks)):
+                if mask == "101":
+                    ops = (Instruction(rz(float("nan"), 0)),) + c.instructions
+                    c = Circuit._trusted(c.n_qubits, c.n_clbits, ops, c.metadata)
+                yield c
 
-        monkeypatch.setattr(families, "build", nan_for_101)
+        monkeypatch.setattr(families, "build_masks", nan_for_101)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"oracle_set": ["110", "101", "011"]}))
         assert main(["run", "--n", "3", "--config", str(path), "--out", str(tmp_path)]) == 1

@@ -1,10 +1,14 @@
 """Family builders: layouts, counts, reductions, oracle equivariance."""
+import itertools
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qsearch import families, qasm, sim, synth
 from qsearch.circuit import census
-from qsearch.errors import BadDiffuserSize, BadWidth, UnsupportedPartition
+from qsearch.errors import BadDiffuserSize, BadWidth, QsearchError, UnsupportedPartition
 from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
 
@@ -306,3 +310,71 @@ def test_one_wire_first_block_marks_the_mask(family):
                 d = data_distribution(families.build(req))
                 assert d.tv_distance(ref) < 1e-12, (mask, style, mode)
 
+
+
+def _option_sets(family, style, max_n=5):
+    """One request per build option set at n <= max_n, as conftest.family_mask_sets
+    makes them; the n = 6 grover and partial rows of the compile-exact benchmark."""
+    for n, uncompute, fused in itertools.product(
+        range(1, max_n + 1), families.UNCOMPUTE_MODES, (False, True)
+    ):
+        if fused and family != "wojter":
+            continue
+        partition = Partition((n - 2, 2)) if n >= 4 else Partition((n - 1, 1)) if n >= 2 else None
+        yield FamilyRequest(family, OracleSpec(n, "0" * n, style), partition=partition,
+                            diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused)
+    if family in ("grover", "partial") and style == "plain-mcz":
+        yield FamilyRequest(family, OracleSpec(6, "0" * 6, style), diffuser_size=3)
+
+
+class TestBuildMasks:
+    """build_masks makes each mask-independent fragment once per call; its
+    circuits must be those families.build makes for each mask alone."""
+
+    @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
+    @pytest.mark.parametrize("family", families.FAMILIES)
+    def test_equals_build_of_each_mask(self, family, style):
+        for request in _option_sets(family, style):
+            n = request.oracle.n
+            every = [format(v, f"0{n}b") for v in range(1 << n)]
+            for masks in (every, every[::-1], ["1" * n, ("10" * n)[:n]]):
+                alone = []
+                try:
+                    for mask in masks:
+                        spec = OracleSpec(n, mask, style)
+                        alone.append(families.build(replace(request, oracle=spec)))
+                except QsearchError as exc:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        next(families.build_masks(request, masks))
+                    break
+                per_run = list(families.build_masks(request, masks))
+                assert [c.metadata["mask"] for c in per_run] == masks
+                for one, c in zip(alone, per_run):
+                    assert (c.n_qubits, c.n_clbits) == (one.n_qubits, one.n_clbits)
+                    assert c.instructions == one.instructions, (request, c.metadata["mask"])
+                    assert c.metadata == one.metadata
+
+    @pytest.mark.parametrize("family,fused", [("wojter", False), ("wojter", True),
+                                              ("wielomianer", False)])
+    def test_each_circuit_owns_its_metadata(self, family, fused):
+        n = 4 if family == "wielomianer" else 5
+        request = FamilyRequest(family, OracleSpec(n, "0" * n, "ancilla-relphase"),
+                                partition=Partition((3, 2)), fused=fused)
+        masks = ["0" * n, "1" * n, "0" * (n - 1) + "1"]
+        first, *others = families.build_masks(request, masks)
+        lists = [key for key, value in first.metadata.items() if isinstance(value, list)]
+        assert len(lists) >= 2
+        for key in lists:
+            first.metadata[key].append(99)
+        first.metadata["extra"] = 1
+        for mask, c in zip(masks[1:], others):
+            alone = families.build(replace(request, oracle=OracleSpec(n, mask, "ancilla-relphase")))
+            assert c.metadata == alone.metadata
+
+    def test_bad_mask_refused_before_any_circuit(self):
+        request = FamilyRequest("grover", OracleSpec(3, "000"))
+        with pytest.raises(QsearchError, match="'10' is not an 3-bit pattern"):
+            next(families.build_masks(request, ["000", "10"]))
+
+    def test_no_mask_gives_no_circuit(self):
+        assert list(families.build_masks(FamilyRequest("grover", OracleSpec(3, "000")), [])) == []
