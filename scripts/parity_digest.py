@@ -10,10 +10,14 @@ of the `run_exact` probabilities of both.  A refused build adds its
 exception class and message instead.  Each option set's masks are built
 by one `families.build_masks` call, as `qsearch run` builds them; a
 refusal comes before the first circuit and is recorded for every mask.
-Run it once with each checkout's `src` on PYTHONPATH and compare the two
-lines:
+With --noisy the digest also covers the raw bytes of the `run_noisy`
+counts of every compiled circuit: NOISY_SHOTS shots at the rates in NOISE,
+seeded by the mask's value, so two checkouts' trajectory samplers can be
+compared too.  Run it once with each checkout's `src` on PYTHONPATH and
+compare the two lines:
 
     PYTHONPATH=src python3 scripts/parity_digest.py --max-n 5
+    PYTHONPATH=src python3 scripts/parity_digest.py --noisy --max-n 4
 """
 import argparse
 import hashlib
@@ -24,6 +28,9 @@ from qsearch.circuit import census
 from qsearch.errors import QsearchError
 from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
+
+NOISE = sim.NoiseModel(p1=0.01, p2=0.02, p_meas=0.03)
+NOISY_SHOTS = 64
 
 
 def option_sets(max_n: int):
@@ -39,6 +46,8 @@ def option_sets(max_n: int):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=5, help="largest search width (default 5)")
+    parser.add_argument("--noisy", action="store_true",
+                        help="also digest seeded run_noisy counts of every compiled circuit")
     args = parser.parse_args()
     digest = hashlib.sha256()
     built = 0
@@ -63,8 +72,12 @@ def main():
                 digest.update(qasm.serialize(c).encode())
                 digest.update(sim.run_exact(c).probabilities.tobytes())
             digest.update(f"{census(compiled)!r}\n".encode())
+            if args.noisy:
+                counts = sim.run_noisy(compiled, NOISE, NOISY_SHOTS, seed=int(mask, 2)).counts
+                digest.update(counts.tobytes())
             built += 1
-    print(f"{digest.hexdigest()}  {built} circuits, n <= {args.max_n}")
+    noisy = f", noisy {NOISY_SHOTS} shots" if args.noisy else ""
+    print(f"{digest.hexdigest()}  {built} circuits, n <= {args.max_n}{noisy}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,14 @@ from .circuit import (
 )
 from .families import FamilyRequest, Partition, build, build_masks
 from .qasm import parse, serialize
-from .sim import Distribution, NoiseModel, run_exact, run_exact_batch, run_noisy, unitary_of
+from .sim import (
+    Distribution,
+    NoiseModel,
+    run_exact,
+    run_exact_batch,
+    run_noisy,
+    run_noisy_batch,
+)
 from .synth import OracleSpec, diffuser, lower, mcz_fragment, oracle
 
 __version__ = "0.1.0"
@@ -38,8 +45,8 @@ __all__ = [
     "run_exact",
     "run_exact_batch",
     "run_noisy",
+    "run_noisy_batch",
     "serialize",
     "strip_trailing_uncompute",
-    "unitary_of",
     "__version__",
 ]

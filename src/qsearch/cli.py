@@ -208,18 +208,18 @@ def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
     A call count outside 1..2^n is refused before any simulation, and
     grover's, its iteration count, before any build; so is a circuit too
     wide to simulate exactly.
-    The circuits are simulated in groups, in mask order, each by one
-    sim.run_exact_batch call.  A circuit of n qubits and m mid-circuit
-    measurements may need 2^(n+m) amplitudes, and a group takes circuits
-    while their total stays within sim._BLOCK (at least one circuit).
+    Once every mask is built and checked, the circuits are simulated in
+    groups, in mask order, each by one sim.run_exact_batch call.  A circuit
+    of n qubits and m mid-circuit measurements may need 2^(n+m) amplitudes,
+    and a group takes circuits while their total stays within sim._BLOCK
+    (_groups).
     Only the circuits a run uses are compiled: the first mask's, whose
     census goes in the report, and in a sampled run each mask's, for the
     trajectory simulator.  Nothing here depends on the noise or the seed.
     """
-    oracles = []
+    built: list[tuple] = []  # (mask, data bits, circuit, compiled circuit or None)
+    amplitudes = []
     census_dict = calls = None
-    group: list[tuple] = []  # (mask, data bits, circuit, compiled circuit or None)
-    amplitudes = 0
     masks = resolve_masks(cfg)
     circuits = families.build_masks(build_request(cfg, masks[0]), masks)
     for mask in masks:
@@ -231,19 +231,30 @@ def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
             if calls is None:
                 calls = circ.metadata.get("oracle_calls", 1)
                 analysis.classical_baselines(cfg.n, calls)  # refuses calls outside 1..2^n up front
-            size = 1 << sim.exact_width(circ)
+            amplitudes.append(1 << sim.exact_width(circ))
             data_bits = circ.metadata.get("data_clbits", list(range(cfg.n)))
             low = synth.compile(circ) if census_dict is None or cfg.shots > 0 else None
             if census_dict is None:
                 census_dict = _census_dict(census(low))
         except QsearchError as exc:
             raise type(exc)(f"oracle {mask}: {exc}") from exc
-        if group and amplitudes + size > sim._BLOCK:
-            oracles += _simulate(group)
-            group, amplitudes = [], 0
-        group.append((mask, data_bits, circ, low))
-        amplitudes += size
-    return oracles + _simulate(group), census_dict, calls
+        built.append((mask, data_bits, circ, low))
+    groups = _groups(built, amplitudes, sim._BLOCK)
+    return [oracle for group in groups for oracle in _simulate(group)], census_dict, calls
+
+
+def _groups(items: list, sizes: list[int], budget: int):
+    """Consecutive runs of items, in order, each holding items while their
+    sizes sum to at most budget, and at least one item."""
+    group, total = [], 0
+    for item, size in zip(items, sizes):
+        if group and total + size > budget:
+            yield group
+            group, total = [], 0
+        group.append(item)
+        total += size
+    if group:
+        yield group
 
 
 def _simulate(group: list[tuple]) -> list[tuple]:
@@ -273,26 +284,53 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return _report(cfg, noise, _exact_oracles(cfg), t0)
 
 
+def _sample(cfg: ExperimentConfig, noise: sim.NoiseModel, oracles: list[tuple]) -> list:
+    """Sampled data-bit distribution of each of _exact_oracles under cfg's
+    noise and seed.
+
+    The masks are sampled in groups, in mask order, each by one
+    sim.run_noisy_batch call.  A group takes masks while the bytes their
+    trajectory chunks need (sim.noisy_bytes) stay within
+    sim.MAX_NOISY_BYTES in all (_groups).
+    """
+    sizes = [sim.noisy_bytes(low, cfg.shots) for _, _, _, low in oracles]
+    groups = _groups(oracles, sizes, sim.MAX_NOISY_BYTES)
+    return [dist for group in groups for dist in _sample_group(cfg, noise, group)]
+
+
+def _sample_group(cfg: ExperimentConfig, noise: sim.NoiseModel, group: list[tuple]) -> list:
+    seeds = [_derive_seed(cfg.seed, int(mask, 2)) for mask, _, _, _ in group]
+    try:
+        dists = sim.run_noisy_batch([low for _, _, _, low in group], noise, cfg.shots, seeds)
+    except QsearchError as exc:
+        raise type(exc)(f"oracle {group[exc.circuit or 0][0]}: {exc}") from exc
+    out = []
+    for (mask, data_bits, _, _), dist in zip(group, dists):
+        try:
+            out.append(dist.marginal(data_bits))
+        except QsearchError as exc:
+            raise type(exc)(f"oracle {mask}: {exc}") from exc
+    return out
+
+
 def _report(cfg: ExperimentConfig, noise: sim.NoiseModel, exact_oracles, t0: float) -> dict:
     """Sample each oracle under cfg's noise and seed when cfg.shots > 0, and
     analyze the runs; exact_oracles comes from _exact_oracles(cfg)."""
     oracles, census_dict, calls = exact_oracles
+    if cfg.shots > 0:
+        measured = _sample(cfg, noise, oracles)
+    else:
+        measured = [exact for _, _, exact, _ in oracles]
     oracle_rows = []
     exact_runs: list[analysis.OracleRun] = []
     measured_runs: list[analysis.OracleRun] = []
     p_ts = []
-    for mask, data_bits, exact, low in oracles:
+    for (mask, _, exact, _), dist in zip(oracles, measured):
         try:
             p_t = exact.probability(int(mask, 2))
             p_ts.append(p_t)
             exact_runs.append(analysis.OracleRun(mask, exact))
-            if cfg.shots > 0:
-                noisy = sim.run_noisy(
-                    low, noise, cfg.shots, _derive_seed(cfg.seed, int(mask, 2))
-                ).marginal(data_bits)
-                run = analysis.OracleRun(mask, noisy)
-            else:
-                run = analysis.OracleRun(mask, exact)
+            run = analysis.OracleRun(mask, dist)
             measured_runs.append(run)
             oracle_rows.append(
                 {
@@ -462,7 +500,10 @@ def _parse_noise(text: str) -> dict:
         k, v = part.split("=", 1)
         if k.strip() not in alias:
             raise ConfigError(f"noise: unknown rate {k.strip()!r}")
-        out[alias[k.strip()]] = _number("noise", v)
+        rate = alias[k.strip()]
+        if rate in out:
+            raise ConfigError(f"noise: rate {rate!r} given twice in {text!r}")
+        out[rate] = _number("noise", v)
     return out
 
 

@@ -15,9 +15,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, census, cx, x, z
+from .circuit import Circuit, Instruction, census
 from .errors import (
-    HasMeasurement,
     OverBudget,
     QsearchError,
     TooWide,
@@ -26,7 +25,6 @@ from .errors import (
 )
 
 MAX_EXACT_WIDTH = 24
-MAX_UNITARY_WIDTH = 12
 MAX_NOISY_BYTES = 1 << 30  # one trajectory chunk's uniforms plus its largest state batch
 TRAJECTORY_CHUNK = 8192  # fixed, so trajectory t's draws never depend on the shot total
 _NORM_TOL = 1e-12
@@ -103,11 +101,6 @@ class Distribution:
             return Distribution(len(keep_bits), probabilities=marg / marg.sum())
         return Distribution(len(keep_bits), counts=marg, shots=self.shots)
 
-    def tv_distance(self, other: "Distribution") -> float:
-        if self.n_bits != other.n_bits:
-            raise ValidationError("distribution widths differ")
-        return 0.5 * float(np.abs(self.as_probabilities() - other.as_probabilities()).sum())
-
 
 def _marginal(batch: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
     """Sum each row of a (B, 2^n) batch over the bits not kept; the
@@ -134,13 +127,12 @@ def _at(n: int, fixed, rows=slice(None)) -> tuple:
     return tuple(idx)
 
 
-def _apply_gate(state: np.ndarray, gate, n: int, extra=()) -> None:
+def _apply_gate(state: np.ndarray, gate, n: int) -> None:
     """Apply one gate in place to a C-contiguous (B, 2^n) batch.
 
     The gate fixes some wires of the (B, 2, ..., 2) view (its controls with
-    their polarities, plus the (wire, value) pairs in extra) and acts on the
-    remaining slice: a phase, a swap of the target's 0 and 1 slices, or a
-    Hadamard mix of those two slices.
+    their polarities) and acts on the remaining slice: a phase, a swap of
+    the target's 0 and 1 slices, or a Hadamard mix of those two slices.
     """
     name = gate.name
     if name == "barrier":
@@ -150,12 +142,12 @@ def _apply_gate(state: np.ndarray, gate, n: int, extra=()) -> None:
     if name in ("z", "rz", "cz"):
         polarity = gate.effective_polarity() if name == "cz" else (1,)
         phase = np.exp(1j * gate.angle) if name == "rz" else -1.0
-        view[_at(n, (*extra, *zip(qubits, polarity)))] *= phase
+        view[_at(n, zip(qubits, polarity))] *= phase
         return
     if name not in ("x", "cx", "h"):
         raise UndefinedGateSemantics(f"no matrix semantics for {name!r}")
     polarity = gate.effective_polarity() if name == "cx" else ()  # h and x have no controls
-    fixed = (*extra, *zip(qubits[:-1], polarity))
+    fixed = tuple(zip(qubits[:-1], polarity))
     lo = view[_at(n, (*fixed, (qubits[-1], 0)))]
     hi = view[_at(n, (*fixed, (qubits[-1], 1)))]
     if name == "h":
@@ -171,14 +163,6 @@ def _apply_gate(state: np.ndarray, gate, n: int, extra=()) -> None:
 
 
 # rows of a batch -------------------------------------------------------------
-
-def _rows(instr: Instruction, clbits: np.ndarray) -> np.ndarray:
-    """Rows of a batch whose classical bits meet instr's condition."""
-    if instr.condition is None:
-        return np.arange(len(clbits))
-    bit, value = instr.condition
-    return np.nonzero(clbits[:, bit] == value)[0]
-
 
 def _apply_rows(state: np.ndarray, gate, n: int, rows: np.ndarray | None = None) -> None:
     """Apply one gate in place to the given rows of a (B, 2^n) batch, or to
@@ -206,6 +190,78 @@ def _collapse(state: np.ndarray, n: int, rows: np.ndarray, q: int, value: int) -
 def _outcome_index(clbits: np.ndarray) -> np.ndarray:
     """Outcome index of each row of a (B, n_bits) clbit table, bit 0 most significant."""
     return clbits.astype(np.int64) @ (1 << np.arange(clbits.shape[1] - 1, -1, -1))
+
+
+# many circuits in one batch --------------------------------------------------
+
+# the fields that make two instructions equal, as one tuple
+_instruction_key = attrgetter(
+    "gate.name", "gate.qubits", "gate.angle", "gate.polarity", "gate.clbit", "condition")
+
+
+def _shared_width(circuits: list[Circuit]) -> int:
+    n = circuits[0].n_qubits
+    if any(c.n_qubits != n for c in circuits):
+        widths = sorted({c.n_qubits for c in circuits})
+        raise ValidationError(f"circuits of one batch must share a width, got {widths} qubits")
+    return n
+
+
+def _blame(exc: QsearchError, circuit: int) -> QsearchError:
+    if exc.circuit is None:
+        exc.circuit = circuit
+    return exc
+
+
+def _schedule(bodies: list[list[Instruction]]):
+    """Step through many instruction lists at once, each equal instruction once.
+
+    Each list keeps a pointer to its next instruction.  Each step takes the
+    instruction that the list furthest behind waits for (on a tie, the one
+    most lists wait for) and yields it with the group of lists waiting at an
+    equal instruction; when the caller resumes, those lists advance.  So every
+    list still meets exactly its own instructions, in order.
+    """
+    codes: dict[tuple, int] = {}
+    streams = [[codes.setdefault(key, len(codes)) for key in map(_instruction_key, body)]
+               for body in bodies]
+    pos = [0] * len(bodies)
+    waiting: dict[int, list[int]] = {}  # code -> the lists whose next instruction it is
+    lag = [0] * len(codes)  # code -> the smallest pointer among the lists waiting at it
+    for i, stream in enumerate(streams):
+        if stream:
+            waiting.setdefault(stream[0], []).append(i)
+
+    while waiting:
+        code = min(waiting, key=lambda k: (lag[k], -len(waiting[k])))
+        group = waiting.pop(code)
+        yield bodies[group[0]][pos[group[0]]], group
+        for i in group:
+            at = pos[i] = pos[i] + 1
+            if at < len(streams[i]):
+                code = streams[i][at]
+                if code in waiting:
+                    waiting[code].append(i)
+                    if at < lag[code]:
+                        lag[code] = at
+                else:
+                    waiting[code] = [i]
+                    lag[code] = at
+
+
+def _select(instr: Instruction, group: list[int], count: int, owner: np.ndarray,
+            clbits: np.ndarray) -> np.ndarray | None:
+    """Rows that instr acts on: those whose owner is in group and whose bits
+    meet its condition, or None when that is every row."""
+    if len(group) == count and instr.condition is None:
+        return None
+    member = np.zeros(count, dtype=bool)
+    member[group] = True
+    select = member[owner]
+    if instr.condition is not None:
+        bit, value = instr.condition
+        select &= clbits[:, bit] == value
+    return np.flatnonzero(select)
 
 
 # exact simulation ----------------------------------------------------------
@@ -275,17 +331,6 @@ def exact_width(circuit: Circuit) -> int:
     return _exact_width(circuit.n_qubits, _terminal_split(circuit)[0])
 
 
-# the fields that make two instructions equal, as one tuple
-_instruction_key = attrgetter(
-    "gate.name", "gate.qubits", "gate.angle", "gate.polarity", "gate.clbit", "condition")
-
-
-def _blame(exc: QsearchError, circuit: int) -> QsearchError:
-    if exc.circuit is None:
-        exc.circuit = circuit
-    return exc
-
-
 def run_exact_batch(circuits: list[Circuit]) -> list[Distribution]:
     """Exact outcome distribution of each circuit, all simulated in one batch.
 
@@ -296,15 +341,14 @@ def run_exact_batch(circuits: list[Circuit]) -> list[Distribution]:
     classical bits; a measurement whose two outcomes both have probability
     above 1e-15 appends a copy of the row for outcome 1.
 
-    Each circuit keeps a pointer to its next instruction.  Each step takes
-    the instruction that the circuit furthest behind waits for (on a tie,
-    the one most circuits wait for), applies it once to the rows of every
-    circuit waiting at an equal instruction, and advances those circuits.
-    Each row still gets exactly its own circuit's instructions, in order,
-    through row-wise kernels, so a circuit's distribution is bit for bit the
-    one it gets alone.  The one exception is a one-wire circuit with an rz:
-    numpy multiplies a lone complex amplitude without the fused
-    multiply-add of its vector loop, so there the last bit may differ.
+    The circuits step through their instructions together (_schedule): an
+    instruction equal in several circuits is applied once, to the rows of
+    every circuit waiting at it.  Each row still gets exactly its own
+    circuit's instructions, in order, through row-wise kernels, so a
+    circuit's distribution is bit for bit the one it gets alone.  The one
+    exception is a one-wire circuit with an rz: numpy multiplies a lone
+    complex amplitude without the fused multiply-add of its vector loop, so
+    there the last bit may differ.
 
     The circuits must share a qubit count.  Each is refused when n + m >
     MAX_EXACT_WIDTH, before any work; an error that concerns one circuit
@@ -313,10 +357,7 @@ def run_exact_batch(circuits: list[Circuit]) -> list[Distribution]:
     circuits = list(circuits)
     if not circuits:
         return []
-    n = circuits[0].n_qubits
-    if any(c.n_qubits != n for c in circuits):
-        widths = sorted({c.n_qubits for c in circuits})
-        raise ValidationError(f"circuits of one batch must share a width, got {widths} qubits")
+    n = _shared_width(circuits)
     bodies, terminals, n_bits = [], [], []
     for i, c in enumerate(circuits):
         body, terminal, bits = _terminal_split(c)
@@ -335,69 +376,35 @@ def run_exact_batch(circuits: list[Circuit]) -> list[Distribution]:
     weights = np.ones(count)
     clbits = np.zeros((count, max(n_bits)), dtype=np.int8)
 
-    # each circuit's instructions as codes, equal codes for equal instructions
-    codes: dict[tuple, int] = {}
-    streams = [[codes.setdefault(key, len(codes)) for key in map(_instruction_key, body)]
-               for body in bodies]
-    pos = [0] * count
-    waiting: dict[int, list[int]] = {}  # code -> the circuits whose next instruction it is
-    lag = [0] * len(codes)  # code -> the smallest pointer among the circuits waiting at it
-    for i, stream in enumerate(streams):
-        if stream:
-            waiting.setdefault(stream[0], []).append(i)
-
-    while waiting:
-        code = min(waiting, key=lambda k: (lag[k], -len(waiting[k])))
-        group = waiting.pop(code)
-        instr = bodies[group[0]][pos[group[0]]]
+    for instr, group in _schedule(bodies):
         try:
-            if len(group) == count and instr.condition is None:
-                rows = None
-            else:
-                member = np.zeros(count, dtype=bool)
-                member[group] = True
-                select = member[owner]
-                if instr.condition is not None:
-                    bit, value = instr.condition
-                    select &= clbits[:, bit] == value
-                rows = np.flatnonzero(select)
+            rows = _select(instr, group, count, owner, clbits)
             gate = instr.gate
             if gate.name != "measure":
                 _apply_rows(state, gate, n, rows)
-            else:
-                if rows is None:
-                    rows = np.arange(len(state))
-                q, c = gate.qubits[0], gate.clbit
-                p = _marginal(np.abs(state[rows]) ** 2, n, [q])
-                live = p > 1e-15
-                split = live.all(axis=1)
-                one = rows.copy()
-                one[split] = np.arange(len(state), len(state) + split.sum())  # the appended copies
-                grown = np.concatenate([np.arange(len(state)), rows[split]])  # one gather
-                state, weights, clbits, owner = (
-                    state[grown], weights[grown], clbits[grown], owner[grown])
-                for value, dest in ((0, rows), (1, one)):
-                    dest = dest[live[:, value]]
-                    _collapse(state, n, dest, q, value)
-                    weights[dest] *= p[live[:, value], value]
-                    clbits[dest, c] = value
-                total = np.bincount(owner, weights, minlength=count)
-                for i in group:
-                    if not abs(total[i] - 1.0) <= 1e-12:  # NaN fails too
-                        raise _blame(ValidationError("branch weights do not sum to 1"), i)
+                continue
+            if rows is None:
+                rows = np.arange(len(state))
+            q, c = gate.qubits[0], gate.clbit
+            p = _marginal(np.abs(state[rows]) ** 2, n, [q])
+            live = p > 1e-15
+            split = live.all(axis=1)
+            one = rows.copy()
+            one[split] = np.arange(len(state), len(state) + split.sum())  # the appended copies
+            grown = np.concatenate([np.arange(len(state)), rows[split]])  # one gather
+            state, weights, clbits, owner = (
+                state[grown], weights[grown], clbits[grown], owner[grown])
+            for value, dest in ((0, rows), (1, one)):
+                dest = dest[live[:, value]]
+                _collapse(state, n, dest, q, value)
+                weights[dest] *= p[live[:, value], value]
+                clbits[dest, c] = value
+            total = np.bincount(owner, weights, minlength=count)
+            for i in group:
+                if not abs(total[i] - 1.0) <= 1e-12:  # NaN fails too
+                    raise _blame(ValidationError("branch weights do not sum to 1"), i)
         except QsearchError as exc:
             raise _blame(exc, group[0])
-        for i in group:
-            at = pos[i] = pos[i] + 1
-            if at < len(streams[i]):
-                code = streams[i][at]
-                if code in waiting:
-                    waiting[code].append(i)
-                    if at < lag[code]:
-                        lag[code] = at
-                else:
-                    waiting[code] = [i]
-                    lag[code] = at
 
     out = []
     for i, terminal in enumerate(terminals):
@@ -418,83 +425,6 @@ def run_exact(circuit: Circuit) -> Distribution:
     return run_exact_batch([circuit])[0]
 
 
-def run_deferred(circuit: Circuit) -> Distribution:
-    """Run with mid-circuit measurements replaced by coherent controls.
-
-    The principle-of-deferred-measurement transform: each mid-circuit
-    measurement copies its qubit onto a fresh record wire with a CX, and
-    every classically conditioned gate becomes quantum-controlled on that
-    record wire.  The measured qubit itself stays coherent, so later gates
-    on it (ancilla resets included) are handled correctly.  Record wires
-    are measured into their classical bits at the end.
-    """
-    body, terminal, n_bits = _terminal_split(circuit)
-    n = _exact_width(circuit.n_qubits, body)
-
-    record: dict[int, int] = {}  # classical bit -> record wire
-    state = np.zeros((1, 1 << n), dtype=complex)
-    state[0, 0] = 1.0
-    next_wire = circuit.n_qubits
-
-    for instr in body:
-        gate = instr.gate
-        control = ()
-        if instr.condition is not None:
-            bit, value = instr.condition
-            if bit not in record:
-                raise ValidationError("condition on a bit with no deferred measurement")
-            control = ((record[bit], value),)
-        if gate.name == "measure":
-            if control:
-                raise HasMeasurement("conditioned measurements cannot be deferred")
-            record[gate.clbit] = next_wire
-            _apply_gate(state, cx(gate.qubits[0], next_wire), n)
-            next_wire += 1
-        else:
-            _apply_gate(state, gate, n, control)
-
-    pairs = terminal + [(wire, c) for c, wire in record.items()]
-    no_bits = np.zeros((1, n_bits), dtype=np.int8)
-    return _terminal_distribution(state, n, pairs, no_bits, np.ones(1))
-
-
-def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n matrix of a measurement-free circuit."""
-    n = circuit.n_qubits
-    if n > MAX_UNITARY_WIDTH:
-        raise TooWide(f"{n} qubits exceeds unitary limit {MAX_UNITARY_WIDTH}")
-    for instr in circuit.instructions:
-        if instr.gate.name == "measure":
-            raise HasMeasurement("unitary_of does not support measurements")
-        if instr.condition is not None:
-            raise HasMeasurement("unitary_of does not support classical conditions")
-    dim = 1 << n
-    batch = np.eye(dim, dtype=complex)  # row b is basis state b
-    for instr in circuit.instructions:
-        _apply_gate(batch, instr.gate, n)
-    return batch.T.copy()
-
-
-def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Frobenius distance between u and v minimized over a global phase."""
-    tr = np.trace(v.conj().T @ u)
-    phase = tr / abs(tr) if abs(tr) > 1e-14 else 1.0
-    return float(np.linalg.norm(u - phase * v))
-
-
-def ancilla_block(u: np.ndarray, n_data: int, n_anc: int) -> tuple[np.ndarray, float]:
-    """Restrict u to ancillas in |0> at input; returns (block, leakage).
-
-    Ancillas are the trailing wires.  leakage is the norm of the part of
-    u|psi, 0...0> outside the ancilla-zero subspace.
-    """
-    dim_d, dim_a = 1 << n_data, 1 << n_anc
-    full = u.reshape(dim_d, dim_a, dim_d, dim_a)
-    block = full[:, 0, :, 0]
-    rest = full[:, 1:, :, 0]
-    return block, float(np.linalg.norm(rest))
-
-
 # noisy simulation ----------------------------------------------------------
 
 # Non-identity Paulis on a gate's wires, in the order a pick indexes them,
@@ -512,120 +442,314 @@ def _insert_paulis(state: np.ndarray, n: int, qubits, rows: np.ndarray, picks: n
         return
     paulis = _PAULIS[len(qubits)]
     parts = paulis[(picks * len(paulis)).astype(np.int64)]
-    for j, q in enumerate(qubits):
-        # z then x on a wire is -iY: a global phase per trajectory
-        for k, op in enumerate((z(q), x(q))):
-            _apply_rows(state, op, n, rows[parts[:, j, k]])
+    step = max(1, _BLOCK >> n)
+    for i in range(0, rows.size, step):
+        block, part = rows[i:i + step], parts[i:i + step]
+        sub = state[block]  # one gather and one scatter; between them, slices of it
+        view = sub.reshape((len(block),) + (2,) * n)
+        each_row = (len(block),) + (1,) * (n - 1)
+        for j, q in enumerate(qubits):
+            lo, hi = view[_at(n, ((q, 0),))], view[_at(n, ((q, 1),))]
+            has_z, has_x = part[:, j, 0].reshape(each_row), part[:, j, 1].reshape(each_row)
+            # z then x on a wire is -iY: a global phase per trajectory
+            np.negative(hi, out=hi, where=has_z)
+            was_lo = lo.copy()
+            np.copyto(lo, hi, where=has_x)
+            np.copyto(hi, was_lo, where=has_x)
+        state[block] = sub
+
+
+@dataclass
+class _NoisyPlan:
+    """What one circuit's trajectories draw: per chunk row, its site-hit,
+    Pauli-pick, mid-measure, mid-readout, final-sample and terminal-readout
+    uniforms, split at splits."""
+
+    body: list[Instruction]  # without barriers
+    terminal: list[tuple[int, int]]
+    n_bits: int
+    n_mid: int
+    splits: np.ndarray
+    cols: int
+
+    @classmethod
+    def of(cls, circuit: Circuit) -> "_NoisyPlan":
+        body, terminal, n_bits = _terminal_split(circuit)
+        body = [instr for instr in body if instr.gate.name != "barrier"]
+        n_mid = sum(instr.gate.name == "measure" for instr in body)
+        splits = np.cumsum([len(body) - n_mid] * 2 + [n_mid] * 2 + [1])
+        return cls(body, terminal, n_bits, n_mid, splits, int(splits[-1]) + len(terminal))
+
+    def chunk_bytes(self, n: int, shots: int) -> int:
+        b = min(shots, TRAJECTORY_CHUNK)
+        return b * self.cols * 8 + (b + 1) * (16 << n)
+
+
+def noisy_bytes(circuit: Circuit, shots: int) -> int:
+    """Bytes one trajectory chunk of a circuit needs: its uniforms plus its
+    largest state batch, b·columns·8 + (b+1)·2^n·16 for b trajectories."""
+    return _NoisyPlan.of(circuit).chunk_bytes(circuit.n_qubits, shots)
+
+
+class _Trajectories:
+    """One chunk of trajectories of many circuits, on the rows of one batch.
+
+    Trajectory g belongs to circuit towner[g] and sits on row trow[g].  Row r
+    belongs to circuit rowner[r], carries rload[r] trajectories and the bits
+    rbits[r] they recorded.  Every row carries at least one trajectory, so
+    the live rows, a prefix of the batch, never outnumber the trajectories.
+    Trajectories share a row while they agree on their circuit, their true
+    and recorded mid-circuit outcomes and their (absent) Pauli insertions.
+    """
+
+    def __init__(self, count: int, b: int, n: int, n_bits: int):
+        self.n = n
+        self.towner = np.repeat(np.arange(count), b)
+        self.trow = self.towner.copy()  # each circuit's trajectories start on its own row
+        self.state = np.zeros((count * b, 1 << n), dtype=complex)
+        self.state[:count, 0] = 1.0
+        self.rowner = np.zeros(count * b, dtype=np.int64)
+        self.rowner[:count] = np.arange(count)
+        self.rload = np.zeros(count * b, dtype=np.int64)
+        self.rload[:count] = b
+        self.rbits = np.zeros((count * b, n_bits), dtype=np.int8)
+        self.active = count
+
+    def _grow(self, src: np.ndarray) -> np.ndarray:
+        """Append a copy of each source row, each with one trajectory's load;
+        the new rows' indices."""
+        start = self.active
+        self.active += len(src)
+        new = slice(start, self.active)
+        self.state[new] = self.state[src]
+        self.rbits[new] = self.rbits[src]
+        self.rowner[new] = self.rowner[src]
+        self.rload[new] = 1
+        return np.arange(start, self.active)
+
+    def leave(self, traj: np.ndarray) -> np.ndarray:
+        """Give each of the given trajectories (one Pauli insertion each) a
+        row of its own; their rows.
+
+        A trajectory alone on its row keeps it.  One on a shared row moves to
+        a copy of it, except that the first keeps the row when every
+        trajectory on it leaves.
+        """
+        rows = self.trow[traj]
+        shared = self.rload[rows] > 1
+        if not shared.any():
+            return rows
+        movers, src = traj[shared], rows[shared]
+        np.subtract.at(self.rload, src, 1)
+        emptied = np.flatnonzero(self.rload[src] == 0)
+        if emptied.size:
+            _, first = np.unique(src[emptied], return_index=True)
+            stay = emptied[first]
+            self.rload[src[stay]] = 1
+            go = np.ones(len(movers), dtype=bool)
+            go[stay] = False
+            movers, src = movers[go], src[go]
+        self.trow[movers] = self._grow(src)
+        return self.trow[traj]
+
+    def measure(self, rows: np.ndarray, q: int, c: int, u_mid: np.ndarray,
+                u_ro: np.ndarray, col: np.ndarray, p_meas: float) -> None:
+        """Measure wire q of the given rows into bit c.
+
+        Each trajectory g on them draws its outcome from u_mid[g, j] and
+        flips the bit it records where u_ro[g, j] < p_meas, with j the
+        column col[circuit] of its circuit's measurement.  A
+        row whose trajectories disagree on (outcome, recorded bit) splits:
+        the first such pair keeps the row and each other one gets a copy.
+        """
+        n = self.n
+        p1 = _marginal(np.abs(self.state[rows]) ** 2, n, [q])[:, 1]
+        where = np.full(self.active, -1)
+        where[rows] = np.arange(len(rows))
+        traj = np.flatnonzero(where[self.trow] >= 0)
+        k = where[self.trow[traj]]
+        j = col[self.towner[traj]]
+        outcome = (u_mid[traj, j] < p1[k]).astype(np.int8)
+        recorded = outcome ^ (u_ro[traj, j] < p_meas)
+        keys, inverse = np.unique((k * 2 + outcome) * 2 + recorded, return_inverse=True)
+        src = rows[keys >> 2]
+        later = np.zeros(len(keys), dtype=bool)  # not the first pair on its row
+        later[1:] = src[1:] == src[:-1]
+        dest = src.copy()
+        dest[later] = self._grow(src[later])  # copied before any collapse
+        self.rload[dest] = np.bincount(inverse, minlength=len(keys))
+        self.trow[traj] = dest[inverse]
+        for value in (0, 1):
+            _collapse(self.state, n, dest[(keys >> 1) & 1 == value], q, value)
+        self.rbits[dest, c] = keys & 1
+
+    def sample(self, u_final: np.ndarray) -> np.ndarray:
+        """Each trajectory's final basis state: the number of entries of its
+        row's cumulative distribution below its draw in u_final."""
+        cdf = np.cumsum(np.abs(self.state[:self.active]) ** 2, axis=1)
+        cdf /= cdf[:, -1][:, None]
+        # each cdf row never decreases and ends at 1 > u, so a binary search
+        # over 2^n entries finds the count in n steps, every trajectory at once
+        flat, base = cdf.ravel(), self.trow * cdf.shape[1]
+        count = np.zeros(len(base), dtype=np.int64)
+        step = cdf.shape[1] >> 1
+        while step:
+            count += step * (flat[base + count + (step - 1)] < u_final)
+            step >>= 1
+        return count
+
+
+def run_noisy_batch(circuits: list[Circuit], noise: NoiseModel, shots: int,
+                    seeds: list[int]) -> list[Distribution]:
+    """Monte-Carlo trajectory sampling of lowered circuits, all in one batch.
+
+    After each 1- or 2-qubit gate a uniformly random non-identity Pauli on
+    the touched qubits is inserted with probability p1 / p2; recorded bits
+    flip with probability p_meas.  Circuit i samples shots trajectories
+    with seed seeds[i].
+
+    Trajectories run in chunks of TRAJECTORY_CHUNK.  In chunk c, circuit i
+    draws every uniform it needs in one row-major block from the stream
+    seeded by SeedSequence(entropy=seeds[i], spawn_key=(c,)); row r holds
+    trajectory c * TRAJECTORY_CHUNK + r, its columns split into site-hit,
+    Pauli-pick, mid-measure, mid-readout, final-sample and terminal-readout
+    draws.  Trajectory t therefore depends only on (seed, t): a run of more
+    shots extends a run of fewer, and results merge in any order.  Every
+    draw is made before any gate runs, so each site's Pauli insertions are
+    known up front.
+
+    The trajectories of every circuit in a chunk are rows of one batch, and
+    the circuits step through their instructions together (_schedule): an
+    instruction equal in several circuits runs once, with every Pauli
+    insertion of that site in one call.  Error-free trajectories share
+    rows, one per circuit, true mid-circuit outcomes and recorded bits; a
+    measurement splits a shared row rather than copying it per trajectory.
+    A trajectory gets a row of its own at its first Pauli insertion, as a
+    copy of its shared row.  Each kernel works row by row, so every circuit
+    gets bit for bit the counts it gets alone, and those of simulating every
+    trajectory separately.
+
+    The circuits must share a qubit count.  A circuit whose chunk of
+    draws and largest batch would take more than MAX_NOISY_BYTES
+    (noisy_bytes) is refused before any draw, and so is a batch whose
+    circuits need more than that in all.  An error that concerns one
+    circuit carries its index as the exception's circuit attribute.
+    """
+    circuits, seeds = list(circuits), list(seeds)
+    if len(seeds) != len(circuits):
+        raise ValidationError(f"{len(circuits)} circuits need as many seeds, got {len(seeds)}")
+    if shots < 1:
+        raise ValidationError("shots must be >= 1")
+    if not circuits:
+        return []
+    n = _shared_width(circuits)
+    plans, needs = [], []
+    for i, circuit in enumerate(circuits):
+        try:
+            census(circuit)  # raises NotLowered when gates above 2 qubits remain
+            plan = _NoisyPlan.of(circuit)
+            need = plan.chunk_bytes(n, shots)
+            if need > MAX_NOISY_BYTES:
+                raise OverBudget(
+                    f"{min(shots, TRAJECTORY_CHUNK)} trajectories of {plan.cols} uniforms and "
+                    f"{n}-qubit states need {need / 2**30:.2f} GiB per chunk, over the "
+                    f"{MAX_NOISY_BYTES / 2**30:.2f} GiB budget"
+                )
+        except QsearchError as exc:
+            raise _blame(exc, i)
+        plans.append(plan)
+        needs.append(need)
+    need = sum(needs)
+    if need > MAX_NOISY_BYTES:
+        raise OverBudget(
+            f"{len(circuits)} circuits need {need / 2**30:.2f} GiB per chunk in all, "
+            f"over the {MAX_NOISY_BYTES / 2**30:.2f} GiB budget"
+        )
+
+    counts = [np.zeros(1 << plan.n_bits, dtype=np.int64) for plan in plans]
+    for chunk, start in enumerate(range(0, shots, TRAJECTORY_CHUNK)):
+        b = min(TRAJECTORY_CHUNK, shots - start)
+        for i, outcomes in enumerate(_noisy_chunk(plans, noise, seeds, chunk, b, n)):
+            counts[i] += np.bincount(outcomes, minlength=len(counts[i]))
+    return [Distribution(plan.n_bits, counts=c, shots=shots) for plan, c in zip(plans, counts)]
+
+
+def _noisy_chunk(plans: list[_NoisyPlan], noise: NoiseModel, seeds: list[int], chunk: int,
+                 b: int, n: int) -> list[np.ndarray]:
+    """The outcome index of each trajectory of one chunk, per circuit."""
+    count = len(plans)
+    batch = _Trajectories(count, b, n, max(plan.n_bits for plan in plans))
+    u_mid = np.zeros((count * b, max(plan.n_mid for plan in plans)))
+    u_mid_ro = np.zeros_like(u_mid)
+    u_final = np.empty(count * b)
+    u_ro = []
+    # every Pauli insertion of the chunk, ordered by circuit and site: its
+    # trajectory and its pick; site s of circuit i owns [ptr[base[i] + s], ptr[base[i] + s + 1])
+    hit_traj, hit_pick, ptr, base = [], [], [0], []
+    for i, plan in enumerate(plans):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seeds[i], spawn_key=(chunk,)))
+        u_site, u_pick, mid, mid_ro, final, ro = np.split(
+            rng.random((b, plan.cols)), plan.splits, axis=1)
+        own = slice(i * b, (i + 1) * b)
+        u_mid[own, :plan.n_mid], u_mid_ro[own, :plan.n_mid] = mid, mid_ro
+        u_final[own] = final[:, 0]
+        u_ro.append(ro.copy())
+        rates = np.array([noise.p2 if len(instr.gate.qubits) == 2 else noise.p1
+                          for instr in plan.body if instr.gate.name != "measure"])
+        site, traj = np.nonzero((u_site < rates).T)
+        hit_traj.append(traj + i * b)
+        hit_pick.append(u_pick[traj, site])
+        base.append(len(ptr) - 1)
+        ptr += (np.searchsorted(site, np.arange(1, len(rates) + 1)) + ptr[-1]).tolist()
+    hit_traj, hit_pick = np.concatenate(hit_traj), np.concatenate(hit_pick)
+    site_no = [0] * count
+    mid_no = np.zeros(count, dtype=np.int64)
+
+    for instr, group in _schedule([plan.body for plan in plans]):
+        try:
+            active = batch.active
+            rows = _select(instr, group, count, batch.rowner[:active], batch.rbits[:active])
+            gate = instr.gate
+            if gate.name == "measure":
+                if rows is None:
+                    rows = np.arange(active)
+                batch.measure(rows, gate.qubits[0], gate.clbit, u_mid, u_mid_ro, mid_no,
+                              noise.p_meas)
+                mid_no[group] += 1
+                continue
+            _apply_rows(batch.state[:active], gate, n, rows)
+            spans = []
+            for i in group:
+                s = base[i] + site_no[i]
+                site_no[i] += 1
+                if ptr[s + 1] > ptr[s]:
+                    spans.append(slice(ptr[s], ptr[s + 1]))
+            if not spans:
+                continue
+            hits = np.concatenate([hit_traj[s] for s in spans])
+            picks = np.concatenate([hit_pick[s] for s in spans])
+            if instr.condition is not None:
+                bit, value = instr.condition
+                met = batch.rbits[batch.trow[hits], bit] == value
+                hits, picks = hits[met], picks[met]
+            _insert_paulis(batch.state, n, gate.qubits, batch.leave(hits), picks)
+        except QsearchError as exc:
+            raise _blame(exc, group[0])
+
+    sampled = batch.sample(u_final)
+    out = []
+    for i, plan in enumerate(plans):
+        own = slice(i * b, (i + 1) * b)
+        clbits = batch.rbits[batch.trow[own], :plan.n_bits]
+        for j, (q, c) in enumerate(plan.terminal):
+            clbits[:, c] = ((sampled[own] >> (n - 1 - q)) & 1) ^ (u_ro[i][:, j] < noise.p_meas)
+        out.append(_outcome_index(clbits))
+    return out
 
 
 def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Distribution:
     """Monte-Carlo trajectory sampling of a lowered circuit.
 
-    After each 1- or 2-qubit gate a uniformly random non-identity Pauli on
-    the touched qubits is inserted with probability p1 / p2; recorded bits
-    flip with probability p_meas.
-
-    Trajectories run in chunks of TRAJECTORY_CHUNK.  Chunk c draws every
-    uniform it needs in one row-major block from the stream seeded by
-    SeedSequence(entropy=seed, spawn_key=(c,)); row r holds trajectory
-    c * TRAJECTORY_CHUNK + r, its columns split into site-hit, Pauli-pick,
-    mid-measure, mid-readout, final-sample and terminal-readout draws.
-    Trajectory t therefore depends only on (seed, t): a run of more shots
-    extends a run of fewer, and results merge in any order.  A chunk whose
-    draws and largest batch would take more than MAX_NOISY_BYTES is
-    refused before any draw.
-
-    Every draw is made before any gate runs, so each trajectory's first
-    Pauli insertion is known up front.  Until it, the trajectory's state is
-    the error-free one, which a single reference row (row 0 of the batch)
-    carries for every such trajectory.  A trajectory gets a row of its own,
-    a copy of the reference row, just before the instruction of its first
-    insertion, or before the first measurement or classically conditioned
-    instruction, whichever comes first.  Own rows follow row 0 in the order
-    they are made, so gates act on a prefix of the batch.  A trajectory
-    that never leaves the reference row samples the reference row's
-    distribution with its own final-sample and readout draws.  Each kernel
-    works row by row, so an own row holds bit for bit the state that
-    trajectory would reach on its own, and the counts for a given seed are
-    those of simulating every trajectory separately.
+    A batch of one circuit: see run_noisy_batch.
     """
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
-    census(circuit)  # raises NotLowered when gates above 2 qubits remain
-    n = circuit.n_qubits
-    body, terminal, ncl = _terminal_split(circuit)
-    body = [instr for instr in body if instr.gate.name != "barrier"]
-
-    n_mid = sum(instr.gate.name == "measure" for instr in body)
-    splits = np.cumsum([len(body) - n_mid] * 2 + [n_mid] * 2 + [1])
-    cols = int(splits[-1]) + len(terminal)
-    b = min(shots, TRAJECTORY_CHUNK)
-    need = b * cols * 8 + (b + 1) * (16 << n)
-    if need > MAX_NOISY_BYTES:
-        raise OverBudget(
-            f"{b} trajectories of {cols} uniforms and {n}-qubit states need "
-            f"{need / 2**30:.2f} GiB per chunk, over the {MAX_NOISY_BYTES / 2**30:.2f} GiB budget"
-        )
-    rates = np.array([noise.p2 if len(instr.gate.qubits) == 2 else noise.p1 for instr in body])
-    # the cap: instructions before the first measurement or conditioned one are all error sites
-    cap = next((i for i, instr in enumerate(body)
-                if instr.gate.name == "measure" or instr.condition is not None), len(body))
-
-    counts = np.zeros(1 << ncl, dtype=np.int64)
-    for chunk, start in enumerate(range(0, shots, TRAJECTORY_CHUNK)):
-        b = min(TRAJECTORY_CHUNK, shots - start)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
-        draws = rng.random((b, cols))
-        u_site, u_pick, u_mid, u_mid_ro, u_final, u_ro = np.split(draws, splits, axis=1)
-
-        # own[t]: the instruction before which trajectory t leaves the reference
-        # row, its first insertion (the number of sites it passes unhit) or the cap
-        own = np.logical_and.accumulate(u_site[:, :cap] >= rates[:cap], axis=1).sum(axis=1)
-        order = np.argsort(own, kind="stable")  # own row j belongs to trajectory order[j]
-        made = np.searchsorted(own[order], np.arange(len(body)), side="right").tolist()
-
-        state = np.zeros((b + 1, 1 << n), dtype=complex)
-        state[0, 0] = 1.0
-        own_rows = state[1:]
-        clbits = np.zeros((b, ncl), dtype=np.int8)  # row j: trajectory order[j]
-        active = site_no = mid_no = 0
-        for i, instr in enumerate(body):
-            if made[i] > active:
-                state[1 + active:1 + made[i]] = state[0]
-                active = made[i]
-            gate = instr.gate
-            if gate.name == "measure":
-                rows = _rows(instr, clbits)
-                q = gate.qubits[0]
-                p1 = _marginal(np.abs(own_rows) ** 2, n, [q])[rows, 1]
-                outcome = (u_mid[order[rows], mid_no] < p1).astype(np.int8)
-                for value in (0, 1):
-                    _collapse(own_rows, n, rows[outcome == value], q, value)
-                clbits[rows, gate.clbit] = outcome ^ (u_mid_ro[order[rows], mid_no] < noise.p_meas)
-                mid_no += 1
-                continue
-            rows = None if instr.condition is None else _rows(instr, clbits)
-            if rows is None:
-                # the live prefix: the reference row while a trajectory is on it, and the own rows
-                _apply_rows(state[int(active == b):1 + active], gate, n)
-            else:
-                _apply_rows(own_rows, gate, n, rows)
-            if rates[i] > 0.0:
-                live = order[:active] if rows is None else order[rows]
-                hit = np.flatnonzero(u_site[live, site_no] < rates[i])
-                if rows is not None:
-                    hit = rows[hit]
-                _insert_paulis(own_rows, n, gate.qubits, hit, u_pick[order[hit], site_no])
-            site_no += 1
-
-        cdf = np.cumsum(np.abs(state[:1 + active]) ** 2, axis=1)
-        cdf /= cdf[:, -1][:, None]
-        sampled = np.empty(b, dtype=np.int64)
-        sampled[:active] = (cdf[1:] < u_final[order[:active]]).sum(axis=1)
-        # cdf[0] never decreases, so searchsorted counts its entries below each draw
-        sampled[active:] = np.searchsorted(cdf[0], u_final[order[active:], 0])
-        for j, (q, c) in enumerate(terminal):
-            clbits[:, c] = ((sampled >> (n - 1 - q)) & 1) ^ (u_ro[order, j] < noise.p_meas)
-        counts += np.bincount(_outcome_index(clbits), minlength=1 << ncl)
-
-    return Distribution(ncl, counts=counts, shots=shots)
+    return run_noisy_batch([circuit], noise, shots, [seed])[0]

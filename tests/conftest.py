@@ -19,7 +19,7 @@ from qsearch.circuit import (
     x,
     z,
 )
-from qsearch.errors import QsearchError, TooWide, ValidationError
+from qsearch.errors import HasMeasurement, QsearchError, TooWide, ValidationError
 from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
 
@@ -31,7 +31,115 @@ def frag_circuit(frag, n_qubits, n_clbits=0) -> Circuit:
 
 
 def frag_unitary(frag, n_qubits) -> np.ndarray:
-    return sim.unitary_of(frag_circuit(frag, n_qubits))
+    return unitary_of(frag_circuit(frag, n_qubits))
+
+
+# Independent checks on circuits and distributions: dense unitaries and
+# deferred measurement.
+
+MAX_UNITARY_WIDTH = 12
+
+
+def unitary_of(circuit: Circuit) -> np.ndarray:
+    """Full 2^n x 2^n matrix of a measurement-free circuit."""
+    n = circuit.n_qubits
+    if n > MAX_UNITARY_WIDTH:
+        raise TooWide(f"{n} qubits exceeds unitary limit {MAX_UNITARY_WIDTH}")
+    for instr in circuit.instructions:
+        if instr.gate.name == "measure":
+            raise HasMeasurement("unitary_of does not support measurements")
+        if instr.condition is not None:
+            raise HasMeasurement("unitary_of does not support classical conditions")
+    dim = 1 << n
+    batch = np.eye(dim, dtype=complex)  # row b is basis state b
+    for instr in circuit.instructions:
+        sim._apply_gate(batch, instr.gate, n)
+    return batch.T.copy()
+
+
+def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """Frobenius distance between u and v minimized over a global phase."""
+    tr = np.trace(v.conj().T @ u)
+    phase = tr / abs(tr) if abs(tr) > 1e-14 else 1.0
+    return float(np.linalg.norm(u - phase * v))
+
+
+def ancilla_block(u: np.ndarray, n_data: int, n_anc: int) -> tuple[np.ndarray, float]:
+    """Restrict u to ancillas in |0> at input; returns (block, leakage).
+
+    Ancillas are the trailing wires.  leakage is the norm of the part of
+    u|psi, 0...0> outside the ancilla-zero subspace.
+    """
+    dim_d, dim_a = 1 << n_data, 1 << n_anc
+    full = u.reshape(dim_d, dim_a, dim_d, dim_a)
+    block = full[:, 0, :, 0]
+    rest = full[:, 1:, :, 0]
+    return block, float(np.linalg.norm(rest))
+
+
+def tv_distance(a: sim.Distribution, b: sim.Distribution) -> float:
+    """Total variation distance between two distributions of one width."""
+    if a.n_bits != b.n_bits:
+        raise ValidationError("distribution widths differ")
+    return 0.5 * float(np.abs(a.as_probabilities() - b.as_probabilities()).sum())
+
+
+def _apply_controlled(state: np.ndarray, gate, n: int, control) -> None:
+    """sim._apply_gate on the part of a (B, 2^n) batch where the (wire,
+    value) pair in control holds, or on all of it when control is empty.
+
+    The part is the batch with the control wire dropped; the gate's wires
+    lie below the control wire, so they keep their numbers there.
+    """
+    if not control:
+        sim._apply_gate(state, gate, n)
+        return
+    ((wire, value),) = control
+    assert max(gate.qubits) < wire
+    part = np.moveaxis(state.reshape((len(state),) + (2,) * n), wire + 1, 1)[:, value]
+    sub = part.reshape(len(state), -1)  # contiguous: a copy, as part is strided
+    sim._apply_gate(sub, gate, n - 1)
+    part[...] = sub.reshape(part.shape)
+
+
+def run_deferred(circuit: Circuit) -> sim.Distribution:
+    """Run with mid-circuit measurements replaced by coherent controls.
+
+    The principle-of-deferred-measurement transform: each mid-circuit
+    measurement copies its qubit onto a fresh record wire with a CX, and
+    every classically conditioned gate becomes quantum-controlled on that
+    record wire.  The measured qubit itself stays coherent, so later gates
+    on it (ancilla resets included) are handled correctly.  Record wires
+    are measured into their classical bits at the end.
+    """
+    body, terminal, n_bits = sim._terminal_split(circuit)
+    n = sim._exact_width(circuit.n_qubits, body)
+
+    record: dict[int, int] = {}  # classical bit -> record wire
+    state = np.zeros((1, 1 << n), dtype=complex)
+    state[0, 0] = 1.0
+    next_wire = circuit.n_qubits
+
+    for instr in body:
+        gate = instr.gate
+        control = ()
+        if instr.condition is not None:
+            bit, value = instr.condition
+            if bit not in record:
+                raise ValidationError("condition on a bit with no deferred measurement")
+            control = ((record[bit], value),)
+        if gate.name == "measure":
+            if control:
+                raise HasMeasurement("conditioned measurements cannot be deferred")
+            record[gate.clbit] = next_wire
+            sim._apply_gate(state, cx(gate.qubits[0], next_wire), n)
+            next_wire += 1
+        elif gate.name != "barrier":
+            _apply_controlled(state, gate, n, control)
+
+    pairs = terminal + [(wire, c) for c, wire in record.items()]
+    no_bits = np.zeros((1, n_bits), dtype=np.int8)
+    return sim._terminal_distribution(state, n, pairs, no_bits, np.ones(1))
 
 
 def support(instr, n_qubits: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -207,7 +315,10 @@ def run_noisy_reference(circuit: Circuit, noise: sim.NoiseModel, shots: int,
             gate = instr.gate
             if gate.name == "barrier":
                 continue
-            rows = sim._rows(instr, clbits)
+            if instr.condition is None:
+                rows = np.arange(b)
+            else:
+                rows = np.flatnonzero(clbits[:, instr.condition[0]] == instr.condition[1])
             if gate.name == "measure":
                 q = gate.qubits[0]
                 p1 = sim._marginal(np.abs(state) ** 2, n, [q])[rows, 1]

@@ -13,7 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import binom_sigma, frag_circuit, ideal_oracle_diag
+from conftest import (
+    ancilla_block,
+    binom_sigma,
+    frag_circuit,
+    ideal_oracle_diag,
+    phase_aligned_distance,
+    run_deferred,
+    tv_distance,
+    unitary_of,
+)
 from qsearch import analysis, families, qasm, sim, synth
 from qsearch.circuit import CircuitBuilder, census
 from qsearch.cli import ExperimentConfig, run_experiment
@@ -102,16 +111,16 @@ def test_criterion_5_synthesis_equivalence_suite():
             mask = format(v, f"0{n}b")
             ideal = ideal_oracle_diag(n, mask)
             # plain style: direct unitary
-            u = sim.unitary_of(
+            u = unitary_of(
                 frag_circuit(synth.oracle(OracleSpec(n, mask, "plain-mcz")), n)
             )
-            worst_unitary = max(worst_unitary, sim.phase_aligned_distance(u, ideal))
+            worst_unitary = max(worst_unitary, phase_aligned_distance(u, ideal))
             # ancilla style: block-restricted unitary plus leakage
             frag = synth.oracle(OracleSpec(n, mask, "ancilla-relphase"), ancillas=ancillas)
-            u = sim.unitary_of(frag_circuit(frag, n + n_anc))
-            block, leak = sim.ancilla_block(u, n, n_anc)
+            u = unitary_of(frag_circuit(frag, n + n_anc))
+            block, leak = ancilla_block(u, n, n_anc)
             worst_unitary = max(
-                worst_unitary, leak, sim.phase_aligned_distance(block, ideal)
+                worst_unitary, leak, phase_aligned_distance(block, ideal)
             )
             # measurement-assisted: distributional against the plain oracle
             b = CircuitBuilder(n + n_anc, n + n_anc)
@@ -138,7 +147,7 @@ def test_criterion_5_synthesis_equivalence_suite():
             for q in range(n):
                 b2.measure(q, q)
             d_plain = sim.run_exact(b2.build())
-            worst_tv = max(worst_tv, d_meas.tv_distance(d_plain))
+            worst_tv = max(worst_tv, tv_distance(d_meas, d_plain))
     assert worst_unitary < 1e-10
     assert worst_tv < 1e-10
 
@@ -154,10 +163,10 @@ def test_criterion_5_synthesis_equivalence_suite():
         frag = synth.mcz_fragment(
             tuple(range(k)), method=method, ancillas=tuple(range(k, k + n_anc))
         )
-        u = sim.unitary_of(frag_circuit(frag, k + n_anc))
-        block, leak = sim.ancilla_block(u, k, n_anc)
+        u = unitary_of(frag_circuit(frag, k + n_anc))
+        block, leak = ancilla_block(u, k, n_anc)
         assert leak < 1e-10, (method, k)
-        assert sim.phase_aligned_distance(block, ideal_mcz[k]) < 1e-10, (method, k)
+        assert phase_aligned_distance(block, ideal_mcz[k]) < 1e-10, (method, k)
 
     elapsed = time.time() - t0
     assert elapsed < 120.0
@@ -173,8 +182,8 @@ def test_criterion_6_deferred_measurement_p43():
         mask = format(v, "04b")
         c = families.build_wielomianer_p43(OracleSpec(4, mask, "plain-mcz"))
         branching = sim.run_exact(c).marginal([0, 1, 2, 3])
-        deferred = sim.run_deferred(c).marginal([0, 1, 2, 3])
-        worst = max(worst, branching.tv_distance(deferred))
+        deferred = run_deferred(c).marginal([0, 1, 2, 3])
+        worst = max(worst, tv_distance(branching, deferred))
     assert worst < 1e-10
     _report(f"PASS criterion 6: P43 deferred-measurement TV over 16 oracles {worst:.2e}")
 
@@ -258,7 +267,7 @@ def test_criterion_8_gate_count_targets():
     n_w_faithful, n_w_fused = count2(woj_faithful), count2(woj_fused)
     assert n_w_fused <= 1.15 * 31
     # the fused decomposition is distribution-identical to the layout build
-    assert data_dist(woj_faithful).tv_distance(data_dist(woj_fused)) < 1e-10
+    assert tv_distance(data_dist(woj_faithful), data_dist(woj_fused)) < 1e-10
     _report(
         "PASS criterion 8: 2q counts grover5="
         f"{n_grover} (target 36), drzewker={n_drz} (target 44), "
@@ -384,16 +393,18 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
 
 
 def test_parity_digest_script_is_deterministic():
-    """scripts/parity_digest.py prints the same digest line on every run."""
+    """scripts/parity_digest.py prints the same digest line on every run,
+    with and without the seeded noisy counts."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    lines = [
-        subprocess.run(
-            [sys.executable, str(root / "scripts" / "parity_digest.py"), "--max-n", "3"],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
-        ).stdout
-        for _ in range(2)
-    ]
-    assert lines[0] == lines[1]
-    assert re.fullmatch(r"[0-9a-f]{64}  792 circuits, n <= 3\n", lines[0])
+    for flags, suffix in (([], ""), (["--noisy"], ", noisy 64 shots")):
+        lines = [
+            subprocess.run(
+                [sys.executable, str(root / "scripts" / "parity_digest.py"), "--max-n", "3", *flags],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert lines[0] == lines[1]
+        assert re.fullmatch(rf"[0-9a-f]{{64}}  792 circuits, n <= 3{suffix}\n", lines[0])

@@ -9,7 +9,10 @@ from conftest import (
     frag_circuit,
     measured_circuits,
     peephole_reference,
+    phase_aligned_distance,
+    tv_distance,
     unitary_circuits,
+    unitary_of,
     wire_sequences,
 )
 from qsearch import circuit as circuit_module
@@ -276,14 +279,14 @@ class TestPeephole:
         n2_before = census(synth.lower(c)).two_qubit_count
         n2_after = census(synth.lower(out)).two_qubit_count
         assert n2_after < n2_before
-        d = sim.phase_aligned_distance(sim.unitary_of(c), sim.unitary_of(out))
+        d = phase_aligned_distance(unitary_of(c), unitary_of(out))
         assert d < 1e-10
 
     @given(unitary_circuits(max_qubits=5))
     @settings(max_examples=60, deadline=None)
     def test_soundness_up_to_global_phase(self, c):
         out = peephole_cancel(c)
-        d = sim.phase_aligned_distance(sim.unitary_of(c), sim.unitary_of(out))
+        d = phase_aligned_distance(unitary_of(c), unitary_of(out))
         assert d < 1e-10
 
     @given(unitary_circuits(max_qubits=5))
@@ -352,7 +355,7 @@ class TestStripTrailing:
         assert len(out.instructions) < len(c.instructions)
         d1 = sim.run_exact(c)
         d2 = sim.run_exact(out)
-        assert d1.tv_distance(d2) < 1e-12
+        assert tv_distance(d1, d2) < 1e-12
 
     def test_x_conjugation_does_not_pin_uncompute(self):
         """X on a measured wire keeps it classical, so the fold still drops."""
@@ -370,19 +373,19 @@ class TestStripTrailing:
         c = b.build()
         out = strip_trailing_uncompute(c)
         assert len(out.instructions) == len(c.instructions) - len(uncompute)
-        assert sim.run_exact(c).tv_distance(sim.run_exact(out)) < 1e-12
+        assert tv_distance(sim.run_exact(c), sim.run_exact(out)) < 1e-12
 
     def test_measurement_free_circuit_measures_every_wire(self):
         c = frag_circuit([h(0), cx(0, 1)], 2)
         out = strip_trailing_uncompute(c)
         assert out.instructions == c.instructions
-        assert sim.run_exact(c).tv_distance(sim.run_exact(out)) < 1e-12
+        assert tv_distance(sim.run_exact(c), sim.run_exact(out)) < 1e-12
 
     @given(measured_circuits())
     @settings(max_examples=150, deadline=None)
     def test_keeps_exact_distribution(self, c):
         out = strip_trailing_uncompute(c)
-        assert sim.run_exact(c).tv_distance(sim.run_exact(out)) < 1e-12
+        assert tv_distance(sim.run_exact(c), sim.run_exact(out)) < 1e-12
 
     def test_keeps_live_gates(self):
         b = CircuitBuilder(2, 2)

@@ -313,12 +313,15 @@ class TestConfig:
               "--iterations", "3", "--oracle", "1111111111"], None),
             (["run", "--n", "3", "--iterations", "100000", "--oracle", "101"], None),
             (["run", "--n", "3", "--iterations", "1000", "--oracle", "101"], None),
+            (["run", "--noise", "p2=0.01,p2=0.02"], None),
+            (["run", "--noise", "pm=0.005,p_meas=0.1"], None),
         ],
         ids=["sample-spec", "sample-seed-negative", "sample-seed-negative-build", "noise-rate", "grid-value", "n-string", "json-list",
              "partition-string", "noise-string", "shots-float", "oracle-set-int",
              "seed-negative", "out-int", "n-flag-string", "family-flag-choice",
              "noise-null-with-flag", "oracle-set-empty", "oracle-set-repeated",
-             "exact-branching-too-wide", "oracle-calls-far-over", "oracle-calls-over"],
+             "exact-branching-too-wide", "oracle-calls-far-over", "oracle-calls-over",
+             "noise-rate-twice", "noise-rate-twice-by-alias"],
     )
     def test_bad_input_is_one_error_line(self, argv, config, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QSEARCH_OUT", str(tmp_path))
@@ -367,7 +370,7 @@ class TestConfig:
         def exhausted(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(sim, "run_noisy", exhausted)
+        monkeypatch.setattr(sim, "run_noisy_batch", exhausted)
         rc = main(["run", "--n", "3", "--oracle", "101", "--shots", "8", "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -588,3 +591,45 @@ class TestFuzz:
             assert err == ""
         else:
             assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestNoisyBatches:
+    """`run` and `sweep` sample a run's masks in groups, each by one
+    sim.run_noisy_batch call bounded by sim.MAX_NOISY_BYTES."""
+
+    def test_groups_do_not_change_reports(self, monkeypatch):
+        cfg = ExperimentConfig(family="wielomianer", n=4, oracle_set="all", shots=50,
+                               noise={"p1": 0.01, "p2": 0.02, "p_meas": 0.03}, seed=5)
+        needs = [sim.noisy_bytes(synth.compile(c), cfg.shots)
+                 for c in families.build_masks(build_request(cfg, "0000"), resolve_masks(cfg))]
+        assert 2 * min(needs) > max(needs)  # so a budget of k * max holds k masks
+        run_noisy_batch = sim.run_noisy_batch
+        reports = {}
+        for group in (1, 2, 16):
+            sizes = []
+
+            def batch(circuits, *args):
+                sizes.append(len(circuits))
+                return run_noisy_batch(circuits, *args)
+
+            monkeypatch.setattr(sim, "run_noisy_batch", batch)
+            monkeypatch.setattr(sim, "MAX_NOISY_BYTES", group * max(needs))
+            report = run_experiment(cfg)
+            assert sizes == [group] * (16 // group)
+            report.pop("timing_seconds")
+            reports[group] = json.dumps(report, sort_keys=True)
+        assert reports[1] == reports[2] == reports[16]
+
+    def test_sweep_samples_each_point_in_one_group(self, tmp_path, monkeypatch):
+        sizes = []
+        run_noisy_batch = sim.run_noisy_batch
+
+        def batch(circuits, *args):
+            sizes.append(len(circuits))
+            return run_noisy_batch(circuits, *args)
+
+        monkeypatch.setattr(sim, "run_noisy_batch", batch)
+        argv = ["sweep", "--n", "3", "--oracle-set", "all", "--shots", "20", "--grid", "0,0.1",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert sizes == [8, 8]

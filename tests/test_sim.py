@@ -13,9 +13,13 @@ from conftest import (
     frag_circuit,
     ideal_oracle_diag,
     measured_circuits,
+    phase_aligned_distance,
+    run_deferred,
     run_exact_reference,
     run_noisy_reference,
+    tv_distance,
     unitary_circuits,
+    unitary_of,
 )
 from qsearch import families, sim, synth
 from qsearch.circuit import Circuit, CircuitBuilder, Instruction, cx, cz, h, measure, rz, x, z
@@ -39,8 +43,8 @@ class TestRunExact:
     def test_branching_matches_deferred(self):
         c = families.build_wielomianer_p43(OracleSpec(4, "0101", "plain-mcz"))
         a = sim.run_exact(c).marginal([0, 1, 2, 3])
-        b = sim.run_deferred(c).marginal([0, 1, 2, 3])
-        assert a.tv_distance(b) < 1e-10
+        b = run_deferred(c).marginal([0, 1, 2, 3])
+        assert tv_distance(a, b) < 1e-10
 
     def test_deferred_covers_measurement_bearing_families(self):
         cases = [
@@ -55,18 +59,18 @@ class TestRunExact:
         ]
         for circ, data in cases:
             a = sim.run_exact(circ).marginal(data)
-            b = sim.run_deferred(circ).marginal(data)
-            assert a.tv_distance(b) < 1e-10
+            b = run_deferred(circ).marginal(data)
+            assert tv_distance(a, b) < 1e-10
 
     @given(measured_circuits())
     @settings(max_examples=40, deadline=None)
     def test_deferred_controls_match_branching(self, c):
-        assert sim.run_exact(c).tv_distance(sim.run_deferred(c)) < 1e-10
+        assert tv_distance(sim.run_exact(c), run_deferred(c)) < 1e-10
 
     @pytest.mark.parametrize("n_clbits", [0, 2])
     def test_measurement_free_measures_every_wire(self, n_clbits):
         c = frag_circuit([h(0), cx(0, 1)], 2, n_clbits)
-        for d in (sim.run_exact(c), sim.run_deferred(c)):
+        for d in (sim.run_exact(c), run_deferred(c)):
             assert d.n_bits == 2
             assert np.allclose(d.probabilities, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
@@ -82,14 +86,14 @@ class TestRunExact:
         b.measure(2, 2)
         c = b.build()
         monkeypatch.setattr(sim, "MAX_EXACT_WIDTH", 5)
-        assert sim.run_exact(c).tv_distance(sim.run_deferred(c)) < 1e-12
+        assert tv_distance(sim.run_exact(c), run_deferred(c)) < 1e-12
 
         def unexpected(*args):
             raise AssertionError("simulated a gate before checking the width")
 
         monkeypatch.setattr(sim, "MAX_EXACT_WIDTH", 4)
         monkeypatch.setattr(sim, "_apply_gate", unexpected)
-        for run in (sim.run_exact, sim.run_deferred):
+        for run in (sim.run_exact, run_deferred):
             with pytest.raises(TooWide, match="3 qubits and 2 mid-circuit measurements exceed"):
                 run(c)
 
@@ -113,31 +117,31 @@ class TestRunExact:
 
 class TestUnitaryOf:
     def test_empty_is_identity(self):
-        u = sim.unitary_of(frag_circuit([], 3))
+        u = unitary_of(frag_circuit([], 3))
         assert np.allclose(u, np.eye(8))
 
     def test_oracle_diagonal(self):
-        u = sim.unitary_of(frag_circuit(synth.oracle(OracleSpec(3, "101", "plain-mcz")), 3))
-        assert sim.phase_aligned_distance(u, ideal_oracle_diag(3, "101")) < 1e-10
+        u = unitary_of(frag_circuit(synth.oracle(OracleSpec(3, "101", "plain-mcz")), 3))
+        assert phase_aligned_distance(u, ideal_oracle_diag(3, "101")) < 1e-10
 
     def test_relphase_pair_identity(self):
         frag = synth.relphase_ccx(0, 1, 2) + synth.relphase_ccx(0, 1, 2, inverse=True)
-        u = sim.unitary_of(frag_circuit(frag, 3))
-        assert sim.phase_aligned_distance(u, np.eye(8, dtype=complex)) < 1e-10
+        u = unitary_of(frag_circuit(frag, 3))
+        assert phase_aligned_distance(u, np.eye(8, dtype=complex)) < 1e-10
 
     def test_rejects_measurement(self):
         with pytest.raises(HasMeasurement):
-            sim.unitary_of(frag_circuit([measure(0, 0)], 1, 1))
+            unitary_of(frag_circuit([measure(0, 0)], 1, 1))
 
     def test_rejects_wide(self):
         with pytest.raises(TooWide):
-            sim.unitary_of(frag_circuit([], 13))
+            unitary_of(frag_circuit([], 13))
 
     @given(unitary_circuits())
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_reference(self, c):
         ref = dense_unitary([i.gate for i in c.instructions], c.n_qubits)
-        assert np.abs(sim.unitary_of(c) - ref).max() < 1e-10
+        assert np.abs(unitary_of(c) - ref).max() < 1e-10
 
     @pytest.mark.parametrize(
         "gate",
@@ -149,13 +153,13 @@ class TestUnitaryOf:
         ],
     )
     def test_wide_gates_match_dense_reference(self, gate):
-        u = sim.unitary_of(frag_circuit([gate], 6))
+        u = unitary_of(frag_circuit([gate], 6))
         assert np.abs(u - dense_gate(gate, 6)).max() < 1e-10
 
     @given(unitary_circuits(max_qubits=4))
     @settings(max_examples=30, deadline=None)
     def test_unitarity(self, c):
-        u = sim.unitary_of(c)
+        u = unitary_of(c)
         assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-10)
 
 
@@ -321,6 +325,88 @@ class TestRunNoisyReference:
         c = synth.compile(families.build_grover(OracleSpec(n, mask, "ancilla-relphase"), 1))
         d = sim.run_noisy(c, NoiseModel(p2=0.01), shots, seed=seed)
         assert d.counts.tolist() == counts
+
+
+class TestRunNoisyBatch:
+    """run_noisy_batch samples many circuits' trajectories as rows of one
+    batch; each circuit gets the counts its own seed gives it alone."""
+
+    NOISE = NoiseModel(p1=0.02, p2=0.05, p_meas=0.03)
+
+    @given(st.integers(1, 4).flatmap(
+               lambda n: st.lists(measured_circuits(n=n), min_size=1, max_size=6)),
+           st.integers(1, 40), st.sampled_from([sim.TRAJECTORY_CHUNK, 7]),
+           st.sampled_from([sim._BLOCK, 2]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_per_circuit(self, circuits, shots, chunk, block, seed):
+        circuits = [synth.compile(c) for c in circuits]
+        seeds = [seed + i for i in range(len(circuits))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "TRAJECTORY_CHUNK", chunk)  # 7: shots cross chunk boundaries
+            patch.setattr(sim, "_BLOCK", block)  # 2: every kernel works one row at a time
+            got = sim.run_noisy_batch(circuits, self.NOISE, shots, seeds)
+            want = [run_noisy_reference(c, self.NOISE, shots, s) for c, s in zip(circuits, seeds)]
+        assert [d.counts.tolist() for d in got] == [d.counts.tolist() for d in want]
+
+    @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
+    @pytest.mark.parametrize("family", families.FAMILIES)
+    def test_equal_to_one_circuit_runs(self, family, style):
+        # each list holds one build option set's circuits for every mask, as `--oracle-set all`
+        for circuits in family_mask_sets(family, style, max_n=4, all_masks=True):
+            circuits = [synth.compile(c) for c in circuits]
+            seeds = list(range(len(circuits)))
+            for c, s, d in zip(circuits, seeds,
+                               sim.run_noisy_batch(circuits, self.NOISE, 24, seeds)):
+                assert d.counts.tolist() == sim.run_noisy(c, self.NOISE, 24, s).counts.tolist()
+
+    def test_error_free_trajectories_share_rows_through_measurements(self, monkeypatch):
+        # wielomianer measures one wire mid-circuit and conditions 48 gates on it;
+        # without noise its 400 trajectories ride one row per outcome
+        c = synth.compile(families.build_wielomianer_p43(OracleSpec(4, "1011", "plain-mcz")))
+        rows = []
+        grow = sim._Trajectories._grow
+
+        def counting(batch, src):
+            out = grow(batch, src)
+            rows.append(batch.active)
+            return out
+
+        monkeypatch.setattr(sim._Trajectories, "_grow", counting)
+        d = sim.run_noisy(c, NoiseModel(), 400, seed=3)
+        assert rows and max(rows) <= 2
+        assert d.counts.tolist() == run_noisy_reference(c, NoiseModel(), 400, 3).counts.tolist()
+
+    def test_shared_instruction_runs_once(self, monkeypatch):
+        calls = []
+        apply_gate = sim._apply_gate
+        monkeypatch.setattr(sim, "_apply_gate", lambda s, g, n: calls.append(g) or apply_gate(s, g, n))
+        circuits = [frag_circuit([h(0), h(1), x(q), cz(0, 1)], 2) for q in (0, 1, 0)]
+        sim.run_noisy_batch(circuits, NoiseModel(), 50, [1, 2, 3])
+        assert sorted(g.name for g in calls) == ["cz", "h", "h", "x", "x"]
+
+    def test_mixed_widths_refused(self):
+        with pytest.raises(ValidationError, match="share a width"):
+            sim.run_noisy_batch([frag_circuit([h(0)], 1), frag_circuit([h(0)], 2)],
+                                NoiseModel(), 10, [0, 1])
+
+    def test_one_seed_per_circuit(self):
+        with pytest.raises(ValidationError, match="2 circuits need as many seeds, got 1"):
+            sim.run_noisy_batch([frag_circuit([h(0)], 1)] * 2, NoiseModel(), 10, [0])
+        assert sim.run_noisy_batch([], NoiseModel(), 10, []) == []
+
+    def test_errors_name_their_circuit(self, monkeypatch):
+        with pytest.raises(NotLowered) as info:
+            sim.run_noisy_batch([frag_circuit([h(0)], 3), frag_circuit([cz(0, 1, 2)], 3)],
+                                NoiseModel(), 10, [0, 1])
+        assert info.value.circuit == 1
+        good, long = frag_circuit([h(0), cx(0, 1)], 2), frag_circuit([h(0), cx(0, 1)] * 8, 2)
+        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", sim.noisy_bytes(good, 10))
+        with pytest.raises(OverBudget, match="10 trajectories of 35 uniforms") as info:
+            sim.run_noisy_batch([good, long], NoiseModel(), 10, [0, 1])
+        assert info.value.circuit == 1
+        with pytest.raises(OverBudget, match="2 circuits need .* in all") as info:
+            sim.run_noisy_batch([good, good], NoiseModel(), 10, [0, 1])
+        assert info.value.circuit is None
 
 
 class TestNoiseModel:
@@ -490,7 +576,7 @@ class TestDistribution:
     def test_tv_distance(self):
         a = Distribution(1, probabilities=np.array([1.0, 0.0]))
         b = Distribution(1, probabilities=np.array([0.5, 0.5]))
-        assert abs(a.tv_distance(b) - 0.5) < 1e-12
+        assert abs(tv_distance(a, b) - 0.5) < 1e-12
 
     def test_counts_validation(self):
         with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ancilla_block,
     family_circuits,
     frag_circuit,
     frag_unitary,
@@ -12,7 +13,10 @@ from conftest import (
     ideal_oracle_diag,
     lower_reference,
     measured_circuits,
+    phase_aligned_distance,
+    tv_distance,
     unitary_circuits,
+    unitary_of,
 )
 from qsearch import families, sim, synth
 from qsearch.circuit import CircuitBuilder, census, cx, cz, h, measure, z
@@ -35,11 +39,11 @@ class TestDiffuser:
     def test_k1_is_pauli_x(self):
         u = frag_unitary(synth.diffuser(1, (0,)), 1)
         xmat = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert sim.phase_aligned_distance(u, xmat) < 1e-10
+        assert phase_aligned_distance(u, xmat) < 1e-10
 
     def test_k2_matrix_entries(self):
         u = frag_unitary(synth.diffuser(2, (0, 1)), 2)
-        assert sim.phase_aligned_distance(u, ideal_diffuser(2)) < 1e-10
+        assert phase_aligned_distance(u, ideal_diffuser(2)) < 1e-10
         aligned = u * np.sign((u * ideal_diffuser(2).conj()).sum()).conj()
         assert np.allclose(np.abs(u), 0.5)
 
@@ -58,7 +62,7 @@ class TestOracle:
     def test_plain_all_ones(self):
         spec = OracleSpec(3, "111", "plain-mcz")
         u = frag_unitary(synth.oracle(spec), 3)
-        assert sim.phase_aligned_distance(u, ideal_oracle_diag(3, "111")) < 1e-10
+        assert phase_aligned_distance(u, ideal_oracle_diag(3, "111")) < 1e-10
 
     def test_mask_is_x_conjugation(self):
         u_masked = frag_unitary(synth.oracle(OracleSpec(3, "101", "plain-mcz")), 3)
@@ -66,15 +70,15 @@ class TestOracle:
         from qsearch.circuit import x as xg
 
         conj = frag_unitary([xg(1)] + base + [xg(1)], 3)
-        assert sim.phase_aligned_distance(u_masked, conj) < 1e-10
+        assert phase_aligned_distance(u_masked, conj) < 1e-10
 
     def test_relphase_style_matches_plain(self):
         spec = OracleSpec(5, "10110", "ancilla-relphase")
         frag = synth.oracle(spec, ancillas=(5,))
         u = frag_unitary(frag, 6)
-        block, leak = sim.ancilla_block(u, 5, 1)
+        block, leak = ancilla_block(u, 5, 1)
         assert leak < 1e-10
-        assert sim.phase_aligned_distance(block, ideal_oracle_diag(5, "10110")) < 1e-10
+        assert phase_aligned_distance(block, ideal_oracle_diag(5, "10110")) < 1e-10
 
     def test_bad_mask(self):
         with pytest.raises(BadMask):
@@ -89,32 +93,32 @@ class TestMcz:
         for method in synth.METHODS:
             frag = synth.mcz_fragment((0, 1), method=method, ancillas=(2,), clbits=(0,))
             u = frag_unitary(frag, 2)
-            assert sim.phase_aligned_distance(u, target) < 1e-10, method
+            assert phase_aligned_distance(u, target) < 1e-10, method
 
     def test_k3_exact_count_and_matrix(self):
         frag = synth.mcz_fragment((0, 1, 2), method="exact-recursive")
         assert census(frag_circuit(frag, 3)).two_qubit_count == 6
         u = frag_unitary(frag, 3)
-        assert sim.phase_aligned_distance(u, mcz_diag(3)) < 1e-10
+        assert phase_aligned_distance(u, mcz_diag(3)) < 1e-10
 
     def test_k6_fold_tree_two_ancillas(self):
         frag = synth.mcz_fragment(tuple(range(6)), method="relphase-maslov", ancillas=(6, 7))
         u = frag_unitary(frag, 8)
-        block, leak = sim.ancilla_block(u, 6, 2)
+        block, leak = ancilla_block(u, 6, 2)
         assert leak < 1e-10
-        assert sim.phase_aligned_distance(block, mcz_diag(6)) < 1e-10
+        assert phase_aligned_distance(block, mcz_diag(6)) < 1e-10
 
     def test_exact_recursive_k4_k5(self):
         for k in (4, 5):
             u = frag_unitary(synth.mcz_fragment(tuple(range(k))), k)
-            assert sim.phase_aligned_distance(u, mcz_diag(k)) < 1e-10
+            assert phase_aligned_distance(u, mcz_diag(k)) < 1e-10
 
     def test_exact_one_ancilla(self):
         frag = synth.mcz_fragment(tuple(range(5)), method="exact-one-ancilla", ancillas=(5,))
         u = frag_unitary(frag, 6)
-        block, leak = sim.ancilla_block(u, 5, 1)
+        block, leak = ancilla_block(u, 5, 1)
         assert leak < 1e-10
-        assert sim.phase_aligned_distance(block, mcz_diag(5)) < 1e-10
+        assert phase_aligned_distance(block, mcz_diag(5)) < 1e-10
 
     def test_missing_ancilla(self):
         with pytest.raises(MissingAncilla):
@@ -127,17 +131,17 @@ class TestMcz:
     def test_polarity_selects_state(self):
         frag = synth.mcz_fragment((0, 1, 2), method="exact-recursive", polarity=(1, 0, 1))
         u = frag_unitary(frag, 3)
-        assert sim.phase_aligned_distance(u, ideal_oracle_diag(3, "101")) < 1e-10
+        assert phase_aligned_distance(u, ideal_oracle_diag(3, "101")) < 1e-10
 
 
 class TestRelphase:
     def test_forward_inverse_identity(self):
         frag = synth.relphase_ccx(0, 1, 2) + synth.relphase_ccx(0, 1, 2, inverse=True)
         u = frag_unitary(frag, 3)
-        assert sim.phase_aligned_distance(u, np.eye(8, dtype=complex)) < 1e-10
+        assert phase_aligned_distance(u, np.eye(8, dtype=complex)) < 1e-10
         frag4 = synth.relphase_cccx(0, 1, 2, 3) + synth.relphase_cccx(0, 1, 2, 3, inverse=True)
         u4 = frag_unitary(frag4, 4)
-        assert sim.phase_aligned_distance(u4, np.eye(16, dtype=complex)) < 1e-10
+        assert phase_aligned_distance(u4, np.eye(16, dtype=complex)) < 1e-10
 
     def test_permutation_action(self):
         u = frag_unitary(synth.relphase_ccx(0, 1, 2), 3)
@@ -170,10 +174,10 @@ class TestRelphase:
             + synth.relphase_ccx(0, 1, 3, inverse=True)
         )
         u = frag_unitary(frag, 4)
-        block, leak = sim.ancilla_block(u, 3, 1)  # ancilla is the trailing wire
+        block, leak = ancilla_block(u, 3, 1)  # ancilla is the trailing wire
         exact = frag_unitary(synth.mcz_fragment((0, 1, 2), method="exact-recursive"), 3)
         assert leak < 1e-10
-        assert sim.phase_aligned_distance(block, exact) < 1e-10
+        assert phase_aligned_distance(block, exact) < 1e-10
 
     def test_pair_cancellation_every_method(self):
         """Every compute/uncompute sandwich nets an exact mcz, k <= 6."""
@@ -192,9 +196,9 @@ class TestRelphase:
             ancillas = tuple(range(k, k + n_anc))
             frag = synth.mcz_fragment(tuple(range(k)), method=method, ancillas=ancillas)
             u = frag_unitary(frag, k + n_anc)
-            block, leak = sim.ancilla_block(u, k, n_anc)
+            block, leak = ancilla_block(u, k, n_anc)
             assert leak < 1e-10, (method, k)
-            assert sim.phase_aligned_distance(block, mcz_diag(k)) < 1e-10, (method, k)
+            assert phase_aligned_distance(block, mcz_diag(k)) < 1e-10, (method, k)
 
     def test_determinism(self):
         a = synth.mcz_fragment(tuple(range(5)), method="relphase-maslov", ancillas=(5,))
@@ -243,7 +247,7 @@ class TestMeasurementAssisted:
         )
         d1 = self._run(unitary_version, 3, 2, data)
         d2 = self._run(measured_version, 3, 3, data)
-        assert d1.tv_distance(d2) < 1e-10
+        assert tv_distance(d1, d2) < 1e-10
 
     def test_controls_zero_correction_inert(self):
         """With controls |00> the ancilla stays |0>; the X-basis measurement
@@ -265,7 +269,7 @@ class TestMeasurementAssisted:
         cu = families.build_grover(OracleSpec(5, "01011", "ancilla-relphase"), 1)
         dm = sim.run_exact(cm).marginal(list(range(5)))
         du = sim.run_exact(cu).marginal(list(range(5)))
-        assert dm.tv_distance(du) < 1e-10
+        assert tv_distance(dm, du) < 1e-10
         assert abs(dm.probability(0b01011) - (3 - 4 / 32) ** 2 / 32) < 1e-10
 
 
@@ -317,7 +321,7 @@ def distance_on_states(a, b, n_qubits, n_states=4):
         for instr in circuit.instructions:
             sim._apply_gate(batch, instr.gate, n_qubits)
         outs.append(batch.T)
-    return sim.phase_aligned_distance(*outs)
+    return phase_aligned_distance(*outs)
 
 
 def polarities(width):
@@ -345,7 +349,7 @@ class TestBorrowedMcz:
             symbolic = frag_circuit([gate], k + 1)
             lowered = synth.lower(symbolic)
             assert census(lowered).two_qubit_count == expected
-            distance = sim.phase_aligned_distance(sim.unitary_of(lowered), sim.unitary_of(symbolic))
+            distance = phase_aligned_distance(unitary_of(lowered), unitary_of(symbolic))
             assert distance < 1e-10, gate
 
     @pytest.mark.parametrize("k", range(8, 11))
