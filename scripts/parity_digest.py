@@ -13,17 +13,25 @@ refusal comes before the first circuit and is recorded for every mask.
 With --noisy the digest also covers the raw bytes of the `run_noisy`
 counts of every compiled circuit: NOISY_SHOTS shots at the rates in NOISE,
 seeded by the mask's value, so two checkouts' trajectory samplers can be
-compared too.  Run it once with each checkout's `src` on PYTHONPATH and
-compare the two lines:
+compared too.  With --reports it also covers, per option set, the bytes
+`cli.write_report` writes for the `run_experiment` report over every mask,
+once exact-only and once at NOISY_SHOTS shots at NOISE, both at seed 0 and
+with `timing_seconds` set to 0; a refused request adds its exception class
+and message instead.  Run it once with each checkout's `src` on PYTHONPATH
+and compare the two lines:
 
     PYTHONPATH=src python3 scripts/parity_digest.py --max-n 5
     PYTHONPATH=src python3 scripts/parity_digest.py --noisy --max-n 4
+    PYTHONPATH=src python3 scripts/parity_digest.py --reports --max-n 4
 """
 import argparse
+import dataclasses
 import hashlib
 import itertools
+import tempfile
+from pathlib import Path
 
-from qsearch import families, qasm, sim, synth
+from qsearch import cli, families, qasm, sim, synth
 from qsearch.circuit import census
 from qsearch.errors import QsearchError
 from qsearch.families import FamilyRequest, Partition
@@ -43,15 +51,42 @@ def option_sets(max_n: int):
             yield family, style, n, uncompute, fused
 
 
+def report_bytes(family: str, style: str, n: int, uncompute: str, fused: bool,
+                 shots: int) -> bytes:
+    """What `cli.write_report` writes for one option set's report over every
+    mask, with its timing zeroed; or the refusal's class and message."""
+    cfg = cli.ExperimentConfig(
+        family=family, n=n, oracle_style=style, uncompute=uncompute, fused=fused, shots=shots,
+        noise=dataclasses.asdict(NOISE if shots else sim.NoiseModel()),
+        partition=None if family not in families.BLOCK_FAMILIES
+        else [n - 2, 2] if n >= 4 else [n - 1, 1] if n >= 2 else None,
+        diffuser_size=max(1, n - 1) if family == "partial" else None,
+    )
+    try:
+        report = cli.run_experiment(cfg)
+    except QsearchError as exc:
+        return f"{type(exc).__name__}: {exc}\n".encode()
+    report["timing_seconds"] = 0.0
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "report.json"
+        cli.write_report(report, path)
+        return path.read_bytes()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=5, help="largest search width (default 5)")
     parser.add_argument("--noisy", action="store_true",
                         help="also digest seeded run_noisy counts of every compiled circuit")
+    parser.add_argument("--reports", action="store_true",
+                        help="also digest the written exact and sampled report of every option set")
     args = parser.parse_args()
     digest = hashlib.sha256()
     built = 0
     for family, style, n, uncompute, fused in option_sets(args.max_n):
+        if args.reports:
+            for shots in (0, NOISY_SHOTS):
+                digest.update(report_bytes(family, style, n, uncompute, fused, shots))
         masks = [format(v, f"0{n}b") for v in range(1 << n)]
         partition = Partition((n - 2, 2)) if n >= 4 else Partition((n - 1, 1)) if n >= 2 else None
         request = FamilyRequest(
@@ -77,7 +112,8 @@ def main():
                 digest.update(counts.tobytes())
             built += 1
     noisy = f", noisy {NOISY_SHOTS} shots" if args.noisy else ""
-    print(f"{digest.hexdigest()}  {built} circuits, n <= {args.max_n}{noisy}")
+    reports = ", reports" if args.reports else ""
+    print(f"{digest.hexdigest()}  {built} circuits, n <= {args.max_n}{noisy}{reports}")
 
 
 if __name__ == "__main__":

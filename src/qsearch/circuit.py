@@ -380,6 +380,13 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     kept = [True] * len(ops)
     for j, instr in enumerate(ops):
         gate = instr.gate
+        if len(gate.qubits) == 1 and gate.clbit is None and instr.condition is None:
+            s = qubit_stacks[gate.qubits[0]]  # an unconditioned one-qubit gate: one stack
+            if s and _inverse_pair(ops[s[-1]], instr):
+                kept[s.pop()] = kept[j] = False
+            else:
+                s.append(j)
+            continue
         if gate.name == "barrier":
             stacks = qubit_stacks
         else:
@@ -389,8 +396,10 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
             if instr.condition is not None and instr.condition[0] != gate.clbit:
                 stacks.append(clbit_stacks[instr.condition[0]])
         top = stacks[0][-1] if stacks and stacks[0] else None
-        if len(stacks) > 1 and not all(s and s[-1] == top for s in stacks):
-            top = None  # the stacks disagree
+        for s in stacks[1:]:
+            if not s or s[-1] != top:
+                top = None  # the stacks disagree
+                break
         if top is not None and _inverse_pair(ops[top], instr):
             for s in stacks:
                 s.pop()

@@ -15,7 +15,9 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
-from math import isfinite
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from math import copysign, inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +214,7 @@ def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
     groups, in mask order, each by one sim.run_exact_batch call.  A circuit
     of n qubits and m mid-circuit measurements may need 2^(n+m) amplitudes,
     and a group takes circuits while their total stays within sim._BLOCK
-    (_groups).
+    (sim._groups).
     Only the circuits a run uses are compiled: the first mask's, whose
     census goes in the report, and in a sampled run each mask's, for the
     trajectory simulator.  Nothing here depends on the noise or the seed.
@@ -239,22 +241,8 @@ def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
         except QsearchError as exc:
             raise type(exc)(f"oracle {mask}: {exc}") from exc
         built.append((mask, data_bits, circ, low))
-    groups = _groups(built, amplitudes, sim._BLOCK)
+    groups = sim._groups(built, amplitudes, sim._BLOCK)
     return [oracle for group in groups for oracle in _simulate(group)], census_dict, calls
-
-
-def _groups(items: list, sizes: list[int], budget: int):
-    """Consecutive runs of items, in order, each holding items while their
-    sizes sum to at most budget, and at least one item."""
-    group, total = [], 0
-    for item, size in zip(items, sizes):
-        if group and total + size > budget:
-            yield group
-            group, total = [], 0
-        group.append(item)
-        total += size
-    if group:
-        yield group
 
 
 def _simulate(group: list[tuple]) -> list[tuple]:
@@ -291,10 +279,10 @@ def _sample(cfg: ExperimentConfig, noise: sim.NoiseModel, oracles: list[tuple]) 
     The masks are sampled in groups, in mask order, each by one
     sim.run_noisy_batch call.  A group takes masks while the bytes their
     trajectory chunks need (sim.noisy_bytes) stay within
-    sim.MAX_NOISY_BYTES in all (_groups).
+    sim.MAX_NOISY_BYTES in all (sim._groups).
     """
     sizes = [sim.noisy_bytes(low, cfg.shots) for _, _, _, low in oracles]
-    groups = _groups(oracles, sizes, sim.MAX_NOISY_BYTES)
+    groups = sim._groups(oracles, sizes, sim.MAX_NOISY_BYTES)
     return [dist for group in groups for dist in _sample_group(cfg, noise, group)]
 
 
@@ -385,8 +373,76 @@ def _report_path(cfg: ExperimentConfig, outdir: Path) -> Path:
     return outdir / f"report_{cfg.family}_{cfg.n}q.json"
 
 
+class _Unhandled(Exception):
+    """A value _report_text leaves to json.dumps."""
+
+
+def _report_text(report) -> str:
+    """json.dumps(report, indent=2, sort_keys=True), character for character,
+    with each distinct float formatted once.
+
+    A report holds thousands of floats but few distinct values, and json's
+    indenting encoder spends most of its time in float repr.  A dict with a
+    key that is not exactly a str, a subclass of list, tuple or dict, any
+    other type, and a structure too deep to recurse into go to json.dumps
+    itself, which then writes or refuses the report as it always did.
+    """
+    floats: dict[float, str] = {}
+    zeros = {1.0: float.__repr__(0.0), -1.0: float.__repr__(-0.0)}  # 0.0 == -0.0 as keys
+
+    def number(v: float) -> str:
+        text = floats.get(v)
+        if text is None:
+            if not v:  # NaN is truthy
+                return zeros[copysign(1.0, v)]
+            if v != v:  # json's forms of the non-finite values; NaN equals no key
+                return "NaN"
+            text = floats[v] = "Infinity" if v == inf else "-Infinity" if v == -inf \
+                else float.__repr__(v)
+        return text
+
+    def value(o, indent: str) -> str:
+        kind = type(o)
+        if kind is float:
+            return number(o)
+        if kind is list or kind is tuple:
+            if not o:
+                return "[]"
+            inner = indent + "  "
+            items = [number(v) if type(v) is float else value(v, inner) for v in o]
+            return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+        if kind is dict:
+            if not o:
+                return "{}"
+            if not all(type(k) is str for k in o):
+                raise _Unhandled
+            inner = indent + "  "
+            items = [f"{encode_basestring_ascii(k)}: {value(o[k], inner)}" for k in sorted(o)]
+            return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+        # json's own order of tests, so subclasses of str, int and float go as json sends them
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return number(o)
+        raise _Unhandled
+
+    try:
+        return value(report, "")
+    except (_Unhandled, RecursionError):
+        return json.dumps(report, indent=2, sort_keys=True)
+
+
 def write_report(report: dict, path: Path) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    """Write json.dumps(report, indent=2, sort_keys=True) and a newline."""
+    path.write_text(_report_text(report) + "\n")
 
 
 def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
@@ -583,9 +639,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """make_parser(), built once per process: parse_args keeps nothing
+    from one call to the next."""
+    return make_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = make_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "plot":
             outdir = Path(args.out) if args.out else None
             return cmd_plot(Path(args.report), outdir)

@@ -25,7 +25,7 @@ from .errors import (
 )
 
 MAX_EXACT_WIDTH = 24
-MAX_NOISY_BYTES = 1 << 30  # one trajectory chunk's uniforms plus its largest state batch
+MAX_NOISY_BYTES = 1 << 30  # what one trajectory chunk may hold at once (noisy_bytes)
 TRAJECTORY_CHUNK = 8192  # fixed, so trajectory t's draws never depend on the shot total
 _NORM_TOL = 1e-12
 _BLOCK = 1 << 20  # amplitudes per block of rows that a gate or collapse works on
@@ -207,6 +207,20 @@ def _shared_width(circuits: list[Circuit]) -> int:
     return n
 
 
+def _groups(items: list, sizes: list[int], budget: int):
+    """Consecutive runs of items, in order, each holding items while their
+    sizes sum to at most budget, and at least one item."""
+    group, total = [], 0
+    for item, size in zip(items, sizes):
+        if group and total + size > budget:
+            yield group
+            group, total = [], 0
+        group.append(item)
+        total += size
+    if group:
+        yield group
+
+
 def _blame(exc: QsearchError, circuit: int) -> QsearchError:
     if exc.circuit is None:
         exc.circuit = circuit
@@ -223,8 +237,16 @@ def _schedule(bodies: list[list[Instruction]]):
     list still meets exactly its own instructions, in order.
     """
     codes: dict[tuple, int] = {}
-    streams = [[codes.setdefault(key, len(codes)) for key in map(_instruction_key, body)]
-               for body in bodies]
+    known: dict[int, int] = {}  # id of an instruction object -> its code
+    streams = []
+    for body in bodies:
+        stream = []
+        for instr in body:
+            code = known.get(id(instr))
+            if code is None:  # a template's fixed instructions are one object in every circuit
+                code = known[id(instr)] = codes.setdefault(_instruction_key(instr), len(codes))
+            stream.append(code)
+        streams.append(stream)
     pos = [0] * len(bodies)
     waiting: dict[int, list[int]] = {}  # code -> the lists whose next instruction it is
     lag = [0] * len(codes)  # code -> the smallest pointer among the lists waiting at it
@@ -303,25 +325,87 @@ def _exact_width(n_qubits: int, body: list[Instruction]) -> int:
     return width
 
 
-def _terminal_distribution(state: np.ndarray, n: int, terminal: list[tuple[int, int]],
-                           clbits: np.ndarray, weights: np.ndarray) -> Distribution:
-    """Distribution of measuring the terminal pairs on every row of a batch.
+def _terminal_histograms(state: np.ndarray, n: int, terminal: list[tuple[int, int]],
+                         clbits: np.ndarray, weights: np.ndarray, local: np.ndarray,
+                         count: int) -> np.ndarray:
+    """Measure the terminal pairs on every row of a batch whose row r belongs
+    to circuit local[r] of count; each circuit's unnormalised distribution,
+    one row per circuit.
 
     Row r carries weight weights[r] and the bits clbits[r] recorded before;
-    each terminal pair overwrites its own bit.
+    each terminal pair overwrites its own bit.  One bincount sums every
+    circuit's bins, each over its own rows in batch order.
     """
     probs = np.abs(state)
     probs **= 2  # in place: the batch may hold 2^m branch rows
     marg = _marginal(probs, n, [q for q, _ in terminal])
     if not np.abs(marg.sum(axis=1) - 1.0).max() <= _NORM_TOL * 10:  # NaN fails too
         raise ValidationError("statevector norm drifted")
-    k, cols = len(terminal), [c for _, c in terminal]
-    clbits[:, cols] = 0
-    patterns = np.zeros((1 << k, clbits.shape[1]), dtype=np.int8)
-    patterns[:, cols] = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    outcome = _outcome_index(clbits)[:, None] + _outcome_index(patterns)
-    probs = np.bincount(outcome.ravel(), (weights[:, None] * marg).ravel(), 1 << clbits.shape[1])
-    return Distribution(clbits.shape[1], probabilities=probs / probs.sum())
+    k, width = len(terminal), clbits.shape[1]
+    clbits[:, [c for _, c in terminal]] = 0
+    pattern, values = np.zeros(1 << k, dtype=np.int64), np.arange(1 << k)
+    for j, (_, c) in enumerate(terminal):  # the outcome index each terminal pattern adds
+        pattern |= ((values >> (k - 1 - j)) & 1) << (width - 1 - c)
+    dim = 1 << width
+    outcome = (_outcome_index(clbits) + local * dim)[:, None] + pattern
+    hist = np.bincount(outcome.ravel(), (weights[:, None] * marg).ravel(), count * dim)
+    return hist.reshape(count, dim)
+
+
+def _terminal_distribution(state: np.ndarray, n: int, terminal: list[tuple[int, int]],
+                           clbits: np.ndarray, weights: np.ndarray) -> Distribution:
+    """Distribution of measuring the terminal pairs on every row of a batch
+    of one circuit: see _terminal_histograms."""
+    hist = _terminal_histograms(
+        state, n, terminal, clbits, weights, np.zeros(len(state), dtype=np.int64), 1)[0]
+    return Distribution(clbits.shape[1], probabilities=hist / hist.sum())
+
+
+def _terminal_pass(state: np.ndarray, n: int, owner: np.ndarray, clbits: np.ndarray,
+                   weights: np.ndarray, terminals: list, n_bits: list[int]) -> list[Distribution]:
+    """Each circuit's distribution from measuring its terminal pairs on the
+    rows it owns.
+
+    Circuits that share terminal pairs and bit count go through
+    _terminal_histograms together, in blocks of whole circuits of at most
+    _BLOCK amplitudes (at least one circuit), so each bin adds the same terms
+    in the same order as _terminal_distribution on that circuit's rows.  If
+    any circuit fails, the circuits are redone one at a time, in order, so
+    that the error blames the first that fails.
+    """
+    count = len(terminals)
+    kinds: dict[tuple, list[int]] = {}
+    for i, (terminal, bits) in enumerate(zip(terminals, n_bits)):
+        kinds.setdefault((tuple(terminal), bits), []).append(i)
+    sizes = np.bincount(owner, minlength=count) << n
+    out = [None] * count
+    where = np.zeros(count, dtype=np.int64)  # circuit -> its place in its block
+    try:
+        for (terminal, bits), members in kinds.items():
+            for block in _groups(members, sizes[members], _BLOCK):
+                where[block] = np.arange(len(block))
+                if len(block) == count:  # every row, in batch order: no gather
+                    rows = slice(None)
+                else:
+                    member = np.zeros(count, dtype=bool)
+                    member[block] = True
+                    rows = np.flatnonzero(member[owner])
+                hist = _terminal_histograms(
+                    state[rows], n, list(terminal), clbits[rows, :bits].copy(), weights[rows],
+                    where[owner[rows]], len(block))
+                hist /= hist.sum(axis=1)[:, None]
+                for i, probs in zip(block, hist):
+                    out[i] = Distribution(bits, probabilities=probs)
+    except QsearchError:
+        for i, terminal in enumerate(terminals):
+            rows = np.flatnonzero(owner == i)
+            try:
+                _terminal_distribution(
+                    state[rows], n, terminal, clbits[rows, :n_bits[i]], weights[rows])
+            except QsearchError as exc:
+                raise _blame(exc, i)
+        raise
+    return out
 
 
 def exact_width(circuit: Circuit) -> int:
@@ -406,15 +490,7 @@ def run_exact_batch(circuits: list[Circuit]) -> list[Distribution]:
         except QsearchError as exc:
             raise _blame(exc, group[0])
 
-    out = []
-    for i, terminal in enumerate(terminals):
-        rows = np.flatnonzero(owner == i)
-        try:
-            out.append(_terminal_distribution(
-                state[rows], n, terminal, clbits[rows, :n_bits[i]], weights[rows]))
-        except QsearchError as exc:
-            raise _blame(exc, i)
-    return out
+    return _terminal_pass(state, n, owner, clbits, weights, terminals, n_bits)
 
 
 def run_exact(circuit: Circuit) -> Distribution:
@@ -481,13 +557,29 @@ class _NoisyPlan:
         return cls(body, terminal, n_bits, n_mid, splits, int(splits[-1]) + len(terminal))
 
     def chunk_bytes(self, n: int, shots: int) -> int:
-        b = min(shots, TRAJECTORY_CHUNK)
-        return b * self.cols * 8 + (b + 1) * (16 << n)
+        """See noisy_bytes."""
+        b, sites = min(shots, TRAJECTORY_CHUNK), int(self.splits[0])
+        uniforms = b * (2 * self.cols - 2 * sites) * 8  # and the batch's copies of the non-site ones
+        # _noisy_chunk's hit tables if every site is hit: the site-hit mask's
+        # byte, then 8 each for a hit's site, its trajectory (twice) and its
+        # pick, and for the concatenated trajectory and pick tables
+        hits = b * sites * (1 + 6 * 8)
+        return uniforms + hits + (b + 1) * (48 << n)
 
 
 def noisy_bytes(circuit: Circuit, shots: int) -> int:
-    """Bytes one trajectory chunk of a circuit needs: its uniforms plus its
-    largest state batch, b·columns·8 + (b+1)·2^n·16 for b trajectories."""
+    """Bytes one trajectory chunk of a circuit can hold at once, for b
+    trajectories, `sites` gate sites and `cols` uniforms each:
+    b·(2·cols − 2·sites)·8 + b·sites·49 + (b+1)·2^n·48.
+
+    That is its uniforms with the batch's copies of the measurement and
+    readout columns; its hit tables when every site is hit; and, per
+    amplitude of up to b+1 live rows, the state (16 bytes) and the largest
+    temporary beside it (32): a Pauli insertion's gathered block, its saved
+    half and numpy's copy of the other half (32), a measurement's gathered
+    rows and their |·|² (24), or the final sampling's |state|² and its
+    cumsum (16).
+    """
     return _NoisyPlan.of(circuit).chunk_bytes(circuit.n_qubits, shots)
 
 

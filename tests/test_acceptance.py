@@ -394,11 +394,11 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
 
 def test_parity_digest_script_is_deterministic():
     """scripts/parity_digest.py prints the same digest line on every run,
-    with and without the seeded noisy counts."""
+    with and without the seeded noisy counts, and with the written reports."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    for flags, suffix in (([], ""), (["--noisy"], ", noisy 64 shots")):
+    for flags, suffix in (([], ""), (["--noisy"], ", noisy 64 shots"), (["--reports"], ", reports")):
         lines = [
             subprocess.run(
                 [sys.executable, str(root / "scripts" / "parity_digest.py"), "--max-n", "3", *flags],

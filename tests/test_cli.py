@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import binom_sigma
-from qsearch import families, qasm, sim, synth
+from qsearch import cli, families, qasm, sim, synth
 from qsearch.circuit import Circuit, Instruction, census, rz
 from qsearch.cli import (
     ExperimentConfig,
@@ -633,3 +633,92 @@ class TestNoisyBatches:
                 "--out", str(tmp_path)]
         assert main(argv) == 0
         assert sizes == [8, 8]
+
+
+# The report writer: json.dumps(report, indent=2, sort_keys=True) and a
+# newline, with each distinct float formatted once.
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1 / 3, 1e-300, float("nan"), float("inf"), float("-inf")]),
+    st.floats(),
+    st.floats().map(np.float64),
+)
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(), _FLOATS)
+_JSON_LIKE = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple), st.dictionaries(st.text(), children)),
+    max_leaves=60,
+)
+
+
+class TestReportWriter:
+    @given(_JSON_LIKE)
+    @settings(max_examples=300, deadline=None)
+    def test_text_is_json_dumps(self, obj):
+        # nested lists, tuples and str-keyed dicts; repeated floats, 0.0 beside
+        # -0.0, NaN, infinities, np.float64, non-ASCII text, empty containers
+        assert cli._report_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_zero_signs_and_repeats_keep_their_text(self):
+        obj = {"a": [0.0, -0.0, 0.0, -0.0, np.float64(-0.0)], "b": [0.1] * 3 + [np.float64(0.1)]}
+        assert cli._report_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        assert '-0.0' in cli._report_text(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {1: 0.5, 2: [1.5]},  # int keys, which json writes as strings
+        {"a": {"b": (1, [2.5, {"c": None}])}, "": [], "é": {}},
+        [re.RegexFlag.IGNORECASE, 2.0],  # an int subclass
+    ])
+    def test_other_keys_and_subclasses_as_json_writes_them(self, obj):
+        assert cli._report_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj, error", [
+        ({"a": np.int64(3)}, TypeError),
+        ({"a": 1, 2: 3}, TypeError),  # keys json cannot sort
+        (None, ValueError),  # replaced by a list that holds itself
+    ])
+    def test_refuses_what_json_refuses(self, obj, error):
+        if obj is None:
+            obj = [1.5]
+            obj.append(obj)
+        with pytest.raises(error) as want:
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(error) as got:
+            cli._report_text(obj)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("family", families.FAMILIES)
+    def test_run_report_bytes_are_json_dumps(self, family, tmp_path):
+        # one fixed-seed sampled report per family, written by `qsearch run`
+        cfg = ExperimentConfig(family=family, n=4, oracle_style="ancilla-relphase", shots=64,
+                               noise={"p2": 0.02, "p_meas": 0.01}, seed=7, out=str(tmp_path),
+                               partition=[2, 2] if family in families.BLOCK_FAMILIES else None,
+                               diffuser_size=3 if family == "partial" else None)
+        report = run_experiment(cfg)
+        path = tmp_path / "report.json"
+        cli.write_report(report, path)
+        assert path.read_bytes() == (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+
+
+class TestParser:
+    def test_one_parser_per_process_carries_nothing_between_calls(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        built = []
+        make_parser = cli.make_parser
+        monkeypatch.setattr(cli, "make_parser", lambda: built.append(1) or make_parser())
+        cli._parser.cache_clear()
+        try:
+            assert main(["run", "--n", "abc"]) == 1
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            common = ["run", "--n", "2", "--oracle", "10", "--out"]
+            assert main(common + [str(tmp_path / "a"), "--seed", "5"]) == 0
+            assert main(common + [str(tmp_path / "b")]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert read_report(tmp_path / "a" / "report_grover_2q.json")["config"]["seed"] == 5
+        assert read_report(tmp_path / "b" / "report_grover_2q.json")["config"]["seed"] == 0
+        assert capsys.readouterr().err.startswith("error: qsearch run: argument --n")

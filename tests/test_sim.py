@@ -1,4 +1,6 @@
 """Exact and noisy simulation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,41 @@ class TestRunExactBatch:
         ]
         for c, d in zip(circuits, sim.run_exact_batch(circuits)):
             assert np.array_equal(d.probabilities, sim.run_exact(c).probabilities)
+
+    @pytest.mark.parametrize("block", [1, 64, 1024])
+    def test_terminal_pass_in_blocks_is_bit_identical(self, block, monkeypatch):
+        # several terminal kinds, branching circuits among plain ones, split
+        # into blocks of whole circuits: every circuit's bytes are its own run's
+        mask_sets = family_mask_sets("grover", "measurement-assisted", max_n=3, all_masks=True)
+        circuits = [c for cs in mask_sets for c in cs if c.n_qubits == 4]
+        circuits += [frag_circuit([h(q) for q in range(4)], 4), frag_circuit([h(0), cx(0, 3)], 4)]
+        want = [sim.run_exact(c).probabilities for c in circuits]
+        calls = []
+        histograms = sim._terminal_histograms
+        monkeypatch.setattr(sim, "_terminal_histograms",
+                            lambda *args: calls.append(args[-1]) or histograms(*args))
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        got = sim.run_exact_batch(circuits)
+        assert all(np.array_equal(d.probabilities, w) for d, w in zip(got, want))
+        assert sum(calls) == len(circuits)
+        assert (max(calls) > 1) == (block > 1)
+
+    def test_terminal_pass_is_one_pass_per_kind(self, monkeypatch):
+        calls = []
+        histograms = sim._terminal_histograms
+        monkeypatch.setattr(sim, "_terminal_histograms",
+                            lambda *args: calls.append(args[-1]) or histograms(*args))
+        circuits = [frag_circuit([h(0), x(q)], 2) for q in (0, 1, 0)]
+        circuits.append(frag_circuit([h(1), measure(1, 0)], 2, 1))
+        sim.run_exact_batch(circuits)
+        assert sorted(calls) == [1, 3]
+
+    def test_schedule_codes_equal_instructions_once(self):
+        # one object in two bodies, and an equal but distinct object, share a code
+        shared, twin = Instruction(h(0)), Instruction(h(0))
+        steps = list(sim._schedule([[shared, Instruction(x(1))], [shared], [twin]]))
+        assert [(instr.gate.name, group) for instr, group in steps] == [
+            ("h", [0, 1, 2]), ("x", [0])]
 
     def test_mixed_widths_refused(self):
         with pytest.raises(ValidationError, match="share a width"):
@@ -526,9 +563,10 @@ class TestRunNoisy:
         assert d.counts.tolist() == counts
 
     def test_memory_budget_edge(self, monkeypatch):
-        # 2 sites and 2 terminal bits: 10 rows of 7 uniforms, and 11 rows of 4 amplitudes
+        # 2 sites and 2 terminal bits: 10 rows of 7 uniforms, 3 of them copied; hit
+        # tables for 10 trajectories at 2 sites; and 11 rows of 4 amplitudes
         c = frag_circuit([h(0), cx(0, 1)], 2)
-        need = 10 * 7 * 8 + 11 * 4 * 16
+        need = 10 * (7 + 3) * 8 + 10 * 2 * 49 + 11 * 4 * 48
         monkeypatch.setattr(sim, "MAX_NOISY_BYTES", need)
         assert sim.run_noisy(c, NoiseModel(p2=0.5), 10, seed=1).shots == 10
 
@@ -539,6 +577,20 @@ class TestRunNoisy:
         monkeypatch.setattr(np.random, "default_rng", unexpected)
         with pytest.raises(OverBudget, match=r"10 trajectories of 7 uniforms .* over the"):
             sim.run_noisy(c, NoiseModel(p2=0.5), 10, seed=1)
+
+    @pytest.mark.parametrize("p2", [0.01, 0.5])
+    def test_memory_peak_within_estimate(self, p2):
+        # 1,024 trajectories of 9-wire states: the estimate bounds what a chunk
+        # allocates at once, Pauli insertions and final sampling included
+        c = synth.compile(families.build(families.FamilyRequest(
+            "grover", OracleSpec(7, "0110101", "ancilla-relphase"))))
+        tracemalloc.start()
+        try:
+            sim.run_noisy(c, NoiseModel(p2=p2), 1024, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sim.noisy_bytes(c, 1024)
 
     def test_readout_flip_only(self):
         b = CircuitBuilder(1, 1)
