@@ -201,63 +201,56 @@ def cmd_build(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
+def _named(exc: QsearchError, masks: list[str], at: int) -> QsearchError:
+    """exc with "oracle <mask>: " before its message, for the mask of the
+    circuit an engine blamed (exc.circuit), else for masks[at].  The
+    exception keeps its class and attributes: no constructor runs again."""
+    exc.args = (f"oracle {masks[at if exc.circuit is None else exc.circuit]}: {exc}",)
+    return exc
+
+
 def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
     """Build every oracle in the set, by one families.build_masks call, and
-    compute its exact distribution.
+    compute its exact distribution, by one sim.run_exact_batch call.
 
     Returns (mask, data bits, exact data-bit distribution, compiled circuit
     or None) per mask, plus the census and oracle calls of the first mask.
     A call count outside 1..2^n is refused before any simulation, and
-    grover's, its iteration count, before any build; so is a circuit too
-    wide to simulate exactly.
-    Once every mask is built and checked, the circuits are simulated in
-    groups, in mask order, each by one sim.run_exact_batch call.  A circuit
-    of n qubits and m mid-circuit measurements may need 2^(n+m) amplitudes,
-    and a group takes circuits while their total stays within sim._BLOCK
-    (sim._groups).
-    Only the circuits a run uses are compiled: the first mask's, whose
-    census goes in the report, and in a sampled run each mask's, for the
-    trajectory simulator.  Nothing here depends on the noise or the seed.
+    grover's, its iteration count, before any build.  run_exact_batch
+    draws the circuits one at a time and refuses one too wide to simulate
+    exactly before it draws the next, so no later mask is built.
+    Only the circuits a run uses are compiled, after the exact batch: the
+    first mask's, whose census goes in the report, and in a sampled run each
+    mask's, for the trajectory simulator.  Nothing here depends on the noise
+    or the seed.
     """
-    built: list[tuple] = []  # (mask, data bits, circuit, compiled circuit or None)
-    amplitudes = []
-    census_dict = calls = None
     masks = resolve_masks(cfg)
-    circuits = families.build_masks(build_request(cfg, masks[0]), masks)
-    for mask in masks:
-        try:
-            if calls is None and cfg.family == "grover" and cfg.iterations >= 1:
-                calls = cfg.iterations  # refused before a build that grows with it
-                analysis.classical_baselines(cfg.n, calls)
-            circ = next(circuits)
+    calls = cfg.iterations if cfg.family == "grover" and cfg.iterations >= 1 else None
+    built = []
+
+    def drawn():
+        nonlocal calls
+        for circ in families.build_masks(build_request(cfg, masks[0]), masks):
             if calls is None:
                 calls = circ.metadata.get("oracle_calls", 1)
                 analysis.classical_baselines(cfg.n, calls)  # refuses calls outside 1..2^n up front
-            amplitudes.append(1 << sim.exact_width(circ))
-            data_bits = circ.metadata.get("data_clbits", list(range(cfg.n)))
-            low = synth.compile(circ) if census_dict is None or cfg.shots > 0 else None
-            if census_dict is None:
-                census_dict = _census_dict(census(low))
-        except QsearchError as exc:
-            raise type(exc)(f"oracle {mask}: {exc}") from exc
-        built.append((mask, data_bits, circ, low))
-    groups = sim._groups(built, amplitudes, sim._BLOCK)
-    return [oracle for group in groups for oracle in _simulate(group)], census_dict, calls
+            built.append(circ)
+            yield circ
 
-
-def _simulate(group: list[tuple]) -> list[tuple]:
-    """Exact data-bit distributions of a group of _exact_oracles from one batch."""
-    try:
-        dists = sim.run_exact_batch([circ for _, _, circ, _ in group])
-    except QsearchError as exc:
-        raise type(exc)(f"oracle {group[exc.circuit or 0][0]}: {exc}") from exc
     oracles = []
-    for (mask, data_bits, _, low), dist in zip(group, dists):
-        try:
+    try:
+        if calls is not None:  # refused before a build that grows with it
+            analysis.classical_baselines(cfg.n, calls)
+        dists = sim.run_exact_batch(drawn())
+        for mask, circ, dist in zip(masks, built, dists):
+            data_bits = circ.metadata.get("data_clbits", list(range(cfg.n)))
+            low = synth.compile(circ) if not oracles or cfg.shots > 0 else None
+            if not oracles:
+                census_dict = _census_dict(census(low))
             oracles.append((mask, data_bits, dist.marginal(data_bits), low))
-        except QsearchError as exc:
-            raise type(exc)(f"oracle {mask}: {exc}") from exc
-    return oracles
+    except QsearchError as exc:
+        raise _named(exc, masks, len(oracles))
+    return oracles, census_dict, calls
 
 
 def _noise_model(cfg: ExperimentConfig) -> sim.NoiseModel:
@@ -272,49 +265,22 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return _report(cfg, noise, _exact_oracles(cfg), t0)
 
 
-def _sample(cfg: ExperimentConfig, noise: sim.NoiseModel, oracles: list[tuple]) -> list:
-    """Sampled data-bit distribution of each of _exact_oracles under cfg's
-    noise and seed.
-
-    The masks are sampled in groups, in mask order, each by one
-    sim.run_noisy_batch call.  A group takes masks while the bytes their
-    trajectory chunks need (sim.noisy_bytes) stay within
-    sim.MAX_NOISY_BYTES in all (sim._groups).
-    """
-    sizes = [sim.noisy_bytes(low, cfg.shots) for _, _, _, low in oracles]
-    groups = sim._groups(oracles, sizes, sim.MAX_NOISY_BYTES)
-    return [dist for group in groups for dist in _sample_group(cfg, noise, group)]
-
-
-def _sample_group(cfg: ExperimentConfig, noise: sim.NoiseModel, group: list[tuple]) -> list:
-    seeds = [_derive_seed(cfg.seed, int(mask, 2)) for mask, _, _, _ in group]
-    try:
-        dists = sim.run_noisy_batch([low for _, _, _, low in group], noise, cfg.shots, seeds)
-    except QsearchError as exc:
-        raise type(exc)(f"oracle {group[exc.circuit or 0][0]}: {exc}") from exc
-    out = []
-    for (mask, data_bits, _, _), dist in zip(group, dists):
-        try:
-            out.append(dist.marginal(data_bits))
-        except QsearchError as exc:
-            raise type(exc)(f"oracle {mask}: {exc}") from exc
-    return out
-
-
 def _report(cfg: ExperimentConfig, noise: sim.NoiseModel, exact_oracles, t0: float) -> dict:
-    """Sample each oracle under cfg's noise and seed when cfg.shots > 0, and
-    analyze the runs; exact_oracles comes from _exact_oracles(cfg)."""
+    """Sample every oracle under cfg's noise and seed when cfg.shots > 0, by
+    one sim.run_noisy_batch call with a derived seed per mask, and analyze
+    the runs; exact_oracles comes from _exact_oracles(cfg)."""
     oracles, census_dict, calls = exact_oracles
-    if cfg.shots > 0:
-        measured = _sample(cfg, noise, oracles)
-    else:
-        measured = [exact for _, _, exact, _ in oracles]
+    masks = [mask for mask, _, _, _ in oracles]
     oracle_rows = []
     exact_runs: list[analysis.OracleRun] = []
     measured_runs: list[analysis.OracleRun] = []
     p_ts = []
-    for (mask, _, exact, _), dist in zip(oracles, measured):
-        try:
+    try:
+        if cfg.shots > 0:
+            seeds = [_derive_seed(cfg.seed, int(mask, 2)) for mask in masks]
+            sampled = sim.run_noisy_batch([low for _, _, _, low in oracles], noise, cfg.shots, seeds)
+        for i, (mask, data_bits, exact, _) in enumerate(oracles):
+            dist = sampled[i].marginal(data_bits) if cfg.shots > 0 else exact
             p_t = exact.probability(int(mask, 2))
             p_ts.append(p_t)
             exact_runs.append(analysis.OracleRun(mask, exact))
@@ -332,8 +298,8 @@ def _report(cfg: ExperimentConfig, noise: sim.NoiseModel, exact_oracles, t0: flo
                     "exact_distribution": exact.probabilities.tolist(),
                 }
             )
-        except QsearchError as exc:
-            raise type(exc)(f"oracle {mask}: {exc}") from exc
+    except QsearchError as exc:
+        raise _named(exc, masks, len(oracle_rows))
 
     p_t_avg = float(np.mean(p_ts))
     metrics = analysis.compile_metrics(measured_runs, p_t_avg, calls)

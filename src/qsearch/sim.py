@@ -9,6 +9,7 @@ row's flat index uses qubit 0 as the most significant bit.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import sqrt
 from operator import attrgetter
@@ -25,7 +26,7 @@ from .errors import (
 )
 
 MAX_EXACT_WIDTH = 24
-MAX_NOISY_BYTES = 1 << 30  # what one trajectory chunk may hold at once (noisy_bytes)
+MAX_NOISY_BYTES = 1 << 30  # what one trajectory chunk may hold at once (_NoisyPlan.chunk_bytes)
 TRAJECTORY_CHUNK = 8192  # fixed, so trajectory t's draws never depend on the shot total
 _NORM_TOL = 1e-12
 _BLOCK = 1 << 20  # amplitudes per block of rows that a gate or collapse works on
@@ -227,6 +228,20 @@ def _blame(exc: QsearchError, circuit: int) -> QsearchError:
     return exc
 
 
+def _in_groups(run, sizes: list[int], budget: int) -> list:
+    """run(group) on each consecutive group of circuit indices (_groups), in
+    order; an error's circuit, an index into its group, becomes one into all."""
+    out = []
+    for group in _groups(range(len(sizes)), sizes, budget):
+        try:
+            out += run(group)
+        except QsearchError as exc:
+            if exc.circuit is not None:
+                exc.circuit = group[exc.circuit]
+            raise
+    return out
+
+
 def _schedule(bodies: list[list[Instruction]]):
     """Step through many instruction lists at once, each equal instruction once.
 
@@ -408,52 +423,49 @@ def _terminal_pass(state: np.ndarray, n: int, owner: np.ndarray, clbits: np.ndar
     return out
 
 
-def exact_width(circuit: Circuit) -> int:
-    """n + m for a circuit of n qubits and m mid-circuit measurements; its
-    exact run holds at most 2^(n+m) amplitudes.  Raises TooWide above
-    MAX_EXACT_WIDTH."""
-    return _exact_width(circuit.n_qubits, _terminal_split(circuit)[0])
-
-
-def run_exact_batch(circuits: list[Circuit]) -> list[Distribution]:
-    """Exact outcome distribution of each circuit, all simulated in one batch.
+def run_exact_batch(circuits: Iterable[Circuit]) -> list[Distribution]:
+    """Exact outcome distribution of each circuit, simulated in batches.
 
     With no measurement instructions all qubits of a circuit are implicitly
     measured in wire order; otherwise its distribution ranges over its
-    classical bits.  Every branch of every circuit is a row of one batch,
-    with an owner (the circuit's index), a Born-rule weight and a row of
-    classical bits; a measurement whose two outcomes both have probability
-    above 1e-15 appends a copy of the row for outcome 1.
+    classical bits.  Each circuit is split once and refused when n + m >
+    MAX_EXACT_WIDTH as it is drawn, before the next is drawn and before any
+    work.  It may need 2^(n+m) amplitudes, and the circuits then run in
+    consecutive groups of at most _BLOCK amplitudes (at least one circuit).
 
-    The circuits step through their instructions together (_schedule): an
-    instruction equal in several circuits is applied once, to the rows of
-    every circuit waiting at it.  Each row still gets exactly its own
-    circuit's instructions, in order, through row-wise kernels, so a
-    circuit's distribution is bit for bit the one it gets alone.  The one
-    exception is a one-wire circuit with an rz: numpy multiplies a lone
-    complex amplitude without the fused multiply-add of its vector loop, so
-    there the last bit may differ.
+    Every branch of a group's circuits is a row of one batch, with an owner,
+    a Born-rule weight and a row of classical bits; a measurement whose two
+    outcomes are both above 1e-15 appends a copy of the row for outcome 1.
+    The circuits step through their instructions together (_schedule), each
+    equal instruction applied once to the rows of every circuit waiting at
+    it.  Each row still gets exactly its own circuit's instructions, in
+    order, through row-wise kernels, so a circuit's distribution is bit for
+    bit the one it gets alone, whatever the grouping; on one wire, an rz may
+    move the last bit, as numpy multiplies a lone complex amplitude without
+    the fused multiply-add of its vector loop.
 
-    The circuits must share a qubit count.  Each is refused when n + m >
-    MAX_EXACT_WIDTH, before any work; an error that concerns one circuit
-    carries its index as the exception's circuit attribute.
+    The circuits must share a qubit count.  An error that concerns one
+    circuit, drawing it included, carries its index as its circuit attribute.
     """
-    circuits = list(circuits)
-    if not circuits:
+    drawn, plans, sizes = [], [], []
+    try:
+        for circuit in circuits:
+            body, terminal, bits = _terminal_split(circuit)
+            sizes.append(1 << _exact_width(circuit.n_qubits, body))
+            drawn.append(circuit)
+            plans.append(([op for op in body if op.gate.name != "barrier"], terminal, bits))
+    except QsearchError as exc:
+        raise _blame(exc, len(sizes))
+    if not drawn:
         return []
-    n = _shared_width(circuits)
-    bodies, terminals, n_bits = [], [], []
-    for i, c in enumerate(circuits):
-        body, terminal, bits = _terminal_split(c)
-        try:
-            _exact_width(n, body)
-        except QsearchError as exc:
-            raise _blame(exc, i)
-        bodies.append([instr for instr in body if instr.gate.name != "barrier"])
-        terminals.append(terminal)
-        n_bits.append(bits)
+    n = _shared_width(drawn)
+    return _in_groups(lambda group: _exact_group(n, [plans[i] for i in group]), sizes, _BLOCK)
 
-    count = len(circuits)
+
+def _exact_group(n: int, plans: list[tuple]) -> list[Distribution]:
+    """run_exact_batch on one group of (body, terminal pairs, bit count) plans."""
+    bodies, terminals, n_bits = zip(*plans)
+    count = len(plans)
     state = np.zeros((count, 1 << n), dtype=complex)
     state[:, 0] = 1.0
     owner = np.arange(count)
@@ -494,10 +506,7 @@ def run_exact_batch(circuits: list[Circuit]) -> list[Distribution]:
 
 
 def run_exact(circuit: Circuit) -> Distribution:
-    """Exact outcome distribution; branches over mid-circuit measurements.
-
-    A batch of one circuit: see run_exact_batch.
-    """
+    """Exact outcome distribution: run_exact_batch of one circuit."""
     return run_exact_batch([circuit])[0]
 
 
@@ -550,6 +559,7 @@ class _NoisyPlan:
 
     @classmethod
     def of(cls, circuit: Circuit) -> "_NoisyPlan":
+        census(circuit)  # raises NotLowered when gates above 2 qubits remain
         body, terminal, n_bits = _terminal_split(circuit)
         body = [instr for instr in body if instr.gate.name != "barrier"]
         n_mid = sum(instr.gate.name == "measure" for instr in body)
@@ -557,7 +567,18 @@ class _NoisyPlan:
         return cls(body, terminal, n_bits, n_mid, splits, int(splits[-1]) + len(terminal))
 
     def chunk_bytes(self, n: int, shots: int) -> int:
-        """See noisy_bytes."""
+        """Bytes one trajectory chunk of the circuit can hold at once, for b
+        trajectories, `sites` gate sites and `cols` uniforms each:
+        b·(2·cols − 2·sites)·8 + b·sites·49 + (b+1)·2^n·48.
+
+        That is its uniforms with the batch's copies of the measurement and
+        readout columns; its hit tables when every site is hit; and, per
+        amplitude of up to b+1 live rows, the state (16 bytes) and the
+        largest temporary beside it (32): a Pauli insertion's gathered
+        block, its saved half and numpy's copy of the other half (32), a
+        measurement's gathered rows and their |·|² (24), or the final
+        sampling's |state|² and its cumsum (16).
+        """
         b, sites = min(shots, TRAJECTORY_CHUNK), int(self.splits[0])
         uniforms = b * (2 * self.cols - 2 * sites) * 8  # and the batch's copies of the non-site ones
         # _noisy_chunk's hit tables if every site is hit: the site-hit mask's
@@ -565,22 +586,6 @@ class _NoisyPlan:
         # pick, and for the concatenated trajectory and pick tables
         hits = b * sites * (1 + 6 * 8)
         return uniforms + hits + (b + 1) * (48 << n)
-
-
-def noisy_bytes(circuit: Circuit, shots: int) -> int:
-    """Bytes one trajectory chunk of a circuit can hold at once, for b
-    trajectories, `sites` gate sites and `cols` uniforms each:
-    b·(2·cols − 2·sites)·8 + b·sites·49 + (b+1)·2^n·48.
-
-    That is its uniforms with the batch's copies of the measurement and
-    readout columns; its hit tables when every site is hit; and, per
-    amplitude of up to b+1 live rows, the state (16 bytes) and the largest
-    temporary beside it (32): a Pauli insertion's gathered block, its saved
-    half and numpy's copy of the other half (32), a measurement's gathered
-    rows and their |·|² (24), or the final sampling's |state|² and its
-    cumsum (16).
-    """
-    return _NoisyPlan.of(circuit).chunk_bytes(circuit.n_qubits, shots)
 
 
 class _Trajectories:
@@ -693,7 +698,7 @@ class _Trajectories:
 
 def run_noisy_batch(circuits: list[Circuit], noise: NoiseModel, shots: int,
                     seeds: list[int]) -> list[Distribution]:
-    """Monte-Carlo trajectory sampling of lowered circuits, all in one batch.
+    """Monte-Carlo trajectory sampling of lowered circuits, in batches.
 
     After each 1- or 2-qubit gate a uniformly random non-identity Pauli on
     the touched qubits is inserted with probability p1 / p2; recorded bits
@@ -710,21 +715,18 @@ def run_noisy_batch(circuits: list[Circuit], noise: NoiseModel, shots: int,
     draw is made before any gate runs, so each site's Pauli insertions are
     known up front.
 
-    The trajectories of every circuit in a chunk are rows of one batch, and
-    the circuits step through their instructions together (_schedule): an
-    instruction equal in several circuits runs once, with every Pauli
-    insertion of that site in one call.  Error-free trajectories share
-    rows, one per circuit, true mid-circuit outcomes and recorded bits; a
-    measurement splits a shared row rather than copying it per trajectory.
-    A trajectory gets a row of its own at its first Pauli insertion, as a
-    copy of its shared row.  Each kernel works row by row, so every circuit
-    gets bit for bit the counts it gets alone, and those of simulating every
-    trajectory separately.
+    Each circuit is planned once and refused, before any draw, when its
+    chunk would hold more than MAX_NOISY_BYTES (_NoisyPlan.chunk_bytes);
+    the circuits then run in consecutive groups whose chunks need at most
+    that in all (at least one circuit).  A group's trajectories in a chunk
+    are rows of one batch (_Trajectories), and its circuits step through
+    their instructions together (_schedule): an instruction equal in
+    several circuits runs once, with every Pauli insertion of that site in
+    one call.  Each kernel works row by row, so every circuit gets bit for
+    bit the counts it gets alone, whatever the grouping, and those of
+    simulating every trajectory separately.
 
-    The circuits must share a qubit count.  A circuit whose chunk of
-    draws and largest batch would take more than MAX_NOISY_BYTES
-    (noisy_bytes) is refused before any draw, and so is a batch whose
-    circuits need more than that in all.  An error that concerns one
+    The circuits must share a qubit count.  An error that concerns one
     circuit carries its index as the exception's circuit attribute.
     """
     circuits, seeds = list(circuits), list(seeds)
@@ -738,26 +740,26 @@ def run_noisy_batch(circuits: list[Circuit], noise: NoiseModel, shots: int,
     plans, needs = [], []
     for i, circuit in enumerate(circuits):
         try:
-            census(circuit)  # raises NotLowered when gates above 2 qubits remain
             plan = _NoisyPlan.of(circuit)
             need = plan.chunk_bytes(n, shots)
             if need > MAX_NOISY_BYTES:
                 raise OverBudget(
                     f"{min(shots, TRAJECTORY_CHUNK)} trajectories of {plan.cols} uniforms and "
                     f"{n}-qubit states need {need / 2**30:.2f} GiB per chunk, over the "
-                    f"{MAX_NOISY_BYTES / 2**30:.2f} GiB budget"
-                )
+                    f"{MAX_NOISY_BYTES / 2**30:.2f} GiB budget")
         except QsearchError as exc:
             raise _blame(exc, i)
         plans.append(plan)
         needs.append(need)
-    need = sum(needs)
-    if need > MAX_NOISY_BYTES:
-        raise OverBudget(
-            f"{len(circuits)} circuits need {need / 2**30:.2f} GiB per chunk in all, "
-            f"over the {MAX_NOISY_BYTES / 2**30:.2f} GiB budget"
-        )
+    return _in_groups(
+        lambda group: _noisy_group([plans[i] for i in group], noise, shots,
+                                   [seeds[i] for i in group], n),
+        needs, MAX_NOISY_BYTES)
 
+
+def _noisy_group(plans: list[_NoisyPlan], noise: NoiseModel, shots: int, seeds: list[int],
+                 n: int) -> list[Distribution]:
+    """run_noisy_batch on one group of plans, chunk by chunk."""
     counts = [np.zeros(1 << plan.n_bits, dtype=np.int64) for plan in plans]
     for chunk, start in enumerate(range(0, shots, TRAJECTORY_CHUNK)):
         b = min(TRAJECTORY_CHUNK, shots - start)
@@ -840,8 +842,5 @@ def _noisy_chunk(plans: list[_NoisyPlan], noise: NoiseModel, seeds: list[int], c
 
 
 def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Distribution:
-    """Monte-Carlo trajectory sampling of a lowered circuit.
-
-    A batch of one circuit: see run_noisy_batch.
-    """
+    """Monte-Carlo trajectory sampling: run_noisy_batch of one circuit."""
     return run_noisy_batch([circuit], noise, shots, [seed])[0]

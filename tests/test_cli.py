@@ -25,7 +25,7 @@ from qsearch.cli import (
     resolve_masks,
     run_experiment,
 )
-from qsearch.errors import ConfigError, ValidationError
+from qsearch.errors import ConfigError, NotLowered, ValidationError
 
 
 def read_report(path: Path) -> dict:
@@ -230,8 +230,9 @@ class TestSweep:
         calls = {"build_masks": 0, "built": 0, "run_exact_batch": 0, "compile": 0}
         for module, name in ((sim, "run_exact_batch"), (synth, "compile")):
             def counting(*args, _fn=getattr(module, name), _name=name):
-                calls[_name] += len(args[0]) if _name == "run_exact_batch" else 1
-                return _fn(*args)
+                out = _fn(*args)
+                calls[_name] += len(out) if _name == "run_exact_batch" else 1
+                return out
 
             monkeypatch.setattr(module, name, counting)
         build_masks = families.build_masks
@@ -495,27 +496,26 @@ def cli_inputs(draw):
 
 
 class TestExactBatches:
-    """`run` and `sweep` simulate a run's masks in groups, each by one
-    sim.run_exact_batch call."""
+    """`run` and `sweep` simulate a run's masks by one sim.run_exact_batch
+    call, which runs them in groups (sim._exact_group)."""
 
     def test_groups_do_not_change_distributions(self, monkeypatch):
         cfg = ExperimentConfig(family="grover", n=3, oracle_set="all",
                                oracle_style="measurement-assisted")
-        width = sim.exact_width(families.build(build_request(cfg, "000")))
+        c = families.build(build_request(cfg, "000"))
+        width = sim._exact_width(c.n_qubits, sim._terminal_split(c)[0])
         assert width > 3  # n wires and m mid-circuit measurements
-        run_exact_batch = sim.run_exact_batch
+        run_exact_batch, exact_group = sim.run_exact_batch, sim._exact_group
         results = {}
         for block, group in ((1 << width, 1), ((2 << width) + 1, 2), (1 << (width + 3), 8)):
-            sizes = []
-
-            def batch(circuits):
-                sizes.append(len(circuits))
-                return run_exact_batch(circuits)
-
-            monkeypatch.setattr(sim, "run_exact_batch", batch)
+            calls, sizes = [], []
+            monkeypatch.setattr(sim, "run_exact_batch",
+                                lambda circuits: calls.append(1) or run_exact_batch(circuits))
+            monkeypatch.setattr(sim, "_exact_group",
+                                lambda n, plans: sizes.append(len(plans)) or exact_group(n, plans))
             monkeypatch.setattr(sim, "_BLOCK", block)
             oracles, _, _ = _exact_oracles(cfg)
-            assert sizes == [group] * (8 // group)
+            assert len(calls) == 1 and sizes == [group] * (8 // group)
             assert [o[0] for o in oracles] == resolve_masks(cfg)
             results[group] = [o[2].probabilities for o in oracles]
         for group in (2, 8):
@@ -545,7 +545,7 @@ class TestExactBatches:
         def unexpected(*args):
             raise AssertionError("simulated before checking the exact width")
 
-        monkeypatch.setattr(sim, "run_exact_batch", unexpected)
+        monkeypatch.setattr(sim, "_apply_gate", unexpected)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"oracle_set": ["0000000000", "1111111111"]}))
         assert main(["run", "--family", "grover", "--n", "10", "--style", "measurement-assisted",
@@ -553,6 +553,28 @@ class TestExactBatches:
         assert capsys.readouterr().err == (
             "error: oracle 0000000000: 14 qubits and 12 mid-circuit measurements "
             "exceed exact limit 24\n")
+
+    def test_too_wide_draws_one_circuit_and_compiles_none(self, tmp_path, monkeypatch, capsys):
+        # the first circuit's width is checked before the second is built
+        drawn, compiled = [], []
+        build_masks, compile_ = families.build_masks, synth.compile
+
+        def counting(request, masks):
+            for c in build_masks(request, masks):
+                drawn.append(c)
+                yield c
+
+        monkeypatch.setattr(families, "build_masks", counting)
+        monkeypatch.setattr(synth, "compile", lambda c: compiled.append(c) or compile_(c))
+        argv = ["run", "--family", "grover", "--n", "10", "--style", "measurement-assisted",
+                "--iterations", "3", "--oracle-set", "sample:64:0", "--shots", "10",
+                "--out", str(tmp_path)]
+        assert main(argv) == 1
+        first = resolve_masks(ExperimentConfig(n=10, oracle_set="sample:64:0"))[0]
+        assert capsys.readouterr().err == (
+            f"error: oracle {first}: 14 qubits and 12 mid-circuit measurements "
+            "exceed exact limit 24\n")
+        assert len(drawn) == 1 and compiled == []
 
     def test_error_names_the_failing_mask(self, tmp_path, monkeypatch, capsys):
         build_masks = families.build_masks
@@ -569,6 +591,25 @@ class TestExactBatches:
         path.write_text(json.dumps({"oracle_set": ["110", "101", "011"]}))
         assert main(["run", "--n", "3", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: oracle 101: statevector norm drifted\n"
+
+    @pytest.mark.parametrize("masks", [["101"], ["110", "101"]], ids=["census", "sampler"])
+    def test_named_error_keeps_its_class(self, masks, tmp_path, monkeypatch, capsys):
+        # NotLowered(index, message) cannot be rebuilt from its message alone; 101
+        # fails the first mask's census, or, second, run_noisy_batch's plan
+        compile_ = synth.compile
+        monkeypatch.setattr(synth, "compile",
+                            lambda c: c if c.metadata["mask"] == "101" else compile_(c))
+        cfg = ExperimentConfig(n=3, oracle_set=masks, shots=10, noise={"p2": 0.01})
+        with pytest.raises(NotLowered) as info:
+            run_experiment(cfg)
+        assert str(info.value).startswith("oracle 101: instruction ")
+        assert isinstance(info.value.index, int)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"oracle_set": masks}))
+        assert main(["run", "--n", "3", "--config", str(path), "--shots", "10",
+                     "--noise", "p2=0.01", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: oracle 101: instruction ") and err.count("\n") == 1
 
 
 class TestFuzz:
@@ -594,28 +635,34 @@ class TestFuzz:
 
 
 class TestNoisyBatches:
-    """`run` and `sweep` sample a run's masks in groups, each by one
-    sim.run_noisy_batch call bounded by sim.MAX_NOISY_BYTES."""
+    """`run` and `sweep` sample a run's masks by one sim.run_noisy_batch call,
+    which runs them in groups (sim._noisy_group) bounded by sim.MAX_NOISY_BYTES."""
 
     def test_groups_do_not_change_reports(self, monkeypatch):
         cfg = ExperimentConfig(family="wielomianer", n=4, oracle_set="all", shots=50,
                                noise={"p1": 0.01, "p2": 0.02, "p_meas": 0.03}, seed=5)
-        needs = [sim.noisy_bytes(synth.compile(c), cfg.shots)
-                 for c in families.build_masks(build_request(cfg, "0000"), resolve_masks(cfg))]
+        lows = [synth.compile(c)
+                for c in families.build_masks(build_request(cfg, "0000"), resolve_masks(cfg))]
+        needs = [sim._NoisyPlan.of(c).chunk_bytes(c.n_qubits, cfg.shots) for c in lows]
         assert 2 * min(needs) > max(needs)  # so a budget of k * max holds k masks
-        run_noisy_batch = sim.run_noisy_batch
+        run_noisy_batch, noisy_group = sim.run_noisy_batch, sim._noisy_group
         reports = {}
         for group in (1, 2, 16):
-            sizes = []
+            calls, sizes = [], []
 
             def batch(circuits, *args):
-                sizes.append(len(circuits))
+                calls.append(len(circuits))
                 return run_noisy_batch(circuits, *args)
 
+            def grouped(plans, *args):
+                sizes.append(len(plans))
+                return noisy_group(plans, *args)
+
             monkeypatch.setattr(sim, "run_noisy_batch", batch)
+            monkeypatch.setattr(sim, "_noisy_group", grouped)
             monkeypatch.setattr(sim, "MAX_NOISY_BYTES", group * max(needs))
             report = run_experiment(cfg)
-            assert sizes == [group] * (16 // group)
+            assert calls == [16] and sizes == [group] * (16 // group)
             report.pop("timing_seconds")
             reports[group] = json.dumps(report, sort_keys=True)
         assert reports[1] == reports[2] == reports[16]

@@ -1,11 +1,14 @@
-"""Source hygiene: no module or script imports a name it never uses, and
-none defines a private top-level name it never reads.
+"""Source hygiene: no module or script imports a name it never uses, none
+defines a private top-level name it never reads, and every module
+attribute the README names exists.
 
 No linter ships with the test dependencies, so these checks parse each
 module with the standard-library ast instead.  As with flake8, an import
 line marked `# noqa: F401` is a deliberate re-export and is skipped.
 """
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -91,3 +94,26 @@ def test_detects_orphaned_private_name():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=_id)
 def test_no_orphaned_private_names(path):
     assert orphaned_private_names(path.read_text()) == []
+
+
+_README_REFERENCE = re.compile(r"`(sim|cli|families|synth|circuit)\.(\w+)")
+
+
+def unresolved_references(text: str) -> list[str]:
+    """Backticked `module.name` references to a qsearch module that has no
+    attribute of that name."""
+    return [
+        f"{module}.{name}" for module, name in _README_REFERENCE.findall(text)
+        if not hasattr(importlib.import_module(f"qsearch.{module}"), name)
+    ]
+
+
+def test_detects_unresolved_reference():
+    text = "`sim.run_exact`, `synth.compile(circuit)`, `qsearch.sim` and `sim.no_such_name`"
+    assert unresolved_references(text) == ["sim.no_such_name"]
+
+
+def test_readme_references_resolve():
+    text = (ROOT / "README.md").read_text()
+    assert _README_REFERENCE.search(text)
+    assert unresolved_references(text) == []

@@ -25,7 +25,14 @@ from conftest import (
 )
 from qsearch import families, sim, synth
 from qsearch.circuit import Circuit, CircuitBuilder, Instruction, cx, cz, h, measure, rz, x, z
-from qsearch.errors import HasMeasurement, NotLowered, OverBudget, TooWide, ValidationError
+from qsearch.errors import (
+    HasMeasurement,
+    NotLowered,
+    OverBudget,
+    TooWide,
+    UndefinedGateSemantics,
+    ValidationError,
+)
 from qsearch.sim import Distribution, NoiseModel
 from qsearch.synth import OracleSpec
 
@@ -299,6 +306,56 @@ class TestRunExactBatch:
             sim.run_exact_batch([good, wide])
         assert info.value.circuit == 1
 
+    @pytest.mark.parametrize("per_group", [1, 2, 8])
+    def test_groups_are_bit_identical(self, per_group, monkeypatch):
+        # measurement-assisted Grover-3 branches over its mid-circuit measurements
+        circuits = [families.build(families.FamilyRequest(
+            "grover", OracleSpec(3, format(v, "03b"), "measurement-assisted"))) for v in range(8)]
+        want = sim.run_exact_batch(circuits)  # one group
+        c = circuits[0]
+        width = sim._exact_width(c.n_qubits, sim._terminal_split(c)[0])
+        assert width > c.n_qubits  # n wires and m mid-circuit measurements
+        sizes = []
+        exact_group = sim._exact_group
+        monkeypatch.setattr(sim, "_exact_group",
+                            lambda n, plans: sizes.append(len(plans)) or exact_group(n, plans))
+        monkeypatch.setattr(sim, "_BLOCK", per_group << width)
+        got = sim.run_exact_batch(circuits)
+        assert sizes == [per_group] * (8 // per_group)
+        assert all(np.array_equal(d.probabilities, w.probabilities) for d, w in zip(got, want))
+
+    def test_error_in_a_later_group_names_its_circuit(self, monkeypatch):
+        ops = (h(0), rz(float("nan"), 0), h(0), measure(0, 0))
+        bad = Circuit._trusted(1, 1, tuple(Instruction(g) for g in ops), {})
+        good = frag_circuit([h(0), measure(0, 0)], 1, 1)
+        monkeypatch.setattr(sim, "_BLOCK", 4)  # two circuits of two amplitudes per group
+        with pytest.raises(ValidationError, match="norm drifted") as info:
+            sim.run_exact_batch([good, good, good, bad, good])
+        assert info.value.circuit == 3
+
+    def test_draws_and_checks_one_circuit_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_EXACT_WIDTH", 2)
+        good = frag_circuit([h(0), measure(0, 0)], 1, 1)
+        wide = frag_circuit([h(0), measure(0, 0), h(0), measure(0, 1), h(0), measure(0, 2)], 1, 3)
+
+        def too_wide_second():
+            yield good
+            yield wide
+            raise AssertionError("drew a circuit after one too wide")
+
+        with pytest.raises(TooWide) as info:
+            sim.run_exact_batch(too_wide_second())
+        assert info.value.circuit == 1
+
+        def failing_third():
+            yield good
+            yield good
+            raise ValidationError("cannot build it")
+
+        with pytest.raises(ValidationError, match="cannot build it") as info:
+            sim.run_exact_batch(failing_third())
+        assert info.value.circuit == 2
+
 
 class TestRunNoisyReference:
     """run_noisy shares one error-free reference row until each trajectory's
@@ -437,13 +494,57 @@ class TestRunNoisyBatch:
                                 NoiseModel(), 10, [0, 1])
         assert info.value.circuit == 1
         good, long = frag_circuit([h(0), cx(0, 1)], 2), frag_circuit([h(0), cx(0, 1)] * 8, 2)
-        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", sim.noisy_bytes(good, 10))
+        alone = [sim.run_noisy(good, self.NOISE, 10, s).counts.tolist() for s in (0, 1)]
+        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", sim._NoisyPlan.of(good).chunk_bytes(2, 10))
         with pytest.raises(OverBudget, match="10 trajectories of 35 uniforms") as info:
             sim.run_noisy_batch([good, long], NoiseModel(), 10, [0, 1])
         assert info.value.circuit == 1
-        with pytest.raises(OverBudget, match="2 circuits need .* in all") as info:
-            sim.run_noisy_batch([good, good], NoiseModel(), 10, [0, 1])
-        assert info.value.circuit is None
+        # each of two circuits fits the budget, both together do not: two groups
+        sizes = []
+        noisy_group = sim._noisy_group
+        monkeypatch.setattr(sim, "_noisy_group",
+                            lambda plans, *args: sizes.append(len(plans)) or noisy_group(plans, *args))
+        got = sim.run_noisy_batch([good, good], self.NOISE, 10, [0, 1])
+        assert sizes == [1, 1]
+        assert [d.counts.tolist() for d in got] == alone
+
+    @pytest.mark.parametrize("per_group", [1, 2, 16])
+    def test_groups_are_bit_identical(self, per_group, monkeypatch):
+        circuits = [synth.compile(families.build_wielomianer_p43(OracleSpec(4, format(v, "04b"),
+                                                                            "plain-mcz")))
+                    for v in range(16)]
+        seeds = list(range(100, 116))
+        want = sim.run_noisy_batch(circuits, self.NOISE, 50, seeds)  # one group
+        needs = [sim._NoisyPlan.of(c).chunk_bytes(c.n_qubits, 50) for c in circuits]
+        assert 3 * min(needs) > 2 * max(needs)  # so a budget of k * max holds k circuits
+        sizes = []
+        noisy_group = sim._noisy_group
+        monkeypatch.setattr(sim, "_noisy_group",
+                            lambda plans, *args: sizes.append(len(plans)) or noisy_group(plans, *args))
+        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", per_group * max(needs))
+        got = sim.run_noisy_batch(circuits, self.NOISE, 50, seeds)
+        assert sizes == [per_group] * (16 // per_group)
+        assert [d.counts.tolist() for d in got] == [d.counts.tolist() for d in want]
+
+    def test_error_in_a_later_group_names_its_circuit(self, monkeypatch):
+        good = frag_circuit([h(0), cx(0, 1)], 3)
+        marked = frag_circuit([h(0), rz(0.125, 1)], 3)  # its rz fails in the kernel below
+        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", sim._NoisyPlan.of(good).chunk_bytes(3, 10))
+        with pytest.raises(NotLowered) as info:  # refused by its plan, before any group
+            sim.run_noisy_batch([good, good, frag_circuit([cz(0, 1, 2)], 3)], self.NOISE, 10,
+                                [0, 1, 2])
+        assert info.value.circuit == 2
+        apply_gate = sim._apply_gate
+
+        def failing(state, gate, n):
+            if gate.name == "rz":
+                raise UndefinedGateSemantics("marked rz")
+            apply_gate(state, gate, n)
+
+        monkeypatch.setattr(sim, "_apply_gate", failing)
+        with pytest.raises(UndefinedGateSemantics) as info:  # one circuit per group
+            sim.run_noisy_batch([good, good, marked, good], self.NOISE, 10, [0, 1, 2, 3])
+        assert info.value.circuit == 2
 
 
 class TestNoiseModel:
@@ -580,17 +681,26 @@ class TestRunNoisy:
 
     @pytest.mark.parametrize("p2", [0.01, 0.5])
     def test_memory_peak_within_estimate(self, p2):
-        # 1,024 trajectories of 9-wire states: the estimate bounds what a chunk
-        # allocates at once, Pauli insertions and final sampling included
-        c = synth.compile(families.build(families.FamilyRequest(
-            "grover", OracleSpec(7, "0110101", "ancilla-relphase"))))
-        tracemalloc.start()
-        try:
-            sim.run_noisy(c, NoiseModel(p2=p2), 1024, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= sim.noisy_bytes(c, 1024)
+        # one run_noisy_batch call, in one group: the circuits' estimates,
+        # summed, bound what a chunk allocates at once, Pauli insertions and
+        # final sampling included
+        for family, n, style, masks, shots in (
+            ("grover", 7, "ancilla-relphase", ["0110101"], 1024),
+            ("grover", 3, "plain-mcz", [format(v, "03b") for v in range(8)], 2000),
+            ("wielomianer", 4, "plain-mcz", [format(v, "04b") for v in range(16)], 400),
+            ("grover", 6, "ancilla-relphase", ["000000", "010110", "101001", "111111"], 160),
+        ):
+            circuits = [synth.compile(c) for c in families.build_masks(
+                families.FamilyRequest(family, OracleSpec(n, masks[0], style)), masks)]
+            seeds = list(range(3, 3 + len(masks)))
+            tracemalloc.start()
+            try:
+                sim.run_noisy_batch(circuits, NoiseModel(p2=p2), shots, seeds)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            need = sum(sim._NoisyPlan.of(c).chunk_bytes(c.n_qubits, shots) for c in circuits)
+            assert peak <= need, (family, n, style, len(masks))
 
     def test_readout_flip_only(self):
         b = CircuitBuilder(1, 1)
