@@ -3,9 +3,11 @@
 Exact mode enumerates mid-circuit measurement branches with Born-rule
 weights, for many circuits of one width at once; noisy mode samples
 Monte-Carlo trajectories with depolarizing Pauli insertions and readout
-flips.  Both keep their branches or trajectories as the rows of one
-(B, 2^n) complex batch, next to a (B, n_bits) table of classical bits.  A
-row's flat index uses qubit 0 as the most significant bit.
+flips.  Both keep their branches or trajectories as the rows of one table
+(_Rows): a (capacity, 2^n) complex batch with, per row, an owning circuit,
+its recorded classical bits and a mass, the Born-rule weight of a branch or
+the number of trajectories on a row.  A measurement splits rows into spare
+capacity.  A row's flat index uses qubit 0 as the most significant bit.
 """
 from __future__ import annotations
 
@@ -286,19 +288,64 @@ def _schedule(bodies: list[list[Instruction]]):
                     lag[code] = at
 
 
-def _select(instr: Instruction, group: list[int], count: int, owner: np.ndarray,
-            clbits: np.ndarray) -> np.ndarray | None:
-    """Rows that instr acts on: those whose owner is in group and whose bits
-    meet its condition, or None when that is every row."""
-    if len(group) == count and instr.condition is None:
-        return None
-    member = np.zeros(count, dtype=bool)
-    member[group] = True
-    select = member[owner]
-    if instr.condition is not None:
-        bit, value = instr.condition
-        select &= clbits[:, bit] == value
-    return np.flatnonzero(select)
+class _Rows:
+    """The rows of one (capacity, 2^n) batch of statevectors, the first
+    active of them live: the branches or trajectories of many circuits.
+
+    Row r belongs to circuit owner[r], holds the classical bits bits[r]
+    recorded on it and carries mass[r]: its Born-rule weight in an exact
+    run, its number of trajectories in a noisy one.  Each circuit starts on
+    one row in |0...0>, circuit i on row i, with the given mass.
+    """
+
+    def __init__(self, count: int, capacity: int, n: int, n_bits: int, mass: float):
+        self.n, self.count, self.active = n, count, count
+        self.state = np.zeros((capacity, 1 << n), dtype=complex)
+        self.state[:count, 0] = 1.0
+        self.owner = np.zeros(capacity, dtype=np.int64)
+        self.owner[:count] = np.arange(count)
+        self.bits = np.zeros((capacity, n_bits), dtype=np.int8)
+        self.mass = np.zeros(capacity)
+        self.mass[:count] = mass
+
+    def grow(self, src: np.ndarray) -> np.ndarray:
+        """Copy each source row into spare capacity; the copies' indices."""
+        start = self.active
+        self.active += len(src)
+        for table in (self.state, self.owner, self.bits, self.mass):
+            table[start:self.active] = table[src]
+        return np.arange(start, self.active)
+
+    def select(self, instr: Instruction, group: list[int]) -> np.ndarray | None:
+        """Live rows that instr acts on: those whose owner is in group and
+        whose bits meet its condition, or None when that is every live row."""
+        if len(group) == self.count and instr.condition is None:
+            return None
+        member = np.zeros(self.count, dtype=bool)
+        member[group] = True
+        select = member[self.owner[:self.active]]
+        if instr.condition is not None:
+            bit, value = instr.condition
+            select &= self.bits[:self.active, bit] == value
+        return np.flatnonzero(select)
+
+    def split(self, rows: np.ndarray, outcome: np.ndarray, recorded: np.ndarray,
+              q: int, c: int) -> np.ndarray:
+        """Measure wire q into bit c: each (row, outcome, recorded bit) pair,
+        sorted by row, gets a row; those rows.
+
+        The first pair of a row keeps the row, and each other pair gets a
+        copy of it, made before any collapse.  Then each pair's row collapses
+        onto its outcome and records its bit.
+        """
+        later = np.zeros(len(rows), dtype=bool)  # not the first pair of its row
+        later[1:] = rows[1:] == rows[:-1]
+        dest = rows.copy()
+        dest[later] = self.grow(rows[later])
+        for value in (0, 1):
+            _collapse(self.state, self.n, dest[outcome == value], q, value)
+        self.bits[dest, c] = recorded
+        return dest
 
 
 # exact simulation ----------------------------------------------------------
@@ -349,13 +396,15 @@ def _terminal_histograms(state: np.ndarray, n: int, terminal: list[tuple[int, in
 
     Row r carries weight weights[r] and the bits clbits[r] recorded before;
     each terminal pair overwrites its own bit.  One bincount sums every
-    circuit's bins, each over its own rows in batch order.
+    circuit's bins, each over its own rows in batch order.  When a row's
+    norm has drifted, the error blames the lowest circuit among such rows.
     """
     probs = np.abs(state)
     probs **= 2  # in place: the batch may hold 2^m branch rows
     marg = _marginal(probs, n, [q for q, _ in terminal])
-    if not np.abs(marg.sum(axis=1) - 1.0).max() <= _NORM_TOL * 10:  # NaN fails too
-        raise ValidationError("statevector norm drifted")
+    drift = ~(np.abs(marg.sum(axis=1) - 1.0) <= _NORM_TOL * 10)  # NaN drifts too
+    if drift.any():
+        raise _blame(ValidationError("statevector norm drifted"), int(local[drift].min()))
     k, width = len(terminal), clbits.shape[1]
     clbits[:, [c for _, c in terminal]] = 0
     pattern, values = np.zeros(1 << k, dtype=np.int64), np.arange(1 << k)
@@ -367,59 +416,44 @@ def _terminal_histograms(state: np.ndarray, n: int, terminal: list[tuple[int, in
     return hist.reshape(count, dim)
 
 
-def _terminal_distribution(state: np.ndarray, n: int, terminal: list[tuple[int, int]],
-                           clbits: np.ndarray, weights: np.ndarray) -> Distribution:
-    """Distribution of measuring the terminal pairs on every row of a batch
-    of one circuit: see _terminal_histograms."""
-    hist = _terminal_histograms(
-        state, n, terminal, clbits, weights, np.zeros(len(state), dtype=np.int64), 1)[0]
-    return Distribution(clbits.shape[1], probabilities=hist / hist.sum())
-
-
-def _terminal_pass(state: np.ndarray, n: int, owner: np.ndarray, clbits: np.ndarray,
-                   weights: np.ndarray, terminals: list, n_bits: list[int]) -> list[Distribution]:
+def _terminal_pass(table: _Rows, terminals: list, n_bits: list[int]) -> list[Distribution]:
     """Each circuit's distribution from measuring its terminal pairs on the
-    rows it owns.
+    live rows it owns, its mass as each row's weight.
 
     Circuits that share terminal pairs and bit count go through
     _terminal_histograms together, in blocks of whole circuits of at most
     _BLOCK amplitudes (at least one circuit), so each bin adds the same terms
-    in the same order as _terminal_distribution on that circuit's rows.  If
-    any circuit fails, the circuits are redone one at a time, in order, so
-    that the error blames the first that fails.
+    in the same order whatever the blocks.  The kinds go in the order of
+    their first circuit, so a norm error blames the first drifting circuit
+    of the first kind that has one.
     """
-    count = len(terminals)
+    count, n, live = len(terminals), table.n, slice(0, table.active)
+    owner = table.owner[live]
     kinds: dict[tuple, list[int]] = {}
     for i, (terminal, bits) in enumerate(zip(terminals, n_bits)):
         kinds.setdefault((tuple(terminal), bits), []).append(i)
     sizes = np.bincount(owner, minlength=count) << n
     out = [None] * count
     where = np.zeros(count, dtype=np.int64)  # circuit -> its place in its block
-    try:
-        for (terminal, bits), members in kinds.items():
-            for block in _groups(members, sizes[members], _BLOCK):
-                where[block] = np.arange(len(block))
-                if len(block) == count:  # every row, in batch order: no gather
-                    rows = slice(None)
-                else:
-                    member = np.zeros(count, dtype=bool)
-                    member[block] = True
-                    rows = np.flatnonzero(member[owner])
-                hist = _terminal_histograms(
-                    state[rows], n, list(terminal), clbits[rows, :bits].copy(), weights[rows],
-                    where[owner[rows]], len(block))
-                hist /= hist.sum(axis=1)[:, None]
-                for i, probs in zip(block, hist):
-                    out[i] = Distribution(bits, probabilities=probs)
-    except QsearchError:
-        for i, terminal in enumerate(terminals):
-            rows = np.flatnonzero(owner == i)
+    for (terminal, bits), members in kinds.items():
+        for block in _groups(members, sizes[members], _BLOCK):
+            where[block] = np.arange(len(block))
+            if len(block) == count:  # every live row, in batch order: no gather
+                rows = live
+            else:
+                member = np.zeros(count, dtype=bool)
+                member[block] = True
+                rows = np.flatnonzero(member[owner])
             try:
-                _terminal_distribution(
-                    state[rows], n, terminal, clbits[rows, :n_bits[i]], weights[rows])
+                hist = _terminal_histograms(
+                    table.state[rows], n, list(terminal), table.bits[rows, :bits].copy(),
+                    table.mass[rows], where[owner[rows]], len(block))
             except QsearchError as exc:
-                raise _blame(exc, i)
-        raise
+                exc.circuit = block[exc.circuit]
+                raise
+            hist /= hist.sum(axis=1)[:, None]
+            for i, probs in zip(block, hist):
+                out[i] = Distribution(bits, probabilities=probs)
     return out
 
 
@@ -433,10 +467,11 @@ def run_exact_batch(circuits: Iterable[Circuit]) -> list[Distribution]:
     work.  It may need 2^(n+m) amplitudes, and the circuits then run in
     consecutive groups of at most _BLOCK amplitudes (at least one circuit).
 
-    Every branch of a group's circuits is a row of one batch, with an owner,
-    a Born-rule weight and a row of classical bits; a measurement whose two
-    outcomes are both above 1e-15 appends a copy of the row for outcome 1.
-    The circuits step through their instructions together (_schedule), each
+    Every branch of a group's circuits is a row of one table (_Rows), with
+    an owner, a Born-rule weight as its mass and a row of classical bits,
+    in room for 2^m rows per circuit; a measurement whose two outcomes are
+    both above 1e-15 copies the row into spare room for outcome 1.  The
+    circuits step through their instructions together (_schedule), each
     equal instruction applied once to the rows of every circuit waiting at
     it.  Each row still gets exactly its own circuit's instructions, in
     order, through row-wise kernels, so a circuit's distribution is bit for
@@ -451,9 +486,11 @@ def run_exact_batch(circuits: Iterable[Circuit]) -> list[Distribution]:
     try:
         for circuit in circuits:
             body, terminal, bits = _terminal_split(circuit)
-            sizes.append(1 << _exact_width(circuit.n_qubits, body))
+            branches = 1 << (_exact_width(circuit.n_qubits, body) - circuit.n_qubits)
+            sizes.append(branches << circuit.n_qubits)
             drawn.append(circuit)
-            plans.append(([op for op in body if op.gate.name != "barrier"], terminal, bits))
+            plans.append(([op for op in body if op.gate.name != "barrier"], terminal, bits,
+                          branches))
     except QsearchError as exc:
         raise _blame(exc, len(sizes))
     if not drawn:
@@ -463,46 +500,35 @@ def run_exact_batch(circuits: Iterable[Circuit]) -> list[Distribution]:
 
 
 def _exact_group(n: int, plans: list[tuple]) -> list[Distribution]:
-    """run_exact_batch on one group of (body, terminal pairs, bit count) plans."""
-    bodies, terminals, n_bits = zip(*plans)
+    """run_exact_batch on one group of (body, terminal pairs, bit count,
+    branch bound) plans."""
+    bodies, terminals, n_bits, branches = zip(*plans)
     count = len(plans)
-    state = np.zeros((count, 1 << n), dtype=complex)
-    state[:, 0] = 1.0
-    owner = np.arange(count)
-    weights = np.ones(count)
-    clbits = np.zeros((count, max(n_bits)), dtype=np.int8)
+    table = _Rows(count, sum(branches), n, max(n_bits), 1.0)
 
     for instr, group in _schedule(bodies):
         try:
-            rows = _select(instr, group, count, owner, clbits)
+            rows = table.select(instr, group)
             gate = instr.gate
             if gate.name != "measure":
-                _apply_rows(state, gate, n, rows)
+                _apply_rows(table.state[:table.active], gate, n, rows)
                 continue
             if rows is None:
-                rows = np.arange(len(state))
-            q, c = gate.qubits[0], gate.clbit
-            p = _marginal(np.abs(state[rows]) ** 2, n, [q])
-            live = p > 1e-15
-            split = live.all(axis=1)
-            one = rows.copy()
-            one[split] = np.arange(len(state), len(state) + split.sum())  # the appended copies
-            grown = np.concatenate([np.arange(len(state)), rows[split]])  # one gather
-            state, weights, clbits, owner = (
-                state[grown], weights[grown], clbits[grown], owner[grown])
-            for value, dest in ((0, rows), (1, one)):
-                dest = dest[live[:, value]]
-                _collapse(state, n, dest, q, value)
-                weights[dest] *= p[live[:, value], value]
-                clbits[dest, c] = value
-            total = np.bincount(owner, weights, minlength=count)
+                rows = np.arange(table.active)
+            q = gate.qubits[0]
+            p = _marginal(np.abs(table.state[rows]) ** 2, n, [q])
+            k, outcome = np.nonzero(p > 1e-15)
+            dest = table.split(rows[k], outcome, outcome, q, gate.clbit)
+            table.mass[dest] *= p[k, outcome]
+            live = slice(0, table.active)
+            total = np.bincount(table.owner[live], table.mass[live], minlength=count)
             for i in group:
                 if not abs(total[i] - 1.0) <= 1e-12:  # NaN fails too
                     raise _blame(ValidationError("branch weights do not sum to 1"), i)
         except QsearchError as exc:
             raise _blame(exc, group[0])
 
-    return _terminal_pass(state, n, owner, clbits, weights, terminals, n_bits)
+    return _terminal_pass(table, terminals, n_bits)
 
 
 def run_exact(circuit: Circuit) -> Distribution:
@@ -588,41 +614,21 @@ class _NoisyPlan:
         return uniforms + hits + (b + 1) * (48 << n)
 
 
-class _Trajectories:
-    """One chunk of trajectories of many circuits, on the rows of one batch.
+class _Trajectories(_Rows):
+    """One chunk of b trajectories of each of many circuits, on the rows of
+    one table whose mass is a row's number of trajectories.
 
-    Trajectory g belongs to circuit towner[g] and sits on row trow[g].  Row r
-    belongs to circuit rowner[r], carries rload[r] trajectories and the bits
-    rbits[r] they recorded.  Every row carries at least one trajectory, so
-    the live rows, a prefix of the batch, never outnumber the trajectories.
-    Trajectories share a row while they agree on their circuit, their true
-    and recorded mid-circuit outcomes and their (absent) Pauli insertions.
+    Trajectory g belongs to circuit towner[g] and sits on row trow[g].
+    Every live row carries at least one trajectory, so the live rows never
+    outnumber the trajectories.  Trajectories share a row while they agree
+    on their circuit, their true and recorded mid-circuit outcomes and their
+    (absent) Pauli insertions.
     """
 
     def __init__(self, count: int, b: int, n: int, n_bits: int):
-        self.n = n
+        super().__init__(count, count * b, n, n_bits, b)
         self.towner = np.repeat(np.arange(count), b)
         self.trow = self.towner.copy()  # each circuit's trajectories start on its own row
-        self.state = np.zeros((count * b, 1 << n), dtype=complex)
-        self.state[:count, 0] = 1.0
-        self.rowner = np.zeros(count * b, dtype=np.int64)
-        self.rowner[:count] = np.arange(count)
-        self.rload = np.zeros(count * b, dtype=np.int64)
-        self.rload[:count] = b
-        self.rbits = np.zeros((count * b, n_bits), dtype=np.int8)
-        self.active = count
-
-    def _grow(self, src: np.ndarray) -> np.ndarray:
-        """Append a copy of each source row, each with one trajectory's load;
-        the new rows' indices."""
-        start = self.active
-        self.active += len(src)
-        new = slice(start, self.active)
-        self.state[new] = self.state[src]
-        self.rbits[new] = self.rbits[src]
-        self.rowner[new] = self.rowner[src]
-        self.rload[new] = 1
-        return np.arange(start, self.active)
 
     def leave(self, traj: np.ndarray) -> np.ndarray:
         """Give each of the given trajectories (one Pauli insertion each) a
@@ -633,20 +639,22 @@ class _Trajectories:
         trajectory on it leaves.
         """
         rows = self.trow[traj]
-        shared = self.rload[rows] > 1
+        shared = self.mass[rows] > 1
         if not shared.any():
             return rows
         movers, src = traj[shared], rows[shared]
-        np.subtract.at(self.rload, src, 1)
-        emptied = np.flatnonzero(self.rload[src] == 0)
+        np.subtract.at(self.mass, src, 1)
+        emptied = np.flatnonzero(self.mass[src] == 0)
         if emptied.size:
             _, first = np.unique(src[emptied], return_index=True)
             stay = emptied[first]
-            self.rload[src[stay]] = 1
+            self.mass[src[stay]] = 1
             go = np.ones(len(movers), dtype=bool)
             go[stay] = False
             movers, src = movers[go], src[go]
-        self.trow[movers] = self._grow(src)
+        new = self.grow(src)
+        self.mass[new] = 1
+        self.trow[movers] = new
         return self.trow[traj]
 
     def measure(self, rows: np.ndarray, q: int, c: int, u_mid: np.ndarray,
@@ -655,12 +663,10 @@ class _Trajectories:
 
         Each trajectory g on them draws its outcome from u_mid[g, j] and
         flips the bit it records where u_ro[g, j] < p_meas, with j the
-        column col[circuit] of its circuit's measurement.  A
-        row whose trajectories disagree on (outcome, recorded bit) splits:
-        the first such pair keeps the row and each other one gets a copy.
+        column col[circuit] of its circuit's measurement.  Each row then
+        splits by the (outcome, recorded bit) pairs of its trajectories.
         """
-        n = self.n
-        p1 = _marginal(np.abs(self.state[rows]) ** 2, n, [q])[:, 1]
+        p1 = _marginal(np.abs(self.state[rows]) ** 2, self.n, [q])[:, 1]
         where = np.full(self.active, -1)
         where[rows] = np.arange(len(rows))
         traj = np.flatnonzero(where[self.trow] >= 0)
@@ -669,16 +675,9 @@ class _Trajectories:
         outcome = (u_mid[traj, j] < p1[k]).astype(np.int8)
         recorded = outcome ^ (u_ro[traj, j] < p_meas)
         keys, inverse = np.unique((k * 2 + outcome) * 2 + recorded, return_inverse=True)
-        src = rows[keys >> 2]
-        later = np.zeros(len(keys), dtype=bool)  # not the first pair on its row
-        later[1:] = src[1:] == src[:-1]
-        dest = src.copy()
-        dest[later] = self._grow(src[later])  # copied before any collapse
-        self.rload[dest] = np.bincount(inverse, minlength=len(keys))
+        dest = self.split(rows[keys >> 2], (keys >> 1) & 1, keys & 1, q, c)
+        self.mass[dest] = np.bincount(inverse, minlength=len(keys))
         self.trow[traj] = dest[inverse]
-        for value in (0, 1):
-            _collapse(self.state, n, dest[(keys >> 1) & 1 == value], q, value)
-        self.rbits[dest, c] = keys & 1
 
     def sample(self, u_final: np.ndarray) -> np.ndarray:
         """Each trajectory's final basis state: the number of entries of its
@@ -801,17 +800,16 @@ def _noisy_chunk(plans: list[_NoisyPlan], noise: NoiseModel, seeds: list[int], c
 
     for instr, group in _schedule([plan.body for plan in plans]):
         try:
-            active = batch.active
-            rows = _select(instr, group, count, batch.rowner[:active], batch.rbits[:active])
+            rows = batch.select(instr, group)
             gate = instr.gate
             if gate.name == "measure":
                 if rows is None:
-                    rows = np.arange(active)
+                    rows = np.arange(batch.active)
                 batch.measure(rows, gate.qubits[0], gate.clbit, u_mid, u_mid_ro, mid_no,
                               noise.p_meas)
                 mid_no[group] += 1
                 continue
-            _apply_rows(batch.state[:active], gate, n, rows)
+            _apply_rows(batch.state[:batch.active], gate, n, rows)
             spans = []
             for i in group:
                 s = base[i] + site_no[i]
@@ -824,7 +822,7 @@ def _noisy_chunk(plans: list[_NoisyPlan], noise: NoiseModel, seeds: list[int], c
             picks = np.concatenate([hit_pick[s] for s in spans])
             if instr.condition is not None:
                 bit, value = instr.condition
-                met = batch.rbits[batch.trow[hits], bit] == value
+                met = batch.bits[batch.trow[hits], bit] == value
                 hits, picks = hits[met], picks[met]
             _insert_paulis(batch.state, n, gate.qubits, batch.leave(hits), picks)
         except QsearchError as exc:
@@ -834,7 +832,7 @@ def _noisy_chunk(plans: list[_NoisyPlan], noise: NoiseModel, seeds: list[int], c
     out = []
     for i, plan in enumerate(plans):
         own = slice(i * b, (i + 1) * b)
-        clbits = batch.rbits[batch.trow[own], :plan.n_bits]
+        clbits = batch.bits[batch.trow[own], :plan.n_bits]
         for j, (q, c) in enumerate(plan.terminal):
             clbits[:, c] = ((sampled[own] >> (n - 1 - q)) & 1) ^ (u_ro[i][:, j] < noise.p_meas)
         out.append(_outcome_index(clbits))

@@ -139,7 +139,9 @@ def run_deferred(circuit: Circuit) -> sim.Distribution:
 
     pairs = terminal + [(wire, c) for c, wire in record.items()]
     no_bits = np.zeros((1, n_bits), dtype=np.int8)
-    return sim._terminal_distribution(state, n, pairs, no_bits, np.ones(1))
+    hist = sim._terminal_histograms(
+        state, n, pairs, no_bits, np.ones(1), np.zeros(1, dtype=np.int64), 1)
+    return sim.Distribution(n_bits, probabilities=hist[0] / hist[0].sum())
 
 
 def support(instr, n_qubits: int) -> tuple[frozenset[int], frozenset[int]]:

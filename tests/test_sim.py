@@ -300,11 +300,44 @@ class TestRunExactBatch:
         with pytest.raises(ValidationError, match="norm drifted") as info:
             sim.run_exact_batch([good, good, bad, good])
         assert info.value.circuit == 2
+        with pytest.raises(ValidationError, match="norm drifted") as info:
+            sim.run_exact_batch([good, bad, good, bad])  # the first drifting circuit
+        assert info.value.circuit == 1
         monkeypatch.setattr(sim, "MAX_EXACT_WIDTH", 2)
         wide = frag_circuit([h(0), measure(0, 0), h(0), measure(0, 1), h(0), measure(0, 2)], 1, 3)
         with pytest.raises(TooWide) as info:
             sim.run_exact_batch([good, wide])
         assert info.value.circuit == 1
+
+    def test_measurements_copy_only_rows_with_two_live_outcomes(self, monkeypatch):
+        # measurement-assisted Grover-3 measures an ancilla whose outcomes are
+        # both live; the last circuit measures a wire in |1> mid-circuit
+        circuits = [families.build(families.FamilyRequest(
+            "grover", OracleSpec(3, format(v, "03b"), "measurement-assisted"))) for v in range(8)]
+        circuits.append(frag_circuit([h(0), measure(0, 0), x(1), measure(1, 1), h(1)], 4, 2))
+        want = [sim.run_exact(c).probabilities for c in circuits]
+        copied, expected, one_live = [], [], []
+        grow, split = sim._Rows.grow, sim._Rows.split
+
+        def counting_grow(table, src):
+            copied.append((table.active, src.tolist()))
+            return grow(table, src)
+
+        def checking_split(table, rows, outcome, recorded, q, c):
+            measured = np.unique(rows)
+            p1 = np.array([sum(abs(a) ** 2 for i, a in enumerate(table.state[r])
+                               if i >> (table.n - 1 - q) & 1) for r in measured])
+            both = measured[(p1 > 1e-12) & (1 - p1 > 1e-12)]
+            expected.append((table.active, both.tolist()))
+            one_live.append(len(measured) - len(both))
+            return split(table, rows, outcome, recorded, q, c)
+
+        monkeypatch.setattr(sim._Rows, "grow", counting_grow)
+        monkeypatch.setattr(sim._Rows, "split", checking_split)
+        got = sim.run_exact_batch(circuits)
+        # some measurements copy rows, and some leave a measured row uncopied
+        assert copied == expected and any(src for _, src in copied) and any(one_live)
+        assert all(np.array_equal(d.probabilities, w) for d, w in zip(got, want))
 
     @pytest.mark.parametrize("per_group", [1, 2, 8])
     def test_groups_are_bit_identical(self, per_group, monkeypatch):
@@ -458,14 +491,14 @@ class TestRunNoisyBatch:
         # without noise its 400 trajectories ride one row per outcome
         c = synth.compile(families.build_wielomianer_p43(OracleSpec(4, "1011", "plain-mcz")))
         rows = []
-        grow = sim._Trajectories._grow
+        grow = sim._Rows.grow
 
         def counting(batch, src):
             out = grow(batch, src)
             rows.append(batch.active)
             return out
 
-        monkeypatch.setattr(sim._Trajectories, "_grow", counting)
+        monkeypatch.setattr(sim._Rows, "grow", counting)
         d = sim.run_noisy(c, NoiseModel(), 400, seed=3)
         assert rows and max(rows) <= 2
         assert d.counts.tolist() == run_noisy_reference(c, NoiseModel(), 400, 3).counts.tolist()
