@@ -102,6 +102,13 @@ class ExperimentConfig:
             )
         if self.fused and self.family != "wojter":
             raise ConfigError(f"fused: only wojter has a fused form, not {self.family}")
+        if self.uncompute != "partial" and self.family not in families.BLOCK_FAMILIES:
+            raise ConfigError(
+                f"uncompute: only {', '.join(families.BLOCK_FAMILIES)} take an uncompute "
+                f"mode, not {self.family}"
+            )
+        if self.uncompute != "partial" and self.fused:
+            raise ConfigError("uncompute: the fused form of wojter has no uncompute mode")
         if self.partition is not None and self.family not in families.BLOCK_FAMILIES:
             raise ConfigError(
                 f"partition: only {', '.join(families.BLOCK_FAMILIES)} take a partition, "
@@ -138,7 +145,7 @@ def resolve_masks(cfg: ExperimentConfig) -> list[str]:
         seen = set()
         for m in spec:
             if len(m) != cfg.n or any(ch not in "01" for ch in m):
-                raise ConfigError(f"oracle_set: mask {m!r} is not an {cfg.n}-bit pattern")
+                raise ConfigError(f"oracle_set: mask {m!r} is not a pattern of {cfg.n} bits")
             if m in seen:
                 raise ConfigError(f"oracle_set: mask {m!r} is repeated")
             seen.add(m)

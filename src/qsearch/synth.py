@@ -62,7 +62,7 @@ class OracleSpec:
 
     def __post_init__(self):
         if len(self.mask) != self.n or any(ch not in "01" for ch in self.mask):
-            raise BadMask(f"mask {self.mask!r} is not an {self.n}-bit pattern")
+            raise BadMask(f"mask {self.mask!r} is not a pattern of {self.n} bits")
         if self.style not in ORACLE_STYLES:
             raise BadMask(f"unknown oracle style {self.style!r}")
 

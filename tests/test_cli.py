@@ -348,8 +348,19 @@ class TestConfig:
             (["--family", "drzewker", "--n", "5", "--partition", "3,2", "--oracle", "10110",
               "--fused"],
              "fused: only wojter has a fused form, not drzewker"),
+            (["--family", "wielomianer", "--n", "4", "--oracle", "1011", "--uncompute", "full"],
+             "uncompute: only wojter, wojter-aa, drzewker, partial-drzewker take an uncompute "
+             "mode, not wielomianer"),
+            (["--family", "grover", "--n", "3", "--oracle", "101",
+              "--uncompute", "measurement-assisted"],
+             "uncompute: only wojter, wojter-aa, drzewker, partial-drzewker take an uncompute "
+             "mode, not grover"),
+            (["--family", "wojter", "--n", "5", "--partition", "3,2", "--oracle", "10110",
+              "--fused", "--uncompute", "full"],
+             "uncompute: the fused form of wojter has no uncompute mode"),
         ],
-        ids=["iterations", "diffuser-size", "partition", "fused"],
+        ids=["iterations", "diffuser-size", "partition", "fused", "uncompute-wielomianer",
+             "uncompute-grover", "uncompute-fused"],
     )
     def test_option_the_family_ignores_refused(self, flags, message, tmp_path, capsys):
         """The circuit would not read the option, yet the report would record it."""

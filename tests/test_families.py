@@ -374,7 +374,7 @@ class TestBuildMasks:
 
     def test_bad_mask_refused_before_any_circuit(self):
         request = FamilyRequest("grover", OracleSpec(3, "000"))
-        with pytest.raises(QsearchError, match="'10' is not an 3-bit pattern"):
+        with pytest.raises(QsearchError, match="'10' is not a pattern of 3 bits"):
             next(families.build_masks(request, ["000", "10"]))
 
     def test_no_mask_gives_no_circuit(self):
