@@ -2,14 +2,16 @@
 """Print one SHA-256 over what building, compiling and exact simulation
 produce for every small circuit, so that two checkouts can be compared.
 
-For every family x oracle style x uncompute mode x fused form x mask at
-n = 1..max_n (partition (n-2, 2), or (n-1, 1) below 4 qubits; diffuser
-size max(1, n-1)), the digest covers the `qasm.serialize` text of the
-built and of the compiled circuit, the compiled census, and the raw bytes
-of the `run_exact` probabilities of both.  A refused build adds its
-exception class and message instead.  Each option set's masks are built
-by one `families.build_masks` call, as `qsearch run` builds them; a
-refusal comes before the first circuit and is recorded for every mask.
+For every family x oracle style x uncompute mode x fused form x partition
+x mask at n = 1..max_n (the block families at each two-block partition
+(n-k2, k2), k2 = 1 and 2, that leaves block 1 a wire, the others at no
+partition; diffuser size max(1, n-1)), the digest covers the
+`qasm.serialize` text of the built and of the compiled circuit, the
+compiled census, and the raw bytes of the `run_exact` probabilities of
+both.  A refused build adds its exception class and message instead.
+Each option set's masks are built by one `families.build_masks` call, as
+`qsearch run` builds them; a refusal comes before the first circuit and
+is recorded for every mask.
 With --noisy the digest also covers the raw bytes of the `run_noisy`
 counts of every compiled circuit: NOISY_SHOTS shots at the rates in NOISE,
 seeded by the mask's value, so two checkouts' trajectory samplers can be
@@ -41,25 +43,33 @@ NOISE = sim.NoiseModel(p1=0.01, p2=0.02, p_meas=0.03)
 NOISY_SHOTS = 64
 
 
+def partitions(family: str, n: int) -> list:
+    """The partitions family is built at for n: None outside the block
+    families, and for them (n-1, 1) and (n-2, 2) while block 1 keeps a wire."""
+    if family not in families.BLOCK_FAMILIES or n < 2:
+        return [None]
+    return [[n - k2, k2] for k2 in (1, 2) if n - k2 >= 1]
+
+
 def option_sets(max_n: int):
-    """(family, style, n, uncompute mode, fused) in a fixed order."""
+    """(family, style, n, uncompute mode, fused, partition) in a fixed order."""
     for family, style, n, uncompute, fused in itertools.product(
         families.FAMILIES, synth.ORACLE_STYLES, range(1, max_n + 1),
         families.UNCOMPUTE_MODES, (False, True),
     ):
         if not fused or family == "wojter":
-            yield family, style, n, uncompute, fused
+            for partition in partitions(family, n):
+                yield family, style, n, uncompute, fused, partition
 
 
 def report_bytes(family: str, style: str, n: int, uncompute: str, fused: bool,
-                 shots: int) -> bytes:
+                 partition: list | None, shots: int) -> bytes:
     """What `cli.write_report` writes for one option set's report over every
     mask, with its timing zeroed; or the refusal's class and message."""
     cfg = cli.ExperimentConfig(
         family=family, n=n, oracle_style=style, uncompute=uncompute, fused=fused, shots=shots,
         noise=dataclasses.asdict(NOISE if shots else sim.NoiseModel()),
-        partition=None if family not in families.BLOCK_FAMILIES
-        else [n - 2, 2] if n >= 4 else [n - 1, 1] if n >= 2 else None,
+        partition=partition,
         diffuser_size=max(1, n - 1) if family == "partial" else None,
     )
     try:
@@ -83,14 +93,14 @@ def main():
     args = parser.parse_args()
     digest = hashlib.sha256()
     built = 0
-    for family, style, n, uncompute, fused in option_sets(args.max_n):
+    for family, style, n, uncompute, fused, partition in option_sets(args.max_n):
         if args.reports:
             for shots in (0, NOISY_SHOTS):
-                digest.update(report_bytes(family, style, n, uncompute, fused, shots))
+                digest.update(report_bytes(family, style, n, uncompute, fused, partition, shots))
         masks = [format(v, f"0{n}b") for v in range(1 << n)]
-        partition = Partition((n - 2, 2)) if n >= 4 else Partition((n - 1, 1)) if n >= 2 else None
         request = FamilyRequest(
-            family, OracleSpec(n, masks[0], style), partition=partition,
+            family, OracleSpec(n, masks[0], style),
+            partition=None if partition is None else Partition(tuple(partition)),
             diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused,
         )
         try:
@@ -98,7 +108,7 @@ def main():
         except QsearchError as exc:
             circuits = [exc] * len(masks)
         for mask, circuit in zip(masks, circuits):
-            digest.update(f"{family} {style} {n} {uncompute} {fused} {mask}\n".encode())
+            digest.update(f"{family} {style} {n} {uncompute} {fused} {partition} {mask}\n".encode())
             if isinstance(circuit, QsearchError):
                 digest.update(f"{type(circuit).__name__}: {circuit}\n".encode())
                 continue

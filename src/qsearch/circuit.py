@@ -16,6 +16,7 @@ from math import isfinite
 
 from .errors import (
     IndexOutOfRange,
+    InternalError,
     NotLowered,
     RewrittenClassicalBit,
     UnwrittenClassicalBit,
@@ -305,19 +306,92 @@ class CircuitTemplate:
                 builder.extend(part)
         self._fixed.append(tuple(done[start:]))
 
+    @classmethod
+    def _trusted(
+        cls, n_qubits: int, n_clbits: int, fixed: list, holes: list
+    ) -> "CircuitTemplate":
+        """Make a template of checked fixed parts without checking them again."""
+        template = object.__new__(cls)
+        template.n_qubits, template.n_clbits = n_qubits, n_clbits
+        template._fixed, template._holes = fixed, holes
+        return template
+
+    def _made(self, hole, written, key) -> list[Instruction]:
+        """The instructions hole makes for key, each checked."""
+        made = []
+        for gate in hole(key):
+            instr = gate if isinstance(gate, Instruction) else Instruction(gate)
+            if instr.gate.name == "measure":
+                raise ValidationError("a template hole cannot measure")
+            _validate_instruction(self.n_qubits, self.n_clbits, written, instr)
+            made.append(instr)
+        return made
+
     def fill(self, key, metadata: dict) -> Circuit:
         """The circuit with every hole filled for key; it keeps metadata as given."""
-        n_qubits, n_clbits = self.n_qubits, self.n_clbits
         out = list(self._fixed[0])
         for (hole, written), fixed in zip(self._holes, self._fixed[1:]):
-            for gate in hole(key):
-                instr = gate if isinstance(gate, Instruction) else Instruction(gate)
-                if instr.gate.name == "measure":
-                    raise ValidationError("a template hole cannot measure")
-                _validate_instruction(n_qubits, n_clbits, written, instr)
-                out.append(instr)
+            out += self._made(hole, written, key)
             out += fixed
-        return Circuit._trusted(n_qubits, n_clbits, tuple(out), metadata)
+        return Circuit._trusted(self.n_qubits, self.n_clbits, tuple(out), metadata)
+
+    def _kept(self, key) -> list[list[bool]]:
+        """What peephole_cancel and strip_trailing_uncompute keep of the fill
+        for key: for the first fixed part, then each hole and the fixed
+        part after it, a flag per instruction.
+
+        Each instruction of the fill is made a fresh object, so that the
+        kept ones map back by identity: fixed parts reuse objects.
+        """
+        parts = [self._fixed[0]]
+        for (hole, written), fixed in zip(self._holes, self._fixed[1:]):
+            parts += [self._made(hole, written, key), fixed]
+        fresh = [[Instruction(i.gate, i.condition) for i in part] for part in parts]
+        circuit = Circuit._trusted(
+            self.n_qubits, self.n_clbits, tuple(i for part in fresh for i in part), {}
+        )
+        kept = {id(i) for i in strip_trailing_uncompute(peephole_cancel(circuit)).instructions}
+        return [[id(i) in kept for i in part] for part in fresh]
+
+    def tidied(self, probe, check) -> "CircuitTemplate":
+        """The template whose fill for each key is what peephole_cancel and
+        strip_trailing_uncompute keep of this template's fill for that key.
+
+        The two passes run once, on the fill for probe, for which every
+        hole makes its gates.  The new template keeps the fixed
+        instructions they keep and the holes all of whose gates they keep.
+        That is right for every key only when what the passes keep of the
+        fixed parts and of each hole does not depend on the key, so it
+        raises InternalError for a hole whose gates are only partly kept,
+        and when the passes keep anything else of the fill for check, for
+        which the holes make the fewest gates.
+        """
+        flags = self._kept(probe)
+        for j, made in enumerate(flags[1::2]):
+            if any(made) and not all(made):
+                raise InternalError(
+                    f"partial uncompute: the passes keep only part of template hole {j}"
+                )
+        keep = [all(made) for made in flags[1::2]]
+        checked = self._kept(check)
+        # the probe's flags for the fixed parts, and each hole's decision for its gates
+        expected = [
+            [keep[j // 2]] * len(made) if j % 2 else flags[j] for j, made in enumerate(checked)
+        ]
+        if checked != expected:
+            raise InternalError(
+                f"partial uncompute: the passes keep other gates for key {check!r}"
+            )
+        fixed = [tuple(i for i, k in zip(self._fixed[0], flags[0]) if k)]
+        holes = []
+        for hole, part, flag, kept_hole in zip(self._holes, self._fixed[1:], flags[2::2], keep):
+            kept = tuple(i for i, k in zip(part, flag) if k)
+            if kept_hole:
+                holes.append(hole)
+                fixed.append(kept)
+            else:
+                fixed[-1] += kept
+        return CircuitTemplate._trusted(self.n_qubits, self.n_clbits, fixed, holes)
 
 
 @dataclass(frozen=True)

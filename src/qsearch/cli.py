@@ -121,6 +121,16 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"partition: parts {self.partition} do not sum to n={self.n}"
                 )
+            if len(self.partition) == 1 and self.uncompute != "partial":
+                raise ConfigError(
+                    f"uncompute: with the one-part partition {self.partition} {self.family} "
+                    f"is grover, which takes no uncompute mode"
+                )
+        if self.uncompute == "measurement-assisted" and self.oracle_style == "plain-mcz":
+            raise ConfigError(
+                "uncompute: plain-mcz has no ancillas to measure, so measurement-assisted "
+                "builds what full builds"
+            )
         if self.shots < 0:
             raise ConfigError("shots: must be >= 0")
         if self.seed < 0:

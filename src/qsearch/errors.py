@@ -123,3 +123,8 @@ class BadCounts(ValidationError):
 # cli
 class ConfigError(ValidationError):
     pass
+
+
+# internal checks
+class InternalError(QsearchError):
+    """A check of the toolkit's own work failed; no input could have avoided it."""

@@ -25,7 +25,10 @@ trailing block, ancilla uncompute); with the partial-uncompute option,
 peephole cancellation merges adjacent uncompute/recompute pairs across
 support-disjoint diffusers, and trailing-uncompute elimination drops the
 final fold uncompute that no measurement can observe, yielding the compact
-interleaved layouts the gate-count targets refer to.
+interleaved layouts the gate-count targets refer to.  What the two passes
+keep does not depend on the mask, so they run once per call, on the
+template (CircuitTemplate.tidied); each X of a block's conjugation is its
+own hole, as the passes may keep some qubits' X and not others'.
 """
 from __future__ import annotations
 
@@ -42,8 +45,7 @@ from .circuit import (
     cz,
     h,
     measure,
-    peephole_cancel,
-    strip_trailing_uncompute,
+    peephole_cancel,  # noqa: F401 - perfbench's tests read it
     x,
 )
 from .errors import (
@@ -115,25 +117,27 @@ def build_masks(request: FamilyRequest, masks: Iterable[str]) -> Iterator[Circui
     a bad fragment is refused there.  Each mask then adds only its
     conjugation and polarized gates, checked for that mask, and gets its
     own metadata dict and lists.  With partial uncompute, peephole_cancel
-    and strip_trailing_uncompute run on each circuit, as what they remove
-    depends on the mask.
+    and strip_trailing_uncompute run once per call, on the template
+    (CircuitTemplate.tidied, probed with the all-zeros mask and checked
+    with the all-ones mask), and each mask fills the tidied template.
     """
     n, style = request.oracle.n, request.oracle.style
     specs = [OracleSpec(n, mask, style) for mask in masks]
     plan = _plan(request)
+    template = plan.template if plan.probes is None else plan.template.tidied(*plan.probes)
     for spec in specs:
         metadata = {k: list(v) if isinstance(v, list) else v for k, v in plan.metadata.items()}
-        circuit = plan.template.fill(spec.mask, {**metadata, "mask": spec.mask})
-        yield strip_trailing_uncompute(peephole_cancel(circuit)) if plan.tidy else circuit
+        yield template.fill(spec.mask, {**metadata, "mask": spec.mask})
 
 
 class _Plan(NamedTuple):
     """One option set's circuits: the template, every metadata entry but the
-    mask, and whether each circuit gets the partial-uncompute passes."""
+    mask, and, when each circuit gets the partial-uncompute passes, the keys
+    CircuitTemplate.tidied probes and checks the template with."""
 
     template: CircuitTemplate
     metadata: dict
-    tidy: bool = False
+    probes: tuple[str, str] | None = None
 
 
 def _plan(request: FamilyRequest) -> _Plan:
@@ -151,10 +155,16 @@ def _plan(request: FamilyRequest) -> _Plan:
 
 # template holes: the gates that follow the mask ------------------------------
 
-def _zeros(qubits) -> Callable[[str], list]:
-    """X on each of the qubits whose mask bit is 0."""
-    qubits = tuple(qubits)
-    return lambda mask: [x(q) for q in qubits if mask[q] == "0"]
+def _zeros(qubits) -> list[Callable[[str], tuple]]:
+    """X on each of the qubits whose mask bit is 0: one hole per qubit, so
+    that the partial-uncompute passes may keep some qubits' X and not
+    others'."""
+    return [_zero(q) for q in qubits]
+
+
+def _zero(q: int) -> Callable[[str], tuple]:
+    gate = (x(q),)
+    return lambda mask: gate if mask[q] == "0" else ()
 
 
 def _marked_cz(held, qubits) -> Callable[[str], list]:
@@ -172,7 +182,7 @@ def _marked(qubits: tuple[int, ...], core: list) -> list:
     if len(core) == 1 and core[0].gate.name == "cz":
         return [_marked_cz((), qubits)]
     conj = _zeros(qubits)
-    return [conj, core, conj]
+    return [*conj, core, *conj]
 
 
 def _search_template(
@@ -276,7 +286,8 @@ def _block_oracle(style: str, block1: list[int], block2: list[int],
         tuple(block1), ancillas, kind="clean" if clbits is not None else "maslov"
     )
     conj = _zeros(block1)
-    return [conj, fold, _marked_cz(live, block2), synth.uncompute_folds(fold, folds, clbits), conj]
+    uncompute = synth.uncompute_folds(fold, folds, clbits)
+    return [*conj, fold, _marked_cz(live, block2), uncompute, *conj]
 
 
 _WOJTER = ["oracle", "g2", "oracle", "g2", "oracle", "g3", "oracle", "g2"]
@@ -334,8 +345,9 @@ def _block_family(
         oracle_tree="fold3-left-deep",
     )
     # with partial uncompute, uncompute/recompute pairs across disjoint
-    # diffusers cancel, and uncompute that no measurement can see falls away
-    return plan._replace(tidy=uncompute == "partial")
+    # diffusers cancel, and uncompute that no measurement can see falls away;
+    # the all-zeros mask conjugates every block-1 qubit, the all-ones none
+    return plan._replace(probes=("0" * n, "1" * n)) if uncompute == "partial" else plan
 
 
 def _wojter_fused(n: int, style: str, partition: Partition | None) -> _Plan:
@@ -353,7 +365,7 @@ def _wojter_fused(n: int, style: str, partition: Partition | None) -> _Plan:
     fold, live, folds = synth.and_fold_tree(tuple(block1), ancillas)
     if folds:
         conj = _zeros(block1)
-        body += [conj, fold, conj, _marked_cz(live, block2)]
+        body += [*conj, fold, *conj, _marked_cz(live, block2)]
     else:  # the one block-1 wire is marked at its own mask bit
         body.append(_marked_cz((), block1 + block2))
     body.append(synth.diffuser(len(block2), tuple(block2)))

@@ -491,9 +491,12 @@ def oracle_ancillas_needed(n: int, style: str) -> int:
 
 # lowering --------------------------------------------------------------------
 
+_UNLOWERED = frozenset({"h", "x", "z", "rz", "measure", "barrier"})  # each lowers to itself
+
+
 def _lower_gate(gate: Gate) -> list[Instruction]:
     name = gate.name
-    if name in ("h", "x", "z", "rz", "measure", "barrier"):
+    if name in _UNLOWERED:
         return [Instruction(gate)]
     if name in ("cx", "cz"):
         # polarity-0 controls become X conjugation around the all-ones gate
@@ -513,15 +516,28 @@ def _lower_gate(gate: Gate) -> list[Instruction]:
 def lower(circuit: Circuit) -> Circuit:
     """Expand polarities and wide gates to 1q/2q.
 
-    The output is not validated again: each gate becomes gates on a subset
-    of its own wires under the same condition, and measurements pass
-    through in order, so a valid input gives a valid output.
+    Each distinct gate is expanded once per call: an unconditioned
+    instruction gets the shared expansion as it is, a conditioned one
+    copies of it under its condition, and a gate that lowers to itself
+    keeps its instruction.  The output is not validated again: each gate
+    becomes gates on a subset of its own wires under the same condition,
+    and measurements pass through in order, so a valid input gives a
+    valid output.
     """
-    out = [
-        Instruction(sub.gate, instr.condition)
-        for instr in circuit.instructions
-        for sub in _lower_gate(instr.gate)
-    ]
+    lowered: dict[Gate, list[Instruction]] = {}
+    out: list[Instruction] = []
+    for instr in circuit.instructions:
+        gate = instr.gate
+        if gate.name in _UNLOWERED:
+            out.append(instr)
+            continue
+        subs = lowered.get(gate)
+        if subs is None:
+            subs = lowered[gate] = _lower_gate(gate)
+        if instr.condition is None:
+            out += subs
+        else:
+            out += [Instruction(sub.gate, instr.condition) for sub in subs]
     return Circuit._trusted(circuit.n_qubits, circuit.n_clbits, tuple(out), dict(circuit.metadata))
 
 

@@ -15,7 +15,9 @@ from qsearch.circuit import (
     cx,
     cz,
     h,
+    peephole_cancel,
     rz,
+    strip_trailing_uncompute,
     x,
     z,
 )
@@ -202,6 +204,17 @@ def lower_reference(circuit: Circuit) -> Circuit:
         for sub in synth._lower_gate(instr.gate):
             builder.add(sub.gate, instr.condition)
     return builder.build()
+
+
+def build_masks_reference(request: FamilyRequest, masks):
+    """The per-mask path that families.build_masks replaced: fill the
+    family's template for each mask and, with partial uncompute, run
+    peephole_cancel and then strip_trailing_uncompute on each circuit."""
+    plan = families._plan(request)
+    for mask in masks:
+        metadata = {k: list(v) if isinstance(v, list) else v for k, v in plan.metadata.items()}
+        circuit = plan.template.fill(mask, {**metadata, "mask": mask})
+        yield strip_trailing_uncompute(peephole_cancel(circuit)) if plan.probes else circuit
 
 
 # The list-of-branches exact simulator that sim.run_exact replaced, with the

@@ -407,4 +407,4 @@ def test_parity_digest_script_is_deterministic():
             for _ in range(2)
         ]
         assert lines[0] == lines[1]
-        assert re.fullmatch(rf"[0-9a-f]{{64}}  792 circuits, n <= 3{suffix}\n", lines[0])
+        assert re.fullmatch(rf"[0-9a-f]{{64}}  1152 circuits, n <= 3{suffix}\n", lines[0])

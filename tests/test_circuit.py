@@ -36,6 +36,7 @@ from qsearch.circuit import (
 )
 from qsearch.errors import (
     IndexOutOfRange,
+    InternalError,
     NotLowered,
     ParseError,
     RewrittenClassicalBit,
@@ -204,6 +205,34 @@ class TestCircuitTemplate:
         assert [i.gate for i in b.instructions] == [h(0), x(1), h(1)]
         assert a.instructions[0] is b.instructions[0]
         assert (a.metadata, b.metadata) == ({"k": 0}, {"k": 1})
+
+    @staticmethod
+    def x_on(q):
+        return lambda key: [x(q)] if key == 0 else []
+
+    def test_tidied_fills_what_the_passes_keep(self):
+        """Key 0's X pair on wire 0 cancels across the gates on wire 1, so both
+        of those holes go; the X on wire 1 stays a hole."""
+        parts = [[h(0), h(1)], self.x_on(0), [rz(0.5, 1), h(1)], self.x_on(0), self.x_on(1),
+                 [measure(0, 0), measure(1, 1)]]
+        template = CircuitTemplate(2, 2, parts)
+        tidied = template.tidied(0, 1)
+        assert len(tidied._holes) == 1
+        for key in (0, 1):
+            tidy = strip_trailing_uncompute(peephole_cancel(template.fill(key, {})))
+            assert tidied.fill(key, {"k": key}).instructions == tidy.instructions
+        assert x(1) in [i.gate for i in tidied.fill(0, {}).instructions]
+
+    def test_tidied_refuses_a_partly_kept_hole(self):
+        template = CircuitTemplate(1, 1, [[h(0)], lambda key: [h(0), x(0)], [measure(0, 0)]])
+        with pytest.raises(InternalError, match="keep only part of template hole 0$"):
+            template.tidied(0, 1)
+
+    def test_tidied_refuses_a_key_dependent_tidy(self):
+        """Key 0's X cancels the fixed X after it; without it the fixed X stays."""
+        template = CircuitTemplate(1, 1, [[h(0)], self.x_on(0), [x(0), h(0), measure(0, 0)]])
+        with pytest.raises(InternalError, match="keep other gates for key 1$"):
+            template.tidied(0, 1)
 
 
 class TestCensus:

@@ -358,9 +358,18 @@ class TestConfig:
             (["--family", "wojter", "--n", "5", "--partition", "3,2", "--oracle", "10110",
               "--fused", "--uncompute", "full"],
              "uncompute: the fused form of wojter has no uncompute mode"),
+            (["--family", "drzewker", "--n", "4", "--partition", "4", "--oracle", "1011",
+              "--uncompute", "full"],
+             "uncompute: with the one-part partition [4] drzewker is grover, which takes no "
+             "uncompute mode"),
+            (["--family", "wojter-aa", "--n", "5", "--partition", "3,2", "--oracle", "10110",
+              "--style", "plain-mcz", "--uncompute", "measurement-assisted"],
+             "uncompute: plain-mcz has no ancillas to measure, so measurement-assisted builds "
+             "what full builds"),
         ],
         ids=["iterations", "diffuser-size", "partition", "fused", "uncompute-wielomianer",
-             "uncompute-grover", "uncompute-fused"],
+             "uncompute-grover", "uncompute-fused", "uncompute-one-part",
+             "uncompute-plain-mcz"],
     )
     def test_option_the_family_ignores_refused(self, flags, message, tmp_path, capsys):
         """The circuit would not read the option, yet the report would record it."""

@@ -1,14 +1,16 @@
 """Family builders: layouts, counts, reductions, oracle equivariance."""
 import itertools
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import run_deferred, tv_distance
-from qsearch import families, qasm, sim, synth
-from qsearch.circuit import census
+from conftest import build_masks_reference, run_deferred, tv_distance
+from qsearch import circuit as circuit_module
+from qsearch import cli, families, qasm, sim, synth
+from qsearch.circuit import CircuitTemplate, census, x
 from qsearch.errors import BadDiffuserSize, BadWidth, QsearchError, UnsupportedPartition
 from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
@@ -329,12 +331,20 @@ def _option_sets(family, style, max_n=5):
 
 
 class TestBuildMasks:
-    """build_masks makes each mask-independent fragment once per call; its
-    circuits must be those families.build makes for each mask alone."""
+    """build_masks makes each mask-independent fragment, and with partial
+    uncompute tidies the template, once per call; its circuits must be
+    those the per-mask reference makes."""
 
     @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
     @pytest.mark.parametrize("family", families.FAMILIES)
     def test_equals_build_of_each_mask(self, family, style):
+        """Every mask list gives each mask the circuit it gets alone.
+
+        families.build is build_masks of one mask, so this checks that a
+        circuit does not depend on the other masks of the call; it is not
+        an independent check of the template path, which
+        test_equals_per_mask_tidy_reference makes.
+        """
         for request in _option_sets(family, style):
             n = request.oracle.n
             every = [format(v, f"0{n}b") for v in range(1 << n)]
@@ -371,6 +381,78 @@ class TestBuildMasks:
         for mask, c in zip(masks[1:], others):
             alone = families.build(replace(request, oracle=OracleSpec(n, mask, "ancilla-relphase")))
             assert c.metadata == alone.metadata
+
+    @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
+    @pytest.mark.parametrize("family", families.BLOCK_FAMILIES)
+    def test_equals_per_mask_tidy_reference(self, family, style):
+        """With partial uncompute, filling the template tidied once gives each
+        mask's circuit filled and then tidied, at both two-block partitions."""
+        for n, k2 in itertools.product(range(2, 7), (1, 2)):
+            if n - k2 < 1:
+                continue
+            masks = [format(v, f"0{n}b") for v in range(1 << n)]
+            request = FamilyRequest(
+                family, OracleSpec(n, masks[0], style), partition=Partition((n - k2, k2))
+            )
+            pairs = zip(families.build_masks(request, masks),
+                        build_masks_reference(request, masks), strict=True)
+            for c, ref in pairs:
+                assert (c.n_qubits, c.n_clbits) == (ref.n_qubits, ref.n_clbits)
+                assert c.instructions == ref.instructions, (request, c.metadata["mask"])
+                assert c.metadata == ref.metadata
+
+    @pytest.mark.parametrize("count", [1, 2, 32])
+    def test_tidy_passes_run_twice_per_call(self, count, monkeypatch):
+        """The probe and the check: two runs of each pass, whatever the mask count."""
+        calls = []
+        for name in ("peephole_cancel", "strip_trailing_uncompute"):
+            tidy = getattr(circuit_module, name)
+            monkeypatch.setattr(circuit_module, name,
+                                lambda c, tidy=tidy, name=name: calls.append(name) or tidy(c))
+        masks = [format(v, "05b") for v in range(count)]
+        for family in families.BLOCK_FAMILIES:
+            request = FamilyRequest(family, OracleSpec(5, masks[0], "ancilla-relphase"),
+                                    partition=Partition((3, 2)))
+            calls.clear()
+            assert len(list(families.build_masks(request, masks))) == count
+            assert Counter(calls) == {"peephole_cancel": 2, "strip_trailing_uncompute": 2}
+
+    def test_each_kept_fixed_instruction_checked_once(self, monkeypatch):
+        """Each fixed position is checked when the template is made, and not
+        again by the tidy or by a fill."""
+        checked, templates = Counter(), []
+        validate, tidied = circuit_module._validate_instruction, CircuitTemplate.tidied
+        monkeypatch.setattr(circuit_module, "_validate_instruction",
+                            lambda *args: checked.update([id(args[-1])]) or validate(*args))
+        monkeypatch.setattr(CircuitTemplate, "tidied",
+                            lambda self, *keys: templates.append(self) or tidied(self, *keys))
+        for family, count in itertools.product(families.BLOCK_FAMILIES, (2, 32)):
+            checked.clear()
+            templates.clear()
+            request = FamilyRequest(family, OracleSpec(5, "00000", "ancilla-relphase"),
+                                    partition=Partition((3, 2)))
+            first, *rest = families.build_masks(request, [format(v, "05b") for v in range(count)])
+            (template,) = templates
+            positions = Counter(id(i) for part in template._fixed for i in part)
+            kept = set(map(id, first.instructions)).intersection(
+                *(map(id, c.instructions) for c in rest))
+            assert kept and kept <= set(positions)
+            assert {k: checked[k] for k in kept} == {k: positions[k] for k in kept}
+
+    def test_probe_gate_cancelling_a_fixed_gate_is_an_internal_error(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """A fixed X right after each conjugation hole cancels the all-zeros
+        probe's X, but not the all-ones check's: one error line, exit 2."""
+        zeros = families._zeros
+        monkeypatch.setattr(families, "_zeros",
+                            lambda qubits: [*zeros(qubits), [x(q) for q in qubits]])
+        argv = ["run", "--family", "wojter", "--n", "5", "--partition", "3,2",
+                "--style", "ancilla-relphase", "--oracle", "10110", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: oracle 10110: partial uncompute: the passes keep other gates for key '11111'\n"
+        )
 
     def test_bad_mask_refused_before_any_circuit(self):
         request = FamilyRequest("grover", OracleSpec(3, "000"))

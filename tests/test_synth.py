@@ -285,6 +285,29 @@ class TestLower:
         rebuilt = frag_circuit(out.instructions, out.n_qubits, out.n_clbits)
         assert rebuilt.instructions == out.instructions  # CircuitBuilder accepts each one
 
+    def test_each_distinct_gate_lowered_once(self, monkeypatch):
+        """A repeated gate is expanded once per call; its conditioned copies
+        keep their condition, and the output is the per-instruction one."""
+        wide, polar = cz(0, 1, 2, 3), cx(0, 1, 3, polarity=(0, 1))
+        b = CircuitBuilder(4, 1).add(h(3)).add(measure(3, 0))
+        for condition in (None, (0, 1), None, (0, 0)):
+            b.add(wide, condition).add(polar, condition).add(z(2), condition)
+        c = b.add(wide).build()
+        calls = []
+        lower_gate = synth._lower_gate
+        monkeypatch.setattr(synth, "_lower_gate", lambda g: calls.append(g) or lower_gate(g))
+        out = synth.lower(c)
+        # an expansion may call _lower_gate on its own sub-gates too
+        assert (calls.count(wide), calls.count(polar)) == (1, 1)
+        self.assert_matches_reference(c)
+        subs = len(lower_gate(wide))
+        tail = out.instructions[-subs:]
+        assert {i.condition for i in tail} == {None}
+        for condition in ((0, 1), (0, 0)):
+            assert sum(i.condition == condition for i in out.instructions) == (
+                subs + len(lower_gate(polar)) + 1
+            )
+
     @given(unitary_circuits(max_qubits=5))
     @settings(max_examples=100, deadline=None)
     def test_matches_reference_unitary(self, c):
