@@ -17,7 +17,7 @@ from qsearch.synth import OracleSpec
 
 def estimate_r(circ, mask, p2, shots, seed):
     low = synth.compile(circ)
-    data = circ.metadata.get("data_clbits", list(range(circ.n_qubits)))
+    data = circ.metadata["data_clbits"]
     exact = sim.run_exact(circ).marginal(data)
     p_t = exact.probability(int(mask, 2))
     noisy = sim.run_noisy(low, NoiseModel(p2=p2), shots, seed).marginal(data)

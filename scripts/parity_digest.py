@@ -2,16 +2,17 @@
 """Print one SHA-256 over what building, compiling and exact simulation
 produce for every small circuit, so that two checkouts can be compared.
 
-For every family x oracle style x uncompute mode x fused form x partition
-x mask at n = 1..max_n (the block families at each two-block partition
-(n-k2, k2), k2 = 1 and 2, that leaves block 1 a wire, the others at no
-partition; diffuser size max(1, n-1)), the digest covers the
+For every family x oracle style x n = 1..max_n x the options the family
+reads x mask (the block families at each uncompute mode and each
+two-block partition (n-k2, k2), k2 = 1 and 2, that leaves block 1 a wire,
+and wojter also fused; partial at diffuser size max(1, n-1); each option a
+family does not read at its default), the digest covers the
 `qasm.serialize` text of the built and of the compiled circuit, the
 compiled census, and the raw bytes of the `run_exact` probabilities of
 both.  A refused build adds its exception class and message instead.
 Each option set's masks are built by one `families.build_masks` call, as
-`qsearch run` builds them; a refusal comes before the first circuit and
-is recorded for every mask.
+`qsearch run` builds them; a refused request or build comes before the
+first circuit and is recorded for every mask.
 With --noisy the digest also covers the raw bytes of the `run_noisy`
 counts of every compiled circuit: NOISY_SHOTS shots at the rates in NOISE,
 seeded by the mask's value, so two checkouts' trajectory samplers can be
@@ -43,23 +44,26 @@ NOISE = sim.NoiseModel(p1=0.01, p2=0.02, p_meas=0.03)
 NOISY_SHOTS = 64
 
 
-def partitions(family: str, n: int) -> list:
-    """The partitions family is built at for n: None outside the block
-    families, and for them (n-1, 1) and (n-2, 2) while block 1 keeps a wire."""
-    if family not in families.BLOCK_FAMILIES or n < 2:
-        return [None]
-    return [[n - k2, k2] for k2 in (1, 2) if n - k2 >= 1]
+def partitions(n: int) -> list:
+    """The partitions a block family is built at for n: (n-1, 1) and (n-2, 2)
+    while block 1 keeps a wire, and at n = 1 none, which it refuses."""
+    return [[n - k2, k2] for k2 in (1, 2) if n - k2 >= 1] or [None]
 
 
 def option_sets(max_n: int):
-    """(family, style, n, uncompute mode, fused, partition) in a fixed order."""
-    for family, style, n, uncompute, fused in itertools.product(
-        families.FAMILIES, synth.ORACLE_STYLES, range(1, max_n + 1),
-        families.UNCOMPUTE_MODES, (False, True),
+    """(family, style, n, uncompute mode, fused, partition) in a fixed order,
+    each option at its default where the family does not read it."""
+    for family, style, n in itertools.product(
+        families.FAMILIES, synth.ORACLE_STYLES, range(1, max_n + 1)
     ):
-        if not fused or family == "wojter":
-            for partition in partitions(family, n):
-                yield family, style, n, uncompute, fused, partition
+        if family not in families.BLOCK_FAMILIES:
+            yield family, style, n, "partial", False, None
+            continue
+        for partition in partitions(n):
+            for uncompute in families.UNCOMPUTE_MODES:
+                yield family, style, n, uncompute, False, partition
+            if family == "wojter":
+                yield family, style, n, "partial", True, partition
 
 
 def report_bytes(family: str, style: str, n: int, uncompute: str, fused: bool,
@@ -98,12 +102,13 @@ def main():
             for shots in (0, NOISY_SHOTS):
                 digest.update(report_bytes(family, style, n, uncompute, fused, partition, shots))
         masks = [format(v, f"0{n}b") for v in range(1 << n)]
-        request = FamilyRequest(
-            family, OracleSpec(n, masks[0], style),
-            partition=None if partition is None else Partition(tuple(partition)),
-            diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused,
-        )
         try:
+            request = FamilyRequest(
+                family, OracleSpec(n, masks[0], style),
+                partition=None if partition is None else Partition(tuple(partition)),
+                diffuser_size=max(1, n - 1) if family == "partial" else None,
+                uncompute=uncompute, fused=fused,
+            )
             circuits = list(families.build_masks(request, masks))
         except QsearchError as exc:
             circuits = [exc] * len(masks)

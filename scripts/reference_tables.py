@@ -17,7 +17,7 @@ from qsearch.synth import OracleSpec
 
 def data_dist(circ):
     d = sim.run_exact(circ)
-    return d.marginal(circ.metadata.get("data_clbits", list(range(d.n_bits))))
+    return d.marginal(circ.metadata["data_clbits"])
 
 
 def p_success(circ, mask):

@@ -80,57 +80,14 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
 
-    def validate(self) -> None:
+    def validate(self) -> FamilyRequest:
+        """Check the CLI's own fields, then make the run's request, which
+        refuses an option set its family cannot build or would not read."""
         for name, is_type, what in _FIELD_TYPES:
             if not is_type(getattr(self, name)):
                 raise ConfigError(f"{name}: must be {what}, got {getattr(self, name)!r}")
-        if self.family not in families.FAMILIES:
-            raise ConfigError(f"family: unknown family {self.family!r}")
         if not 1 <= self.n <= 16:
             raise ConfigError(f"n: width {self.n} outside 1..16")
-        if self.oracle_style not in synth.ORACLE_STYLES:
-            raise ConfigError(f"oracle_style: unknown style {self.oracle_style!r}")
-        if self.uncompute not in families.UNCOMPUTE_MODES:
-            raise ConfigError(f"uncompute: unknown mode {self.uncompute!r}")
-        # an option the family's circuit does not read is refused, not recorded
-        if self.iterations != 1 and self.family != "grover":
-            raise ConfigError(f"iterations: only grover repeats its round, "
-                              f"got {self.iterations} for {self.family}")
-        if self.diffuser_size is not None and self.family != "partial":
-            raise ConfigError(
-                f"diffuser_size: only partial takes a diffuser size, not {self.family}"
-            )
-        if self.fused and self.family != "wojter":
-            raise ConfigError(f"fused: only wojter has a fused form, not {self.family}")
-        if self.uncompute != "partial" and self.family not in families.BLOCK_FAMILIES:
-            raise ConfigError(
-                f"uncompute: only {', '.join(families.BLOCK_FAMILIES)} take an uncompute "
-                f"mode, not {self.family}"
-            )
-        if self.uncompute != "partial" and self.fused:
-            raise ConfigError("uncompute: the fused form of wojter has no uncompute mode")
-        if self.partition is not None and self.family not in families.BLOCK_FAMILIES:
-            raise ConfigError(
-                f"partition: only {', '.join(families.BLOCK_FAMILIES)} take a partition, "
-                f"not {self.family}"
-            )
-        if self.partition is not None:
-            if any(p < 1 for p in self.partition):
-                raise ConfigError("partition: parts must be positive")
-            if sum(self.partition) != self.n:
-                raise ConfigError(
-                    f"partition: parts {self.partition} do not sum to n={self.n}"
-                )
-            if len(self.partition) == 1 and self.uncompute != "partial":
-                raise ConfigError(
-                    f"uncompute: with the one-part partition {self.partition} {self.family} "
-                    f"is grover, which takes no uncompute mode"
-                )
-        if self.uncompute == "measurement-assisted" and self.oracle_style == "plain-mcz":
-            raise ConfigError(
-                "uncompute: plain-mcz has no ancillas to measure, so measurement-assisted "
-                "builds what full builds"
-            )
         if self.shots < 0:
             raise ConfigError("shots: must be >= 0")
         if self.seed < 0:
@@ -140,6 +97,7 @@ class ExperimentConfig:
         for k in self.noise:
             if k not in ("p1", "p2", "p_meas"):
                 raise ConfigError(f"noise: unknown rate {k!r}")
+        return build_request(self, "0" * self.n)
 
 
 def _derive_seed(seed: int, *key: int) -> int:
@@ -185,7 +143,7 @@ def build_request(cfg: ExperimentConfig, mask: str) -> FamilyRequest:
         family=cfg.family,
         oracle=OracleSpec(cfg.n, mask, cfg.oracle_style),
         iterations=cfg.iterations,
-        partition=Partition(tuple(cfg.partition)) if cfg.partition else None,
+        partition=None if cfg.partition is None else Partition(tuple(cfg.partition)),
         diffuser_size=cfg.diffuser_size,
         uncompute=cfg.uncompute,
         fused=cfg.fused,
@@ -204,9 +162,11 @@ def _census_dict(c) -> dict:
 
 
 def cmd_build(cfg: ExperimentConfig, outdir: Path) -> int:
-    outdir.mkdir(parents=True, exist_ok=True)
+    request = cfg.validate()
     masks = resolve_masks(cfg)
-    for mask, circ in zip(masks, families.build_masks(build_request(cfg, masks[0]), masks)):
+    circuits = families.build_masks(request, masks)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for mask, circ in zip(masks, circuits):
         path = outdir / f"circuit_{cfg.family}_{mask}.qasm"
         path.write_text(qasm.serialize(circ))
         cens = census(synth.compile(circ))
@@ -226,48 +186,39 @@ def _named(exc: QsearchError, masks: list[str], at: int) -> QsearchError:
     return exc
 
 
-def _exact_oracles(cfg: ExperimentConfig) -> tuple[list[tuple], dict, int]:
+def _exact_oracles(
+    cfg: ExperimentConfig, request: FamilyRequest
+) -> tuple[list[tuple], dict, int]:
     """Build every oracle in the set, by one families.build_masks call, and
     compute its exact distribution, by one sim.run_exact_batch call.
 
     Returns (mask, data bits, exact data-bit distribution, compiled circuit
-    or None) per mask, plus the census and oracle calls of the first mask.
-    A call count outside 1..2^n is refused before any simulation, and
-    grover's, its iteration count, before any build.  run_exact_batch
-    draws the circuits one at a time and refuses one too wide to simulate
-    exactly before it draws the next, so no later mask is built.
-    Only the circuits a run uses are compiled, after the exact batch: the
-    first mask's, whose census goes in the report, and in a sampled run each
-    mask's, for the trajectory simulator.  Nothing here depends on the noise
-    or the seed.
+    or None) per mask, plus the census of the first mask and the oracle
+    calls per circuit.  A call count outside 1..2^n, which the request
+    knows, is refused before any build, and an error of the option set's
+    template, which build_masks makes when called, names no mask.
+    run_exact_batch draws the circuits one at a time and refuses one too
+    wide to simulate exactly before it draws the next, so no later mask is
+    built.  Only the circuits a run uses are compiled, after the exact
+    batch: the first mask's, whose census goes in the report, and in a
+    sampled run each mask's, for the trajectory simulator.  Nothing here
+    depends on the noise or the seed.
     """
     masks = resolve_masks(cfg)
-    calls = cfg.iterations if cfg.family == "grover" and cfg.iterations >= 1 else None
-    built = []
-
-    def drawn():
-        nonlocal calls
-        for circ in families.build_masks(build_request(cfg, masks[0]), masks):
-            if calls is None:
-                calls = circ.metadata.get("oracle_calls", 1)
-                analysis.classical_baselines(cfg.n, calls)  # refuses calls outside 1..2^n up front
-            built.append(circ)
-            yield circ
-
-    oracles = []
+    analysis.classical_baselines(cfg.n, request.oracle_calls)  # refuses calls outside 1..2^n
+    circuits = families.build_masks(request, masks)
+    built, oracles = [], []
     try:
-        if calls is not None:  # refused before a build that grows with it
-            analysis.classical_baselines(cfg.n, calls)
-        dists = sim.run_exact_batch(drawn())
+        dists = sim.run_exact_batch(built.append(circ) or circ for circ in circuits)
         for mask, circ, dist in zip(masks, built, dists):
-            data_bits = circ.metadata.get("data_clbits", list(range(cfg.n)))
+            data_bits = circ.metadata["data_clbits"]
             low = synth.compile(circ) if not oracles or cfg.shots > 0 else None
             if not oracles:
                 census_dict = _census_dict(census(low))
             oracles.append((mask, data_bits, dist.marginal(data_bits), low))
     except QsearchError as exc:
         raise _named(exc, masks, len(oracles))
-    return oracles, census_dict, calls
+    return oracles, census_dict, request.oracle_calls
 
 
 def _noise_model(cfg: ExperimentConfig) -> sim.NoiseModel:
@@ -276,10 +227,10 @@ def _noise_model(cfg: ExperimentConfig) -> sim.NoiseModel:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Build, simulate and analyze every oracle in the set."""
-    cfg.validate()
+    request = cfg.validate()
     t0 = time.perf_counter()
     noise = _noise_model(cfg)
-    return _report(cfg, noise, _exact_oracles(cfg), t0)
+    return _report(cfg, noise, _exact_oracles(cfg, request), t0)
 
 
 def _report(cfg: ExperimentConfig, noise: sim.NoiseModel, exact_oracles, t0: float) -> dict:
@@ -429,8 +380,8 @@ def write_report(report: dict, path: Path) -> None:
 
 
 def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
-    outdir.mkdir(parents=True, exist_ok=True)
     report = run_experiment(cfg)
+    outdir.mkdir(parents=True, exist_ok=True)
     path = _report_path(cfg, outdir)
     write_report(report, path)
     m = report["metrics"]
@@ -501,18 +452,18 @@ def cmd_sweep(cfg: ExperimentConfig, grid: list[float], outdir: Path) -> int:
         raise ConfigError("grid: must be non-empty")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ConfigError("grid: must be ascending")
-    outdir.mkdir(parents=True, exist_ok=True)
-    cfg.validate()
+    request = cfg.validate()
     points = []
     for i, p2 in enumerate(grid):
         point = replace(cfg, noise={**cfg.noise, "p2": p2}, seed=_derive_seed(cfg.seed, i))
         points.append((p2, point, _noise_model(point)))
-    exact_oracles = _exact_oracles(cfg)  # once: only the noise and the seed vary by point
+    exact_oracles = _exact_oracles(cfg, request)  # once: only the noise and the seed vary by point
     rows = []
     for p2, point, noise in points:
         m = _report(point, noise, exact_oracles, time.perf_counter())["metrics"]
         rows.append((p2, m["p_succ"], m["r"]))
     lines = ["p2,p_succ,r"] + [f"{_sig6(a)},{_sig6(b)},{_sig6(c)}" for a, b, c in rows]
+    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"sweep_{cfg.family}_{cfg.n}q.csv"
     path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))

@@ -87,10 +87,6 @@ class OverBudget(ValidationError):
     """A run would need more memory than the simulator's stated budget."""
 
 
-class HasMeasurement(ValidationError):
-    pass
-
-
 class UndefinedGateSemantics(ValidationError):
     pass
 

@@ -1,6 +1,8 @@
 """Builders for the experiment circuit families.
 
-`build_masks(request, masks)` makes one option set's circuit for each
+A `FamilyRequest` is one option set of a family; it refuses, when made,
+an option set its family cannot build or an option its circuit would not
+read.  `build_masks(request, masks)` makes the request's circuit for each
 mask of a run, and `build(request)` is its one-mask case.  The circuits of
 one option set differ only in the X conjugation of a block's zero bits, a
 few polarities and the `mask` metadata, so each family describes its
@@ -68,6 +70,15 @@ FAMILIES = (
 
 UNCOMPUTE_MODES = ("full", "partial", "measurement-assisted")
 
+_WOJTER = ["oracle", "g2", "oracle", "g2", "oracle", "g3", "oracle", "g2"]
+_SCHEDULES = {
+    "wojter": _WOJTER,
+    "wojter-aa": _WOJTER,
+    "drzewker": ["oracle", "g2", "oracle", "g3", "oracle", "g2"],
+    "partial-drzewker": ["oracle", "g2", "oracle", "g3"],
+}
+BLOCK_FAMILIES = tuple(_SCHEDULES)  # the families that read a partition
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -77,15 +88,24 @@ class Partition:
 
     def __post_init__(self):
         if not self.parts or any(p < 1 for p in self.parts):
-            raise UnsupportedPartition(f"bad partition {self.parts}")
+            raise UnsupportedPartition(f"partition: bad parts {list(self.parts)}")
 
     @property
     def n(self) -> int:
         return sum(self.parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FamilyRequest:
+    """One option set of a family; build_masks makes its circuit per mask.
+
+    A request constructs only if its family can build it and reads every
+    option it sets: an option the family's circuit would not read must keep
+    its default, so that no record of the request names an option that had
+    no effect.  Each refusal is a ValidationError whose message starts with
+    the field it concerns.
+    """
+
     family: str
     oracle: OracleSpec
     iterations: int = 1
@@ -95,10 +115,69 @@ class FamilyRequest:
     fused: bool = False
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
+        fam, n, part = self.family, self.oracle.n, self.partition
+        blocks = ", ".join(BLOCK_FAMILIES)
+        if fam not in FAMILIES:
+            raise ValidationError(f"family: unknown family {fam!r}")
+        if n < 1:
+            raise BadWidth(f"n: width {n} must be >= 1")
+        if fam == "wielomianer" and n != 4:
+            raise BadWidth("n: the wielomianer circuit is defined for n=4")
         if self.uncompute not in UNCOMPUTE_MODES:
-            raise ValidationError(f"unknown uncompute mode {self.uncompute!r}")
+            raise ValidationError(f"uncompute: unknown mode {self.uncompute!r}")
+        if self.iterations != 1 and fam != "grover":
+            raise ValidationError(
+                f"iterations: only grover repeats its round, got {self.iterations} for {fam}"
+            )
+        if self.iterations < 1:
+            raise ValidationError("iterations: must be >= 1")
+        if self.diffuser_size is not None and fam != "partial":
+            raise ValidationError(f"diffuser_size: only partial takes a diffuser size, not {fam}")
+        if self.diffuser_size is not None and not 1 <= self.diffuser_size <= n:
+            raise BadDiffuserSize(f"diffuser_size: {self.diffuser_size} outside 1..{n}")
+        if self.fused and fam != "wojter":
+            raise ValidationError(f"fused: only wojter has a fused form, not {fam}")
+        if self.uncompute != "partial" and fam not in BLOCK_FAMILIES:
+            raise ValidationError(f"uncompute: only {blocks} take an uncompute mode, not {fam}")
+        if self.uncompute != "partial" and self.fused:
+            raise ValidationError("uncompute: the fused form of wojter has no uncompute mode")
+        if fam not in BLOCK_FAMILIES:
+            if part is not None:
+                raise UnsupportedPartition(f"partition: only {blocks} take a partition, not {fam}")
+            return
+        if part is None:
+            raise UnsupportedPartition(f"partition: {fam} needs a partition")
+        if part.n != n:
+            raise UnsupportedPartition(f"partition: parts {list(part.parts)} do not sum to n={n}")
+        if len(part.parts) > 2:
+            raise UnsupportedPartition("partition: only one or two blocks are supported")
+        if len(part.parts) == 2 and part.parts[1] not in (1, 2):
+            raise UnsupportedPartition(
+                "partition: trailing block must have 1 or 2 qubits (exact block search)"
+            )
+        if len(part.parts) == 1 and self.uncompute != "partial":
+            raise ValidationError(
+                f"uncompute: with the one-part partition {list(part.parts)} {fam} is grover, "
+                f"which takes no uncompute mode"
+            )
+        if self.uncompute == "measurement-assisted" and self.oracle.style == "plain-mcz":
+            raise ValidationError(
+                "uncompute: plain-mcz has no ancillas to measure, so measurement-assisted "
+                "builds what full builds"
+            )
+
+    @property
+    def oracle_calls(self) -> int:
+        """The oracle calls in each of the request's circuits, known before
+        any build; build_masks writes it as their oracle_calls metadata."""
+        if self.family == "grover":
+            return self.iterations
+        if self.family not in BLOCK_FAMILIES:
+            return 1
+        aa = self.family == "wojter-aa"  # its closing Grover round calls once more
+        if len(self.partition.parts) == 1:  # Grover
+            return 1 + aa
+        return _SCHEDULES[self.family].count("oracle") + aa  # fused wojter too: 4
 
 
 def build(request: FamilyRequest) -> Circuit:
@@ -111,23 +190,23 @@ def build_masks(request: FamilyRequest, masks: Iterable[str]) -> Iterator[Circui
     """Each mask's circuit under request's options, in mask order.
 
     request.oracle gives the width and the style; its own mask is not
-    used.  Every mask is checked, and the family's template made, before
-    the first circuit: each mask-independent fragment is made and checked
-    once per call, against this call's register sizes, so a bad option or
-    a bad fragment is refused there.  Each mask then adds only its
-    conjugation and polarized gates, checked for that mask, and gets its
-    own metadata dict and lists.  With partial uncompute, peephole_cancel
-    and strip_trailing_uncompute run once per call, on the template
-    (CircuitTemplate.tidied, probed with the all-zeros mask and checked
-    with the all-ones mask), and each mask fills the tidied template.
+    used.  Every mask is checked, and the family's template made, when
+    build_masks is called, before it returns the iterator: each
+    mask-independent fragment is made and checked once per call, against
+    this call's register sizes, so a bad fragment is refused there, as an
+    error of the option set and of no mask.  Each mask then adds only its
+    conjugation and polarized gates, checked for that mask as the iterator
+    reaches it, and gets its own metadata dict and lists.  With partial
+    uncompute, peephole_cancel and strip_trailing_uncompute run once per
+    call, on the template (CircuitTemplate.tidied, probed with the
+    all-zeros mask and checked with the all-ones mask), and each mask fills
+    the tidied template.
     """
     n, style = request.oracle.n, request.oracle.style
     specs = [OracleSpec(n, mask, style) for mask in masks]
     plan = _plan(request)
     template = plan.template if plan.probes is None else plan.template.tidied(*plan.probes)
-    for spec in specs:
-        metadata = {k: list(v) if isinstance(v, list) else v for k, v in plan.metadata.items()}
-        yield template.fill(spec.mask, {**metadata, "mask": spec.mask})
+    return (template.fill(spec.mask, _metadata(plan, spec.mask)) for spec in specs)
 
 
 class _Plan(NamedTuple):
@@ -140,17 +219,26 @@ class _Plan(NamedTuple):
     probes: tuple[str, str] | None = None
 
 
+def _metadata(plan: _Plan, mask: str) -> dict:
+    """A circuit's own copy of plan's metadata, its lists included, and its mask."""
+    metadata = {k: list(v) if isinstance(v, list) else v for k, v in plan.metadata.items()}
+    return {**metadata, "mask": mask}
+
+
 def _plan(request: FamilyRequest) -> _Plan:
     fam, n, style = request.family, request.oracle.n, request.oracle.style
     if fam == "grover":
-        return _grover(n, style, request.iterations)
-    if fam == "partial":
-        return _partial(n, style, request.diffuser_size)
-    if fam == "wielomianer":
-        return _wielomianer(n)
-    if fam == "wojter" and request.fused:
-        return _wojter_fused(n, style, request.partition)
-    return _block_family(fam, n, style, request.partition, request.uncompute)
+        plan = _grover(n, style, request.iterations)
+    elif fam == "partial":
+        plan = _partial(n, style, request.diffuser_size)
+    elif fam == "wielomianer":
+        plan = _wielomianer()
+    elif fam == "wojter" and request.fused:
+        plan = _wojter_fused(n, style, request.partition)
+    else:
+        plan = _block_family(fam, n, style, request.partition, request.uncompute)
+    plan.metadata["oracle_calls"] = request.oracle_calls
+    return plan
 
 
 # template holes: the gates that follow the mask ------------------------------
@@ -214,8 +302,6 @@ def _oracle_wiring(n: int, style: str) -> tuple[int, int]:
 
 
 def _grover(n: int, style: str, iterations: int) -> _Plan:
-    if iterations < 1:
-        raise ValidationError("iterations must be >= 1")
     n_anc, aux = _oracle_wiring(n, style)
     ancillas = tuple(range(n, n + n_anc))
     body = []
@@ -224,7 +310,6 @@ def _grover(n: int, style: str, iterations: int) -> _Plan:
     return _search_template(
         "grover", n, n_anc, n + aux * iterations, body,
         oracle_style=style,
-        oracle_calls=iterations,
         iterations=iterations,
         ancillas=list(ancillas),
     )
@@ -232,8 +317,6 @@ def _grover(n: int, style: str, iterations: int) -> _Plan:
 
 def _partial(n: int, style: str, diffuser_size: int | None) -> _Plan:
     k = diffuser_size if diffuser_size is not None else min(3, n)
-    if not 1 <= k <= n:
-        raise BadDiffuserSize(f"diffuser size {k} outside 1..{n}")
     n_anc, aux = _oracle_wiring(n, style)
     body = _grover_round(n, style, k, tuple(range(n, n + n_anc)), tuple(range(n, n + aux)))
     return _search_template(
@@ -241,33 +324,15 @@ def _partial(n: int, style: str, diffuser_size: int | None) -> _Plan:
         oracle_style=style,
         diffuser_size=k,
         diffuser_qubits=list(range(k)),
-        oracle_calls=1,
     )
 
 
 # block families -------------------------------------------------------------
 
-def _split_blocks(
-    family: str, partition: Partition | None, n: int
-) -> tuple[list[int], list[int]]:
-    if partition is None:
-        raise UnsupportedPartition(f"{family} needs a partition")
-    if partition.n != n:
-        raise UnsupportedPartition(
-            f"partition {list(partition.parts)} does not sum to n={n}"
-        )
-    if len(partition.parts) == 1:
-        return list(range(n)), []
-    if len(partition.parts) != 2:
-        raise UnsupportedPartition(
-            "only two-block partitions (and the degenerate single block) are supported"
-        )
-    k1, k2 = partition.parts
-    if k2 not in (1, 2):
-        raise UnsupportedPartition(
-            "trailing block must have 1 or 2 qubits (exact block search)"
-        )
-    return list(range(k1)), list(range(k1, k1 + k2))
+def _blocks(partition: Partition) -> tuple[list[int], list[int]]:
+    """The search qubits of block 1 and of block 2; one part leaves block 2 empty."""
+    k1 = partition.parts[0]
+    return list(range(k1)), list(range(k1, partition.n))
 
 
 def _block_oracle(style: str, block1: list[int], block2: list[int],
@@ -290,25 +355,15 @@ def _block_oracle(style: str, block1: list[int], block2: list[int],
     return [*conj, fold, _marked_cz(live, block2), uncompute, *conj]
 
 
-_WOJTER = ["oracle", "g2", "oracle", "g2", "oracle", "g3", "oracle", "g2"]
-_SCHEDULES = {
-    "wojter": _WOJTER,
-    "wojter-aa": _WOJTER,
-    "drzewker": ["oracle", "g2", "oracle", "g3", "oracle", "g2"],
-    "partial-drzewker": ["oracle", "g2", "oracle", "g3"],
-}
-BLOCK_FAMILIES = tuple(_SCHEDULES)  # the families that read a partition
-
-
 def _block_family(
-    family: str, n: int, style: str, partition: Partition | None, uncompute: str
+    family: str, n: int, style: str, partition: Partition, uncompute: str
 ) -> _Plan:
     """Oracle calls and block diffusers in the order _SCHEDULES[family] gives;
     wojter-aa closes with one full-register Grover round."""
-    block1, block2 = _split_blocks(family, partition, n)
+    block1, block2 = _blocks(partition)
     aa = family == "wojter-aa"
     if not block2:  # degenerate single block: Grover, plus wojter-aa's closing round
-        plan = _grover(n, "ancilla-relphase" if n >= 4 else "plain-mcz", 2 if aa else 1)
+        plan = _grover(n, style, 2 if aa else 1)
         plan.metadata.update(family=family, partition=list(partition.parts), degenerate=True)
         return plan
 
@@ -339,7 +394,6 @@ def _block_family(
         family, n, n_anc, n_clbits, body,
         partition=list(partition.parts),
         uncompute=uncompute,
-        oracle_calls=call_no + aa,
         schedule=list(schedule),
         ancillas=list(ancillas),
         oracle_tree="fold3-left-deep",
@@ -350,8 +404,8 @@ def _block_family(
     return plan._replace(probes=("0" * n, "1" * n)) if uncompute == "partial" else plan
 
 
-def _wojter_fused(n: int, style: str, partition: Partition | None) -> _Plan:
-    block1, block2 = _split_blocks("wojter", partition, n)
+def _wojter_fused(n: int, style: str, partition: Partition) -> _Plan:
+    block1, block2 = _blocks(partition)
     if not block2:
         plan = _grover(n, style, 1)
         plan.metadata.update(family="wojter", fused=True)
@@ -373,7 +427,6 @@ def _wojter_fused(n: int, style: str, partition: Partition | None) -> _Plan:
         "wojter", n, n_anc, n, body,
         partition=list(partition.parts),
         fused=True,
-        oracle_calls=4,
         ancillas=list(ancillas),
         oracle_tree="fold3-left-deep",
     )
@@ -383,7 +436,7 @@ def _under(condition: tuple[int, int], gates) -> list[Instruction]:
     return [Instruction(g.gate if isinstance(g, Instruction) else g, condition) for g in gates]
 
 
-def _wielomianer(n: int) -> _Plan:
+def _wielomianer() -> _Plan:
     """The machine-generated 4-qubit circuit with one mid-circuit measurement.
 
     Wire order (q1, q2, a, q3, q4, extra) = indices 0..5; the four search
@@ -391,8 +444,6 @@ def _wielomianer(n: int) -> _Plan:
     is measured mid-circuit into bit 4 and the remaining gates fire on
     outcome 0 (open classical controls).
     """
-    if n != 4:
-        raise BadWidth("the wielomianer circuit is defined for n=4")
     q1, q2, a, q3, q4, extra = range(6)
     cond = (4, 0)
 
@@ -418,7 +469,6 @@ def _wielomianer(n: int) -> _Plan:
         dict(
             family="wielomianer",
             n=4,
-            oracle_calls=1,
             data_clbits=[0, 1, 2, 3],
             aux_clbits=[4],
             wires="q1,q2,a,q3,q4,extra",

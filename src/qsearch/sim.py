@@ -421,39 +421,36 @@ def _terminal_pass(table: _Rows, terminals: list, n_bits: list[int]) -> list[Dis
     live rows it owns, its mass as each row's weight.
 
     Circuits that share terminal pairs and bit count go through
-    _terminal_histograms together, in blocks of whole circuits of at most
-    _BLOCK amplitudes (at least one circuit), so each bin adds the same terms
-    in the same order whatever the blocks.  The kinds go in the order of
-    their first circuit, so a norm error blames the first drifting circuit
-    of the first kind that has one.
+    _terminal_histograms together, in one call per kind, each circuit's
+    rows in batch order.  The kinds go in the order of their first circuit,
+    so a norm error blames the first drifting circuit of the first kind
+    that has one.
     """
-    count, n, live = len(terminals), table.n, slice(0, table.active)
+    count, live = len(terminals), slice(0, table.active)
     owner = table.owner[live]
     kinds: dict[tuple, list[int]] = {}
     for i, (terminal, bits) in enumerate(zip(terminals, n_bits)):
         kinds.setdefault((tuple(terminal), bits), []).append(i)
-    sizes = np.bincount(owner, minlength=count) << n
     out = [None] * count
-    where = np.zeros(count, dtype=np.int64)  # circuit -> its place in its block
+    where = np.zeros(count, dtype=np.int64)  # circuit -> its place in its kind
     for (terminal, bits), members in kinds.items():
-        for block in _groups(members, sizes[members], _BLOCK):
-            where[block] = np.arange(len(block))
-            if len(block) == count:  # every live row, in batch order: no gather
-                rows = live
-            else:
-                member = np.zeros(count, dtype=bool)
-                member[block] = True
-                rows = np.flatnonzero(member[owner])
-            try:
-                hist = _terminal_histograms(
-                    table.state[rows], n, list(terminal), table.bits[rows, :bits].copy(),
-                    table.mass[rows], where[owner[rows]], len(block))
-            except QsearchError as exc:
-                exc.circuit = block[exc.circuit]
-                raise
-            hist /= hist.sum(axis=1)[:, None]
-            for i, probs in zip(block, hist):
-                out[i] = Distribution(bits, probabilities=probs)
+        where[members] = np.arange(len(members))
+        if len(members) == count:  # every live row, in batch order: no gather
+            rows = live
+        else:
+            member = np.zeros(count, dtype=bool)
+            member[members] = True
+            rows = np.flatnonzero(member[owner])
+        try:
+            hist = _terminal_histograms(
+                table.state[rows], table.n, list(terminal), table.bits[rows, :bits].copy(),
+                table.mass[rows], where[owner[rows]], len(members))
+        except QsearchError as exc:
+            exc.circuit = members[exc.circuit]
+            raise
+        hist /= hist.sum(axis=1)[:, None]
+        for i, probs in zip(members, hist):
+            out[i] = Distribution(bits, probabilities=probs)
     return out
 
 

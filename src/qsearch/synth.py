@@ -64,7 +64,7 @@ class OracleSpec:
         if len(self.mask) != self.n or any(ch not in "01" for ch in self.mask):
             raise BadMask(f"mask {self.mask!r} is not a pattern of {self.n} bits")
         if self.style not in ORACLE_STYLES:
-            raise BadMask(f"unknown oracle style {self.style!r}")
+            raise BadMask(f"oracle_style: unknown style {self.style!r}")
 
     @property
     def index(self) -> int:

@@ -1,5 +1,4 @@
 """Shared helpers and hypothesis strategies."""
-import itertools
 from dataclasses import replace
 from math import pi, sqrt
 
@@ -21,7 +20,7 @@ from qsearch.circuit import (
     x,
     z,
 )
-from qsearch.errors import HasMeasurement, QsearchError, TooWide, ValidationError
+from qsearch.errors import TooWide, ValidationError
 from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
 
@@ -40,6 +39,10 @@ def frag_unitary(frag, n_qubits) -> np.ndarray:
 # deferred measurement.
 
 MAX_UNITARY_WIDTH = 12
+
+
+class HasMeasurement(ValidationError):
+    """A unitary or deferred-measurement reference was given a circuit it cannot take."""
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -365,35 +368,43 @@ def run_noisy_reference(circuit: Circuit, noise: sim.NoiseModel, shots: int,
     return sim.Distribution(ncl, counts=counts, shots=shots)
 
 
-def family_mask_sets(family: str, style: str, max_n: int = 5, all_masks: bool = False):
-    """The circuits the family builds at n <= max_n in the style, one list
-    per build option set, on three masks (1...1, 0...0, 1010...) or on
-    every mask.
-
-    Runs every uncompute mode (and wojter's fused form); widths and
-    partitions the family refuses are skipped.
+def family_requests(family: str, style: str, max_n: int = 5):
+    """One request per build option set of the family at n <= max_n in the
+    style, each option given only to a family that reads it: every
+    uncompute mode and wojter's fused form at the two-block partition
+    (n-2, 2), or (n-1, 1) below n = 4, for the block families, and
+    diffuser size max(1, n-1) for partial.  The option sets a family
+    refuses (wielomianer at n != 4, a block family at n = 1, and
+    measurement-assisted uncompute with plain-mcz) are skipped.
     """
-    for n, uncompute, fused in itertools.product(
-        range(1, max_n + 1), families.UNCOMPUTE_MODES, (False, True)
-    ):
-        if fused and family != "wojter":
-            continue
-        partition = Partition((n - 2, 2)) if n >= 4 else Partition((n - 1, 1)) if n >= 2 else None
+    for n in range(1, max_n + 1):
+        options = [{}]
+        if family in families.BLOCK_FAMILIES:
+            k2 = 2 if n >= 4 else 1
+            partition = Partition((n - k2, k2)) if n >= 2 else None
+            options = [dict(partition=partition, uncompute=m) for m in families.UNCOMPUTE_MODES]
+            if family == "wojter":
+                options.append(dict(partition=partition, fused=True))
+        elif family == "partial":
+            options = [dict(diffuser_size=max(1, n - 1))]
+        for kwargs in options:
+            try:
+                request = FamilyRequest(family, OracleSpec(n, "0" * n, style), **kwargs)
+            except ValidationError:
+                continue
+            yield request
+
+
+def family_mask_sets(family: str, style: str, max_n: int = 5, all_masks: bool = False):
+    """The circuits of each family_requests request, one list per request,
+    on three masks (1...1, 0...0, 1010...) or on every mask."""
+    for request in family_requests(family, style, max_n):
+        n = request.oracle.n
         masks = (
             [format(v, f"0{n}b") for v in range(1 << n)] if all_masks
             else ["1" * n, "0" * n, ("10" * n)[:n]]
         )
-        circuits = []
-        for mask in masks:
-            try:
-                circuits.append(families.build(FamilyRequest(
-                    family, OracleSpec(n, mask, style), partition=partition,
-                    diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused,
-                )))
-            except QsearchError:
-                continue
-        if circuits:
-            yield circuits
+        yield list(families.build_masks(request, masks))
 
 
 def family_circuits(family: str, style: str, max_n: int = 5, all_masks: bool = False):

@@ -151,8 +151,9 @@ class TestDirectCircuit:
         )
         n = 4 if family == "wielomianer" else 5
         masks = [format(v, f"0{n}b") for v in range(1 << n)]
-        request = FamilyRequest(family, OracleSpec(n, masks[0], "ancilla-relphase"),
-                                partition=Partition((3, 2)), uncompute=uncompute)
+        blocks = {} if family == "wielomianer" else dict(partition=Partition((3, 2)),
+                                                          uncompute=uncompute)
+        request = FamilyRequest(family, OracleSpec(n, masks[0], "ancilla-relphase"), **blocks)
         circuits = list(families.build_masks(request, masks))
         most = Counter()
         for c in circuits:
@@ -165,9 +166,8 @@ class TestDirectCircuit:
             synth, "diffuser", lambda *a, **kw: diffuser(*a, **kw) + [Instruction(x(99))]
         )
         request = FamilyRequest("grover", OracleSpec(3, "000", "ancilla-relphase"))
-        circuits = families.build_masks(request, ["000", "111"])
         with pytest.raises(ValidationError, match="qubit 99 outside register of size 4"):
-            next(circuits)
+            families.build_masks(request, ["000", "111"])  # before it returns the iterator
 
 
 class TestCircuitTemplate:

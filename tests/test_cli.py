@@ -125,10 +125,11 @@ class TestRun:
         assert report["metrics"]["expected_calls_quantum"] is None
 
     def test_error_names_oracle(self):
+        # an error of the option set names its field, and no oracle of the set
         cfg = ExperimentConfig(family="wielomianer", n=5, oracle_set=["10110"])
-        with pytest.raises(Exception) as exc:
+        with pytest.raises(ValidationError) as exc:
             run_experiment(cfg)
-        assert "10110" in str(exc.value)
+        assert str(exc.value) == "n: the wielomianer circuit is defined for n=4"
 
     def test_unknown_field_rejected(self, tmp_path):
         bad = tmp_path / "cfg.json"
@@ -300,6 +301,7 @@ class TestConfig:
             (["run"], {"n": "3"}),
             (["run"], [1, 2]),
             (["run"], {"partition": "3,2"}),
+            (["run"], {"partition": []}),
             (["run"], {"noise": {"p2": "x"}}),
             (["run"], {"shots": 1.5}),
             (["run"], {"oracle_set": [101]}),
@@ -318,7 +320,7 @@ class TestConfig:
             (["run", "--noise", "pm=0.005,p_meas=0.1"], None),
         ],
         ids=["sample-spec", "sample-seed-negative", "sample-seed-negative-build", "noise-rate", "grid-value", "n-string", "json-list",
-             "partition-string", "noise-string", "shots-float", "oracle-set-int",
+             "partition-string", "partition-empty", "noise-string", "shots-float", "oracle-set-int",
              "seed-negative", "out-int", "n-flag-string", "family-flag-choice",
              "noise-null-with-flag", "oracle-set-empty", "oracle-set-repeated",
              "exact-branching-too-wide", "oracle-calls-far-over", "oracle-calls-over",
@@ -407,17 +409,35 @@ class TestConfig:
 
         monkeypatch.setattr(sim, "run_exact_batch", unexpected)
         assert main(["run"] + argv) == 1
-        assert capsys.readouterr().err == "error: oracle 101: oracle calls 9 outside 1..8\n"
+        assert capsys.readouterr().err == "error: oracle calls 9 outside 1..8\n"
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "0,0.1"]])
     def test_oracle_calls_refused_before_building(self, command, tmp_path, monkeypatch, capsys):
         def unexpected(*args):
             raise AssertionError("built before checking the oracle calls")
 
-        monkeypatch.setattr(families, "build", unexpected)
+        monkeypatch.setattr(families, "build_masks", unexpected)
         argv = ["--n", "3", "--iterations", "100000", "--oracle", "101", "--out", str(tmp_path)]
         assert main(command + argv) == 1
-        assert capsys.readouterr().err == "error: oracle 101: oracle calls 100000 outside 1..8\n"
+        assert capsys.readouterr().err == "error: oracle calls 100000 outside 1..8\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "wojter", "--n", "6", "--partition", "3,3", "--oracle-set", "all"],
+             "partition: trailing block must have 1 or 2 qubits (exact block search)"),
+            (["--family", "wielomianer", "--n", "5", "--oracle", "10110"],
+             "n: the wielomianer circuit is defined for n=4"),
+            (["--family", "wojter-aa", "--n", "2", "--partition", "1,1",
+              "--style", "ancilla-relphase", "--oracle-set", "all"],
+             "oracle calls 5 outside 1..4"),
+        ],
+        ids=["trailing-block", "wielomianer-width", "wojter-aa-calls"],
+    )
+    def test_option_set_error_names_no_mask(self, flags, message, tmp_path, capsys):
+        assert main(["run", *flags, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []  # not even the output directory
 
     def test_noisy_memory_budget_is_one_error_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sim, "MAX_NOISY_BYTES", 1 << 16)
@@ -534,7 +554,7 @@ class TestExactBatches:
             monkeypatch.setattr(sim, "_exact_group",
                                 lambda n, plans: sizes.append(len(plans)) or exact_group(n, plans))
             monkeypatch.setattr(sim, "_BLOCK", block)
-            oracles, _, _ = _exact_oracles(cfg)
+            oracles, _, _ = _exact_oracles(cfg, cfg.validate())
             assert len(calls) == 1 and sizes == [group] * (8 // group)
             assert [o[0] for o in oracles] == resolve_masks(cfg)
             results[group] = [o[2].probabilities for o in oracles]

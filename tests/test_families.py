@@ -7,11 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import build_masks_reference, run_deferred, tv_distance
+from conftest import build_masks_reference, family_requests, run_deferred, tv_distance
 from qsearch import circuit as circuit_module
 from qsearch import cli, families, qasm, sim, synth
 from qsearch.circuit import CircuitTemplate, census, x
-from qsearch.errors import BadDiffuserSize, BadWidth, QsearchError, UnsupportedPartition
+from qsearch.errors import (
+    BadDiffuserSize,
+    BadWidth,
+    QsearchError,
+    UnsupportedPartition,
+    ValidationError,
+)
 from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
 
@@ -146,7 +152,7 @@ class TestWojterAA:
         assert '"family": "wojter-aa"' in qasm.serialize(a)
 
     def test_needs_a_partition(self):
-        with pytest.raises(UnsupportedPartition, match="^wojter-aa needs a partition$"):
+        with pytest.raises(UnsupportedPartition, match="^partition: wojter-aa needs a partition$"):
             families.build_wojter_aa(self.SPEC, None)
 
     def test_call_count(self):
@@ -315,19 +321,91 @@ def test_one_wire_first_block_marks_the_mask(family):
 
 
 
+_BLOCKS = "wojter, wojter-aa, drzewker, partial-drzewker"
+
+
+@pytest.mark.parametrize(
+    "family, mask, style, options, message",
+    [
+        ("partial", "1011", "plain-mcz", dict(iterations=3),
+         "iterations: only grover repeats its round, got 3 for partial"),
+        ("wojter", "10110", "plain-mcz", dict(partition=(3, 2), diffuser_size=2),
+         "diffuser_size: only partial takes a diffuser size, not wojter"),
+        ("grover", "10110", "plain-mcz", dict(partition=(3, 2)),
+         f"partition: only {_BLOCKS} take a partition, not grover"),
+        ("drzewker", "10110", "plain-mcz", dict(partition=(3, 2), fused=True),
+         "fused: only wojter has a fused form, not drzewker"),
+        ("wielomianer", "1011", "plain-mcz", dict(uncompute="full"),
+         f"uncompute: only {_BLOCKS} take an uncompute mode, not wielomianer"),
+        ("grover", "101", "plain-mcz", dict(uncompute="measurement-assisted"),
+         f"uncompute: only {_BLOCKS} take an uncompute mode, not grover"),
+        ("wojter", "10110", "plain-mcz", dict(partition=(3, 2), fused=True, uncompute="full"),
+         "uncompute: the fused form of wojter has no uncompute mode"),
+        ("drzewker", "1011", "plain-mcz", dict(partition=(4,), uncompute="full"),
+         "uncompute: with the one-part partition [4] drzewker is grover, which takes no "
+         "uncompute mode"),
+        ("wojter-aa", "10110", "plain-mcz",
+         dict(partition=(3, 2), uncompute="measurement-assisted"),
+         "uncompute: plain-mcz has no ancillas to measure, so measurement-assisted builds "
+         "what full builds"),
+    ],
+    ids=["iterations", "diffuser-size", "partition", "fused", "uncompute-wielomianer",
+         "uncompute-grover", "uncompute-fused", "uncompute-one-part", "uncompute-plain-mcz"],
+)
+def test_option_the_family_ignores_refused(family, mask, style, options, message):
+    """The request refuses what `qsearch run` and `build` refuse, with their text."""
+    if "partition" in options:
+        options["partition"] = Partition(options["partition"])
+    with pytest.raises(ValidationError) as info:
+        families.build(FamilyRequest(family, OracleSpec(len(mask), mask, style), **options))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("style", synth.ORACLE_STYLES)
+def test_one_part_partition_is_grover_in_the_requested_style(style):
+    """A one-part partition builds Grover in the style asked for: one round,
+    and wojter-aa's closing round as a second."""
+    for n in (3, 4):
+        spec = OracleSpec(n, "1" * (n - 1) + "0", style)
+        for family in families.BLOCK_FAMILIES:
+            c = families.build(FamilyRequest(family, spec, partition=Partition((n,))))
+            grover = families.build_grover(spec, 2 if family == "wojter-aa" else 1)
+            assert (c.n_qubits, c.n_clbits) == (grover.n_qubits, grover.n_clbits)
+            assert c.instructions == grover.instructions, (family, n)
+            assert c.metadata["oracle_style"] == style
+
+
+@pytest.mark.parametrize("style", synth.ORACLE_STYLES)
+def test_every_family_writes_data_bits_and_its_oracle_calls(style):
+    """Every family, one-part and fused forms included, writes data_clbits
+    and oracle_calls, and the calls are those its request counts before any
+    build."""
+    spec = OracleSpec(4, "1011", style)
+    cases = [
+        (FamilyRequest("grover", spec, iterations=3), 3),
+        (FamilyRequest("partial", spec), 1),
+        (FamilyRequest("wielomianer", spec), 1),
+        (FamilyRequest("wojter", spec, partition=Partition((2, 2)), fused=True), 4),
+        (FamilyRequest("wojter", spec, partition=Partition((4,)), fused=True), 1),
+    ]
+    calls = {"wojter": 4, "wojter-aa": 5, "drzewker": 3, "partial-drzewker": 2}
+    for family, two_part in calls.items():
+        cases.append((FamilyRequest(family, spec, partition=Partition((3, 1))), two_part))
+        cases.append((FamilyRequest(family, spec, partition=Partition((4,))),
+                      2 if family == "wojter-aa" else 1))
+    for request, expected in cases:
+        c = families.build(request)
+        assert c.metadata["data_clbits"] == [0, 1, 2, 3], request
+        assert c.metadata["oracle_calls"] == request.oracle_calls == expected, request
+
+
 def _option_sets(family, style, max_n=5):
-    """One request per build option set at n <= max_n, as conftest.family_mask_sets
-    makes them; the n = 6 grover and partial rows of the compile-exact benchmark."""
-    for n, uncompute, fused in itertools.product(
-        range(1, max_n + 1), families.UNCOMPUTE_MODES, (False, True)
-    ):
-        if fused and family != "wojter":
-            continue
-        partition = Partition((n - 2, 2)) if n >= 4 else Partition((n - 1, 1)) if n >= 2 else None
-        yield FamilyRequest(family, OracleSpec(n, "0" * n, style), partition=partition,
-                            diffuser_size=max(1, n - 1), uncompute=uncompute, fused=fused)
+    """conftest.family_requests, then the n = 6 grover and partial rows of the
+    compile-exact benchmark."""
+    yield from family_requests(family, style, max_n)
     if family in ("grover", "partial") and style == "plain-mcz":
-        yield FamilyRequest(family, OracleSpec(6, "0" * 6, style), diffuser_size=3)
+        yield FamilyRequest(family, OracleSpec(6, "0" * 6, style),
+                            diffuser_size=3 if family == "partial" else None)
 
 
 class TestBuildMasks:
@@ -369,8 +447,8 @@ class TestBuildMasks:
                                               ("wielomianer", False)])
     def test_each_circuit_owns_its_metadata(self, family, fused):
         n = 4 if family == "wielomianer" else 5
-        request = FamilyRequest(family, OracleSpec(n, "0" * n, "ancilla-relphase"),
-                                partition=Partition((3, 2)), fused=fused)
+        blocks = dict(partition=Partition((3, 2)), fused=fused) if family == "wojter" else {}
+        request = FamilyRequest(family, OracleSpec(n, "0" * n, "ancilla-relphase"), **blocks)
         masks = ["0" * n, "1" * n, "0" * (n - 1) + "1"]
         first, *others = families.build_masks(request, masks)
         lists = [key for key, value in first.metadata.items() if isinstance(value, list)]
@@ -443,7 +521,8 @@ class TestBuildMasks:
         self, monkeypatch, tmp_path, capsys
     ):
         """A fixed X right after each conjugation hole cancels the all-zeros
-        probe's X, but not the all-ones check's: one error line, exit 2."""
+        probe's X, but not the all-ones check's: one error line, exit 2, that
+        names no mask, as the template is the option set's."""
         zeros = families._zeros
         monkeypatch.setattr(families, "_zeros",
                             lambda qubits: [*zeros(qubits), [x(q) for q in qubits]])
@@ -451,7 +530,7 @@ class TestBuildMasks:
                 "--style", "ancilla-relphase", "--oracle", "10110", "--out", str(tmp_path)]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
-            "error: oracle 10110: partial uncompute: the passes keep other gates for key '11111'\n"
+            "error: partial uncompute: the passes keep other gates for key '11111'\n"
         )
 
     def test_bad_mask_refused_before_any_circuit(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    HasMeasurement,
     binom_sigma,
     dense_gate,
     dense_unitary,
@@ -26,7 +27,6 @@ from conftest import (
 from qsearch import families, sim, synth
 from qsearch.circuit import Circuit, CircuitBuilder, Instruction, cx, cz, h, measure, rz, x, z
 from qsearch.errors import (
-    HasMeasurement,
     NotLowered,
     OverBudget,
     TooWide,
@@ -419,11 +419,12 @@ class TestRunNoisyReference:
     @pytest.mark.parametrize("family", families.FAMILIES)
     def test_matches_reference_families(self, family, style):
         # the noise models take turns; in every family and style each one
-        # meets measurement-free and measurement-bearing circuits alike
+        # meets measurement-free and measurement-bearing circuits alike, and
+        # wielomianer's three circuits come round again until each has
         circuits = list(family_circuits(family, style, max_n=5))
-        assert len(circuits) >= len(self.NOISES)
-        for i, c in enumerate(circuits):
-            noise = self.NOISES[i % len(self.NOISES)]
+        assert circuits
+        for i in range(max(len(circuits), len(self.NOISES))):
+            c, noise = circuits[i % len(circuits)], self.NOISES[i % len(self.NOISES)]
             self.assert_matches_reference(synth.compile(c), noise, 40, i)
 
     @pytest.mark.parametrize(

@@ -325,7 +325,7 @@ class TestLower:
         for c in family_circuits(family, style):
             self.assert_matches_reference(c)
             built += 1
-        assert built >= 9
+        assert built >= (3 if family == "wielomianer" else 9)  # it has one option set
 
 
 def distance_on_states(a, b, n_qubits, n_states=4):
