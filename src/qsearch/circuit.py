@@ -316,6 +316,11 @@ class CircuitTemplate:
         template._fixed, template._holes = fixed, holes
         return template
 
+    @classmethod
+    def of(cls, circuit: Circuit) -> "CircuitTemplate":
+        """The template without holes whose fill, for any key, is circuit."""
+        return cls._trusted(circuit.n_qubits, circuit.n_clbits, [circuit.instructions], [])
+
     def _made(self, hole, written, key) -> list[Instruction]:
         """The instructions hole makes for key, each checked."""
         made = []

@@ -189,30 +189,30 @@ def _named(exc: QsearchError, masks: list[str], at: int) -> QsearchError:
 def _exact_oracles(
     cfg: ExperimentConfig, request: FamilyRequest
 ) -> tuple[list[tuple], dict, int]:
-    """Build every oracle in the set, by one families.build_masks call, and
-    compute its exact distribution, by one sim.run_exact_batch call.
+    """Plan every oracle in the set, by one families.plan call, and compute
+    its exact distribution, by one sim.run_exact_template call that walks
+    the plan's template once for all the masks.
 
     Returns (mask, data bits, exact data-bit distribution, compiled circuit
     or None) per mask, plus the census of the first mask and the oracle
     calls per circuit.  A call count outside 1..2^n, which the request
     knows, is refused before any build, and an error of the option set's
-    template, which build_masks makes when called, names no mask.
-    run_exact_batch draws the circuits one at a time and refuses one too
-    wide to simulate exactly before it draws the next, so no later mask is
-    built.  Only the circuits a run uses are compiled, after the exact
-    batch: the first mask's, whose census goes in the report, and in a
-    sampled run each mask's, for the trajectory simulator.  Nothing here
-    depends on the noise or the seed.
+    template, which families.plan makes, names no mask.  The walk refuses
+    a template too wide to simulate exactly before any mask fills a hole,
+    and names the first mask.  Only the circuits a run uses are filled and
+    compiled, after the walk: the first mask's, whose census goes in the
+    report, and in a sampled run each mask's, for the trajectory
+    simulator.  Nothing here depends on the noise or the seed.
     """
     masks = resolve_masks(cfg)
     analysis.classical_baselines(cfg.n, request.oracle_calls)  # refuses calls outside 1..2^n
-    circuits = families.build_masks(request, masks)
-    built, oracles = [], []
+    plan = families.plan(request)
+    data_bits = plan.metadata["data_clbits"]
+    oracles = []
     try:
-        dists = sim.run_exact_batch(built.append(circ) or circ for circ in circuits)
-        for mask, circ, dist in zip(masks, built, dists):
-            data_bits = circ.metadata["data_clbits"]
-            low = synth.compile(circ) if not oracles or cfg.shots > 0 else None
+        dists = sim.run_exact_template(plan.template, masks)
+        for mask, dist in zip(masks, dists):
+            low = synth.compile(plan.fill(mask)) if not oracles or cfg.shots > 0 else None
             if not oracles:
                 census_dict = _census_dict(census(low))
             oracles.append((mask, data_bits, dist.marginal(data_bits), low))

@@ -2,14 +2,16 @@
 
 A `FamilyRequest` is one option set of a family; it refuses, when made,
 an option set its family cannot build or an option its circuit would not
-read.  `build_masks(request, masks)` makes the request's circuit for each
-mask of a run, and `build(request)` is its one-mask case.  The circuits of
-one option set differ only in the X conjugation of a block's zero bits, a
-few polarities and the `mask` metadata, so each family describes its
-circuit once, as a `CircuitTemplate`: the mask-independent fragments
-(H-wall, diffusers, fold trees and their uncompute, exact cores,
-measurements) are made and checked once per call, and each mask fills
-only the holes that hold its conjugation and its polarized gates.
+read.  `plan(request)` makes the request's template once,
+`build_masks(request, masks)` fills it for each mask of a run, and
+`build(request)` is its one-mask case.  The circuits of one option set
+differ only in the X conjugation of a block's zero bits, a few polarities
+and the `mask` metadata, so each family describes its circuit once, as a
+`CircuitTemplate`: the mask-independent fragments (H-wall, diffusers, fold
+trees and their uncompute, exact cores, measurements) are made and checked
+once per plan, and each mask fills only the holes that hold its
+conjugation and its polarized gates.  The exact simulator walks the
+template itself, so an exact-only run fills no circuit but the first.
 
 Every family but wielomianer is one skeleton, `_search_template`: an
 H-wall on search qubits 0..n-1, a family body, then search qubit q
@@ -28,7 +30,7 @@ peephole cancellation merges adjacent uncompute/recompute pairs across
 support-disjoint diffusers, and trailing-uncompute elimination drops the
 final fold uncompute that no measurement can observe, yielding the compact
 interleaved layouts the gate-count targets refer to.  What the two passes
-keep does not depend on the mask, so they run once per call, on the
+keep does not depend on the mask, so they run once per plan, on the
 template (CircuitTemplate.tidied); each X of a block's conjugation is its
 own hole, as the passes may keep some qubits' X and not others'.
 """
@@ -187,45 +189,54 @@ def build(request: FamilyRequest) -> Circuit:
 
 
 def build_masks(request: FamilyRequest, masks: Iterable[str]) -> Iterator[Circuit]:
-    """Each mask's circuit under request's options, in mask order.
+    """Each mask's circuit under request's options, in mask order: the fill
+    of plan(request) for each mask.
 
     request.oracle gives the width and the style; its own mask is not
-    used.  Every mask is checked, and the family's template made, when
-    build_masks is called, before it returns the iterator: each
-    mask-independent fragment is made and checked once per call, against
-    this call's register sizes, so a bad fragment is refused there, as an
-    error of the option set and of no mask.  Each mask then adds only its
-    conjugation and polarized gates, checked for that mask as the iterator
-    reaches it, and gets its own metadata dict and lists.  With partial
-    uncompute, peephole_cancel and strip_trailing_uncompute run once per
-    call, on the template (CircuitTemplate.tidied, probed with the
-    all-zeros mask and checked with the all-ones mask), and each mask fills
-    the tidied template.
+    used.  Every mask is checked, and the plan made, when build_masks is
+    called, before it returns the iterator, so a bad fragment is refused
+    there, as an error of the option set and of no mask.  Each mask then
+    adds only its conjugation and polarized gates, checked for that mask
+    as the iterator reaches it, and gets its own metadata dict and lists.
     """
     n, style = request.oracle.n, request.oracle.style
     specs = [OracleSpec(n, mask, style) for mask in masks]
-    plan = _plan(request)
-    template = plan.template if plan.probes is None else plan.template.tidied(*plan.probes)
-    return (template.fill(spec.mask, _metadata(plan, spec.mask)) for spec in specs)
+    fill = plan(request).fill
+    return (fill(spec.mask) for spec in specs)
 
 
-class _Plan(NamedTuple):
+class Plan(NamedTuple):
     """One option set's circuits: the template, every metadata entry but the
-    mask, and, when each circuit gets the partial-uncompute passes, the keys
-    CircuitTemplate.tidied probes and checks the template with."""
+    mask, and, when each circuit gets the partial-uncompute passes and the
+    template is not yet tidied, the keys CircuitTemplate.tidied probes and
+    checks it with."""
 
     template: CircuitTemplate
     metadata: dict
     probes: tuple[str, str] | None = None
 
+    def fill(self, mask: str) -> Circuit:
+        """The circuit for mask, with its own copy of the metadata, its lists
+        included, and its mask."""
+        metadata = {k: list(v) if isinstance(v, list) else v for k, v in self.metadata.items()}
+        return self.template.fill(mask, {**metadata, "mask": mask})
 
-def _metadata(plan: _Plan, mask: str) -> dict:
-    """A circuit's own copy of plan's metadata, its lists included, and its mask."""
-    metadata = {k: list(v) if isinstance(v, list) else v for k, v in plan.metadata.items()}
-    return {**metadata, "mask": mask}
+
+def plan(request: FamilyRequest) -> Plan:
+    """The request's plan, tidied: each mask-independent fragment is made and
+    checked once, against the request's register sizes, and with partial
+    uncompute peephole_cancel and strip_trailing_uncompute run once, on the
+    template (CircuitTemplate.tidied, probed with the all-zeros mask and
+    checked with the all-ones mask).  Plan.fill makes a mask's circuit, and
+    the exact engine walks the template itself (sim.run_exact_template)."""
+    untidied = _family_plan(request)
+    if untidied.probes is None:
+        return untidied
+    return Plan(untidied.template.tidied(*untidied.probes), untidied.metadata)
 
 
-def _plan(request: FamilyRequest) -> _Plan:
+def _family_plan(request: FamilyRequest) -> Plan:
+    """The request's plan, its template not yet tidied."""
     fam, n, style = request.family, request.oracle.n, request.oracle.style
     if fam == "grover":
         plan = _grover(n, style, request.iterations)
@@ -275,10 +286,10 @@ def _marked(qubits: tuple[int, ...], core: list) -> list:
 
 def _search_template(
     family: str, n: int, n_anc: int, n_clbits: int, body: list, **metadata
-) -> _Plan:
+) -> Plan:
     """The H-wall, the body's parts, then search wire q measured into bit q."""
     parts = [[h(q) for q in range(n)], *body, [measure(q, q) for q in range(n)]]
-    return _Plan(
+    return Plan(
         CircuitTemplate(n + n_anc, n_clbits, parts),
         dict(family=family, n=n, data_clbits=list(range(n)), diffuser_phase="-1", **metadata),
     )
@@ -301,7 +312,7 @@ def _oracle_wiring(n: int, style: str) -> tuple[int, int]:
     return n_anc, n_aux
 
 
-def _grover(n: int, style: str, iterations: int) -> _Plan:
+def _grover(n: int, style: str, iterations: int) -> Plan:
     n_anc, aux = _oracle_wiring(n, style)
     ancillas = tuple(range(n, n + n_anc))
     body = []
@@ -315,7 +326,7 @@ def _grover(n: int, style: str, iterations: int) -> _Plan:
     )
 
 
-def _partial(n: int, style: str, diffuser_size: int | None) -> _Plan:
+def _partial(n: int, style: str, diffuser_size: int | None) -> Plan:
     k = diffuser_size if diffuser_size is not None else min(3, n)
     n_anc, aux = _oracle_wiring(n, style)
     body = _grover_round(n, style, k, tuple(range(n, n + n_anc)), tuple(range(n, n + aux)))
@@ -357,7 +368,7 @@ def _block_oracle(style: str, block1: list[int], block2: list[int],
 
 def _block_family(
     family: str, n: int, style: str, partition: Partition, uncompute: str
-) -> _Plan:
+) -> Plan:
     """Oracle calls and block diffusers in the order _SCHEDULES[family] gives;
     wojter-aa closes with one full-register Grover round."""
     block1, block2 = _blocks(partition)
@@ -404,7 +415,7 @@ def _block_family(
     return plan._replace(probes=("0" * n, "1" * n)) if uncompute == "partial" else plan
 
 
-def _wojter_fused(n: int, style: str, partition: Partition) -> _Plan:
+def _wojter_fused(n: int, style: str, partition: Partition) -> Plan:
     block1, block2 = _blocks(partition)
     if not block2:
         plan = _grover(n, style, 1)
@@ -436,7 +447,7 @@ def _under(condition: tuple[int, int], gates) -> list[Instruction]:
     return [Instruction(g.gate if isinstance(g, Instruction) else g, condition) for g in gates]
 
 
-def _wielomianer() -> _Plan:
+def _wielomianer() -> Plan:
     """The machine-generated 4-qubit circuit with one mid-circuit measurement.
 
     Wire order (q1, q2, a, q3, q4, extra) = indices 0..5; the four search
@@ -464,7 +475,7 @@ def _wielomianer() -> _Plan:
         _under(cond, synth.diffuser(2, (q3, q4))),
         [measure(q, c) for q, c in ((q1, 0), (q2, 1), (q3, 2), (q4, 3))],
     ]
-    return _Plan(
+    return Plan(
         CircuitTemplate(6, 5, parts),
         dict(
             family="wielomianer",

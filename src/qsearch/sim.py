@@ -1,11 +1,13 @@
 """Dense statevector simulation.
 
 Exact mode enumerates mid-circuit measurement branches with Born-rule
-weights, for many circuits of one width at once; noisy mode samples
-Monte-Carlo trajectories with depolarizing Pauli insertions and readout
-flips.  Both keep their branches or trajectories as the rows of one table
-(_Rows): a (capacity, 2^n) complex batch with, per row, an owning circuit,
-its recorded classical bits and a mass, the Born-rule weight of a branch or
+weights, for every key of a circuit template in one walk over it
+(run_exact_template); a plain circuit is a template without holes.  Noisy
+mode samples Monte-Carlo trajectories with depolarizing Pauli insertions
+and readout flips, for many circuits of one width at once.  Both keep
+their branches or trajectories as the rows of one table (_Rows): a
+(capacity, 2^n) complex batch with, per row, an owning key or circuit, its
+recorded classical bits and a mass, the Born-rule weight of a branch or
 the number of trajectories on a row.  A measurement splits rows into spare
 capacity.  A row's flat index uses qubit 0 as the most significant bit.
 """
@@ -18,8 +20,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, census
+from .circuit import Circuit, CircuitTemplate, Instruction, census
 from .errors import (
+    InternalError,
     OverBudget,
     QsearchError,
     TooWide,
@@ -350,28 +353,39 @@ class _Rows:
 
 # exact simulation ----------------------------------------------------------
 
-def _terminal_split(circuit: Circuit) -> tuple[list[Instruction], list[tuple[int, int]], int]:
-    """Split into (body, terminal (qubit, clbit) pairs, outcome width).
+def _template_split(template: CircuitTemplate) -> tuple[list[tuple], list[tuple[int, int]], int]:
+    """Split into (the fixed parts, the last without its terminal
+    measurements; terminal (qubit, clbit) pairs; outcome width).
 
     The terminal pairs are the trailing unconditioned measurements.  A
-    circuit without any measurement measures every qubit into the bit of
-    the same index at the end, so its outcome ranges over the qubits.
+    template without any measurement measures every qubit into the bit of
+    the same index at the end, so its outcome ranges over the qubits.  A
+    hole cannot measure, so the split is the same for every key as long as
+    the trailing measurements follow a gate of the last fixed part.  With
+    holes and no such gate, a key whose holes make nothing would split
+    otherwise, so that template is refused (InternalError).
     """
-    instrs = list(circuit.instructions)
-    if not any(i.gate.name == "measure" for i in instrs):
-        return instrs, [(q, q) for q in range(circuit.n_qubits)], circuit.n_qubits
-    k = len(instrs)
-    while k > 0:
-        instr = instrs[k - 1]
-        if instr.gate.name != "measure" or instr.condition is not None:
-            break
+    *front, last = template._fixed
+    if not any(i.gate.name == "measure" for part in template._fixed for i in part):
+        return template._fixed, [(q, q) for q in range(template.n_qubits)], template.n_qubits
+    k = len(last)
+    while k > 0 and last[k - 1].gate.name == "measure" and last[k - 1].condition is None:
         k -= 1
-    pairs = [(i.gate.qubits[0], i.gate.clbit) for i in instrs[k:]]
+    if k == 0 and template._holes:
+        raise InternalError("a template's terminal measurements must follow a gate after its last hole")
+    pairs = [(i.gate.qubits[0], i.gate.clbit) for i in last[k:]]
     while len({q for q, _ in pairs}) < len(pairs) or len({c for _, c in pairs}) < len(pairs):
         # re-measurement in the tail: push the first back into the body
         pairs.pop(0)
         k += 1
-    return instrs[:k], pairs, circuit.n_clbits
+    return [*front, last[:k]], pairs, template.n_clbits
+
+
+def _terminal_split(circuit: Circuit) -> tuple[list[Instruction], list[tuple[int, int]], int]:
+    """(body, terminal (qubit, clbit) pairs, outcome width): _template_split
+    of the circuit as a template without holes."""
+    (body,), terminal, n_bits = _template_split(CircuitTemplate.of(circuit))
+    return list(body), terminal, n_bits
 
 
 def _exact_width(n_qubits: int, body: list[Instruction]) -> int:
@@ -416,116 +430,125 @@ def _terminal_histograms(state: np.ndarray, n: int, terminal: list[tuple[int, in
     return hist.reshape(count, dim)
 
 
-def _terminal_pass(table: _Rows, terminals: list, n_bits: list[int]) -> list[Distribution]:
-    """Each circuit's distribution from measuring its terminal pairs on the
-    live rows it owns, its mass as each row's weight.
+def run_exact_template(template: CircuitTemplate, keys: Iterable) -> list[Distribution]:
+    """Exact outcome distribution of template's fill for each key, in key order.
 
-    Circuits that share terminal pairs and bit count go through
-    _terminal_histograms together, in one call per kind, each circuit's
-    rows in batch order.  The kinds go in the order of their first circuit,
-    so a norm error blames the first drifting circuit of the first kind
-    that has one.
+    With no measurement instructions all qubits are implicitly measured in
+    wire order; otherwise the distribution ranges over the classical bits.
+    The terminal split (_template_split) and the refusal when n + m >
+    MAX_EXACT_WIDTH are made once, before any hole is made: a hole cannot
+    measure, so both are the same for every key.  A key may need 2^(n+m)
+    amplitudes, and the keys run in consecutive groups of at most _BLOCK
+    amplitudes (at least one key).
+
+    Every branch of a group's keys is a row of one table (_Rows), with its
+    key as owner, a Born-rule weight as its mass and a row of classical
+    bits, in room for 2^m rows per key; a measurement whose two outcomes
+    are both above 1e-15 copies the row into spare room for outcome 1.
+    Each fixed instruction runs once, on every live row it selects.  Each
+    hole makes and checks its instructions for every key
+    (CircuitTemplate._made), and each distinct instruction tuple runs once,
+    on the rows of the keys that made it.  So each row gets exactly its own
+    fill's instructions, in order, through row-wise kernels, and a key's
+    distribution is bit for bit the one its fill gets alone, whatever the
+    grouping; on one wire, an rz may move the last bit, as numpy multiplies
+    a lone complex amplitude without the fused multiply-add of its vector
+    loop.
+
+    An error that concerns one key carries the key's index as its circuit
+    attribute; an error of the split or the width blames key 0.
     """
-    count, live = len(terminals), slice(0, table.active)
-    owner = table.owner[live]
-    kinds: dict[tuple, list[int]] = {}
-    for i, (terminal, bits) in enumerate(zip(terminals, n_bits)):
-        kinds.setdefault((tuple(terminal), bits), []).append(i)
-    out = [None] * count
-    where = np.zeros(count, dtype=np.int64)  # circuit -> its place in its kind
-    for (terminal, bits), members in kinds.items():
-        where[members] = np.arange(len(members))
-        if len(members) == count:  # every live row, in batch order: no gather
-            rows = live
-        else:
-            member = np.zeros(count, dtype=bool)
-            member[members] = True
-            rows = np.flatnonzero(member[owner])
-        try:
-            hist = _terminal_histograms(
-                table.state[rows], table.n, list(terminal), table.bits[rows, :bits].copy(),
-                table.mass[rows], where[owner[rows]], len(members))
-        except QsearchError as exc:
-            exc.circuit = members[exc.circuit]
-            raise
-        hist /= hist.sum(axis=1)[:, None]
-        for i, probs in zip(members, hist):
-            out[i] = Distribution(bits, probabilities=probs)
-    return out
+    keys = list(keys)
+    if not keys:
+        return []
+    n = template.n_qubits
+    try:
+        fixed, terminal, n_bits = _template_split(template)
+        branches = 1 << (_exact_width(n, [i for part in fixed for i in part]) - n)
+    except QsearchError as exc:
+        raise _blame(exc, 0)
+    return _in_groups(
+        lambda group: _walk_group(template, fixed, [keys[i] for i in group], terminal, n_bits,
+                                  branches),
+        [branches << n] * len(keys), _BLOCK)
+
+
+def _walk_group(template: CircuitTemplate, fixed: list[tuple], keys: list,
+                terminal: list[tuple[int, int]], n_bits: int, branches: int) -> list[Distribution]:
+    """run_exact_template on one group of keys, given the template's split
+    fixed parts and its branch bound per key."""
+    count = len(keys)
+    table = _Rows(count, count * branches, template.n_qubits, n_bits, 1.0)
+    everyone = list(range(count))
+    for part, hole in zip(fixed, [*template._holes, None]):
+        for instr in part:
+            _exact_step(table, instr, everyone)
+        if hole is None:
+            break
+        made: dict[tuple, list[int]] = {}  # each distinct instruction tuple -> the keys making it
+        for i, key in enumerate(keys):
+            try:
+                made.setdefault(tuple(template._made(*hole, key)), []).append(i)
+            except QsearchError as exc:
+                raise _blame(exc, i)
+        for instrs, group in made.items():
+            for instr in instrs:
+                _exact_step(table, instr, group)
+
+    live = slice(0, table.active)
+    hist = _terminal_histograms(table.state[live], table.n, terminal,
+                                table.bits[live, :n_bits].copy(), table.mass[live],
+                                table.owner[live], count)
+    hist /= hist.sum(axis=1)[:, None]
+    return [Distribution(n_bits, probabilities=probs) for probs in hist]
+
+
+def _exact_step(table: _Rows, instr: Instruction, group: list[int]) -> None:
+    """Run one instruction on the live rows of the keys in group that meet
+    its condition; an error blames the first key of group, and a branch
+    weight that no longer sums to 1 the first such key."""
+    try:
+        rows = table.select(instr, group)
+        gate = instr.gate
+        if gate.name != "measure":  # _apply_gate passes over a barrier
+            _apply_rows(table.state[:table.active], gate, table.n, rows)
+            return
+        if rows is None:
+            rows = np.arange(table.active)
+        q = gate.qubits[0]
+        p = _marginal(np.abs(table.state[rows]) ** 2, table.n, [q])
+        k, outcome = np.nonzero(p > 1e-15)
+        dest = table.split(rows[k], outcome, outcome, q, gate.clbit)
+        table.mass[dest] *= p[k, outcome]
+        live = slice(0, table.active)
+        total = np.bincount(table.owner[live], table.mass[live], minlength=table.count)
+        for i in group:
+            if not abs(total[i] - 1.0) <= 1e-12:  # NaN fails too
+                raise _blame(ValidationError("branch weights do not sum to 1"), i)
+    except QsearchError as exc:
+        raise _blame(exc, group[0])
 
 
 def run_exact_batch(circuits: Iterable[Circuit]) -> list[Distribution]:
-    """Exact outcome distribution of each circuit, simulated in batches.
-
-    With no measurement instructions all qubits of a circuit are implicitly
-    measured in wire order; otherwise its distribution ranges over its
-    classical bits.  Each circuit is split once and refused when n + m >
-    MAX_EXACT_WIDTH as it is drawn, before the next is drawn and before any
-    work.  It may need 2^(n+m) amplitudes, and the circuits then run in
-    consecutive groups of at most _BLOCK amplitudes (at least one circuit).
-
-    Every branch of a group's circuits is a row of one table (_Rows), with
-    an owner, a Born-rule weight as its mass and a row of classical bits,
-    in room for 2^m rows per circuit; a measurement whose two outcomes are
-    both above 1e-15 copies the row into spare room for outcome 1.  The
-    circuits step through their instructions together (_schedule), each
-    equal instruction applied once to the rows of every circuit waiting at
-    it.  Each row still gets exactly its own circuit's instructions, in
-    order, through row-wise kernels, so a circuit's distribution is bit for
-    bit the one it gets alone, whatever the grouping; on one wire, an rz may
-    move the last bit, as numpy multiplies a lone complex amplitude without
-    the fused multiply-add of its vector loop.
+    """Exact outcome distribution of each circuit: run_exact_template of
+    each as a template without holes and with one key, one circuit at a
+    time, drawn only when the one before it is done.
 
     The circuits must share a qubit count.  An error that concerns one
     circuit, drawing it included, carries its index as its circuit attribute.
     """
-    drawn, plans, sizes = [], [], []
+    out = []
     try:
         for circuit in circuits:
-            body, terminal, bits = _terminal_split(circuit)
-            branches = 1 << (_exact_width(circuit.n_qubits, body) - circuit.n_qubits)
-            sizes.append(branches << circuit.n_qubits)
-            drawn.append(circuit)
-            plans.append(([op for op in body if op.gate.name != "barrier"], terminal, bits,
-                          branches))
+            if out and circuit.n_qubits != n:
+                raise ValidationError(f"circuits of one batch must share a width, got "
+                                      f"{sorted({n, circuit.n_qubits})} qubits")
+            n = circuit.n_qubits
+            out += run_exact_template(CircuitTemplate.of(circuit), [None])
     except QsearchError as exc:
-        raise _blame(exc, len(sizes))
-    if not drawn:
-        return []
-    n = _shared_width(drawn)
-    return _in_groups(lambda group: _exact_group(n, [plans[i] for i in group]), sizes, _BLOCK)
-
-
-def _exact_group(n: int, plans: list[tuple]) -> list[Distribution]:
-    """run_exact_batch on one group of (body, terminal pairs, bit count,
-    branch bound) plans."""
-    bodies, terminals, n_bits, branches = zip(*plans)
-    count = len(plans)
-    table = _Rows(count, sum(branches), n, max(n_bits), 1.0)
-
-    for instr, group in _schedule(bodies):
-        try:
-            rows = table.select(instr, group)
-            gate = instr.gate
-            if gate.name != "measure":
-                _apply_rows(table.state[:table.active], gate, n, rows)
-                continue
-            if rows is None:
-                rows = np.arange(table.active)
-            q = gate.qubits[0]
-            p = _marginal(np.abs(table.state[rows]) ** 2, n, [q])
-            k, outcome = np.nonzero(p > 1e-15)
-            dest = table.split(rows[k], outcome, outcome, q, gate.clbit)
-            table.mass[dest] *= p[k, outcome]
-            live = slice(0, table.active)
-            total = np.bincount(table.owner[live], table.mass[live], minlength=count)
-            for i in group:
-                if not abs(total[i] - 1.0) <= 1e-12:  # NaN fails too
-                    raise _blame(ValidationError("branch weights do not sum to 1"), i)
-        except QsearchError as exc:
-            raise _blame(exc, group[0])
-
-    return _terminal_pass(table, terminals, n_bits)
+        exc.circuit = len(out)  # the circuit being drawn or run
+        raise
+    return out
 
 
 def run_exact(circuit: Circuit) -> Distribution:
@@ -591,16 +614,23 @@ class _NoisyPlan:
 
     def chunk_bytes(self, n: int, shots: int) -> int:
         """Bytes one trajectory chunk of the circuit can hold at once, for b
-        trajectories, `sites` gate sites and `cols` uniforms each:
-        b·(2·cols − 2·sites)·8 + b·sites·49 + (b+1)·2^n·48.
+        trajectories, `sites` gate sites, `body` instructions and `cols`
+        uniforms each:
+        b·(2·cols − 2·sites)·8 + b·sites·49 + sites·65 + body·288
+        + (b+1)·2^n·48 + 16 KiB.
 
         That is its uniforms with the batch's copies of the measurement and
-        readout columns; its hit tables when every site is hit; and, per
-        amplitude of up to b+1 live rows, the state (16 bytes) and the
-        largest temporary beside it (32): a Pauli insertion's gathered
-        block, its saved half and numpy's copy of the other half (32), a
-        measurement's gathered rows and their |·|² (24), or the final
-        sampling's |state|² and its cumsum (16).
+        readout columns; its hit tables when every site is hit; per site,
+        _noisy_chunk's bookkeeping (65); per instruction, _schedule's (288);
+        per amplitude of up to b+1 live rows, the state (16) and the largest
+        temporary beside it (32): a Pauli insertion's gathered block, its
+        saved half and numpy's copy of the other half (32), a measurement's
+        gathered rows and their |·|² (24), or the final sampling's |state|²
+        and its cumsum (16); and a fixed 16 KiB for the objects every call
+        makes whatever its size: the random generator and its seed
+        sequence, the headers of some sixty numpy arrays and views, and the
+        small lists, dicts and generator frames.  At a few shots the last
+        three terms outweigh the others.
         """
         b, sites = min(shots, TRAJECTORY_CHUNK), int(self.splits[0])
         uniforms = b * (2 * self.cols - 2 * sites) * 8  # and the batch's copies of the non-site ones
@@ -608,7 +638,16 @@ class _NoisyPlan:
         # byte, then 8 each for a hit's site, its trajectory (twice) and its
         # pick, and for the concatenated trajectory and pick tables
         hits = b * sites * (1 + 6 * 8)
-        return uniforms + hits + (b + 1) * (48 << n)
+        # per site, its rate (8); its entry in ptr, a list slot and an int
+        # object (8 + 32); and, while ptr grows by it, its searchsorted sum
+        # (8), its slot in the tolist list (8) and ptr's over-allocation (1)
+        site_bookkeeping = sites * (8 + 8 + 32 + 8 + 8 + 1)
+        # per instruction, _schedule's stream slot (8) and code int (32);
+        # the id int keying its object (32) and the code map's 6-tuple key
+        # (88), each with a dict slot of up to 64 bytes (a 24-byte entry
+        # and its index, in a table at least a third full)
+        schedule = len(self.body) * (8 + 32 + 32 + 64 + 88 + 64)
+        return uniforms + hits + site_bookkeeping + schedule + (b + 1) * (48 << n) + (16 << 10)
 
 
 class _Trajectories(_Rows):

@@ -213,10 +213,9 @@ def build_masks_reference(request: FamilyRequest, masks):
     """The per-mask path that families.build_masks replaced: fill the
     family's template for each mask and, with partial uncompute, run
     peephole_cancel and then strip_trailing_uncompute on each circuit."""
-    plan = families._plan(request)
+    plan = families._family_plan(request)
     for mask in masks:
-        metadata = {k: list(v) if isinstance(v, list) else v for k, v in plan.metadata.items()}
-        circuit = plan.template.fill(mask, {**metadata, "mask": mask})
+        circuit = plan.fill(mask)
         yield strip_trailing_uncompute(peephole_cancel(circuit)) if plan.probes else circuit
 
 
@@ -393,6 +392,31 @@ def family_requests(family: str, style: str, max_n: int = 5):
             except ValidationError:
                 continue
             yield request
+
+
+def accepted_requests(family: str, style: str, max_n: int = 5):
+    """Every request FamilyRequest accepts for the family in the style at
+    n <= max_n, over the options the family reads: each partition into one
+    part or into two with a trailing block of 1 or 2, each uncompute mode
+    and wojter's fused form for the block families, 1 and 2 rounds for
+    grover, and the default and a one-qubit diffuser for partial."""
+    for n in range(1, max_n + 1):
+        options = [{}]
+        if family in families.BLOCK_FAMILIES:
+            parts = [(n,)] + [(n - k2, k2) for k2 in (1, 2) if n - k2 >= 1]
+            options = [dict(partition=Partition(p), uncompute=m)
+                       for p in parts for m in families.UNCOMPUTE_MODES]
+            if family == "wojter":
+                options += [dict(partition=Partition(p), fused=True) for p in parts]
+        elif family == "grover":
+            options = [dict(iterations=i) for i in (1, 2)]
+        elif family == "partial":
+            options = [{}, dict(diffuser_size=1)]
+        for kwargs in options:
+            try:
+                yield FamilyRequest(family, OracleSpec(n, "0" * n, style), **kwargs)
+            except ValidationError:
+                continue
 
 
 def family_mask_sets(family: str, style: str, max_n: int = 5, all_masks: bool = False):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import binom_sigma
 from qsearch import cli, families, qasm, sim, synth
-from qsearch.circuit import Circuit, Instruction, census, rz
+from qsearch.circuit import CircuitTemplate, Instruction, census, rz
 from qsearch.cli import (
     ExperimentConfig,
     _census_dict,
@@ -226,30 +226,29 @@ class TestSweep:
         assert abs(p - 1 / 8) < 4 * binom_sigma(1 / 8, 20000)
 
     def test_builds_simulates_and_compiles_each_mask_once(self, tmp_path, monkeypatch):
-        # reusing each mask's exact stage must leave a fixed-seed sweep's CSV as it was
-        # run_exact_batch counts the circuits it simulates, "built" those build_masks yields
-        calls = {"build_masks": 0, "built": 0, "run_exact_batch": 0, "compile": 0}
-        for module, name in ((sim, "run_exact_batch"), (synth, "compile")):
-            def counting(*args, _fn=getattr(module, name), _name=name):
-                out = _fn(*args)
-                calls[_name] += len(out) if _name == "run_exact_batch" else 1
-                return out
+        # reusing each mask's exact stage must leave a fixed-seed sweep's CSV as it was:
+        # one plan, one walk of its template over the 32 masks, and each mask
+        # filled and compiled once, for the trajectory simulator
+        calls = {"plan": 0, "fill": 0, "walked": 0, "compile": 0}
 
-            monkeypatch.setattr(module, name, counting)
-        build_masks = families.build_masks
+        def counting(module, name, count=lambda *args: 1):
+            fn = getattr(module, name)
 
-        def counting_builds(request, masks):
-            calls["build_masks"] += 1
-            for circuit in build_masks(request, masks):
-                calls["built"] += 1
-                yield circuit
+            def wrapper(*args):
+                calls[name if name in calls else "walked"] += count(*args)
+                return fn(*args)
 
-        monkeypatch.setattr(families, "build_masks", counting_builds)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(families, "plan")
+        counting(CircuitTemplate, "fill")
+        counting(sim, "run_exact_template", lambda template, masks: len(masks))
+        counting(synth, "compile")
         argv = ["sweep", "--family", "grover", "--n", "5", "--style", "ancilla-relphase",
                 "--oracle-set", "all", "--shots", "16", "--grid", "0,0.01,0.02,0.05,0.1",
                 "--seed", "3", "--out", str(tmp_path)]
         assert main(argv) == 0
-        assert calls == {"build_masks": 1, "built": 32, "run_exact_batch": 32, "compile": 32}
+        assert calls == {"plan": 1, "fill": 32, "walked": 32, "compile": 32}
         assert (tmp_path / "sweep_grover_5q.csv").read_text() == (
             "p2,p_succ,r\n"
             "0,0.253906,0.982987\n"
@@ -260,10 +259,10 @@ class TestSweep:
         )
 
     def test_bad_grid_point_refused_before_any_build(self, tmp_path, monkeypatch):
-        def unexpected(request, masks):
+        def unexpected(*args):
             raise AssertionError("built a circuit before checking the grid")
 
-        monkeypatch.setattr(families, "build_masks", unexpected)
+        monkeypatch.setattr(families, "plan", unexpected)
         cfg = ExperimentConfig(family="grover", n=3, oracle_set=["111"], shots=10)
         with pytest.raises(ValidationError, match="p2=2.0 outside"):
             cmd_sweep(cfg, [0.0, 2.0], tmp_path)
@@ -407,7 +406,7 @@ class TestConfig:
         def unexpected(*args):
             raise AssertionError("simulated before checking the oracle calls")
 
-        monkeypatch.setattr(sim, "run_exact_batch", unexpected)
+        monkeypatch.setattr(sim, "run_exact_template", unexpected)
         assert main(["run"] + argv) == 1
         assert capsys.readouterr().err == "error: oracle calls 9 outside 1..8\n"
 
@@ -416,7 +415,7 @@ class TestConfig:
         def unexpected(*args):
             raise AssertionError("built before checking the oracle calls")
 
-        monkeypatch.setattr(families, "build_masks", unexpected)
+        monkeypatch.setattr(families, "plan", unexpected)
         argv = ["--n", "3", "--iterations", "100000", "--oracle", "101", "--out", str(tmp_path)]
         assert main(command + argv) == 1
         assert capsys.readouterr().err == "error: oracle calls 100000 outside 1..8\n"
@@ -536,8 +535,9 @@ def cli_inputs(draw):
 
 
 class TestExactBatches:
-    """`run` and `sweep` simulate a run's masks by one sim.run_exact_batch
-    call, which runs them in groups (sim._exact_group)."""
+    """`run` and `sweep` walk the run's plan template once for every mask, by
+    one sim.run_exact_template call, which runs the masks in groups of at
+    most sim._BLOCK amplitudes."""
 
     def test_groups_do_not_change_distributions(self, monkeypatch):
         cfg = ExperimentConfig(family="grover", n=3, oracle_set="all",
@@ -545,26 +545,32 @@ class TestExactBatches:
         c = families.build(build_request(cfg, "000"))
         width = sim._exact_width(c.n_qubits, sim._terminal_split(c)[0])
         assert width > 3  # n wires and m mid-circuit measurements
-        run_exact_batch, exact_group = sim.run_exact_batch, sim._exact_group
+        walk, histograms = sim.run_exact_template, sim._terminal_histograms
         results = {}
         for block, group in ((1 << width, 1), ((2 << width) + 1, 2), (1 << (width + 3), 8)):
             calls, sizes = [], []
-            monkeypatch.setattr(sim, "run_exact_batch",
-                                lambda circuits: calls.append(1) or run_exact_batch(circuits))
-            monkeypatch.setattr(sim, "_exact_group",
-                                lambda n, plans: sizes.append(len(plans)) or exact_group(n, plans))
+            monkeypatch.setattr(sim, "run_exact_template",
+                                lambda template, keys: calls.append(keys) or walk(template, keys))
+            monkeypatch.setattr(sim, "_terminal_histograms",
+                                lambda *args: sizes.append(args[-1]) or histograms(*args))
             monkeypatch.setattr(sim, "_BLOCK", block)
             oracles, _, _ = _exact_oracles(cfg, cfg.validate())
-            assert len(calls) == 1 and sizes == [group] * (8 // group)
+            assert calls == [resolve_masks(cfg)] and sizes == [group] * (8 // group)
             assert [o[0] for o in oracles] == resolve_masks(cfg)
             results[group] = [o[2].probabilities for o in oracles]
         for group in (2, 8):
             assert all(map(np.array_equal, results[1], results[group]))
 
     def test_shared_instructions_run_once(self, tmp_path, monkeypatch):
+        # each fixed instruction once for all 32 masks, and each hole's
+        # distinct instructions once for the masks that make them
         cfg = ExperimentConfig(family="wojter-aa", n=5, oracle_style="ancilla-relphase",
                                partition=[3, 2])
-        circuits = [families.build(build_request(cfg, m)) for m in resolve_masks(cfg)]
+        masks = resolve_masks(cfg)
+        template = families.plan(cfg.validate()).template
+        gates = sum(i.gate.name not in ("measure", "barrier") for part in template._fixed for i in part)
+        for hole in template._holes:
+            gates += sum(map(len, {tuple(template._made(*hole, m)) for m in masks}))
         calls = [0]
         apply_gate = sim._apply_gate
 
@@ -573,13 +579,13 @@ class TestExactBatches:
             return apply_gate(*args)
 
         monkeypatch.setattr(sim, "_apply_gate", counting)
-        for c in circuits:
-            sim.run_exact(c)
+        for m in masks:
+            sim.run_exact(families.build(build_request(cfg, m)))
         one_by_one, calls[0] = calls[0], 0
         argv = ["run", "--family", "wojter-aa", "--n", "5", "--style", "ancilla-relphase",
                 "--partition", "3,2", "--oracle-set", "all", "--out", str(tmp_path)]
         assert main(argv) == 0
-        assert 8 * calls[0] <= one_by_one
+        assert calls[0] == gates and 8 * gates <= one_by_one
 
     def test_too_wide_refused_before_simulating(self, tmp_path, monkeypatch, capsys):
         def unexpected(*args):
@@ -594,17 +600,14 @@ class TestExactBatches:
             "error: oracle 0000000000: 14 qubits and 12 mid-circuit measurements "
             "exceed exact limit 24\n")
 
-    def test_too_wide_draws_one_circuit_and_compiles_none(self, tmp_path, monkeypatch, capsys):
-        # the first circuit's width is checked before the second is built
-        drawn, compiled = [], []
-        build_masks, compile_ = families.build_masks, synth.compile
+    def test_too_wide_makes_no_hole_and_compiles_none(self, tmp_path, monkeypatch, capsys):
+        # the template's width is checked before any mask fills a hole
+        def unexpected(*args):
+            raise AssertionError("made a hole or ran a gate before checking the exact width")
 
-        def counting(request, masks):
-            for c in build_masks(request, masks):
-                drawn.append(c)
-                yield c
-
-        monkeypatch.setattr(families, "build_masks", counting)
+        compiled, compile_ = [], synth.compile
+        monkeypatch.setattr(CircuitTemplate, "_made", unexpected)
+        monkeypatch.setattr(sim, "_apply_gate", unexpected)
         monkeypatch.setattr(synth, "compile", lambda c: compiled.append(c) or compile_(c))
         argv = ["run", "--family", "grover", "--n", "10", "--style", "measurement-assisted",
                 "--iterations", "3", "--oracle-set", "sample:64:0", "--shots", "10",
@@ -614,23 +617,27 @@ class TestExactBatches:
         assert capsys.readouterr().err == (
             f"error: oracle {first}: 14 qubits and 12 mid-circuit measurements "
             "exceed exact limit 24\n")
-        assert len(drawn) == 1 and compiled == []
+        assert compiled == []
 
     def test_error_names_the_failing_mask(self, tmp_path, monkeypatch, capsys):
-        build_masks = families.build_masks
-
-        def nan_for_101(request, masks):
-            for mask, c in zip(masks, build_masks(request, masks)):
-                if mask == "101":
-                    ops = (Instruction(rz(float("nan"), 0)),) + c.instructions
-                    c = Circuit._trusted(c.n_qubits, c.n_clbits, ops, c.metadata)
-                yield c
-
-        monkeypatch.setattr(families, "build_masks", nan_for_101)
+        # mask 101's hole makes a NaN rz: refused as it is made, or, past the
+        # check, drifting only 101's norm
+        made = CircuitTemplate._made
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"oracle_set": ["110", "101", "011"]}))
-        assert main(["run", "--n", "3", "--config", str(path), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == "error: oracle 101: statevector norm drifted\n"
+        for checked, message in ((True, "rz angle nan is not finite"),
+                                 (False, "statevector norm drifted")):
+            def nan_for_101(template, hole, written, mask, checked=checked):
+                out = made(template, hole, written, mask)
+                if mask != "101":
+                    return out
+                if checked:
+                    return made(template, lambda _: [rz(float("nan"), 0)], written, mask)
+                return [Instruction(rz(float("nan"), 0))] + out
+
+            monkeypatch.setattr(CircuitTemplate, "_made", nan_for_101)
+            assert main(["run", "--n", "3", "--config", str(path), "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err == f"error: oracle 101: {message}\n"
 
     @pytest.mark.parametrize("masks", [["101"], ["110", "101"]], ids=["census", "sampler"])
     def test_named_error_keeps_its_class(self, masks, tmp_path, monkeypatch, capsys):

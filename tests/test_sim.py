@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     HasMeasurement,
+    accepted_requests,
     binom_sigma,
     dense_gate,
     dense_unitary,
@@ -25,8 +26,21 @@ from conftest import (
     unitary_of,
 )
 from qsearch import families, sim, synth
-from qsearch.circuit import Circuit, CircuitBuilder, Instruction, cx, cz, h, measure, rz, x, z
+from qsearch.circuit import (
+    Circuit,
+    CircuitBuilder,
+    CircuitTemplate,
+    Instruction,
+    cx,
+    cz,
+    h,
+    measure,
+    rz,
+    x,
+    z,
+)
 from qsearch.errors import (
+    InternalError,
     NotLowered,
     OverBudget,
     TooWide,
@@ -35,6 +49,10 @@ from qsearch.errors import (
 )
 from qsearch.sim import Distribution, NoiseModel
 from qsearch.synth import OracleSpec
+
+
+def all_masks(n: int) -> list[str]:
+    return [format(v, f"0{n}b") for v in range(1 << n)]
 
 
 class TestRunExact:
@@ -215,20 +233,20 @@ class TestRunExactBatch:
     @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
     @pytest.mark.parametrize("family", families.FAMILIES)
     def test_bit_identical_to_one_circuit_runs(self, family, style):
-        # each list holds one build option set's circuits for every mask, as `--oracle-set all`
-        for circuits in family_mask_sets(family, style, max_n=5, all_masks=True):
-            for c, d in zip(circuits, sim.run_exact_batch(circuits)):
-                assert np.array_equal(d.probabilities, sim.run_exact(c).probabilities)
+        # the walk of each accepted option set's template over every mask, as
+        # `--oracle-set all` runs it, against each mask's circuit run alone
+        for request in accepted_requests(family, style, max_n=5):
+            plan, masks = families.plan(request), all_masks(request.oracle.n)
+            for mask, d in zip(masks, sim.run_exact_template(plan.template, masks), strict=True):
+                assert np.array_equal(d.probabilities, sim.run_exact(plan.fill(mask)).probabilities)
 
     @pytest.mark.parametrize("family, diffuser_size", [("grover", None), ("partial", 3)])
     def test_bit_identical_at_six_qubits(self, family, diffuser_size):
-        circuits = [
-            families.build(families.FamilyRequest(
-                family, OracleSpec(6, format(v, "06b"), "plain-mcz"), diffuser_size=diffuser_size))
-            for v in range(64)
-        ]
-        for c, d in zip(circuits, sim.run_exact_batch(circuits)):
-            assert np.array_equal(d.probabilities, sim.run_exact(c).probabilities)
+        plan = families.plan(families.FamilyRequest(
+            family, OracleSpec(6, "000000", "plain-mcz"), diffuser_size=diffuser_size))
+        masks = all_masks(6)
+        for mask, d in zip(masks, sim.run_exact_template(plan.template, masks), strict=True):
+            assert np.array_equal(d.probabilities, sim.run_exact(plan.fill(mask)).probabilities)
 
     @pytest.mark.parametrize("block", [1, 64, 1024])
     def test_terminal_pass_in_blocks_is_bit_identical(self, block, monkeypatch):
@@ -245,18 +263,22 @@ class TestRunExactBatch:
         monkeypatch.setattr(sim, "_BLOCK", block)
         got = sim.run_exact_batch(circuits)
         assert all(np.array_equal(d.probabilities, w) for d, w in zip(got, want))
-        assert sum(calls) == len(circuits)
-        assert (max(calls) > 1) == (block > 1)
+        assert calls == [1] * len(circuits)  # one circuit at a time
 
     def test_terminal_pass_is_one_pass_per_kind(self, monkeypatch):
+        # a template's keys share one terminal split, so one group of them
+        # takes one pass; a library batch runs each circuit on its own
         calls = []
         histograms = sim._terminal_histograms
         monkeypatch.setattr(sim, "_terminal_histograms",
                             lambda *args: calls.append(args[-1]) or histograms(*args))
+        sim.run_exact_template(CircuitTemplate(2, 0, [[h(0)], lambda q: [x(q)]]), [0, 1, 0])
+        assert calls == [3]
+        calls.clear()
         circuits = [frag_circuit([h(0), x(q)], 2) for q in (0, 1, 0)]
         circuits.append(frag_circuit([h(1), measure(1, 0)], 2, 1))
         sim.run_exact_batch(circuits)
-        assert sorted(calls) == [1, 3]
+        assert calls == [1, 1, 1, 1]
 
     def test_schedule_codes_equal_instructions_once(self):
         # one object in two bodies, and an equal but distinct object, share a code
@@ -276,11 +298,15 @@ class TestRunExactBatch:
         calls = []
         apply_gate = sim._apply_gate
         monkeypatch.setattr(sim, "_apply_gate", lambda s, g, n: calls.append(g) or apply_gate(s, g, n))
-        circuits = [frag_circuit([h(0), h(1), x(q), cz(0, 1)], 2) for q in (0, 1, 0)]
-        dists = sim.run_exact_batch(circuits)
-        # h(0), h(1) and cz(0, 1) once each for all three; x(0) once for two, x(1) once
-        assert sorted(g.name for g in calls) == ["cz", "h", "h", "x", "x"]
+        template = CircuitTemplate(2, 0, [[h(0), h(1)], lambda q: [x(q)], [cz(0, 1)]])
+        dists = sim.run_exact_template(template, [0, 1, 0])
+        # the fixed h(0), h(1) and cz(0, 1) once each for all three keys; the
+        # hole's x(0) once for two keys, x(1) once
+        assert [(g.name, g.qubits) for g in calls] == [
+            ("h", (0,)), ("h", (1,)), ("x", (0,)), ("x", (1,)), ("cz", (0, 1))]
         assert dists[0].probabilities.tolist() == dists[2].probabilities.tolist()
+        for key, d in zip([0, 1, 0], dists):
+            assert d.probabilities.tolist() == sim.run_exact(template.fill(key, {})).probabilities.tolist()
 
     def test_mid_circuit_measurements_branch_per_circuit(self):
         b = CircuitBuilder(2, 2)
@@ -339,22 +365,24 @@ class TestRunExactBatch:
         assert copied == expected and any(src for _, src in copied) and any(one_live)
         assert all(np.array_equal(d.probabilities, w) for d, w in zip(got, want))
 
-    @pytest.mark.parametrize("per_group", [1, 2, 8])
+    @pytest.mark.parametrize("per_group", [1, 2, 3, 8])
     def test_groups_are_bit_identical(self, per_group, monkeypatch):
-        # measurement-assisted Grover-3 branches over its mid-circuit measurements
-        circuits = [families.build(families.FamilyRequest(
-            "grover", OracleSpec(3, format(v, "03b"), "measurement-assisted"))) for v in range(8)]
-        want = sim.run_exact_batch(circuits)  # one group
-        c = circuits[0]
+        # measurement-assisted Grover-3 branches over its mid-circuit
+        # measurements; its keys go in consecutive groups of _BLOCK amplitudes
+        plan = families.plan(families.FamilyRequest(
+            "grover", OracleSpec(3, "000", "measurement-assisted")))
+        masks = all_masks(3)
+        want = sim.run_exact_template(plan.template, masks)  # one group
+        c = plan.fill("000")
         width = sim._exact_width(c.n_qubits, sim._terminal_split(c)[0])
         assert width > c.n_qubits  # n wires and m mid-circuit measurements
         sizes = []
-        exact_group = sim._exact_group
-        monkeypatch.setattr(sim, "_exact_group",
-                            lambda n, plans: sizes.append(len(plans)) or exact_group(n, plans))
-        monkeypatch.setattr(sim, "_BLOCK", per_group << width)
-        got = sim.run_exact_batch(circuits)
-        assert sizes == [per_group] * (8 // per_group)
+        histograms = sim._terminal_histograms
+        monkeypatch.setattr(sim, "_terminal_histograms",
+                            lambda *args: sizes.append(args[-1]) or histograms(*args))
+        monkeypatch.setattr(sim, "_BLOCK", (per_group << width) + 1)
+        got = sim.run_exact_template(plan.template, masks)
+        assert sizes == [min(per_group, 8 - i) for i in range(0, 8, per_group)]
         assert all(np.array_equal(d.probabilities, w.probabilities) for d, w in zip(got, want))
 
     def test_error_in_a_later_group_names_its_circuit(self, monkeypatch):
@@ -388,6 +416,70 @@ class TestRunExactBatch:
         with pytest.raises(ValidationError, match="cannot build it") as info:
             sim.run_exact_batch(failing_third())
         assert info.value.circuit == 2
+
+
+class TestRunExactTemplate:
+    """run_exact_template walks a template once for all its keys: each fixed
+    instruction once on every row, each hole's distinct instructions once on
+    the rows of the keys that made them."""
+
+    @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
+    @pytest.mark.parametrize("family", families.FAMILIES)
+    def test_matches_reference(self, family, style):
+        # measurement-assisted uncompute branches, and wielomianer conditions
+        # its tail on a mid-circuit bit
+        for request in accepted_requests(family, style, max_n=4):
+            plan, masks = families.plan(request), all_masks(request.oracle.n)
+            for mask, d in zip(masks, sim.run_exact_template(plan.template, masks), strict=True):
+                want = run_exact_reference(plan.fill(mask))
+                assert d.n_bits == want.n_bits
+                assert np.abs(d.probabilities - want.probabilities).max() <= 1e-12
+
+    def test_too_wide_refused_before_any_hole_or_gate(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("made a hole or ran a gate before checking the width")
+
+        plan = families.plan(families.FamilyRequest(
+            "grover", OracleSpec(10, "0" * 10, "measurement-assisted"), iterations=3))
+        monkeypatch.setattr(CircuitTemplate, "_made", unexpected)
+        monkeypatch.setattr(sim, "_apply_gate", unexpected)
+        with pytest.raises(TooWide, match="^14 qubits and 12 mid-circuit measurements exceed "
+                                          "exact limit 24$") as info:
+            sim.run_exact_template(plan.template, ["0" * 10, "1" * 10])
+        assert info.value.circuit == 0
+
+    @pytest.mark.parametrize("block", [None, 4])
+    def test_hole_errors_name_their_key(self, block, monkeypatch):
+        # a hole that makes a bad gate for one key is refused as it makes it;
+        # one whose gate slips past the check drifts the norm of its key only
+        if block is not None:
+            monkeypatch.setattr(sim, "_BLOCK", block)  # one key per group
+        nan = float("nan")
+        checked = CircuitTemplate(1, 1, [[h(0)], lambda a: [rz(a, 0)], [h(0), measure(0, 0)]])
+        with pytest.raises(ValidationError, match="rz angle nan is not finite") as info:
+            sim.run_exact_template(checked, [0.1, 0.2, 0.3, nan, 0.5])
+        assert info.value.circuit == 3
+        unchecked = CircuitTemplate(1, 1, [[h(0)], lambda a: [rz(a, 0)], [h(0), measure(0, 0)]])
+        monkeypatch.setattr(CircuitTemplate, "_made",
+                            lambda self, hole, written, key: [Instruction(g) for g in hole(key)])
+        with pytest.raises(ValidationError, match="norm drifted") as info:
+            sim.run_exact_template(unchecked, [0.1, 0.2, 0.3, nan, 0.5])
+        assert info.value.circuit == 3
+
+    def test_split_that_a_key_could_move_refused(self):
+        # for a key whose hole makes nothing, measure(0, 0) would be terminal too
+        template = CircuitTemplate(2, 2, [[h(0), measure(0, 0)], lambda k: [x(1)] * k,
+                                          [measure(1, 1)]])
+        with pytest.raises(InternalError, match="terminal measurements") as info:
+            sim.run_exact_template(template, [0, 1])
+        assert info.value.circuit == 0
+        template = CircuitTemplate(2, 2, [[h(0), measure(0, 0)], lambda k: [x(1)] * k,
+                                          [h(1), measure(1, 1)]])
+        for key, d in zip([0, 1], sim.run_exact_template(template, [0, 1])):
+            assert d.probabilities.tolist() == sim.run_exact(template.fill(key, {})).probabilities.tolist()
+
+    def test_no_keys(self):
+        assert sim.run_exact_template(CircuitTemplate(1, 0, [[h(0)]]), []) == []
 
 
 class TestRunNoisyReference:
@@ -699,9 +791,10 @@ class TestRunNoisy:
 
     def test_memory_budget_edge(self, monkeypatch):
         # 2 sites and 2 terminal bits: 10 rows of 7 uniforms, 3 of them copied; hit
-        # tables for 10 trajectories at 2 sites; and 11 rows of 4 amplitudes
+        # tables for 10 trajectories at 2 sites; the bookkeeping of 2 sites and 2
+        # instructions; 11 rows of 4 amplitudes; and the fixed 16 KiB
         c = frag_circuit([h(0), cx(0, 1)], 2)
-        need = 10 * (7 + 3) * 8 + 10 * 2 * 49 + 11 * 4 * 48
+        need = 10 * (7 + 3) * 8 + 10 * 2 * 49 + 2 * 65 + 2 * 288 + 11 * 4 * 48 + (16 << 10)
         monkeypatch.setattr(sim, "MAX_NOISY_BYTES", need)
         assert sim.run_noisy(c, NoiseModel(p2=0.5), 10, seed=1).shots == 10
 
@@ -713,28 +806,36 @@ class TestRunNoisy:
         with pytest.raises(OverBudget, match=r"10 trajectories of 7 uniforms .* over the"):
             sim.run_noisy(c, NoiseModel(p2=0.5), 10, seed=1)
 
-    @pytest.mark.parametrize("p2", [0.01, 0.5])
+    @pytest.mark.parametrize("p2", [0.01, 0.5, 1.0])
     def test_memory_peak_within_estimate(self, p2):
-        # one run_noisy_batch call, in one group: the circuits' estimates,
-        # summed, bound what a chunk allocates at once, Pauli insertions and
-        # final sampling included
-        for family, n, style, masks, shots in (
+        # one run_noisy_batch call, in one group, after a warm-up call: the
+        # circuits' estimates, summed, bound what a chunk allocates at once,
+        # Pauli insertions and final sampling included; at p1 = p2 = 1 every
+        # site is hit, and at 1 and 8 shots the per-call bookkeeping dominates
+        cases = [
             ("grover", 7, "ancilla-relphase", ["0110101"], 1024),
             ("grover", 3, "plain-mcz", [format(v, "03b") for v in range(8)], 2000),
             ("wielomianer", 4, "plain-mcz", [format(v, "04b") for v in range(16)], 400),
             ("grover", 6, "ancilla-relphase", ["000000", "010110", "101001", "111111"], 160),
-        ):
+        ]
+        noise = NoiseModel(p2=p2)
+        if p2 == 1.0:
+            noise = NoiseModel(p1=1.0, p2=1.0, p_meas=0.5)
+            cases.append(("grover", 7, "plain-mcz", ["0110101"], None))
+            cases = [case[:4] + (shots,) for case in cases for shots in (1, 8)]
+        for family, n, style, masks, shots in cases:
             circuits = [synth.compile(c) for c in families.build_masks(
                 families.FamilyRequest(family, OracleSpec(n, masks[0], style)), masks)]
             seeds = list(range(3, 3 + len(masks)))
+            sim.run_noisy_batch(circuits, noise, shots, seeds)
             tracemalloc.start()
             try:
-                sim.run_noisy_batch(circuits, NoiseModel(p2=p2), shots, seeds)
+                sim.run_noisy_batch(circuits, noise, shots, seeds)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             need = sum(sim._NoisyPlan.of(c).chunk_bytes(c.n_qubits, shots) for c in circuits)
-            assert peak <= need, (family, n, style, len(masks))
+            assert peak <= need, (family, n, style, len(masks), shots)
 
     def test_readout_flip_only(self):
         b = CircuitBuilder(1, 1)
