@@ -13,9 +13,11 @@ both.  A refused build adds its exception class and message instead.
 Each option set's masks are built by one `families.build_masks` call, as
 `qsearch run` builds them; a refused request or build comes before the
 first circuit and is recorded for every mask.
-With --noisy the digest also covers the raw bytes of the `run_noisy`
-counts of every compiled circuit: NOISY_SHOTS shots at the rates in NOISE,
-seeded by the mask's value, so two checkouts' trajectory samplers can be
+With --noisy the digest also covers the raw bytes of the sampled counts
+of every compiled circuit: NOISY_SHOTS shots at the rates in NOISE, each
+mask seeded by its value, sampled by one `sim.run_noisy_template` call
+over the option set's compiled template (`synth.compile_template`), as
+`qsearch run` samples, so two checkouts' trajectory samplers can be
 compared too.  With --reports it also covers, per option set, the bytes
 `cli.write_report` writes for the `run_experiment` report over every mask,
 once exact-only and once at NOISY_SHOTS shots at NOISE, both at seed 0 and
@@ -91,7 +93,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=5, help="largest search width (default 5)")
     parser.add_argument("--noisy", action="store_true",
-                        help="also digest seeded run_noisy counts of every compiled circuit")
+                        help="also digest seeded sampled counts of every compiled circuit")
     parser.add_argument("--reports", action="store_true",
                         help="also digest the written exact and sampled report of every option set")
     args = parser.parse_args()
@@ -110,9 +112,13 @@ def main():
                 uncompute=uncompute, fused=fused,
             )
             circuits = list(families.build_masks(request, masks))
+            if args.noisy:
+                sampled = sim.run_noisy_template(
+                    synth.compile_template(families.plan(request).template), masks, NOISE,
+                    NOISY_SHOTS, [int(mask, 2) for mask in masks])
         except QsearchError as exc:
             circuits = [exc] * len(masks)
-        for mask, circuit in zip(masks, circuits):
+        for i, (mask, circuit) in enumerate(zip(masks, circuits)):
             digest.update(f"{family} {style} {n} {uncompute} {fused} {partition} {mask}\n".encode())
             if isinstance(circuit, QsearchError):
                 digest.update(f"{type(circuit).__name__}: {circuit}\n".encode())
@@ -123,8 +129,7 @@ def main():
                 digest.update(sim.run_exact(c).probabilities.tobytes())
             digest.update(f"{census(compiled)!r}\n".encode())
             if args.noisy:
-                counts = sim.run_noisy(compiled, NOISE, NOISY_SHOTS, seed=int(mask, 2)).counts
-                digest.update(counts.tobytes())
+                digest.update(sampled[i].counts.tobytes())
             built += 1
     noisy = f", noisy {NOISY_SHOTS} shots" if args.noisy else ""
     reports = ", reports" if args.reports else ""

@@ -332,71 +332,65 @@ class CircuitTemplate:
             made.append(instr)
         return made
 
-    def fill(self, key, metadata: dict) -> Circuit:
+    def _kept(self, key) -> tuple[list[bool] | None, list[tuple[Instruction, ...]]]:
+        """What the fill for key keeps: a flag per fixed instruction, over
+        every fixed part in order (None: every one is kept), and the
+        instructions each hole makes, checked."""
+        return None, [tuple(self._made(hole, written, key)) for hole, written in self._holes]
+
+    def _assemble(self, flags, made) -> list[Instruction]:
+        """The fill that _kept's flags and hole instructions describe."""
+        out, at = [], 0
+        for part, slot in zip(self._fixed, [*made, ()]):
+            out += part if flags is None else [i for i, k in zip(part, flags[at:at + len(part)]) if k]
+            at += len(part)
+            out += slot
+        return out
+
+    def fill(self, key, metadata: dict | None = None) -> Circuit:
         """The circuit with every hole filled for key; it keeps metadata as given."""
-        out = list(self._fixed[0])
-        for (hole, written), fixed in zip(self._holes, self._fixed[1:]):
-            out += self._made(hole, written, key)
-            out += fixed
-        return Circuit._trusted(self.n_qubits, self.n_clbits, tuple(out), metadata)
-
-    def _kept(self, key) -> list[list[bool]]:
-        """What peephole_cancel and strip_trailing_uncompute keep of the fill
-        for key: for the first fixed part, then each hole and the fixed
-        part after it, a flag per instruction.
-
-        Each instruction of the fill is made a fresh object, so that the
-        kept ones map back by identity: fixed parts reuse objects.
-        """
-        parts = [self._fixed[0]]
-        for (hole, written), fixed in zip(self._holes, self._fixed[1:]):
-            parts += [self._made(hole, written, key), fixed]
-        fresh = [[Instruction(i.gate, i.condition) for i in part] for part in parts]
-        circuit = Circuit._trusted(
-            self.n_qubits, self.n_clbits, tuple(i for part in fresh for i in part), {}
-        )
-        kept = {id(i) for i in strip_trailing_uncompute(peephole_cancel(circuit)).instructions}
-        return [[id(i) in kept for i in part] for part in fresh]
+        out = self._assemble(*self._kept(key))
+        return Circuit._trusted(self.n_qubits, self.n_clbits, tuple(out), metadata or {})
 
     def tidied(self, probe, check) -> "CircuitTemplate":
         """The template whose fill for each key is what peephole_cancel and
         strip_trailing_uncompute keep of this template's fill for that key.
 
-        The two passes run once, on the fill for probe, for which every
-        hole makes its gates.  The new template keeps the fixed
-        instructions they keep and the holes all of whose gates they keep.
-        That is right for every key only when what the passes keep of the
-        fixed parts and of each hole does not depend on the key, so it
-        raises InternalError for a hole whose gates are only partly kept,
-        and when the passes keep anything else of the fill for check, for
-        which the holes make the fewest gates.
+        The passes run once, by position, on the fill for probe, for which
+        every hole makes its gates, keeping the fixed instructions and whole
+        holes they keep.  That is right only when what they keep does not
+        depend on the key, so InternalError refuses a partly kept hole and
+        a fill for check, for which the holes make the fewest gates, other
+        than what the passes make of this template's.
         """
-        flags = self._kept(probe)
-        for j, made in enumerate(flags[1::2]):
-            if any(made) and not all(made):
+        _, made = self._kept(probe)
+        ops = self._assemble(None, made)
+        kept = _cancel_flags(ops, self.n_qubits, self.n_clbits)
+        survivors = [j for j, k in enumerate(kept) if k]
+        for j, k in zip(survivors, _strip_flags([ops[j] for j in survivors], self.n_qubits)):
+            kept[j] = k
+        fixed, holes, at = [()], [], 0
+        for j, part in enumerate(self._fixed):
+            fixed[-1] += tuple(i for i, k in zip(part, kept[at:at + len(part)]) if k)
+            at += len(part)
+            if j == len(self._holes):
+                break
+            hole = kept[at:at + len(made[j])]
+            at += len(hole)
+            if any(hole) and not all(hole):
                 raise InternalError(
                     f"partial uncompute: the passes keep only part of template hole {j}"
                 )
-        keep = [all(made) for made in flags[1::2]]
-        checked = self._kept(check)
-        # the probe's flags for the fixed parts, and each hole's decision for its gates
-        expected = [
-            [keep[j // 2]] * len(made) if j % 2 else flags[j] for j, made in enumerate(checked)
-        ]
-        if checked != expected:
+            if all(hole):
+                holes.append(self._holes[j])
+                fixed.append(())
+        tidied = CircuitTemplate._trusted(self.n_qubits, self.n_clbits, fixed, holes)
+        passes = strip_trailing_uncompute(peephole_cancel(self.fill(check)))
+        if passes.instructions != tidied.fill(check).instructions:
             raise InternalError(
                 f"partial uncompute: the passes keep other gates for key {check!r}"
             )
-        fixed = [tuple(i for i, k in zip(self._fixed[0], flags[0]) if k)]
-        holes = []
-        for hole, part, flag, kept_hole in zip(self._holes, self._fixed[1:], flags[2::2], keep):
-            kept = tuple(i for i, k in zip(part, flag) if k)
-            if kept_hole:
-                holes.append(hole)
-                fixed.append(kept)
-            else:
-                fixed[-1] += kept
-        return CircuitTemplate._trusted(self.n_qubits, self.n_clbits, fixed, holes)
+        return tidied
 
 
 @dataclass(frozen=True)
@@ -454,8 +448,14 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     larger gate census, and a second call removes nothing.
     """
     ops = circuit.instructions
-    qubit_stacks: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
-    clbit_stacks: list[list[int]] = [[] for _ in range(circuit.n_clbits)]
+    kept = _cancel_flags(ops, circuit.n_qubits, circuit.n_clbits)
+    return circuit._with_instructions(tuple(op for op, k in zip(ops, kept) if k))
+
+
+def _cancel_flags(ops, n_qubits: int, n_clbits: int) -> list[bool]:
+    """peephole_cancel's decision for each of the instructions ops: kept or not."""
+    qubit_stacks: list[list[int]] = [[] for _ in range(n_qubits)]
+    clbit_stacks: list[list[int]] = [[] for _ in range(n_clbits)]
     kept = [True] * len(ops)
     for j, instr in enumerate(ops):
         gate = instr.gate
@@ -486,7 +486,7 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
         else:
             for s in stacks:
                 s.append(j)
-    return circuit._with_instructions(tuple(op for op, k in zip(ops, kept) if k))
+    return kept
 
 
 # Wires a gate preserves in the computational basis (controls / diagonals)
@@ -513,7 +513,13 @@ def strip_trailing_uncompute(circuit: Circuit) -> Circuit:
     is equivalent in distribution, not as a unitary.
     """
     ops = circuit.instructions
-    classical = set(range(circuit.n_qubits))
+    keep = _strip_flags(ops, circuit.n_qubits)
+    return circuit._with_instructions(tuple(op for op, k in zip(ops, keep) if k))
+
+
+def _strip_flags(ops, n_qubits: int) -> list[bool]:
+    """strip_trailing_uncompute's decision for each of the instructions ops: kept or not."""
+    classical = set(range(n_qubits))
     measured = any(op.gate.name == "measure" for op in ops)
     dead = set(classical) if measured else set()
     keep = [True] * len(ops)
@@ -533,5 +539,4 @@ def strip_trailing_uncompute(circuit: Circuit) -> Circuit:
         dead -= qubits
         if gate.name not in ("x", "cx") or not qubits <= classical:
             classical -= qubits
-    out = tuple(op for op, k in zip(ops, keep) if k)
-    return circuit._with_instructions(out)
+    return keep

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, families, qasm, sim, synth
-from .circuit import census, peephole_cancel  # noqa: F401 - perfbench's tests read it
+from .circuit import CircuitTemplate, census, peephole_cancel  # noqa: F401 - perfbench's tests read it
 from .errors import ConfigError, QsearchError, ValidationError
 from .families import FamilyRequest, Partition
 from .synth import OracleSpec
@@ -97,6 +97,9 @@ class ExperimentConfig:
         for k in self.noise:
             if k not in ("p1", "p2", "p_meas"):
                 raise ConfigError(f"noise: unknown rate {k!r}")
+        if self.shots == 0 and any(self.noise.values()):
+            raise ConfigError("shots: noise acts only on sampled runs, so a nonzero rate needs "
+                              "shots >= 1")
         return build_request(self, "0" * self.n)
 
 
@@ -188,37 +191,27 @@ def _named(exc: QsearchError, masks: list[str], at: int) -> QsearchError:
 
 def _exact_oracles(
     cfg: ExperimentConfig, request: FamilyRequest
-) -> tuple[list[tuple], dict, int]:
-    """Plan every oracle in the set, by one families.plan call, and compute
-    its exact distribution, by one sim.run_exact_template call that walks
-    the plan's template once for all the masks.
-
-    Returns (mask, data bits, exact data-bit distribution, compiled circuit
-    or None) per mask, plus the census of the first mask and the oracle
-    calls per circuit.  A call count outside 1..2^n, which the request
-    knows, is refused before any build, and an error of the option set's
-    template, which families.plan makes, names no mask.  The walk refuses
-    a template too wide to simulate exactly before any mask fills a hole,
-    and names the first mask.  Only the circuits a run uses are filled and
-    compiled, after the walk: the first mask's, whose census goes in the
-    report, and in a sampled run each mask's, for the trajectory
-    simulator.  Nothing here depends on the noise or the seed.
+) -> tuple[list[tuple], dict, int, CircuitTemplate]:
+    """Plan the set's oracles by one families.plan call and walk the plan's
+    template once for every mask's exact distribution: (mask, data bits,
+    exact data-bit distribution) per mask, the first mask's compiled census,
+    the oracle calls per circuit and the compiled template that a sampled
+    run walks.  Too many calls are refused before any build, and a template
+    too wide to simulate exactly before any hole, naming the first mask.
+    Nothing here depends on the noise or the seed.
     """
     masks = resolve_masks(cfg)
     analysis.classical_baselines(cfg.n, request.oracle_calls)  # refuses calls outside 1..2^n
     plan = families.plan(request)
     data_bits = plan.metadata["data_clbits"]
-    oracles = []
     try:
         dists = sim.run_exact_template(plan.template, masks)
-        for mask, dist in zip(masks, dists):
-            low = synth.compile(plan.fill(mask)) if not oracles or cfg.shots > 0 else None
-            if not oracles:
-                census_dict = _census_dict(census(low))
-            oracles.append((mask, data_bits, dist.marginal(data_bits), low))
+        compiled = synth.compile_template(plan.template)
+        census_dict = _census_dict(census(compiled.fill(masks[0])))
     except QsearchError as exc:
-        raise _named(exc, masks, len(oracles))
-    return oracles, census_dict, request.oracle_calls
+        raise _named(exc, masks, 0)
+    oracles = [(mask, data_bits, dist.marginal(data_bits)) for mask, dist in zip(masks, dists)]
+    return oracles, census_dict, request.oracle_calls, compiled
 
 
 def _noise_model(cfg: ExperimentConfig) -> sim.NoiseModel:
@@ -235,10 +228,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def _report(cfg: ExperimentConfig, noise: sim.NoiseModel, exact_oracles, t0: float) -> dict:
     """Sample every oracle under cfg's noise and seed when cfg.shots > 0, by
-    one sim.run_noisy_batch call with a derived seed per mask, and analyze
-    the runs; exact_oracles comes from _exact_oracles(cfg)."""
-    oracles, census_dict, calls = exact_oracles
-    masks = [mask for mask, _, _, _ in oracles]
+    one sim.run_noisy_template call with a derived seed per mask, and
+    analyze the runs; exact_oracles comes from _exact_oracles(cfg)."""
+    oracles, census_dict, calls, compiled = exact_oracles
+    masks = [mask for mask, _, _ in oracles]
     oracle_rows = []
     exact_runs: list[analysis.OracleRun] = []
     measured_runs: list[analysis.OracleRun] = []
@@ -246,8 +239,8 @@ def _report(cfg: ExperimentConfig, noise: sim.NoiseModel, exact_oracles, t0: flo
     try:
         if cfg.shots > 0:
             seeds = [_derive_seed(cfg.seed, int(mask, 2)) for mask in masks]
-            sampled = sim.run_noisy_batch([low for _, _, _, low in oracles], noise, cfg.shots, seeds)
-        for i, (mask, data_bits, exact, _) in enumerate(oracles):
+            sampled = sim.run_noisy_template(compiled, masks, noise, cfg.shots, seeds)
+        for i, (mask, data_bits, exact) in enumerate(oracles):
             dist = sampled[i].marginal(data_bits) if cfg.shots > 0 else exact
             p_t = exact.probability(int(mask, 2))
             p_ts.append(p_t)
@@ -453,6 +446,8 @@ def cmd_sweep(cfg: ExperimentConfig, grid: list[float], outdir: Path) -> int:
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ConfigError("grid: must be ascending")
     request = cfg.validate()
+    if cfg.shots == 0:
+        raise ConfigError("shots: a sweep samples each grid point, so it needs shots >= 1")
     points = []
     for i, p2 in enumerate(grid):
         point = replace(cfg, noise={**cfg.noise, "p2": p2}, seed=_derive_seed(cfg.seed, i))

@@ -7,32 +7,23 @@ read.  `plan(request)` makes the request's template once,
 `build(request)` is its one-mask case.  The circuits of one option set
 differ only in the X conjugation of a block's zero bits, a few polarities
 and the `mask` metadata, so each family describes its circuit once, as a
-`CircuitTemplate`: the mask-independent fragments (H-wall, diffusers, fold
-trees and their uncompute, exact cores, measurements) are made and checked
-once per plan, and each mask fills only the holes that hold its
-conjugation and its polarized gates.  The exact simulator walks the
-template itself, so an exact-only run fills no circuit but the first.
+`CircuitTemplate` whose mask-independent fragments (H-wall, diffusers,
+fold trees and their uncompute, exact cores, measurements) are made and
+checked once per plan; each mask fills only the holes that hold its
+conjugation and its polarized gates.  The simulators walk the template,
+the trajectory simulator its compiled form (synth.compile_template).
 
-Every family but wielomianer is one skeleton, `_search_template`: an
-H-wall on search qubits 0..n-1, a family body, then search qubit q
-measured into classical bit q, with family, n, mask, data bits and
-diffuser phase in the metadata (values stay JSON-representable).
-Ancillas follow the search qubits, auxiliary classical bits the data
-bits.  `_grover_round`, one full-register oracle call and then a
-diffuser, serves grover, partial and the wojter-aa closing round, and
-alone picks the diffuser method.
-
-The block families interleave full-mask oracle calls with block-local
-diffusers in the order `_SCHEDULES` gives.  Each oracle call is emitted
-self-contained (ancilla compute, polarized multi-controlled Z on ancilla +
-trailing block, ancilla uncompute); with the partial-uncompute option,
-peephole cancellation merges adjacent uncompute/recompute pairs across
-support-disjoint diffusers, and trailing-uncompute elimination drops the
-final fold uncompute that no measurement can observe, yielding the compact
-interleaved layouts the gate-count targets refer to.  What the two passes
-keep does not depend on the mask, so they run once per plan, on the
-template (CircuitTemplate.tidied); each X of a block's conjugation is its
-own hole, as the passes may keep some qubits' X and not others'.
+Every family but wielomianer is one skeleton, `_search_template`.  The
+block families interleave self-contained full-mask oracle calls with
+block-local diffusers in the order `_SCHEDULES` gives.  With the
+partial-uncompute option, peephole cancellation merges adjacent
+uncompute/recompute pairs across support-disjoint diffusers, and
+trailing-uncompute elimination drops the final fold uncompute that no
+measurement can observe, giving the compact layouts the gate-count
+targets refer to.  What the two passes keep does not depend on the mask,
+so they run once per plan, on the template (CircuitTemplate.tidied); each
+X of a block's conjugation is its own hole, as the passes may keep some
+qubits' X and not others'.
 """
 from __future__ import annotations
 
@@ -190,14 +181,12 @@ def build(request: FamilyRequest) -> Circuit:
 
 def build_masks(request: FamilyRequest, masks: Iterable[str]) -> Iterator[Circuit]:
     """Each mask's circuit under request's options, in mask order: the fill
-    of plan(request) for each mask.
+    of plan(request) for each mask (request.oracle's own mask is not used).
 
-    request.oracle gives the width and the style; its own mask is not
-    used.  Every mask is checked, and the plan made, when build_masks is
-    called, before it returns the iterator, so a bad fragment is refused
-    there, as an error of the option set and of no mask.  Each mask then
-    adds only its conjugation and polarized gates, checked for that mask
-    as the iterator reaches it, and gets its own metadata dict and lists.
+    Every mask is checked, and the plan made, before the iterator returns,
+    so a bad fragment is an error of the option set and of no mask.  Each
+    mask then adds only its conjugation and polarized gates, checked as the
+    iterator reaches it, and gets its own metadata dict and lists.
     """
     n, style = request.oracle.n, request.oracle.style
     specs = [OracleSpec(n, mask, style) for mask in masks]
@@ -227,8 +216,7 @@ def plan(request: FamilyRequest) -> Plan:
     checked once, against the request's register sizes, and with partial
     uncompute peephole_cancel and strip_trailing_uncompute run once, on the
     template (CircuitTemplate.tidied, probed with the all-zeros mask and
-    checked with the all-ones mask).  Plan.fill makes a mask's circuit, and
-    the exact engine walks the template itself (sim.run_exact_template)."""
+    checked with the all-ones mask).  Plan.fill makes a mask's circuit."""
     untidied = _family_plan(request)
     if untidied.probes is None:
         return untidied
@@ -287,7 +275,10 @@ def _marked(qubits: tuple[int, ...], core: list) -> list:
 def _search_template(
     family: str, n: int, n_anc: int, n_clbits: int, body: list, **metadata
 ) -> Plan:
-    """The H-wall, the body's parts, then search wire q measured into bit q."""
+    """The H-wall on search qubits 0..n-1, the body's parts, then search
+    qubit q measured into bit q; ancillas follow the search qubits and
+    auxiliary bits the data bits, and the metadata (JSON values) names the
+    family, n, the data bits and the diffuser phase."""
     parts = [[h(q) for q in range(n)], *body, [measure(q, q) for q in range(n)]]
     return Plan(
         CircuitTemplate(n + n_anc, n_clbits, parts),
@@ -298,7 +289,8 @@ def _search_template(
 def _grover_round(
     n: int, style: str, k: int, ancillas: tuple[int, ...], clbits: tuple[int, ...] = ()
 ) -> list:
-    """One full-register oracle call, then the diffuser on wires 0..k-1."""
+    """One full-register oracle call, then the diffuser on wires 0..k-1; it
+    serves grover, partial and wojter-aa's close, and alone picks the diffuser method."""
     method = "plain" if style == "plain-mcz" else "relphase-maslov"
     ones = synth.oracle(OracleSpec(n, "1" * n, style), ancillas=ancillas, clbits=clbits)
     diffuser = synth.diffuser(k, tuple(range(k)), method=method, ancillas=ancillas)

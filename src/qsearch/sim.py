@@ -1,22 +1,21 @@
-"""Dense statevector simulation.
+"""Dense statevector simulation of every key of a circuit template in one
+walk over it (_walk_group); a plain circuit is a template without holes.
 
 Exact mode enumerates mid-circuit measurement branches with Born-rule
-weights, for every key of a circuit template in one walk over it
-(run_exact_template); a plain circuit is a template without holes.  Noisy
-mode samples Monte-Carlo trajectories with depolarizing Pauli insertions
-and readout flips, for many circuits of one width at once.  Both keep
-their branches or trajectories as the rows of one table (_Rows): a
-(capacity, 2^n) complex batch with, per row, an owning key or circuit, its
-recorded classical bits and a mass, the Born-rule weight of a branch or
-the number of trajectories on a row.  A measurement splits rows into spare
-capacity.  A row's flat index uses qubit 0 as the most significant bit.
+weights (run_exact_template); noisy mode samples Monte-Carlo trajectories
+with depolarizing Pauli insertions and readout flips (run_noisy_template),
+on a compiled template (synth.compile_template).  Both keep their branches
+or trajectories as the rows of one table (_Rows): a (capacity, 2^n)
+complex batch with, per row, an owning key, its recorded classical bits
+and a mass, the Born-rule weight of a branch or the number of trajectories
+on a row.  A row's flat index uses qubit 0 as the most significant bit.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import sqrt
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,34 +197,7 @@ def _outcome_index(clbits: np.ndarray) -> np.ndarray:
     return clbits.astype(np.int64) @ (1 << np.arange(clbits.shape[1] - 1, -1, -1))
 
 
-# many circuits in one batch --------------------------------------------------
-
-# the fields that make two instructions equal, as one tuple
-_instruction_key = attrgetter(
-    "gate.name", "gate.qubits", "gate.angle", "gate.polarity", "gate.clbit", "condition")
-
-
-def _shared_width(circuits: list[Circuit]) -> int:
-    n = circuits[0].n_qubits
-    if any(c.n_qubits != n for c in circuits):
-        widths = sorted({c.n_qubits for c in circuits})
-        raise ValidationError(f"circuits of one batch must share a width, got {widths} qubits")
-    return n
-
-
-def _groups(items: list, sizes: list[int], budget: int):
-    """Consecutive runs of items, in order, each holding items while their
-    sizes sum to at most budget, and at least one item."""
-    group, total = [], 0
-    for item, size in zip(items, sizes):
-        if group and total + size > budget:
-            yield group
-            group, total = [], 0
-        group.append(item)
-        total += size
-    if group:
-        yield group
-
+# groups of keys -------------------------------------------------------------
 
 def _blame(exc: QsearchError, circuit: int) -> QsearchError:
     if exc.circuit is None:
@@ -234,10 +206,17 @@ def _blame(exc: QsearchError, circuit: int) -> QsearchError:
 
 
 def _in_groups(run, sizes: list[int], budget: int) -> list:
-    """run(group) on each consecutive group of circuit indices (_groups), in
-    order; an error's circuit, an index into its group, becomes one into all."""
+    """run(group) on consecutive groups of key indices, in order, each holding
+    keys while their sizes sum to at most budget, and at least one key; an
+    error's circuit, an index into its group, becomes one into all."""
+    starts, total = [0], 0
+    for i, size in enumerate(sizes):
+        if i > starts[-1] and total + size > budget:
+            starts.append(i)
+            total = 0
+        total += size
     out = []
-    for group in _groups(range(len(sizes)), sizes, budget):
+    for group in map(range, starts, starts[1:] + [len(sizes)]):
         try:
             out += run(group)
         except QsearchError as exc:
@@ -247,59 +226,11 @@ def _in_groups(run, sizes: list[int], budget: int) -> list:
     return out
 
 
-def _schedule(bodies: list[list[Instruction]]):
-    """Step through many instruction lists at once, each equal instruction once.
-
-    Each list keeps a pointer to its next instruction.  Each step takes the
-    instruction that the list furthest behind waits for (on a tie, the one
-    most lists wait for) and yields it with the group of lists waiting at an
-    equal instruction; when the caller resumes, those lists advance.  So every
-    list still meets exactly its own instructions, in order.
-    """
-    codes: dict[tuple, int] = {}
-    known: dict[int, int] = {}  # id of an instruction object -> its code
-    streams = []
-    for body in bodies:
-        stream = []
-        for instr in body:
-            code = known.get(id(instr))
-            if code is None:  # a template's fixed instructions are one object in every circuit
-                code = known[id(instr)] = codes.setdefault(_instruction_key(instr), len(codes))
-            stream.append(code)
-        streams.append(stream)
-    pos = [0] * len(bodies)
-    waiting: dict[int, list[int]] = {}  # code -> the lists whose next instruction it is
-    lag = [0] * len(codes)  # code -> the smallest pointer among the lists waiting at it
-    for i, stream in enumerate(streams):
-        if stream:
-            waiting.setdefault(stream[0], []).append(i)
-
-    while waiting:
-        code = min(waiting, key=lambda k: (lag[k], -len(waiting[k])))
-        group = waiting.pop(code)
-        yield bodies[group[0]][pos[group[0]]], group
-        for i in group:
-            at = pos[i] = pos[i] + 1
-            if at < len(streams[i]):
-                code = streams[i][at]
-                if code in waiting:
-                    waiting[code].append(i)
-                    if at < lag[code]:
-                        lag[code] = at
-                else:
-                    waiting[code] = [i]
-                    lag[code] = at
-
-
 class _Rows:
     """The rows of one (capacity, 2^n) batch of statevectors, the first
-    active of them live: the branches or trajectories of many circuits.
-
-    Row r belongs to circuit owner[r], holds the classical bits bits[r]
-    recorded on it and carries mass[r]: its Born-rule weight in an exact
-    run, its number of trajectories in a noisy one.  Each circuit starts on
-    one row in |0...0>, circuit i on row i, with the given mass.
-    """
+    active of them live: row r belongs to key owner[r], holds the bits
+    bits[r] recorded on it and carries mass[r], a branch's Born-rule weight
+    or a row's number of trajectories.  Key i starts on row i in |0...0>."""
 
     def __init__(self, count: int, capacity: int, n: int, n_bits: int, mass: float):
         self.n, self.count, self.active = n, count, count
@@ -335,12 +266,9 @@ class _Rows:
     def split(self, rows: np.ndarray, outcome: np.ndarray, recorded: np.ndarray,
               q: int, c: int) -> np.ndarray:
         """Measure wire q into bit c: each (row, outcome, recorded bit) pair,
-        sorted by row, gets a row; those rows.
-
-        The first pair of a row keeps the row, and each other pair gets a
-        copy of it, made before any collapse.  Then each pair's row collapses
-        onto its outcome and records its bit.
-        """
+        sorted by row, gets a row, which collapses onto its outcome and
+        records its bit; those rows.  The first pair of a row keeps it, each
+        other pair a copy made before any collapse."""
         later = np.zeros(len(rows), dtype=bool)  # not the first pair of its row
         later[1:] = rows[1:] == rows[:-1]
         dest = rows.copy()
@@ -351,49 +279,114 @@ class _Rows:
         return dest
 
 
-# exact simulation ----------------------------------------------------------
+# walking a template ----------------------------------------------------------
 
-def _template_split(template: CircuitTemplate) -> tuple[list[tuple], list[tuple[int, int]], int]:
-    """Split into (the fixed parts, the last without its terminal
-    measurements; terminal (qubit, clbit) pairs; outcome width).
+class _Split(NamedTuple):
+    """How every fill of a template ends (_template_split): the (qubit,
+    clbit) pairs measured at the end, the outcome width, and how many
+    terminal measurements end the last fixed part (None: none are made)."""
 
-    The terminal pairs are the trailing unconditioned measurements.  A
-    template without any measurement measures every qubit into the bit of
-    the same index at the end, so its outcome ranges over the qubits.  A
-    hole cannot measure, so the split is the same for every key as long as
-    the trailing measurements follow a gate of the last fixed part.  With
-    holes and no such gate, a key whose holes make nothing would split
-    otherwise, so that template is refused (InternalError).
-    """
-    *front, last = template._fixed
-    if not any(i.gate.name == "measure" for part in template._fixed for i in part):
-        return template._fixed, [(q, q) for q in range(template.n_qubits)], template.n_qubits
+    terminal: list[tuple[int, int]]
+    n_bits: int
+    cut: int | None
+
+
+def _template_split(template: CircuitTemplate) -> _Split:
+    """The trailing unconditioned measurements of every fill, or, when
+    nothing is measured, every qubit into its own bit.  A hole cannot
+    measure, so every key splits so while a gate of the last fixed part
+    that it keeps (_kept_all) precedes them; with holes and no such gate, the
+    template is refused (InternalError)."""
+    fixed = template._fixed
+    if not any(i.gate.name == "measure" for part in fixed for i in part):
+        return _Split([(q, q) for q in range(template.n_qubits)], template.n_qubits, None)
+    last = fixed[-1]
     k = len(last)
     while k > 0 and last[k - 1].gate.name == "measure" and last[k - 1].condition is None:
         k -= 1
-    if k == 0 and template._holes:
+    if k == 0 and len(fixed) > 1:
         raise InternalError("a template's terminal measurements must follow a gate after its last hole")
     pairs = [(i.gate.qubits[0], i.gate.clbit) for i in last[k:]]
     while len({q for q, _ in pairs}) < len(pairs) or len({c for _, c in pairs}) < len(pairs):
         # re-measurement in the tail: push the first back into the body
         pairs.pop(0)
         k += 1
-    return [*front, last[:k]], pairs, template.n_clbits
+    return _Split(pairs, template.n_clbits, len(last) - k)
 
 
-def _terminal_split(circuit: Circuit) -> tuple[list[Instruction], list[tuple[int, int]], int]:
-    """(body, terminal (qubit, clbit) pairs, outcome width): _template_split
-    of the circuit as a template without holes."""
-    (body,), terminal, n_bits = _template_split(CircuitTemplate.of(circuit))
-    return list(body), terminal, n_bits
+def _kept_all(template: CircuitTemplate, keys: list, split: _Split) -> list[tuple]:
+    """template._kept(key) for each key, flags as an array; an error blames
+    the key's index, and a key that drops the gate before the terminal
+    measurements (_template_split) is refused (InternalError)."""
+    out = []
+    for i, key in enumerate(keys):
+        try:
+            flags, made = template._kept(key)
+            cut = split.cut
+            if flags is not None and cut is not None and cut < len(flags) and not flags[-cut - 1]:
+                raise InternalError("a key drops the gate before the terminal measurements")
+        except QsearchError as exc:
+            raise _blame(exc, i)
+        out.append((None if flags is None else np.array(flags, dtype=bool), made))
+    return out
 
+
+def _walk_group(template: CircuitTemplate, kept: list[tuple],
+                cut: int | None) -> Iterator[tuple[Instruction, list[int]]]:
+    """Step a group of keys through their fills together, in template order,
+    up to the cut terminal measurements: each fixed instruction once, with
+    the keys (indices into kept) whose flags keep it, and each instruction
+    of each hole's distinct kept tuple once, with the keys that made it, so
+    every key meets exactly its own fill's instructions, in order."""
+    everyone = list(range(len(kept)))
+    keeps = None if kept[0][0] is None else np.array([flags for flags, _ in kept])
+    every = None if keeps is None else keeps.all(axis=0).tolist()
+    fixed, at = template._fixed, 0
+    for j, part in enumerate(fixed):
+        end = len(part) - (cut or 0) if j == len(fixed) - 1 else len(part)
+        for t, instr in enumerate(part[:end], at):
+            if every is None or every[t]:
+                yield instr, everyone
+                continue
+            group = np.flatnonzero(keeps[:, t]).tolist()
+            if group:
+                yield instr, group
+        at += len(part)
+        if j == len(fixed) - 1:
+            break
+        made: dict[tuple, list[int]] = {}  # each distinct kept tuple -> the keys making it
+        for i, (_, holes) in enumerate(kept):
+            made.setdefault(holes[j], []).append(i)
+        for instrs, group in made.items():
+            for instr in instrs:
+                yield instr, group
+
+
+def _one_at_a_time(circuits: Iterable[Circuit], run) -> list[Distribution]:
+    """run(template, i) for each circuit i as a template without holes, one
+    at a time, each drawn only when the one before it is done; the circuits
+    must share a qubit count, and an error that concerns one, drawing it
+    included, carries its index as its circuit attribute."""
+    out = []
+    try:
+        for circuit in circuits:
+            if out and circuit.n_qubits != n:
+                raise ValidationError(f"circuits of one batch must share a width, got "
+                                      f"{sorted({n, circuit.n_qubits})} qubits")
+            n = circuit.n_qubits
+            out += run(CircuitTemplate.of(circuit), len(out))
+    except QsearchError as exc:
+        exc.circuit = len(out)  # the circuit being drawn or run
+        raise
+    return out
+
+
+# exact simulation ----------------------------------------------------------
 
 def _exact_width(n_qubits: int, body: list[Instruction]) -> int:
-    """n qubits plus m mid-circuit measurements, refused above MAX_EXACT_WIDTH.
-
-    Deferral holds one row of 2^(n+m) amplitudes and branching up to 2^m
-    rows of 2^n, so one bound serves both, checked before any work.
-    """
+    """n qubits plus m mid-circuit measurements, refused above MAX_EXACT_WIDTH:
+    deferral holds one row of 2^(n+m) amplitudes and branching up to 2^m
+    rows of 2^n, so one bound serves both, checked before any work."""
     width = n_qubits + sum(i.gate.name == "measure" for i in body)
     if width > MAX_EXACT_WIDTH:
         raise TooWide(f"{n_qubits} qubits and {width - n_qubits} mid-circuit measurements "
@@ -404,15 +397,11 @@ def _exact_width(n_qubits: int, body: list[Instruction]) -> int:
 def _terminal_histograms(state: np.ndarray, n: int, terminal: list[tuple[int, int]],
                          clbits: np.ndarray, weights: np.ndarray, local: np.ndarray,
                          count: int) -> np.ndarray:
-    """Measure the terminal pairs on every row of a batch whose row r belongs
-    to circuit local[r] of count; each circuit's unnormalised distribution,
-    one row per circuit.
-
-    Row r carries weight weights[r] and the bits clbits[r] recorded before;
-    each terminal pair overwrites its own bit.  One bincount sums every
-    circuit's bins, each over its own rows in batch order.  When a row's
-    norm has drifted, the error blames the lowest circuit among such rows.
-    """
+    """Measure the terminal pairs on every row of a batch, row r of key
+    local[r] of count with weight weights[r] and the bits clbits[r]
+    recorded before; each key's unnormalised distribution, by one bincount
+    over its rows in batch order.  A drifted norm blames the lowest key
+    among such rows."""
     probs = np.abs(state)
     probs **= 2  # in place: the batch may hold 2^m branch rows
     marg = _marginal(probs, n, [q for q, _ in terminal])
@@ -431,76 +420,49 @@ def _terminal_histograms(state: np.ndarray, n: int, terminal: list[tuple[int, in
 
 
 def run_exact_template(template: CircuitTemplate, keys: Iterable) -> list[Distribution]:
-    """Exact outcome distribution of template's fill for each key, in key order.
+    """Exact outcome distribution of template's fill for each key, in key
+    order, over the classical bits (or the qubits when nothing is measured).
 
-    With no measurement instructions all qubits are implicitly measured in
-    wire order; otherwise the distribution ranges over the classical bits.
-    The terminal split (_template_split) and the refusal when n + m >
-    MAX_EXACT_WIDTH are made once, before any hole is made: a hole cannot
-    measure, so both are the same for every key.  A key may need 2^(n+m)
-    amplitudes, and the keys run in consecutive groups of at most _BLOCK
-    amplitudes (at least one key).
-
-    Every branch of a group's keys is a row of one table (_Rows), with its
-    key as owner, a Born-rule weight as its mass and a row of classical
-    bits, in room for 2^m rows per key; a measurement whose two outcomes
-    are both above 1e-15 copies the row into spare room for outcome 1.
-    Each fixed instruction runs once, on every live row it selects.  Each
-    hole makes and checks its instructions for every key
-    (CircuitTemplate._made), and each distinct instruction tuple runs once,
-    on the rows of the keys that made it.  So each row gets exactly its own
-    fill's instructions, in order, through row-wise kernels, and a key's
-    distribution is bit for bit the one its fill gets alone, whatever the
-    grouping; on one wire, an rz may move the last bit, as numpy multiplies
-    a lone complex amplitude without the fused multiply-add of its vector
-    loop.
-
-    An error that concerns one key carries the key's index as its circuit
-    attribute; an error of the split or the width blames key 0.
+    The terminal split and the refusal when n + m > MAX_EXACT_WIDTH come
+    before any hole is made.  The keys run in consecutive groups of at most
+    _BLOCK amplitudes, 2^(n+m) per key, each group walking the template
+    once (_walk_group); a measurement whose two outcomes are both above
+    1e-15 copies a row for outcome 1.  A key's distribution is bit for bit
+    its fill's alone (on one wire, an rz may move the last bit: numpy
+    multiplies a lone complex amplitude without the fused multiply-add of
+    its vector loop).  An error of one key carries its index as circuit
+    attribute; one of the split or the width, key 0.
     """
     keys = list(keys)
     if not keys:
         return []
     n = template.n_qubits
     try:
-        fixed, terminal, n_bits = _template_split(template)
-        branches = 1 << (_exact_width(n, [i for part in fixed for i in part]) - n)
+        split = _template_split(template)
+        body = [i for part in template._fixed for i in part]
+        branches = 1 << (_exact_width(n, body[:len(body) - (split.cut or 0)]) - n)
     except QsearchError as exc:
         raise _blame(exc, 0)
     return _in_groups(
-        lambda group: _walk_group(template, fixed, [keys[i] for i in group], terminal, n_bits,
-                                  branches),
+        lambda group: _exact_group(template, [keys[i] for i in group], split, branches),
         [branches << n] * len(keys), _BLOCK)
 
 
-def _walk_group(template: CircuitTemplate, fixed: list[tuple], keys: list,
-                terminal: list[tuple[int, int]], n_bits: int, branches: int) -> list[Distribution]:
+def _exact_group(template: CircuitTemplate, keys: list, split: _Split,
+                 branches: int) -> list[Distribution]:
     """run_exact_template on one group of keys, given the template's split
-    fixed parts and its branch bound per key."""
+    and its branch bound per key."""
     count = len(keys)
-    table = _Rows(count, count * branches, template.n_qubits, n_bits, 1.0)
-    everyone = list(range(count))
-    for part, hole in zip(fixed, [*template._holes, None]):
-        for instr in part:
-            _exact_step(table, instr, everyone)
-        if hole is None:
-            break
-        made: dict[tuple, list[int]] = {}  # each distinct instruction tuple -> the keys making it
-        for i, key in enumerate(keys):
-            try:
-                made.setdefault(tuple(template._made(*hole, key)), []).append(i)
-            except QsearchError as exc:
-                raise _blame(exc, i)
-        for instrs, group in made.items():
-            for instr in instrs:
-                _exact_step(table, instr, group)
-
+    kept = _kept_all(template, keys, split)
+    table = _Rows(count, count * branches, template.n_qubits, split.n_bits, 1.0)
+    for instr, group in _walk_group(template, kept, split.cut):
+        _exact_step(table, instr, group)
     live = slice(0, table.active)
-    hist = _terminal_histograms(table.state[live], table.n, terminal,
-                                table.bits[live, :n_bits].copy(), table.mass[live],
+    hist = _terminal_histograms(table.state[live], table.n, split.terminal,
+                                table.bits[live, :split.n_bits].copy(), table.mass[live],
                                 table.owner[live], count)
     hist /= hist.sum(axis=1)[:, None]
-    return [Distribution(n_bits, probabilities=probs) for probs in hist]
+    return [Distribution(split.n_bits, probabilities=probs) for probs in hist]
 
 
 def _exact_step(table: _Rows, instr: Instruction, group: list[int]) -> None:
@@ -530,25 +492,9 @@ def _exact_step(table: _Rows, instr: Instruction, group: list[int]) -> None:
 
 
 def run_exact_batch(circuits: Iterable[Circuit]) -> list[Distribution]:
-    """Exact outcome distribution of each circuit: run_exact_template of
-    each as a template without holes and with one key, one circuit at a
-    time, drawn only when the one before it is done.
-
-    The circuits must share a qubit count.  An error that concerns one
-    circuit, drawing it included, carries its index as its circuit attribute.
-    """
-    out = []
-    try:
-        for circuit in circuits:
-            if out and circuit.n_qubits != n:
-                raise ValidationError(f"circuits of one batch must share a width, got "
-                                      f"{sorted({n, circuit.n_qubits})} qubits")
-            n = circuit.n_qubits
-            out += run_exact_template(CircuitTemplate.of(circuit), [None])
-    except QsearchError as exc:
-        exc.circuit = len(out)  # the circuit being drawn or run
-        raise
-    return out
+    """Exact outcome distribution of each circuit of one width:
+    run_exact_template of each alone (_one_at_a_time)."""
+    return _one_at_a_time(circuits, lambda template, i: run_exact_template(template, [None]))
 
 
 def run_exact(circuit: Circuit) -> Distribution:
@@ -592,88 +538,76 @@ def _insert_paulis(state: np.ndarray, n: int, qubits, rows: np.ndarray, picks: n
 
 @dataclass
 class _NoisyPlan:
-    """What one circuit's trajectories draw: per chunk row, its site-hit,
+    """What one key's trajectories draw: per chunk row, its site-hit,
     Pauli-pick, mid-measure, mid-readout, final-sample and terminal-readout
-    uniforms, split at splits."""
+    uniforms, split at splits; `two` flags the gate sites on two qubits."""
 
-    body: list[Instruction]  # without barriers
-    terminal: list[tuple[int, int]]
-    n_bits: int
+    two: np.ndarray
     n_mid: int
+    instructions: int  # the template's fixed ones and the key's hole ones
     splits: np.ndarray
     cols: int
 
     @classmethod
-    def of(cls, circuit: Circuit) -> "_NoisyPlan":
-        census(circuit)  # raises NotLowered when gates above 2 qubits remain
-        body, terminal, n_bits = _terminal_split(circuit)
-        body = [instr for instr in body if instr.gate.name != "barrier"]
-        n_mid = sum(instr.gate.name == "measure" for instr in body)
-        splits = np.cumsum([len(body) - n_mid] * 2 + [n_mid] * 2 + [1])
-        return cls(body, terminal, n_bits, n_mid, splits, int(splits[-1]) + len(terminal))
+    def of(cls, template: CircuitTemplate, flags, made, split: _Split) -> "_NoisyPlan":
+        ops = template._assemble(flags, made)
+        # raises NotLowered when gates above 2 qubits remain
+        census(Circuit._trusted(template.n_qubits, template.n_clbits, tuple(ops), {}))
+        body = ops[:len(ops) - (split.cut or 0)]
+        two = [len(i.gate.qubits) == 2 for i in body if i.gate.name not in ("measure", "barrier")]
+        n_mid = sum(i.gate.name == "measure" for i in body)
+        splits = np.cumsum([len(two)] * 2 + [n_mid] * 2 + [1])
+        instructions = sum(map(len, template._fixed)) + sum(map(len, made))
+        return cls(np.array(two, dtype=bool), n_mid, instructions, splits,
+                   int(splits[-1]) + len(split.terminal))
 
     def chunk_bytes(self, n: int, shots: int) -> int:
-        """Bytes one trajectory chunk of the circuit can hold at once, for b
-        trajectories, `sites` gate sites, `body` instructions and `cols`
-        uniforms each:
-        b·(2·cols − 2·sites)·8 + b·sites·49 + sites·65 + body·288
-        + (b+1)·2^n·48 + 16 KiB.
-
-        That is its uniforms with the batch's copies of the measurement and
-        readout columns; its hit tables when every site is hit; per site,
-        _noisy_chunk's bookkeeping (65); per instruction, _schedule's (288);
-        per amplitude of up to b+1 live rows, the state (16) and the largest
-        temporary beside it (32): a Pauli insertion's gathered block, its
-        saved half and numpy's copy of the other half (32), a measurement's
-        gathered rows and their |·|² (24), or the final sampling's |state|²
-        and its cumsum (16); and a fixed 16 KiB for the objects every call
-        makes whatever its size: the random generator and its seed
-        sequence, the headers of some sixty numpy arrays and views, and the
-        small lists, dicts and generator frames.  At a few shots the last
-        three terms outweigh the others.
+        """Bytes one trajectory chunk of the key can hold at once, for b
+        trajectories, `sites` gate sites, `instructions` instructions and
+        `cols` uniforms each: b·(2·cols − 2·sites)·8 + b·sites·49 + sites·66
+        + instructions·138 + (b+1)·2^n·48 + 16 KiB, each term as the code
+        below counts it.  At a few shots the last three terms outweigh the
+        others.
         """
-        b, sites = min(shots, TRAJECTORY_CHUNK), int(self.splits[0])
+        b, sites = min(shots, TRAJECTORY_CHUNK), len(self.two)
         uniforms = b * (2 * self.cols - 2 * sites) * 8  # and the batch's copies of the non-site ones
-        # _noisy_chunk's hit tables if every site is hit: the site-hit mask's
-        # byte, then 8 each for a hit's site, its trajectory (twice) and its
-        # pick, and for the concatenated trajectory and pick tables
+        # hit tables if every site is hit: the site-hit mask's byte, then 8 each
+        # for a hit's site, trajectory (twice) and pick, and the concatenations
         hits = b * sites * (1 + 6 * 8)
-        # per site, its rate (8); its entry in ptr, a list slot and an int
-        # object (8 + 32); and, while ptr grows by it, its searchsorted sum
-        # (8), its slot in the tolist list (8) and ptr's over-allocation (1)
-        site_bookkeeping = sites * (8 + 8 + 32 + 8 + 8 + 1)
-        # per instruction, _schedule's stream slot (8) and code int (32);
-        # the id int keying its object (32) and the code map's 6-tuple key
-        # (88), each with a dict slot of up to 64 bytes (a 24-byte entry
-        # and its index, in a table at least a third full)
-        schedule = len(self.body) * (8 + 32 + 32 + 64 + 88 + 64)
-        return uniforms + hits + site_bookkeeping + schedule + (b + 1) * (48 << n) + (16 << 10)
+        # per site, the plan's flag and its rate; ptr's list slot and int
+        # object; and, while ptr grows, the searchsorted sum, the tolist slot
+        # and ptr's over-allocation
+        site_bookkeeping = sites * (1 + 8 + 8 + 32 + 8 + 8 + 1)
+        # per instruction, the key's flag, its row of the walk's flag table and
+        # the walk's list of shared flags; while the key is planned, the
+        # lowered fill's and the flags' list slots, peephole_cancel's stack
+        # slot and index int and the census's fill; per hole instruction, the
+        # Instruction made for the key and its slot
+        walk = self.instructions * (1 + 1 + 8 + 8 + 8 + 8 + 32 + 8 + 56 + 8)
+        # per amplitude of up to b+1 live rows, the state (16) and the largest
+        # temporary beside it (32: a Pauli insertion's gathered block, saved
+        # half and numpy's copy of the other; a measurement takes 24, the final
+        # sampling 16); 16 KiB for what every key makes whatever its size (the
+        # generator and its seed sequence, array headers, small lists, frames)
+        return uniforms + hits + site_bookkeeping + walk + (b + 1) * (48 << n) + (16 << 10)
 
 
 class _Trajectories(_Rows):
-    """One chunk of b trajectories of each of many circuits, on the rows of
-    one table whose mass is a row's number of trajectories.
-
-    Trajectory g belongs to circuit towner[g] and sits on row trow[g].
-    Every live row carries at least one trajectory, so the live rows never
-    outnumber the trajectories.  Trajectories share a row while they agree
-    on their circuit, their true and recorded mid-circuit outcomes and their
-    (absent) Pauli insertions.
-    """
+    """One chunk of b trajectories of each of many keys, on the rows of one
+    table whose mass is a row's number of trajectories: trajectory g of key
+    towner[g] sits on row trow[g], shared while trajectories agree on their
+    key, true and recorded mid-circuit outcomes and (absent) Paulis."""
 
     def __init__(self, count: int, b: int, n: int, n_bits: int):
         super().__init__(count, count * b, n, n_bits, b)
         self.towner = np.repeat(np.arange(count), b)
-        self.trow = self.towner.copy()  # each circuit's trajectories start on its own row
+        self.trow = self.towner.copy()  # each key's trajectories start on its own row
 
     def leave(self, traj: np.ndarray) -> np.ndarray:
         """Give each of the given trajectories (one Pauli insertion each) a
-        row of its own; their rows.
-
-        A trajectory alone on its row keeps it.  One on a shared row moves to
-        a copy of it, except that the first keeps the row when every
-        trajectory on it leaves.
-        """
+        row of its own, a copy of its shared row, unless it is alone on its
+        row or the first of a row that every trajectory on it leaves; their
+        rows."""
         rows = self.trow[traj]
         shared = self.mass[rows] > 1
         if not shared.any():
@@ -694,22 +628,18 @@ class _Trajectories(_Rows):
         return self.trow[traj]
 
     def measure(self, rows: np.ndarray, q: int, c: int, u_mid: np.ndarray,
-                u_ro: np.ndarray, col: np.ndarray, p_meas: float) -> None:
-        """Measure wire q of the given rows into bit c.
-
-        Each trajectory g on them draws its outcome from u_mid[g, j] and
-        flips the bit it records where u_ro[g, j] < p_meas, with j the
-        column col[circuit] of its circuit's measurement.  Each row then
-        splits by the (outcome, recorded bit) pairs of its trajectories.
-        """
+                u_ro: np.ndarray, p_meas: float) -> None:
+        """Measure wire q of the given rows into bit c: each trajectory g on
+        them draws its outcome from u_mid[g] and flips the bit it records
+        where u_ro[g] < p_meas, and each row splits by the (outcome,
+        recorded bit) pairs of its trajectories."""
         p1 = _marginal(np.abs(self.state[rows]) ** 2, self.n, [q])[:, 1]
         where = np.full(self.active, -1)
         where[rows] = np.arange(len(rows))
         traj = np.flatnonzero(where[self.trow] >= 0)
         k = where[self.trow[traj]]
-        j = col[self.towner[traj]]
-        outcome = (u_mid[traj, j] < p1[k]).astype(np.int8)
-        recorded = outcome ^ (u_ro[traj, j] < p_meas)
+        outcome = (u_mid[traj] < p1[k]).astype(np.int8)
+        recorded = outcome ^ (u_ro[traj] < p_meas)
         keys, inverse = np.unique((k * 2 + outcome) * 2 + recorded, return_inverse=True)
         dest = self.split(rows[keys >> 2], (keys >> 1) & 1, keys & 1, q, c)
         self.mass[dest] = np.bincount(inverse, minlength=len(keys))
@@ -733,49 +663,62 @@ class _Trajectories(_Rows):
 
 def run_noisy_batch(circuits: list[Circuit], noise: NoiseModel, shots: int,
                     seeds: list[int]) -> list[Distribution]:
-    """Monte-Carlo trajectory sampling of lowered circuits, in batches.
-
-    After each 1- or 2-qubit gate a uniformly random non-identity Pauli on
-    the touched qubits is inserted with probability p1 / p2; recorded bits
-    flip with probability p_meas.  Circuit i samples shots trajectories
-    with seed seeds[i].
-
-    Trajectories run in chunks of TRAJECTORY_CHUNK.  In chunk c, circuit i
-    draws every uniform it needs in one row-major block from the stream
-    seeded by SeedSequence(entropy=seeds[i], spawn_key=(c,)); row r holds
-    trajectory c * TRAJECTORY_CHUNK + r, its columns split into site-hit,
-    Pauli-pick, mid-measure, mid-readout, final-sample and terminal-readout
-    draws.  Trajectory t therefore depends only on (seed, t): a run of more
-    shots extends a run of fewer, and results merge in any order.  Every
-    draw is made before any gate runs, so each site's Pauli insertions are
-    known up front.
-
-    Each circuit is planned once and refused, before any draw, when its
-    chunk would hold more than MAX_NOISY_BYTES (_NoisyPlan.chunk_bytes);
-    the circuits then run in consecutive groups whose chunks need at most
-    that in all (at least one circuit).  A group's trajectories in a chunk
-    are rows of one batch (_Trajectories), and its circuits step through
-    their instructions together (_schedule): an instruction equal in
-    several circuits runs once, with every Pauli insertion of that site in
-    one call.  Each kernel works row by row, so every circuit gets bit for
-    bit the counts it gets alone, whatever the grouping, and those of
-    simulating every trajectory separately.
-
-    The circuits must share a qubit count.  An error that concerns one
-    circuit carries its index as the exception's circuit attribute.
-    """
+    """Monte-Carlo trajectory sampling of lowered circuits of one width:
+    run_noisy_template of each alone, circuit i with seed seeds[i]
+    (_one_at_a_time)."""
     circuits, seeds = list(circuits), list(seeds)
     if len(seeds) != len(circuits):
         raise ValidationError(f"{len(circuits)} circuits need as many seeds, got {len(seeds)}")
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    if not circuits:
+    return _one_at_a_time(
+        circuits, lambda template, i: run_noisy_template(template, [None], noise, shots, [seeds[i]]))
+
+
+def run_noisy_template(template: CircuitTemplate, keys: Iterable, noise: NoiseModel, shots: int,
+                       seeds: list[int]) -> list[Distribution]:
+    """Monte-Carlo trajectory sampling of template's fill for each key, in
+    key order, key i with seed seeds[i]; the fills must be lowered, as
+    compile_template's are.  After each 1- or 2-qubit gate a random
+    non-identity Pauli on its qubits is inserted with probability p1 / p2,
+    and recorded bits flip with probability p_meas.  Chunk c of
+    TRAJECTORY_CHUNK trajectories draws key i's uniforms, a row per
+    trajectory, from SeedSequence(entropy=seeds[i], spawn_key=(c,)), so
+    trajectory t depends only on (seed, t).  Each key is planned, and
+    refused over MAX_NOISY_BYTES, before any draw (_noisy_plans); the keys
+    run in consecutive groups within that budget, each walking the template
+    once (_walk_group) as rows of one batch (_Trajectories), so every key
+    gets bit for bit the counts its fill gets alone.  An error of one key
+    carries its index as circuit attribute.
+    """
+    keys, seeds = list(keys), list(seeds)
+    if len(seeds) != len(keys):
+        raise ValidationError(f"{len(keys)} keys need as many seeds, got {len(seeds)}")
+    if shots < 1:
+        raise ValidationError("shots must be >= 1")
+    if not keys:
         return []
-    n = _shared_width(circuits)
+    split, kept, plans, needs = _noisy_plans(template, keys, shots)
+    return _in_groups(
+        lambda group: _noisy_group(template, split, [kept[i] for i in group],
+                                   [plans[i] for i in group], noise, shots,
+                                   [seeds[i] for i in group]),
+        needs, MAX_NOISY_BYTES)
+
+
+def _noisy_plans(template: CircuitTemplate, keys: list, shots: int):
+    """(split, and per key its kept instructions, plan and chunk bytes),
+    refusing a key over MAX_NOISY_BYTES; an error blames the key."""
+    n = template.n_qubits
+    try:
+        split = _template_split(template)
+    except QsearchError as exc:
+        raise _blame(exc, 0)
+    kept = _kept_all(template, keys, split)
     plans, needs = [], []
-    for i, circuit in enumerate(circuits):
+    for i, (flags, made) in enumerate(kept):
         try:
-            plan = _NoisyPlan.of(circuit)
+            plan = _NoisyPlan.of(template, flags, made, split)
             need = plan.chunk_bytes(n, shots)
             if need > MAX_NOISY_BYTES:
                 raise OverBudget(
@@ -786,64 +729,57 @@ def run_noisy_batch(circuits: list[Circuit], noise: NoiseModel, shots: int,
             raise _blame(exc, i)
         plans.append(plan)
         needs.append(need)
-    return _in_groups(
-        lambda group: _noisy_group([plans[i] for i in group], noise, shots,
-                                   [seeds[i] for i in group], n),
-        needs, MAX_NOISY_BYTES)
+    return split, kept, plans, needs
 
 
-def _noisy_group(plans: list[_NoisyPlan], noise: NoiseModel, shots: int, seeds: list[int],
-                 n: int) -> list[Distribution]:
-    """run_noisy_batch on one group of plans, chunk by chunk."""
-    counts = [np.zeros(1 << plan.n_bits, dtype=np.int64) for plan in plans]
+def _noisy_group(template: CircuitTemplate, split: _Split, kept: list[tuple],
+                 plans: list[_NoisyPlan], noise: NoiseModel, shots: int,
+                 seeds: list[int]) -> list[Distribution]:
+    """run_noisy_template on one group of keys, chunk by chunk."""
+    counts = np.zeros((len(plans), 1 << split.n_bits), dtype=np.int64)
     for chunk, start in enumerate(range(0, shots, TRAJECTORY_CHUNK)):
         b = min(TRAJECTORY_CHUNK, shots - start)
-        for i, outcomes in enumerate(_noisy_chunk(plans, noise, seeds, chunk, b, n)):
-            counts[i] += np.bincount(outcomes, minlength=len(counts[i]))
-    return [Distribution(plan.n_bits, counts=c, shots=shots) for plan, c in zip(plans, counts)]
+        counts += _noisy_chunk(template, split, kept, plans, noise, seeds, chunk, b)
+    return [Distribution(split.n_bits, counts=c, shots=shots) for c in counts]
 
 
-def _noisy_chunk(plans: list[_NoisyPlan], noise: NoiseModel, seeds: list[int], chunk: int,
-                 b: int, n: int) -> list[np.ndarray]:
-    """The outcome index of each trajectory of one chunk, per circuit."""
-    count = len(plans)
-    batch = _Trajectories(count, b, n, max(plan.n_bits for plan in plans))
-    u_mid = np.zeros((count * b, max(plan.n_mid for plan in plans)))
-    u_mid_ro = np.zeros_like(u_mid)
-    u_final = np.empty(count * b)
-    u_ro = []
-    # every Pauli insertion of the chunk, ordered by circuit and site: its
-    # trajectory and its pick; site s of circuit i owns [ptr[base[i] + s], ptr[base[i] + s + 1])
+def _noisy_chunk(template: CircuitTemplate, split: _Split, kept: list[tuple],
+                 plans: list[_NoisyPlan], noise: NoiseModel, seeds: list[int], chunk: int,
+                 b: int) -> np.ndarray:
+    """The outcome counts of one chunk's trajectories, a row per key."""
+    count, n, n_mid = len(plans), template.n_qubits, plans[0].n_mid  # a hole cannot measure
+    batch = _Trajectories(count, b, n, split.n_bits)
+    u_mid, u_mid_ro = np.empty((count * b, n_mid)), np.empty((count * b, n_mid))
+    u_final, u_ro = np.empty(count * b), np.empty((count * b, len(split.terminal)))
+    # every Pauli insertion of the chunk, ordered by key and site: its
+    # trajectory and its pick; site s of key i owns [ptr[base[i] + s], ptr[base[i] + s + 1])
     hit_traj, hit_pick, ptr, base = [], [], [0], []
     for i, plan in enumerate(plans):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seeds[i], spawn_key=(chunk,)))
         u_site, u_pick, mid, mid_ro, final, ro = np.split(
             rng.random((b, plan.cols)), plan.splits, axis=1)
         own = slice(i * b, (i + 1) * b)
-        u_mid[own, :plan.n_mid], u_mid_ro[own, :plan.n_mid] = mid, mid_ro
-        u_final[own] = final[:, 0]
-        u_ro.append(ro.copy())
-        rates = np.array([noise.p2 if len(instr.gate.qubits) == 2 else noise.p1
-                          for instr in plan.body if instr.gate.name != "measure"])
-        site, traj = np.nonzero((u_site < rates).T)
+        u_mid[own], u_mid_ro[own], u_final[own], u_ro[own] = mid, mid_ro, final[:, 0], ro
+        site, traj = np.nonzero((u_site < np.where(plan.two, noise.p2, noise.p1)).T)
         hit_traj.append(traj + i * b)
         hit_pick.append(u_pick[traj, site])
         base.append(len(ptr) - 1)
-        ptr += (np.searchsorted(site, np.arange(1, len(rates) + 1)) + ptr[-1]).tolist()
+        ptr += (np.searchsorted(site, np.arange(1, len(plan.two) + 1)) + ptr[-1]).tolist()
     hit_traj, hit_pick = np.concatenate(hit_traj), np.concatenate(hit_pick)
-    site_no = [0] * count
-    mid_no = np.zeros(count, dtype=np.int64)
+    site_no, mid = [0] * count, 0  # every key meets every measurement
 
-    for instr, group in _schedule([plan.body for plan in plans]):
+    for instr, group in _walk_group(template, kept, split.cut):
+        gate = instr.gate
+        if gate.name == "barrier":
+            continue
         try:
             rows = batch.select(instr, group)
-            gate = instr.gate
             if gate.name == "measure":
                 if rows is None:
                     rows = np.arange(batch.active)
-                batch.measure(rows, gate.qubits[0], gate.clbit, u_mid, u_mid_ro, mid_no,
+                batch.measure(rows, gate.qubits[0], gate.clbit, u_mid[:, mid], u_mid_ro[:, mid],
                               noise.p_meas)
-                mid_no[group] += 1
+                mid += 1
                 continue
             _apply_rows(batch.state[:batch.active], gate, n, rows)
             spans = []
@@ -864,15 +800,12 @@ def _noisy_chunk(plans: list[_NoisyPlan], noise: NoiseModel, seeds: list[int], c
         except QsearchError as exc:
             raise _blame(exc, group[0])
 
-    sampled = batch.sample(u_final)
-    out = []
-    for i, plan in enumerate(plans):
-        own = slice(i * b, (i + 1) * b)
-        clbits = batch.bits[batch.trow[own], :plan.n_bits]
-        for j, (q, c) in enumerate(plan.terminal):
-            clbits[:, c] = ((sampled[own] >> (n - 1 - q)) & 1) ^ (u_ro[i][:, j] < noise.p_meas)
-        out.append(_outcome_index(clbits))
-    return out
+    sampled, dim = batch.sample(u_final), 1 << split.n_bits
+    clbits = batch.bits[batch.trow, :split.n_bits]
+    for j, (q, c) in enumerate(split.terminal):
+        clbits[:, c] = ((sampled >> (n - 1 - q)) & 1) ^ (u_ro[:, j] < noise.p_meas)
+    outcome = _outcome_index(clbits) + batch.towner * dim
+    return np.bincount(outcome, minlength=count * dim).reshape(count, dim)
 
 
 def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Distribution:

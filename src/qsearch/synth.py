@@ -18,13 +18,14 @@ from math import pi
 
 from .circuit import (
     Circuit,
+    CircuitTemplate,
     Gate,
     Instruction,
+    _cancel_flags,
     cx,
     cz,
     h,
     measure,
-    peephole_cancel,
     rz,
     x,
     z,
@@ -32,6 +33,7 @@ from .circuit import (
 from .errors import (
     BadArity,
     BadMask,
+    InternalError,
     MethodArityMismatch,
     MissingAncilla,
     ValidationError,
@@ -513,34 +515,106 @@ def _lower_gate(gate: Gate) -> list[Instruction]:
     raise ValidationError(f"cannot lower gate {name!r}")
 
 
-def lower(circuit: Circuit) -> Circuit:
-    """Expand polarities and wide gates to 1q/2q.
-
-    Each distinct gate is expanded once per call: an unconditioned
-    instruction gets the shared expansion as it is, a conditioned one
-    copies of it under its condition, and a gate that lowers to itself
-    keeps its instruction.  The output is not validated again: each gate
-    becomes gates on a subset of its own wires under the same condition,
-    and measurements pass through in order, so a valid input gives a
-    valid output.
-    """
-    lowered: dict[Gate, list[Instruction]] = {}
+def _lowered(instrs, cache: dict) -> list[Instruction]:
+    """The instructions lowered to 1q/2q, each distinct gate expanded once per
+    cache: an unconditioned instruction gets the shared expansion as it is,
+    a conditioned one copies of it under its condition."""
     out: list[Instruction] = []
-    for instr in circuit.instructions:
+    for instr in instrs:
         gate = instr.gate
         if gate.name in _UNLOWERED:
             out.append(instr)
             continue
-        subs = lowered.get(gate)
+        subs = cache.get(gate)
         if subs is None:
-            subs = lowered[gate] = _lower_gate(gate)
-        if instr.condition is None:
-            out += subs
-        else:
-            out += [Instruction(sub.gate, instr.condition) for sub in subs]
-    return Circuit._trusted(circuit.n_qubits, circuit.n_clbits, tuple(out), dict(circuit.metadata))
+            subs = cache[gate] = _lower_gate(gate)
+        out += subs if instr.condition is None else [Instruction(i.gate, instr.condition) for i in subs]
+    return out
+
+
+def lower(circuit: Circuit) -> Circuit:
+    """Expand polarities and wide gates to 1q/2q, each distinct gate once
+    (_lowered); a valid input gives a valid output, which is not checked
+    again."""
+    out = tuple(_lowered(circuit.instructions, {}))
+    return Circuit._trusted(circuit.n_qubits, circuit.n_clbits, out, dict(circuit.metadata))
 
 
 def compile(circuit: Circuit) -> Circuit:  # noqa: A001 - the pipeline's name
-    """The compile pipeline: lower to 1q/2q gates, then peephole-cancel."""
-    return peephole_cancel(lower(circuit))
+    """The compile pipeline, lower to 1q/2q gates and then peephole-cancel:
+    compile_template's case without holes."""
+    return compile_template(CircuitTemplate.of(circuit)).fill(None, dict(circuit.metadata))
+
+
+def compile_template(template: CircuitTemplate) -> CircuitTemplate:
+    """The template whose fill for each key is compile(template.fill(key)).
+
+    Its fixed parts and each key's holes are lowered through one cache, and
+    a fill keeps, by position, what peephole_cancel keeps.  lower makes of
+    a polarized cx or cz X gates on its 0-polarity controls around the
+    all-ones expansion, so the first key splits each hole that makes only
+    cx and cz gates into a hole per control (its X or nothing), that
+    expansion as a fixed part, and the control holes again; a later key
+    whose split hole makes other gates is refused (InternalError).
+    """
+    return _CompiledTemplate(template)
+
+
+def _shape(gates: list[Instruction]) -> tuple:
+    return tuple((i.gate.name, i.gate.qubits, i.condition) for i in gates)
+
+
+class _CompiledTemplate(CircuitTemplate):
+    """compile_template's result."""
+
+    def __init__(self, source: CircuitTemplate):
+        self.n_qubits, self.n_clbits = source.n_qubits, source.n_clbits
+        self._source, self._cache, self._xs = source, {}, {}
+        self._fixed = [tuple(_lowered(part, self._cache)) for part in source._fixed]
+        self._forms = None  # per source hole, once split: the shape it split, or None
+
+    def _split(self, made: list[list[Instruction]]) -> None:
+        """Lay out the fixed parts around the holes, splitting each source
+        hole that makes only cx and cz gates for the first key (made)."""
+        fixed, self._forms = [list(self._fixed[0])], []
+        for gates, after in zip(made, self._fixed[1:]):
+            split = bool(gates) and all(i.gate.name in ("cx", "cz") for i in gates)
+            self._forms.append(_shape(gates) if split else None)
+            if not split:
+                fixed.append([])  # the part after the one hole
+            for i in gates if split else ():
+                fixed += [[] for _ in i.gate.controls()]  # a part after each control's hole
+                ones = Instruction(replace(i.gate, polarity=None), i.condition)
+                fixed[-1] += _lowered([ones], self._cache)
+                fixed += [[] for _ in i.gate.controls()]
+            fixed[-1] += after
+        self._fixed = [tuple(part) for part in fixed]
+
+    def _x(self, q: int, condition) -> tuple[Instruction]:
+        if (q, condition) not in self._xs:  # one X per wire and condition, shared by every key
+            self._xs[q, condition] = (Instruction(x(q), condition),)
+        return self._xs[q, condition]
+
+    def _kept(self, key) -> tuple[list[bool], list[tuple[Instruction, ...]]]:
+        made = [self._source._made(hole, written, key) for hole, written in self._source._holes]
+        if self._forms is None:
+            self._split(made)
+        holes = []
+        for j, (gates, form) in enumerate(zip(made, self._forms)):
+            if form is None:
+                holes.append(tuple(_lowered(gates, self._cache)))
+                continue
+            if _shape(gates) != form:
+                raise InternalError(f"template hole {j} makes other gates than it split into")
+            for i in gates:
+                xs = [self._x(q, i.condition) if p == 0 else ()
+                      for q, p in zip(i.gate.controls(), i.gate.effective_polarity())]
+                holes += xs + xs
+        kept = _cancel_flags(self._assemble(None, holes), self.n_qubits, self.n_clbits)
+        flags, slots, at = [], [], 0
+        for part, hole in zip(self._fixed, holes):
+            flags += kept[at:at + len(part)]
+            at += len(part) + len(hole)
+            hole_flags = kept[at - len(hole):at]
+            slots.append(hole if all(hole_flags) else tuple(i for i, k in zip(hole, hole_flags) if k))
+        return flags + kept[at:], slots

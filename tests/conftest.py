@@ -9,6 +9,7 @@ from qsearch import families, sim, synth
 from qsearch.circuit import (
     Circuit,
     CircuitBuilder,
+    CircuitTemplate,
     _inverse_pair,
     census,
     cx,
@@ -23,6 +24,14 @@ from qsearch.circuit import (
 from qsearch.errors import TooWide, ValidationError
 from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
+
+
+def terminal_split(circuit: Circuit) -> tuple[list, list[tuple[int, int]], int]:
+    """(body, terminal (qubit, clbit) pairs, outcome width) of a circuit, as
+    the simulators split it (sim._template_split)."""
+    terminal, n_bits, cut = sim._template_split(CircuitTemplate.of(circuit))
+    body = list(circuit.instructions)
+    return body[:len(body) - (cut or 0)], terminal, n_bits
 
 
 def frag_circuit(frag, n_qubits, n_clbits=0) -> Circuit:
@@ -117,7 +126,7 @@ def run_deferred(circuit: Circuit) -> sim.Distribution:
     on it (ancilla resets included) are handled correctly.  Record wires
     are measured into their classical bits at the end.
     """
-    body, terminal, n_bits = sim._terminal_split(circuit)
+    body, terminal, n_bits = terminal_split(circuit)
     n = sim._exact_width(circuit.n_qubits, body)
 
     record: dict[int, int] = {}  # classical bit -> record wire
@@ -263,7 +272,7 @@ def run_exact_reference(circuit: Circuit) -> sim.Distribution:
     n = circuit.n_qubits
     if n > sim.MAX_EXACT_WIDTH:
         raise TooWide(f"{n} qubits exceeds exact limit {sim.MAX_EXACT_WIDTH}")
-    body, terminal, n_bits = sim._terminal_split(circuit)
+    body, terminal, n_bits = terminal_split(circuit)
     probs = np.zeros(1 << n_bits)
 
     init = np.zeros(1 << n, dtype=complex)
@@ -311,7 +320,7 @@ def run_noisy_reference(circuit: Circuit, noise: sim.NoiseModel, shots: int,
         raise ValidationError("shots must be >= 1")
     census(circuit)  # raises NotLowered when gates above 2 qubits remain
     n = circuit.n_qubits
-    body, terminal, ncl = sim._terminal_split(circuit)
+    body, terminal, ncl = terminal_split(circuit)
 
     n_mid = sum(instr.gate.name == "measure" for instr in body)
     n_sites = sum(instr.gate.name != "barrier" for instr in body) - n_mid

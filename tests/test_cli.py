@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import binom_sigma
+from conftest import binom_sigma, terminal_split
 from qsearch import cli, families, qasm, sim, synth
-from qsearch.circuit import CircuitTemplate, Instruction, census, rz
+from qsearch.circuit import CircuitTemplate, Instruction, census, cz, rz
 from qsearch.cli import (
     ExperimentConfig,
     _census_dict,
@@ -138,21 +138,22 @@ class TestRun:
         assert rc == 1
 
     @pytest.mark.parametrize(
-        "argv, compiles",
-        [(["--n", "4"], 1), (["--n", "3", "--shots", "16"], 8)],
-        ids=["exact-compiles-first-mask", "sampled-compiles-each-mask-once"],
+        "argv, fills",
+        [(["--n", "4"], 1), (["--n", "3", "--shots", "16"], 1)],
+        ids=["exact-compiles-first-mask", "sampled-compiles-template-once"],
     )
-    def test_compiles_each_circuit_once(self, argv, compiles, tmp_path, monkeypatch):
-        calls = []
-        compile_ = synth.compile
-
-        def counting(circuit):
-            calls.append(circuit)
-            return compile_(circuit)
-
-        monkeypatch.setattr(synth, "compile", counting)
+    def test_compiles_each_circuit_once(self, argv, fills, tmp_path, monkeypatch):
+        # one compile of the plan's template, whose first mask is filled for
+        # the census; a sampled run walks the compiled template, filling none
+        calls, filled = [], []
+        compile_template, fill = synth.compile_template, CircuitTemplate.fill
+        monkeypatch.setattr(synth, "compile_template",
+                            lambda template: calls.append(template) or compile_template(template))
+        monkeypatch.setattr(CircuitTemplate, "fill",
+                            lambda self, *args: filled.append(args) or fill(self, *args))
+        monkeypatch.setattr(synth, "compile", None)  # no circuit is compiled alone
         assert main(["run", "--oracle-set", "all", "--out", str(tmp_path)] + argv) == 0
-        assert len(calls) == compiles
+        assert len(calls) == 1 and len(filled) == fills
 
     @pytest.mark.parametrize("shots", [0, 16])
     def test_census_is_first_masks(self, shots):
@@ -227,9 +228,10 @@ class TestSweep:
 
     def test_builds_simulates_and_compiles_each_mask_once(self, tmp_path, monkeypatch):
         # reusing each mask's exact stage must leave a fixed-seed sweep's CSV as it was:
-        # one plan, one walk of its template over the 32 masks, and each mask
-        # filled and compiled once, for the trajectory simulator
-        calls = {"plan": 0, "fill": 0, "walked": 0, "compile": 0}
+        # one plan, one walk of its template over the 32 masks, and one compile
+        # of the template, for the trajectory simulator, whose first mask is
+        # filled for the census
+        calls = {"plan": 0, "fill": 0, "walked": 0, "compile_template": 0}
 
         def counting(module, name, count=lambda *args: 1):
             fn = getattr(module, name)
@@ -243,12 +245,12 @@ class TestSweep:
         counting(families, "plan")
         counting(CircuitTemplate, "fill")
         counting(sim, "run_exact_template", lambda template, masks: len(masks))
-        counting(synth, "compile")
+        counting(synth, "compile_template")
         argv = ["sweep", "--family", "grover", "--n", "5", "--style", "ancilla-relphase",
                 "--oracle-set", "all", "--shots", "16", "--grid", "0,0.01,0.02,0.05,0.1",
                 "--seed", "3", "--out", str(tmp_path)]
         assert main(argv) == 0
-        assert calls == {"plan": 1, "fill": 32, "walked": 32, "compile": 32}
+        assert calls == {"plan": 1, "fill": 1, "walked": 32, "compile_template": 1}
         assert (tmp_path / "sweep_grover_5q.csv").read_text() == (
             "p2,p_succ,r\n"
             "0,0.253906,0.982987\n"
@@ -317,13 +319,16 @@ class TestConfig:
             (["run", "--n", "3", "--iterations", "1000", "--oracle", "101"], None),
             (["run", "--noise", "p2=0.01,p2=0.02"], None),
             (["run", "--noise", "pm=0.005,p_meas=0.1"], None),
+            (["sweep", "--n", "3", "--oracle", "111", "--grid", "0,0.05,0.5"], None),
+            (["run", "--noise", "p2=0.5"], None),
         ],
         ids=["sample-spec", "sample-seed-negative", "sample-seed-negative-build", "noise-rate", "grid-value", "n-string", "json-list",
              "partition-string", "partition-empty", "noise-string", "shots-float", "oracle-set-int",
              "seed-negative", "out-int", "n-flag-string", "family-flag-choice",
              "noise-null-with-flag", "oracle-set-empty", "oracle-set-repeated",
              "exact-branching-too-wide", "oracle-calls-far-over", "oracle-calls-over",
-             "noise-rate-twice", "noise-rate-twice-by-alias"],
+             "noise-rate-twice", "noise-rate-twice-by-alias", "sweep-without-shots",
+             "noise-without-shots"],
     )
     def test_bad_input_is_one_error_line(self, argv, config, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QSEARCH_OUT", str(tmp_path))
@@ -379,6 +384,17 @@ class TestConfig:
             assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, rate", [(["sweep", "--grid", "0,0.05,0.5"], False),
+                                            (["run", "--noise", "p2=0.5"], True)])
+    def test_noise_without_shots_refused(self, argv, rate, tmp_path, capsys):
+        # exact-only, every grid point would print one p_succ and the report
+        # would record a rate that had no effect
+        assert main(argv + ["--n", "3", "--oracle", "111", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: shots: ") and err.count("\n") == 1
+        assert ("nonzero rate" in err) == rate
+        assert list(tmp_path.iterdir()) == []
+
     def test_repeated_mask_named(self):
         cfg = ExperimentConfig(family="grover", n=3, oracle_set=["110", "101", "101"])
         with pytest.raises(ConfigError, match="oracle_set: mask '101' is repeated"):
@@ -392,7 +408,7 @@ class TestConfig:
         def exhausted(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(sim, "run_noisy_batch", exhausted)
+        monkeypatch.setattr(sim, "run_noisy_template", exhausted)
         rc = main(["run", "--n", "3", "--oracle", "101", "--shots", "8", "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -416,7 +432,8 @@ class TestConfig:
             raise AssertionError("built before checking the oracle calls")
 
         monkeypatch.setattr(families, "plan", unexpected)
-        argv = ["--n", "3", "--iterations", "100000", "--oracle", "101", "--out", str(tmp_path)]
+        argv = ["--n", "3", "--iterations", "100000", "--oracle", "101", "--shots", "8",
+                "--out", str(tmp_path)]
         assert main(command + argv) == 1
         assert capsys.readouterr().err == "error: oracle calls 100000 outside 1..8\n"
 
@@ -543,7 +560,7 @@ class TestExactBatches:
         cfg = ExperimentConfig(family="grover", n=3, oracle_set="all",
                                oracle_style="measurement-assisted")
         c = families.build(build_request(cfg, "000"))
-        width = sim._exact_width(c.n_qubits, sim._terminal_split(c)[0])
+        width = sim._exact_width(c.n_qubits, terminal_split(c)[0])
         assert width > 3  # n wires and m mid-circuit measurements
         walk, histograms = sim.run_exact_template, sim._terminal_histograms
         results = {}
@@ -554,7 +571,7 @@ class TestExactBatches:
             monkeypatch.setattr(sim, "_terminal_histograms",
                                 lambda *args: sizes.append(args[-1]) or histograms(*args))
             monkeypatch.setattr(sim, "_BLOCK", block)
-            oracles, _, _ = _exact_oracles(cfg, cfg.validate())
+            oracles, _, _, _ = _exact_oracles(cfg, cfg.validate())
             assert calls == [resolve_masks(cfg)] and sizes == [group] * (8 // group)
             assert [o[0] for o in oracles] == resolve_masks(cfg)
             results[group] = [o[2].probabilities for o in oracles]
@@ -605,10 +622,11 @@ class TestExactBatches:
         def unexpected(*args):
             raise AssertionError("made a hole or ran a gate before checking the exact width")
 
-        compiled, compile_ = [], synth.compile
+        compiled, compile_template = [], synth.compile_template
         monkeypatch.setattr(CircuitTemplate, "_made", unexpected)
         monkeypatch.setattr(sim, "_apply_gate", unexpected)
-        monkeypatch.setattr(synth, "compile", lambda c: compiled.append(c) or compile_(c))
+        monkeypatch.setattr(synth, "compile_template",
+                            lambda t: compiled.append(t) or compile_template(t))
         argv = ["run", "--family", "grover", "--n", "10", "--style", "measurement-assisted",
                 "--iterations", "3", "--oracle-set", "sample:64:0", "--shots", "10",
                 "--out", str(tmp_path)]
@@ -641,11 +659,25 @@ class TestExactBatches:
 
     @pytest.mark.parametrize("masks", [["101"], ["110", "101"]], ids=["census", "sampler"])
     def test_named_error_keeps_its_class(self, masks, tmp_path, monkeypatch, capsys):
-        # NotLowered(index, message) cannot be rebuilt from its message alone; 101
-        # fails the first mask's census, or, second, run_noisy_batch's plan
-        compile_ = synth.compile
-        monkeypatch.setattr(synth, "compile",
-                            lambda c: c if c.metadata["mask"] == "101" else compile_(c))
+        # NotLowered(index, message) cannot be rebuilt from its message alone; a
+        # compile that leaves 101 a gate on three qubits fails the first mask's
+        # census, or, second, run_noisy_template's plan
+        compile_template = synth.compile_template
+
+        def leaky(template):
+            compiled = compile_template(template)
+            kept = compiled._kept
+
+            def unlowered_for_101(mask):
+                flags, made = kept(mask)
+                if mask == "101":
+                    made = [made[0] + (Instruction(cz(0, 1, 2)),), *made[1:]]
+                return flags, made
+
+            compiled._kept = unlowered_for_101
+            return compiled
+
+        monkeypatch.setattr(synth, "compile_template", leaky)
         cfg = ExperimentConfig(n=3, oracle_set=masks, shots=10, noise={"p2": 0.01})
         with pytest.raises(NotLowered) as info:
             run_experiment(cfg)
@@ -682,30 +714,30 @@ class TestFuzz:
 
 
 class TestNoisyBatches:
-    """`run` and `sweep` sample a run's masks by one sim.run_noisy_batch call,
-    which runs them in groups (sim._noisy_group) bounded by sim.MAX_NOISY_BYTES."""
+    """`run` and `sweep` sample a run's masks by one sim.run_noisy_template
+    call over the compiled template, which runs them in groups
+    (sim._noisy_group) bounded by sim.MAX_NOISY_BYTES."""
 
     def test_groups_do_not_change_reports(self, monkeypatch):
         cfg = ExperimentConfig(family="wielomianer", n=4, oracle_set="all", shots=50,
                                noise={"p1": 0.01, "p2": 0.02, "p_meas": 0.03}, seed=5)
-        lows = [synth.compile(c)
-                for c in families.build_masks(build_request(cfg, "0000"), resolve_masks(cfg))]
-        needs = [sim._NoisyPlan.of(c).chunk_bytes(c.n_qubits, cfg.shots) for c in lows]
+        compiled = synth.compile_template(families.plan(build_request(cfg, "0000")).template)
+        needs = sim._noisy_plans(compiled, resolve_masks(cfg), cfg.shots)[3]
         assert 2 * min(needs) > max(needs)  # so a budget of k * max holds k masks
-        run_noisy_batch, noisy_group = sim.run_noisy_batch, sim._noisy_group
+        run_noisy_template, noisy_group = sim.run_noisy_template, sim._noisy_group
         reports = {}
         for group in (1, 2, 16):
             calls, sizes = [], []
 
-            def batch(circuits, *args):
-                calls.append(len(circuits))
-                return run_noisy_batch(circuits, *args)
+            def walk(template, masks, *args):
+                calls.append(len(masks))
+                return run_noisy_template(template, masks, *args)
 
-            def grouped(plans, *args):
-                sizes.append(len(plans))
-                return noisy_group(plans, *args)
+            def grouped(template, split, kept, *args):
+                sizes.append(len(kept))
+                return noisy_group(template, split, kept, *args)
 
-            monkeypatch.setattr(sim, "run_noisy_batch", batch)
+            monkeypatch.setattr(sim, "run_noisy_template", walk)
             monkeypatch.setattr(sim, "_noisy_group", grouped)
             monkeypatch.setattr(sim, "MAX_NOISY_BYTES", group * max(needs))
             report = run_experiment(cfg)
@@ -716,13 +748,13 @@ class TestNoisyBatches:
 
     def test_sweep_samples_each_point_in_one_group(self, tmp_path, monkeypatch):
         sizes = []
-        run_noisy_batch = sim.run_noisy_batch
+        run_noisy_template = sim.run_noisy_template
 
-        def batch(circuits, *args):
-            sizes.append(len(circuits))
-            return run_noisy_batch(circuits, *args)
+        def walk(template, masks, *args):
+            sizes.append(len(masks))
+            return run_noisy_template(template, masks, *args)
 
-        monkeypatch.setattr(sim, "run_noisy_batch", batch)
+        monkeypatch.setattr(sim, "run_noisy_template", walk)
         argv = ["sweep", "--n", "3", "--oracle-set", "all", "--shots", "20", "--grid", "0,0.1",
                 "--out", str(tmp_path)]
         assert main(argv) == 0

@@ -481,19 +481,20 @@ class TestBuildMasks:
 
     @pytest.mark.parametrize("count", [1, 2, 32])
     def test_tidy_passes_run_twice_per_call(self, count, monkeypatch):
-        """The probe and the check: two runs of each pass, whatever the mask count."""
+        """The probe, by position, and the check, through the passes
+        themselves: two runs of each pass's decisions, whatever the mask count."""
         calls = []
-        for name in ("peephole_cancel", "strip_trailing_uncompute"):
+        for name in ("_cancel_flags", "_strip_flags"):
             tidy = getattr(circuit_module, name)
-            monkeypatch.setattr(circuit_module, name,
-                                lambda c, tidy=tidy, name=name: calls.append(name) or tidy(c))
+            monkeypatch.setattr(circuit_module, name, lambda *args, tidy=tidy, name=name:
+                                calls.append(name) or tidy(*args))
         masks = [format(v, "05b") for v in range(count)]
         for family in families.BLOCK_FAMILIES:
             request = FamilyRequest(family, OracleSpec(5, masks[0], "ancilla-relphase"),
                                     partition=Partition((3, 2)))
             calls.clear()
             assert len(list(families.build_masks(request, masks))) == count
-            assert Counter(calls) == {"peephole_cancel": 2, "strip_trailing_uncompute": 2}
+            assert Counter(calls) == {"_cancel_flags": 2, "_strip_flags": 2}
 
     def test_each_kept_fixed_instruction_checked_once(self, monkeypatch):
         """Each fixed position is checked when the template is made, and not

@@ -21,6 +21,7 @@ from conftest import (
     run_deferred,
     run_exact_reference,
     run_noisy_reference,
+    terminal_split,
     tv_distance,
     unitary_circuits,
     unitary_of,
@@ -280,13 +281,6 @@ class TestRunExactBatch:
         sim.run_exact_batch(circuits)
         assert calls == [1, 1, 1, 1]
 
-    def test_schedule_codes_equal_instructions_once(self):
-        # one object in two bodies, and an equal but distinct object, share a code
-        shared, twin = Instruction(h(0)), Instruction(h(0))
-        steps = list(sim._schedule([[shared, Instruction(x(1))], [shared], [twin]]))
-        assert [(instr.gate.name, group) for instr, group in steps] == [
-            ("h", [0, 1, 2]), ("x", [0])]
-
     def test_mixed_widths_refused(self):
         with pytest.raises(ValidationError, match="share a width"):
             sim.run_exact_batch([frag_circuit([h(0)], 1), frag_circuit([h(0)], 2)])
@@ -374,7 +368,7 @@ class TestRunExactBatch:
         masks = all_masks(3)
         want = sim.run_exact_template(plan.template, masks)  # one group
         c = plan.fill("000")
-        width = sim._exact_width(c.n_qubits, sim._terminal_split(c)[0])
+        width = sim._exact_width(c.n_qubits, terminal_split(c)[0])
         assert width > c.n_qubits  # n wires and m mid-circuit measurements
         sizes = []
         histograms = sim._terminal_histograms
@@ -547,9 +541,16 @@ class TestRunNoisyReference:
         assert d.counts.tolist() == counts
 
 
+def noisy_needs(template, keys, shots):
+    """Each key's chunk estimate (_NoisyPlan.chunk_bytes), as run_noisy_template plans it."""
+    return sim._noisy_plans(template, keys, shots)[3]
+
+
 class TestRunNoisyBatch:
-    """run_noisy_batch samples many circuits' trajectories as rows of one
-    batch; each circuit gets the counts its own seed gives it alone."""
+    """run_noisy_batch samples each circuit alone, as run_noisy_template
+    samples a template without holes; run_noisy_template samples a
+    template's keys as rows of one batch.  Each circuit or key gets the
+    counts its own seed gives it alone."""
 
     NOISE = NoiseModel(p1=0.02, p2=0.05, p_meas=0.03)
 
@@ -571,13 +572,17 @@ class TestRunNoisyBatch:
     @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
     @pytest.mark.parametrize("family", families.FAMILIES)
     def test_equal_to_one_circuit_runs(self, family, style):
-        # each list holds one build option set's circuits for every mask, as `--oracle-set all`
-        for circuits in family_mask_sets(family, style, max_n=4, all_masks=True):
-            circuits = [synth.compile(c) for c in circuits]
-            seeds = list(range(len(circuits)))
-            for c, s, d in zip(circuits, seeds,
-                               sim.run_noisy_batch(circuits, self.NOISE, 24, seeds)):
-                assert d.counts.tolist() == sim.run_noisy(c, self.NOISE, 24, s).counts.tolist()
+        # the walk of each accepted option set's compiled template over every
+        # mask, as `--oracle-set all` samples it, against each mask's compiled
+        # circuit sampled alone
+        for request in accepted_requests(family, style, max_n=4):
+            plan, masks = families.plan(request), all_masks(request.oracle.n)
+            compiled = synth.compile_template(plan.template)
+            seeds = list(range(len(masks)))
+            got = sim.run_noisy_template(compiled, masks, self.NOISE, 24, seeds)
+            for mask, s, d in zip(masks, seeds, got, strict=True):
+                want = sim.run_noisy(synth.compile(plan.fill(mask)), self.NOISE, 24, s)
+                assert d.counts.tolist() == want.counts.tolist(), (request, mask)
 
     def test_error_free_trajectories_share_rows_through_measurements(self, monkeypatch):
         # wielomianer measures one wire mid-circuit and conditions 48 gates on it;
@@ -597,12 +602,18 @@ class TestRunNoisyBatch:
         assert d.counts.tolist() == run_noisy_reference(c, NoiseModel(), 400, 3).counts.tolist()
 
     def test_shared_instruction_runs_once(self, monkeypatch):
+        # three keys of one template: each fixed instruction runs once, and
+        # each hole's distinct instructions once; a library batch of their
+        # fills runs each circuit alone
         calls = []
         apply_gate = sim._apply_gate
         monkeypatch.setattr(sim, "_apply_gate", lambda s, g, n: calls.append(g) or apply_gate(s, g, n))
-        circuits = [frag_circuit([h(0), h(1), x(q), cz(0, 1)], 2) for q in (0, 1, 0)]
-        sim.run_noisy_batch(circuits, NoiseModel(), 50, [1, 2, 3])
+        template = CircuitTemplate(2, 0, [[h(0), h(1)], lambda q: [x(q)], [cz(0, 1)]])
+        sim.run_noisy_template(template, [0, 1, 0], NoiseModel(), 50, [1, 2, 3])
         assert sorted(g.name for g in calls) == ["cz", "h", "h", "x", "x"]
+        calls.clear()
+        sim.run_noisy_batch([template.fill(q) for q in (0, 1, 0)], NoiseModel(), 50, [1, 2, 3])
+        assert len(calls) == 12
 
     def test_mixed_widths_refused(self):
         with pytest.raises(ValidationError, match="share a width"):
@@ -621,44 +632,43 @@ class TestRunNoisyBatch:
         assert info.value.circuit == 1
         good, long = frag_circuit([h(0), cx(0, 1)], 2), frag_circuit([h(0), cx(0, 1)] * 8, 2)
         alone = [sim.run_noisy(good, self.NOISE, 10, s).counts.tolist() for s in (0, 1)]
-        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", sim._NoisyPlan.of(good).chunk_bytes(2, 10))
+        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", noisy_needs(CircuitTemplate.of(good), [None], 10)[0])
         with pytest.raises(OverBudget, match="10 trajectories of 35 uniforms") as info:
             sim.run_noisy_batch([good, long], NoiseModel(), 10, [0, 1])
         assert info.value.circuit == 1
-        # each of two circuits fits the budget, both together do not: two groups
+        # each of two keys fits the budget, both together do not: two groups
         sizes = []
         noisy_group = sim._noisy_group
-        monkeypatch.setattr(sim, "_noisy_group",
-                            lambda plans, *args: sizes.append(len(plans)) or noisy_group(plans, *args))
-        got = sim.run_noisy_batch([good, good], self.NOISE, 10, [0, 1])
+        monkeypatch.setattr(sim, "_noisy_group", lambda template, split, kept, *args:
+                            sizes.append(len(kept)) or noisy_group(template, split, kept, *args))
+        got = sim.run_noisy_template(CircuitTemplate.of(good), [None, None], self.NOISE, 10, [0, 1])
         assert sizes == [1, 1]
         assert [d.counts.tolist() for d in got] == alone
 
     @pytest.mark.parametrize("per_group", [1, 2, 16])
     def test_groups_are_bit_identical(self, per_group, monkeypatch):
-        circuits = [synth.compile(families.build_wielomianer_p43(OracleSpec(4, format(v, "04b"),
-                                                                            "plain-mcz")))
-                    for v in range(16)]
+        plan = families.plan(families.FamilyRequest("wielomianer", OracleSpec(4, "0000")))
+        compiled, masks = synth.compile_template(plan.template), all_masks(4)
         seeds = list(range(100, 116))
-        want = sim.run_noisy_batch(circuits, self.NOISE, 50, seeds)  # one group
-        needs = [sim._NoisyPlan.of(c).chunk_bytes(c.n_qubits, 50) for c in circuits]
-        assert 3 * min(needs) > 2 * max(needs)  # so a budget of k * max holds k circuits
+        want = sim.run_noisy_template(compiled, masks, self.NOISE, 50, seeds)  # one group
+        needs = noisy_needs(compiled, masks, 50)
+        assert 3 * min(needs) > 2 * max(needs)  # so a budget of k * max holds k keys
         sizes = []
         noisy_group = sim._noisy_group
-        monkeypatch.setattr(sim, "_noisy_group",
-                            lambda plans, *args: sizes.append(len(plans)) or noisy_group(plans, *args))
+        monkeypatch.setattr(sim, "_noisy_group", lambda template, split, kept, *args:
+                            sizes.append(len(kept)) or noisy_group(template, split, kept, *args))
         monkeypatch.setattr(sim, "MAX_NOISY_BYTES", per_group * max(needs))
-        got = sim.run_noisy_batch(circuits, self.NOISE, 50, seeds)
+        got = sim.run_noisy_template(compiled, masks, self.NOISE, 50, seeds)
         assert sizes == [per_group] * (16 // per_group)
         assert [d.counts.tolist() for d in got] == [d.counts.tolist() for d in want]
 
     def test_error_in_a_later_group_names_its_circuit(self, monkeypatch):
-        good = frag_circuit([h(0), cx(0, 1)], 3)
-        marked = frag_circuit([h(0), rz(0.125, 1)], 3)  # its rz fails in the kernel below
-        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", sim._NoisyPlan.of(good).chunk_bytes(3, 10))
+        # key 2's hole makes a gate on three qubits, or an rz that fails in the kernel
+        template = CircuitTemplate(3, 0, [[h(0)], lambda k: [cz(0, 1, 2)] if k == 2 else [cx(0, 1)],
+                                          [h(1)]])
+        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", noisy_needs(template, [0], 10)[0])
         with pytest.raises(NotLowered) as info:  # refused by its plan, before any group
-            sim.run_noisy_batch([good, good, frag_circuit([cz(0, 1, 2)], 3)], self.NOISE, 10,
-                                [0, 1, 2])
+            sim.run_noisy_template(template, [0, 1, 2], self.NOISE, 10, [0, 1, 2])
         assert info.value.circuit == 2
         apply_gate = sim._apply_gate
 
@@ -668,10 +678,39 @@ class TestRunNoisyBatch:
             apply_gate(state, gate, n)
 
         monkeypatch.setattr(sim, "_apply_gate", failing)
-        with pytest.raises(UndefinedGateSemantics) as info:  # one circuit per group
-            sim.run_noisy_batch([good, good, marked, good], self.NOISE, 10, [0, 1, 2, 3])
+        template = CircuitTemplate(3, 0, [[h(0)], lambda k: [rz(0.125, 1)] if k == 2 else [cx(0, 1)],
+                                          [h(1)]])
+        with pytest.raises(UndefinedGateSemantics) as info:  # one key per group
+            sim.run_noisy_template(template, [0, 1, 2, 3], self.NOISE, 10, [0, 1, 2, 3])
         assert info.value.circuit == 2
 
+
+class TestRunNoisyTemplate:
+    """run_noisy_template walks a compiled template once for all its keys:
+    each fixed instruction once on the rows of the keys that keep it, and
+    each hole's distinct kept instructions once on the rows of the keys
+    that made them."""
+
+    def test_fixed_instructions_and_split_cores_run_once(self, monkeypatch):
+        # plain-mcz Grover-3: the oracle's polarized cz splits into X holes
+        # around its all-ones expansion, a fixed part that all 8 masks share
+        plan = families.plan(families.FamilyRequest("grover", OracleSpec(3, "000")))
+        compiled, masks = synth.compile_template(plan.template), all_masks(3)
+        calls = []
+        apply_gate = sim._apply_gate
+        monkeypatch.setattr(sim, "_apply_gate", lambda s, g, n: calls.append(g) or apply_gate(s, g, n))
+        sim.run_noisy_template(compiled, masks, NoiseModel(), 16, list(range(8)))
+        kept = [compiled._kept(m) for m in masks]
+        fixed = [i for part in compiled._fixed for i in part]
+        shared = [i.gate for t, i in enumerate(fixed)
+                  if i.gate.name != "measure" and any(flags[t] for flags, _ in kept)]
+        holes = [i.gate for j in range(len(compiled._fixed) - 1)
+                 for made in {holes[j] for _, holes in kept} for i in made]
+        assert sorted(map(repr, calls)) == sorted(map(repr, shared + holes))
+        core = synth.compile(frag_circuit([cz(0, 1, 2)], 3)).instructions
+        assert len(core) > 1 and any(part == core for part in compiled._fixed)
+        alone = sum(len(compiled.fill(m).instructions) - 3 for m in masks)  # less the measurements
+        assert 3 * len(calls) < alone
 
 class TestNoiseModel:
     def test_validation(self):
@@ -794,7 +833,7 @@ class TestRunNoisy:
         # tables for 10 trajectories at 2 sites; the bookkeeping of 2 sites and 2
         # instructions; 11 rows of 4 amplitudes; and the fixed 16 KiB
         c = frag_circuit([h(0), cx(0, 1)], 2)
-        need = 10 * (7 + 3) * 8 + 10 * 2 * 49 + 2 * 65 + 2 * 288 + 11 * 4 * 48 + (16 << 10)
+        need = 10 * (7 + 3) * 8 + 10 * 2 * 49 + 2 * 66 + 2 * 138 + 11 * 4 * 48 + (16 << 10)
         monkeypatch.setattr(sim, "MAX_NOISY_BYTES", need)
         assert sim.run_noisy(c, NoiseModel(p2=0.5), 10, seed=1).shots == 10
 
@@ -808,10 +847,11 @@ class TestRunNoisy:
 
     @pytest.mark.parametrize("p2", [0.01, 0.5, 1.0])
     def test_memory_peak_within_estimate(self, p2):
-        # one run_noisy_batch call, in one group, after a warm-up call: the
-        # circuits' estimates, summed, bound what a chunk allocates at once,
-        # Pauli insertions and final sampling included; at p1 = p2 = 1 every
-        # site is hit, and at 1 and 8 shots the per-call bookkeeping dominates
+        # one run_noisy_template call over a compiled template, in one group,
+        # after a warm-up call: the keys' estimates, summed, bound what a chunk
+        # allocates at once, Pauli insertions and final sampling included; at
+        # p1 = p2 = 1 every site is hit, and at 1 and 8 shots the per-call
+        # bookkeeping dominates
         cases = [
             ("grover", 7, "ancilla-relphase", ["0110101"], 1024),
             ("grover", 3, "plain-mcz", [format(v, "03b") for v in range(8)], 2000),
@@ -824,17 +864,17 @@ class TestRunNoisy:
             cases.append(("grover", 7, "plain-mcz", ["0110101"], None))
             cases = [case[:4] + (shots,) for case in cases for shots in (1, 8)]
         for family, n, style, masks, shots in cases:
-            circuits = [synth.compile(c) for c in families.build_masks(
-                families.FamilyRequest(family, OracleSpec(n, masks[0], style)), masks)]
+            plan = families.plan(families.FamilyRequest(family, OracleSpec(n, masks[0], style)))
+            compiled = synth.compile_template(plan.template)
             seeds = list(range(3, 3 + len(masks)))
-            sim.run_noisy_batch(circuits, noise, shots, seeds)
+            sim.run_noisy_template(compiled, masks, noise, shots, seeds)
             tracemalloc.start()
             try:
-                sim.run_noisy_batch(circuits, noise, shots, seeds)
+                sim.run_noisy_template(compiled, masks, noise, shots, seeds)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            need = sum(sim._NoisyPlan.of(c).chunk_bytes(c.n_qubits, shots) for c in circuits)
+            need = sum(noisy_needs(compiled, masks, shots))
             assert peak <= need, (family, n, style, len(masks), shots)
 
     def test_readout_flip_only(self):

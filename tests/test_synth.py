@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    accepted_requests,
     ancilla_block,
     family_circuits,
     frag_circuit,
@@ -19,10 +20,21 @@ from conftest import (
     unitary_of,
 )
 from qsearch import families, sim, synth
-from qsearch.circuit import CircuitBuilder, census, cx, cz, h, measure, z
+from qsearch.circuit import (
+    CircuitBuilder,
+    CircuitTemplate,
+    census,
+    cx,
+    cz,
+    h,
+    measure,
+    peephole_cancel,
+    z,
+)
 from qsearch.errors import (
     BadArity,
     BadMask,
+    InternalError,
     MethodArityMismatch,
     MissingAncilla,
 )
@@ -326,6 +338,41 @@ class TestLower:
             self.assert_matches_reference(c)
             built += 1
         assert built >= (3 if family == "wielomianer" else 9)  # it has one option set
+
+
+class TestCompileTemplate:
+    """compile_template's fill for each key is compile of the template's fill."""
+
+    @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
+    @pytest.mark.parametrize("family", families.FAMILIES)
+    def test_fill_equals_compile(self, family, style):
+        for request in accepted_requests(family, style, max_n=5):
+            plan = families.plan(request)
+            compiled = synth.compile_template(plan.template)
+            for v in range(1 << request.oracle.n):
+                mask = format(v, f"0{request.oracle.n}b")
+                want = synth.compile(plan.fill(mask))
+                assert want.instructions == peephole_cancel(synth.lower(plan.fill(mask))).instructions
+                assert compiled.fill(mask).instructions == want.instructions, (request, mask)
+
+    def test_split_hole_refuses_other_wires(self):
+        # the first key splits the hole's polarized cz; key 2's cz on other
+        # wires would need another layout
+        def marked(k):
+            return [cz(0, 1, 2, polarity=(k & 1, 1, 0))] if k < 2 else [cz(0, 1, polarity=(0, 1))]
+
+        template = CircuitTemplate(3, 3, [[h(0), h(1), h(2)], marked,
+                                          [h(2), measure(0, 0), measure(1, 1), measure(2, 2)]])
+        compiled = synth.compile_template(template)
+        for k in (0, 1):
+            assert compiled.fill(k).instructions == synth.compile(template.fill(k)).instructions
+        assert synth.lower(frag_circuit([cz(0, 1, 2)], 3)).instructions in compiled._fixed
+        with pytest.raises(InternalError, match="hole 0 makes other gates than it split into"):
+            compiled.fill(2)
+        with pytest.raises(InternalError) as info:
+            sim.run_noisy_template(synth.compile_template(template), [0, 1, 2],
+                                   sim.NoiseModel(), 8, [0, 1, 2])
+        assert info.value.circuit == 2
 
 
 def distance_on_states(a, b, n_qubits, n_states=4):
