@@ -11,6 +11,7 @@ Usage: python scripts/noise_fit.py [--target 0.85] [--shots 50000]
 import argparse
 
 from qsearch import families, sim, synth
+from qsearch.families import FamilyRequest
 from qsearch.sim import NoiseModel
 from qsearch.synth import OracleSpec
 
@@ -31,7 +32,7 @@ def main():
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
 
-    grover3 = families.build_grover(OracleSpec(3, "101", "plain-mcz"), 1)
+    grover3 = families.build(FamilyRequest("grover", OracleSpec(3, "101", "plain-mcz")))
     lo, hi = 0.0, 0.08
     for step in range(18):  # bisection on the monotone response
         mid = (lo + hi) / 2
@@ -44,7 +45,8 @@ def main():
     r3 = estimate_r(grover3, "101", p2, args.shots, args.seed + 99)
     print(f"fitted p2 = {p2:.5f}  ->  3-qubit Grover R = {r3:.3f} (target {args.target})")
 
-    partial43 = families.build_partial(OracleSpec(4, "0110", "ancilla-relphase"), 3)
+    partial43 = families.build(FamilyRequest(
+        "partial", OracleSpec(4, "0110", "ancilla-relphase"), diffuser_size=3))
     r4 = estimate_r(partial43, "0110", p2, args.shots, args.seed + 100)
     print(f"same p2 on 4-qubit partial (k=3): R = {r4:.3f}  (reference hardware value: 0.63)")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from qsearch import analysis, families, sim, synth
 from qsearch.circuit import census
-from qsearch.families import Partition
+from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
 
 
@@ -32,14 +32,15 @@ def main():
     print("== single-iteration Grover, exact p_t ==")
     for n in range(2, 7):
         mask = "1" * n
-        c = families.build_grover(OracleSpec(n, mask, "plain-mcz"), 1)
+        c = families.build(FamilyRequest("grover", OracleSpec(n, mask, "plain-mcz")))
         p = p_success(c, mask)
         formula = (3 - 4 / 2**n) ** 2 / 2**n
         print(f"  n={n}:  simulator {p:.10f}   formula {formula:.10f}")
 
     print("== partial diffuser, exact p_t ==")
     for n, k in ((4, 3), (5, 4), (5, 3), (6, 3)):
-        c = families.build_partial(OracleSpec(n, "1" * n, "plain-mcz"), k)
+        c = families.build(FamilyRequest(
+            "partial", OracleSpec(n, "1" * n, "plain-mcz"), diffuser_size=k))
         print(f"  n={n}, k={k}:  {p_success(c, '1' * n):.8f}")
 
     print("== reference measured probabilities vs our p_t ==")
@@ -63,26 +64,26 @@ def main():
     part = Partition((3, 2))
     variants = [
         ("Grover, 1 ancilla, relative-phase oracle (target 36)",
-         families.build_grover(spec, 1)),
+         families.build(FamilyRequest("grover", spec))),
         ("Drzewker (3,2), partial uncompute (target 44)",
-         families.build_drzewker(spec, part, uncompute="partial")),
+         families.build(FamilyRequest("drzewker", spec, partition=part, uncompute="partial"))),
         ("Wojter (3,2), layout-faithful partial uncompute",
-         families.build_wojter(spec, part, uncompute="partial")),
+         families.build(FamilyRequest("wojter", spec, partition=part, uncompute="partial"))),
         ("Wojter (3,2), fused sub-iterations (target 31)",
-         families.build_wojter(spec, part, fused=True)),
+         families.build(FamilyRequest("wojter", spec, partition=part, fused=True))),
         ("Partial Drzewker (3,2)",
-         families.build_partial_drzewker(spec, part)),
+         families.build(FamilyRequest("partial-drzewker", spec, partition=part))),
         ("Wojter-AA (3,2)",
-         families.build_wojter_aa(spec, part)),
+         families.build(FamilyRequest("wojter-aa", spec, partition=part))),
         ("Grover, measurement-enhanced oracle",
-         families.build_grover(OracleSpec(5, "10110", "measurement-assisted"), 1)),
+         families.build(FamilyRequest("grover", OracleSpec(5, "10110", "measurement-assisted")))),
     ]
     for label, circ in variants:
         print(f"  {label}: {count2(circ)} 2q gates, p_t={p_success(circ, '10110'):.6f}")
 
     print("== plain-mcz Grover, lowered 2q ==")
     for n in range(4, 11):
-        circ = families.build_grover(OracleSpec(n, "1" * n, "plain-mcz"), 1)
+        circ = families.build(FamilyRequest("grover", OracleSpec(n, "1" * n, "plain-mcz")))
         print(f"  n={n}  twoq={count2(circ)}")
 
 

@@ -11,14 +11,7 @@ from .circuit import (
 )
 from .families import FamilyRequest, Partition, build, build_masks
 from .qasm import parse, serialize
-from .sim import (
-    Distribution,
-    NoiseModel,
-    run_exact,
-    run_exact_batch,
-    run_noisy,
-    run_noisy_batch,
-)
+from .sim import Distribution, NoiseModel, run_exact, run_noisy
 from .synth import OracleSpec, diffuser, lower, mcz_fragment, oracle
 
 __version__ = "0.1.0"
@@ -43,9 +36,7 @@ __all__ = [
     "parse",
     "peephole_cancel",
     "run_exact",
-    "run_exact_batch",
     "run_noisy",
-    "run_noisy_batch",
     "serialize",
     "strip_trailing_uncompute",
     "__version__",

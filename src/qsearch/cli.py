@@ -182,8 +182,8 @@ def cmd_build(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def _named(exc: QsearchError, masks: list[str], at: int) -> QsearchError:
-    """exc with "oracle <mask>: " before its message, for the mask of the
-    circuit an engine blamed (exc.circuit), else for masks[at].  The
+    """exc with "oracle <mask>: " before its message, for the mask whose key
+    index an engine blamed (exc.circuit), else for masks[at].  The
     exception keeps its class and attributes: no constructor runs again."""
     exc.args = (f"oracle {masks[at if exc.circuit is None else exc.circuit]}: {exc}",)
     return exc

@@ -9,8 +9,9 @@ everything else maps to exit code 2.
 class QsearchError(Exception):
     """Base class for all toolkit errors.
 
-    An error that a run over a list of circuits raises for one of them sets
-    circuit to that circuit's index.
+    An error that a run over the keys of a template (a circuit is a template
+    without holes, with one key) raises for one key sets circuit to that
+    key's index.
     """
 
     circuit: int | None = None

@@ -63,6 +63,9 @@ FAMILIES = (
 
 UNCOMPUTE_MODES = ("full", "partial", "measurement-assisted")
 
+# oracle calls and block diffusers (g2 on block 2, g3 on block 1), in order:
+# drzewker has one sub-iteration group fewer than wojter, partial-drzewker
+# stops after its first two diffusers, and wojter-aa closes with a Grover round
 _WOJTER = ["oracle", "g2", "oracle", "g2", "oracle", "g3", "oracle", "g2"]
 _SCHEDULES = {
     "wojter": _WOJTER,
@@ -361,8 +364,10 @@ def _block_oracle(style: str, block1: list[int], block2: list[int],
 def _block_family(
     family: str, n: int, style: str, partition: Partition, uncompute: str
 ) -> Plan:
-    """Oracle calls and block diffusers in the order _SCHEDULES[family] gives;
-    wojter-aa closes with one full-register Grover round."""
+    """Block search, in which sub-iterations on block 2 build an oracle for
+    block 1: oracle calls and block diffusers in the order
+    _SCHEDULES[family] gives; wojter-aa closes with one full-register Grover
+    round."""
     block1, block2 = _blocks(partition)
     aa = family == "wojter-aa"
     if not block2:  # degenerate single block: Grover, plus wojter-aa's closing round
@@ -408,6 +413,9 @@ def _block_family(
 
 
 def _wojter_fused(n: int, style: str, partition: Partition) -> Plan:
+    """Wojter's exact algebraic collapse: its three-call sub-iteration body
+    equals one polarized reflection on block 1, for the same output
+    distribution with far fewer two-qubit gates and no query structure."""
     block1, block2 = _blocks(partition)
     if not block2:
         plan = _grover(n, style, 1)
@@ -478,56 +486,3 @@ def _wielomianer() -> Plan:
             diffuser_phase="-1",
         ),
     )
-
-
-# one builder per family, each the one-mask case of build_masks -------------
-
-def build_grover(spec: OracleSpec, iterations: int = 1) -> Circuit:
-    """H-wall, then (oracle; full diffuser) repeated, then measurement."""
-    return build(FamilyRequest("grover", spec, iterations=iterations))
-
-
-def build_partial(spec: OracleSpec, diffuser_size: int | None) -> Circuit:
-    """Single oracle call followed by a diffuser on the first k of the n qubits."""
-    return build(FamilyRequest("partial", spec, diffuser_size=diffuser_size))
-
-
-def build_wojter(
-    spec: OracleSpec, partition: Partition | None, uncompute: str = "partial", fused: bool = False
-) -> Circuit:
-    """Block-search circuit: block-2 sub-iterations build a block-1 oracle.
-
-    The default layout interleaves four oracle calls with block diffusers;
-    with fused=True the exact algebraic collapse is emitted instead (the
-    three-call sub-iteration body equals a single polarized reflection on
-    block 1), trading the query structure for a much lower 2-qubit count.
-    """
-    return build(
-        FamilyRequest("wojter", spec, partition=partition, uncompute=uncompute, fused=fused)
-    )
-
-
-def build_wojter_aa(
-    spec: OracleSpec, partition: Partition | None, uncompute: str = "partial"
-) -> Circuit:
-    """Wojter followed by one full oracle + full-register diffuser round."""
-    return build(FamilyRequest("wojter-aa", spec, partition=partition, uncompute=uncompute))
-
-
-def build_drzewker(
-    spec: OracleSpec, partition: Partition | None, uncompute: str = "partial"
-) -> Circuit:
-    """Same block structure as wojter with one sub-iteration group fewer."""
-    return build(FamilyRequest("drzewker", spec, partition=partition, uncompute=uncompute))
-
-
-def build_partial_drzewker(
-    spec: OracleSpec, partition: Partition | None, uncompute: str = "partial"
-) -> Circuit:
-    """Drzewker truncated after its first two diffusers; ancilla uncomputed."""
-    return build(FamilyRequest("partial-drzewker", spec, partition=partition, uncompute=uncompute))
-
-
-def build_wielomianer_p43(spec: OracleSpec) -> Circuit:
-    """The machine-generated 4-qubit circuit with one mid-circuit measurement (_wielomianer)."""
-    return build(FamilyRequest("wielomianer", spec))

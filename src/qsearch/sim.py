@@ -362,25 +362,6 @@ def _walk_group(template: CircuitTemplate, kept: list[tuple],
                 yield instr, group
 
 
-def _one_at_a_time(circuits: Iterable[Circuit], run) -> list[Distribution]:
-    """run(template, i) for each circuit i as a template without holes, one
-    at a time, each drawn only when the one before it is done; the circuits
-    must share a qubit count, and an error that concerns one, drawing it
-    included, carries its index as its circuit attribute."""
-    out = []
-    try:
-        for circuit in circuits:
-            if out and circuit.n_qubits != n:
-                raise ValidationError(f"circuits of one batch must share a width, got "
-                                      f"{sorted({n, circuit.n_qubits})} qubits")
-            n = circuit.n_qubits
-            out += run(CircuitTemplate.of(circuit), len(out))
-    except QsearchError as exc:
-        exc.circuit = len(out)  # the circuit being drawn or run
-        raise
-    return out
-
-
 # exact simulation ----------------------------------------------------------
 
 def _exact_width(n_qubits: int, body: list[Instruction]) -> int:
@@ -491,15 +472,11 @@ def _exact_step(table: _Rows, instr: Instruction, group: list[int]) -> None:
         raise _blame(exc, group[0])
 
 
-def run_exact_batch(circuits: Iterable[Circuit]) -> list[Distribution]:
-    """Exact outcome distribution of each circuit of one width:
-    run_exact_template of each alone (_one_at_a_time)."""
-    return _one_at_a_time(circuits, lambda template, i: run_exact_template(template, [None]))
-
-
 def run_exact(circuit: Circuit) -> Distribution:
-    """Exact outcome distribution: run_exact_batch of one circuit."""
-    return run_exact_batch([circuit])[0]
+    """Exact outcome distribution: run_exact_template of the circuit as a
+    template without holes, with one key, so a blamed error's circuit
+    attribute is 0."""
+    return run_exact_template(CircuitTemplate.of(circuit), [None])[0]
 
 
 # noisy simulation ----------------------------------------------------------
@@ -661,20 +638,6 @@ class _Trajectories(_Rows):
         return count
 
 
-def run_noisy_batch(circuits: list[Circuit], noise: NoiseModel, shots: int,
-                    seeds: list[int]) -> list[Distribution]:
-    """Monte-Carlo trajectory sampling of lowered circuits of one width:
-    run_noisy_template of each alone, circuit i with seed seeds[i]
-    (_one_at_a_time)."""
-    circuits, seeds = list(circuits), list(seeds)
-    if len(seeds) != len(circuits):
-        raise ValidationError(f"{len(circuits)} circuits need as many seeds, got {len(seeds)}")
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
-    return _one_at_a_time(
-        circuits, lambda template, i: run_noisy_template(template, [None], noise, shots, [seeds[i]]))
-
-
 def run_noisy_template(template: CircuitTemplate, keys: Iterable, noise: NoiseModel, shots: int,
                        seeds: list[int]) -> list[Distribution]:
     """Monte-Carlo trajectory sampling of template's fill for each key, in
@@ -809,5 +772,7 @@ def _noisy_chunk(template: CircuitTemplate, split: _Split, kept: list[tuple],
 
 
 def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Distribution:
-    """Monte-Carlo trajectory sampling: run_noisy_batch of one circuit."""
-    return run_noisy_batch([circuit], noise, shots, [seed])[0]
+    """Monte-Carlo trajectory sampling of a lowered circuit: run_noisy_template
+    of it as a template without holes, with one key and the seed, so a
+    blamed error's circuit attribute is 0."""
+    return run_noisy_template(CircuitTemplate.of(circuit), [None], noise, shots, [seed])[0]

@@ -572,6 +572,7 @@ class _CompiledTemplate(CircuitTemplate):
         self._source, self._cache, self._xs = source, {}, {}
         self._fixed = [tuple(_lowered(part, self._cache)) for part in source._fixed]
         self._forms = None  # per source hole, once split: the shape it split, or None
+        self._last = None  # the last key _kept answered, and its answer
 
     def _split(self, made: list[list[Instruction]]) -> None:
         """Lay out the fixed parts around the holes, splitting each source
@@ -596,6 +597,10 @@ class _CompiledTemplate(CircuitTemplate):
         return self._xs[q, condition]
 
     def _kept(self, key) -> tuple[list[bool], list[tuple[Instruction, ...]]]:
+        # a sampled run asks for its first key twice: for the census, then to
+        # plan its walk; one key, not all, as a set may hold 2^16 of them
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
         made = [self._source._made(hole, written, key) for hole, written in self._source._holes]
         if self._forms is None:
             self._split(made)
@@ -617,4 +622,5 @@ class _CompiledTemplate(CircuitTemplate):
             at += len(part) + len(hole)
             hole_flags = kept[at - len(hole):at]
             slots.append(hole if all(hole_flags) else tuple(i for i, k in zip(hole, hole_flags) if k))
-        return flags + kept[at:], slots
+        self._last = key, (flags + kept[at:], slots)
+        return self._last[1]

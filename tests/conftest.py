@@ -428,22 +428,16 @@ def accepted_requests(family: str, style: str, max_n: int = 5):
                 continue
 
 
-def family_mask_sets(family: str, style: str, max_n: int = 5, all_masks: bool = False):
-    """The circuits of each family_requests request, one list per request,
-    on three masks (1...1, 0...0, 1010...) or on every mask."""
+def family_circuits(family: str, style: str, max_n: int = 5, all_masks: bool = False):
+    """The circuits of each family_requests request, one at a time, on three
+    masks (1...1, 0...0, 1010...) or on every mask."""
     for request in family_requests(family, style, max_n):
         n = request.oracle.n
         masks = (
             [format(v, f"0{n}b") for v in range(1 << n)] if all_masks
             else ["1" * n, "0" * n, ("10" * n)[:n]]
         )
-        yield list(families.build_masks(request, masks))
-
-
-def family_circuits(family: str, style: str, max_n: int = 5, all_masks: bool = False):
-    """Every circuit of family_mask_sets, one at a time."""
-    for circuits in family_mask_sets(family, style, max_n, all_masks):
-        yield from circuits
+        yield from families.build_masks(request, masks)
 
 
 def wire_sequences(circuit: Circuit) -> tuple[dict, dict]:

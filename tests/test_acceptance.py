@@ -26,7 +26,7 @@ from conftest import (
 from qsearch import analysis, families, qasm, sim, synth
 from qsearch.circuit import CircuitBuilder, census
 from qsearch.cli import ExperimentConfig, run_experiment
-from qsearch.families import Partition
+from qsearch.families import FamilyRequest, Partition
 from qsearch.sim import NoiseModel
 from qsearch.synth import OracleSpec
 
@@ -51,7 +51,7 @@ def test_criterion_1_closed_form_grover():
     stated = {2: 1.0, 3: 0.78125, 4: 0.47265625, 5: 0.2583008, 6: 0.1348267}
     for n in range(2, 7):
         mask = "1" * n
-        c = families.build_grover(OracleSpec(n, mask, "plain-mcz"), 1)
+        c = families.build(FamilyRequest("grover", OracleSpec(n, mask, "plain-mcz")))
         p = data_dist(c).probability(int(mask, 2))
         assert abs(p - grover_pt(n)) < 1e-9, n
         assert abs(p - stated[n]) < 5e-7, n  # stated values are rounded prints
@@ -71,12 +71,14 @@ def test_criterion_2_table_metric_consistency():
 
 def test_criterion_3_partial_diffuser_theory():
     t0 = time.time()
-    c43 = families.build_partial(OracleSpec(4, "1111", "plain-mcz"), 3)
+    c43 = families.build(FamilyRequest(
+        "partial", OracleSpec(4, "1111", "plain-mcz"), diffuser_size=3))
     p43 = data_dist(c43).probability(0b1111)
     assert abs(p43 - 0.390625) < 1e-9
     r4 = 0.245 / p43
     assert abs(r4 - 0.63) <= 0.01
-    c63 = families.build_partial(OracleSpec(6, "111111", "plain-mcz"), 3)
+    c63 = families.build(FamilyRequest(
+        "partial", OracleSpec(6, "111111", "plain-mcz"), diffuser_size=3))
     p63 = data_dist(c63).probability(0b111111)
     assert abs(p63 - 0.09765625) < 1e-9
     r6 = 0.06 / p63
@@ -180,7 +182,7 @@ def test_criterion_6_deferred_measurement_p43():
     worst = 0.0
     for v in range(16):
         mask = format(v, "04b")
-        c = families.build_wielomianer_p43(OracleSpec(4, mask, "plain-mcz"))
+        c = families.build(FamilyRequest("wielomianer", OracleSpec(4, mask, "plain-mcz")))
         branching = sim.run_exact(c).marginal([0, 1, 2, 3])
         deferred = run_deferred(c).marginal([0, 1, 2, 3])
         worst = max(worst, tv_distance(branching, deferred))
@@ -189,27 +191,22 @@ def test_criterion_6_deferred_measurement_p43():
 
 
 def _equivariance_families(n):
-    out = [
-        (f"grover{n}", lambda m: families.build_grover(
-            OracleSpec(n, m, "ancilla-relphase" if n >= 4 else "plain-mcz"), 1)),
-    ]
+    def builder(family, style="ancilla-relphase", **options):
+        return lambda m: families.build(FamilyRequest(family, OracleSpec(n, m, style), **options))
+
+    out = [(f"grover{n}", builder("grover", "ancilla-relphase" if n >= 4 else "plain-mcz"))]
     if n >= 3:
-        out.append((f"partial{n}", lambda m: families.build_partial(
-            OracleSpec(n, m, "ancilla-relphase" if n >= 4 else "plain-mcz"), min(3, n - 1))))
+        out.append((f"partial{n}", builder("partial", "ancilla-relphase" if n >= 4 else "plain-mcz",
+                                           diffuser_size=min(3, n - 1))))
     if n >= 3:
         part = Partition((n - 2, 2)) if n >= 4 else Partition((2, 1))
-        out.append((f"wojter{n}", lambda m, p=part: families.build_wojter(
-            OracleSpec(n, m, "ancilla-relphase"), p)))
-        out.append((f"drzewker{n}", lambda m, p=part: families.build_drzewker(
-            OracleSpec(n, m, "ancilla-relphase"), p)))
+        out.append((f"wojter{n}", builder("wojter", partition=part)))
+        out.append((f"drzewker{n}", builder("drzewker", partition=part)))
     if n == 5:
-        out.append(("wojter-aa5", lambda m: families.build_wojter_aa(
-            OracleSpec(5, m, "ancilla-relphase"), Partition((3, 2)))))
-        out.append(("pdrzewker5", lambda m: families.build_partial_drzewker(
-            OracleSpec(5, m, "ancilla-relphase"), Partition((3, 2)))))
+        out.append(("wojter-aa5", builder("wojter-aa", partition=Partition((3, 2)))))
+        out.append(("pdrzewker5", builder("partial-drzewker", partition=Partition((3, 2)))))
     if n == 4:
-        out.append(("wielomianer4", lambda m: families.build_wielomianer_p43(
-            OracleSpec(4, m, "plain-mcz"))))
+        out.append(("wielomianer4", builder("wielomianer", "plain-mcz")))
     return out
 
 
@@ -248,22 +245,22 @@ def test_criterion_8_gate_count_targets():
     def count2(circ):
         return census(synth.compile(circ)).two_qubit_count
 
-    grover5 = families.build_grover(OracleSpec(5, "10110", "ancilla-relphase"), 1)
+    grover5 = families.build(FamilyRequest("grover", OracleSpec(5, "10110", "ancilla-relphase")))
     n_grover = count2(grover5)
     assert n_grover <= 1.15 * 36
 
-    drz = families.build_drzewker(
-        OracleSpec(5, "10110", "ancilla-relphase"), Partition((3, 2)), uncompute="partial"
-    )
+    drz = families.build(FamilyRequest(
+        "drzewker", OracleSpec(5, "10110", "ancilla-relphase"), partition=Partition((3, 2)),
+        uncompute="partial"))
     n_drz = count2(drz)
     assert n_drz <= 1.15 * 44
 
-    woj_faithful = families.build_wojter(
-        OracleSpec(5, "10110", "ancilla-relphase"), Partition((3, 2)), uncompute="partial"
-    )
-    woj_fused = families.build_wojter(
-        OracleSpec(5, "10110", "ancilla-relphase"), Partition((3, 2)), fused=True
-    )
+    woj_faithful = families.build(FamilyRequest(
+        "wojter", OracleSpec(5, "10110", "ancilla-relphase"), partition=Partition((3, 2)),
+        uncompute="partial"))
+    woj_fused = families.build(FamilyRequest(
+        "wojter", OracleSpec(5, "10110", "ancilla-relphase"), partition=Partition((3, 2)),
+        fused=True))
     n_w_faithful, n_w_fused = count2(woj_faithful), count2(woj_fused)
     assert n_w_fused <= 1.15 * 31
     # the fused decomposition is distribution-identical to the layout build
@@ -338,7 +335,7 @@ def test_noise_fit_script_output():
 def test_criterion_9_noise_model_properties():
     t0 = time.time()
     mask = "101"
-    c = synth.lower(families.build_grover(OracleSpec(3, mask, "plain-mcz"), 1))
+    c = synth.lower(families.build(FamilyRequest("grover", OracleSpec(3, mask, "plain-mcz"))))
     p_t = grover_pt(3)
 
     shots0 = 100_000
@@ -381,9 +378,8 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
     s2 = json.dumps({k: v for k, v in r2.items() if k != "timing_seconds"}, sort_keys=True)
     assert s1 == s2
 
-    circ = families.build_drzewker(
-        OracleSpec(5, "01011", "ancilla-relphase"), Partition((3, 2))
-    )
+    circ = families.build(FamilyRequest(
+        "drzewker", OracleSpec(5, "01011", "ancilla-relphase"), partition=Partition((3, 2))))
     assert qasm.parse(qasm.serialize(circ)) == circ
 
     path = tmp_path / "report.json"

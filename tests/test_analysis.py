@@ -16,6 +16,7 @@ from qsearch.analysis import (
     success_probability,
 )
 from qsearch.errors import BadCounts, BadQ, WidthMismatch, ZeroTheoretical
+from qsearch.families import FamilyRequest
 from qsearch.sim import Distribution
 from qsearch.synth import OracleSpec
 
@@ -25,7 +26,7 @@ def exact_dist(probs):
 
 
 def grover_run(n, mask):
-    c = families.build_grover(OracleSpec(n, mask, "plain-mcz"), 1)
+    c = families.build(FamilyRequest("grover", OracleSpec(n, mask, "plain-mcz")))
     d = sim.run_exact(c).marginal(list(range(n)))
     return OracleRun(mask, d)
 

@@ -116,7 +116,7 @@ class TestDirectCircuit:
         monkeypatch.setattr(
             circuit_module, "_validate_instruction", lambda *a: calls.append(1) or real(*a)
         )
-        c = families.build_grover(OracleSpec(4, "0110"), 1)
+        c = families.build(FamilyRequest("grover", OracleSpec(4, "0110")))
         assert len(calls) == len(c.instructions)
         calls.clear()
         strip_trailing_uncompute(synth.compile(c)).with_metadata(tag=1)

@@ -48,12 +48,14 @@ class TestBuild:
     def test_wojter_partial_not_larger_than_full(self, tmp_path):
         from qsearch import families, synth
         from qsearch.circuit import census
-        from qsearch.families import Partition
+        from qsearch.families import FamilyRequest, Partition
         from qsearch.synth import OracleSpec
 
         spec = OracleSpec(5, "10110", "ancilla-relphase")
-        partial = families.build_wojter(spec, Partition((3, 2)), uncompute="partial")
-        full = families.build_wojter(spec, Partition((3, 2)), uncompute="full")
+        partial = families.build(FamilyRequest(
+            "wojter", spec, partition=Partition((3, 2)), uncompute="partial"))
+        full = families.build(FamilyRequest(
+            "wojter", spec, partition=Partition((3, 2)), uncompute="full"))
         c_partial = census(synth.compile(partial))
         c_full = census(synth.lower(full))
         assert c_partial.two_qubit_count <= c_full.two_qubit_count
@@ -759,6 +761,19 @@ class TestNoisyBatches:
                 "--out", str(tmp_path)]
         assert main(argv) == 0
         assert sizes == [8, 8]
+
+    @pytest.mark.parametrize("oracle_set, shots", [(["101"], 20), ("all", 20), ("all", 0)])
+    def test_keep_flags_once_per_mask(self, oracle_set, shots, monkeypatch):
+        # the first mask's census and its walk plan share one keep-flag pass;
+        # an exact-only run makes only the census's
+        calls = []
+        cancel_flags = synth._cancel_flags
+        monkeypatch.setattr(synth, "_cancel_flags",
+                            lambda *args: calls.append(args) or cancel_flags(*args))
+        cfg = ExperimentConfig(n=3, oracle_style="ancilla-relphase", oracle_set=oracle_set,
+                               shots=shots, noise={"p2": 0.01} if shots else {})
+        run_experiment(cfg)
+        assert len(calls) == (len(resolve_masks(cfg)) if shots else 1)
 
 
 # The report writer: json.dumps(report, indent=2, sort_keys=True) and a

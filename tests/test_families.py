@@ -43,19 +43,20 @@ def grover_pt(n):
 class TestGrover:
     @pytest.mark.parametrize("n,expected", [(2, 1.0), (3, 25 / 32), (5, (3 - 4 / 32) ** 2 / 32)])
     def test_closed_form(self, n, expected):
-        c = families.build_grover(OracleSpec(n, "1" * n, "plain-mcz"), 1)
+        c = families.build(FamilyRequest("grover", OracleSpec(n, "1" * n, "plain-mcz")))
         assert abs(p_success(c, "1" * n) - expected) < 1e-12
 
     def test_relphase_five_qubits(self):
-        c = families.build_grover(OracleSpec(5, "10110", "ancilla-relphase"), 1)
+        c = families.build(FamilyRequest("grover", OracleSpec(5, "10110", "ancilla-relphase")))
         assert abs(p_success(c, "10110") - grover_pt(5)) < 1e-12
 
     def test_oracle_calls_metadata(self):
-        c = families.build_grover(OracleSpec(3, "101", "plain-mcz"), 2)
+        c = families.build(FamilyRequest("grover", OracleSpec(3, "101", "plain-mcz"), iterations=2))
         assert c.metadata["oracle_calls"] == 2
 
     def test_single_call_metadata(self):
-        assert families.build_grover(OracleSpec(3, "101", "plain-mcz"), 1).metadata["oracle_calls"] == 1
+        assert families.build(FamilyRequest(
+            "grover", OracleSpec(3, "101", "plain-mcz"))).metadata["oracle_calls"] == 1
 
 
 class TestPartial:
@@ -66,21 +67,25 @@ class TestPartial:
     def test_block_mean_closed_form(self, n, k):
         # one oracle call then a k-qubit diffuser: amplitude of the marked
         # element becomes (3 - 2^{2-k}) / sqrt(N)
-        c = families.build_partial(OracleSpec(n, "1" * n, "plain-mcz"), k)
+        c = families.build(FamilyRequest(
+            "partial", OracleSpec(n, "1" * n, "plain-mcz"), diffuser_size=k))
         expected = (3 - 2 ** (2 - k)) ** 2 / 2**n
         assert abs(p_success(c, "1" * n) - expected) < 1e-12
 
     def test_k_equals_n_is_grover(self):
-        a = families.build_partial(OracleSpec(4, "0110", "plain-mcz"), 4)
-        b = families.build_grover(OracleSpec(4, "0110", "plain-mcz"), 1)
+        a = families.build(FamilyRequest(
+            "partial", OracleSpec(4, "0110", "plain-mcz"), diffuser_size=4))
+        b = families.build(FamilyRequest("grover", OracleSpec(4, "0110", "plain-mcz")))
         assert tv_distance(data_distribution(a), data_distribution(b)) < 1e-12
 
     def test_bad_diffuser_size(self):
         with pytest.raises(BadDiffuserSize):
-            families.build_partial(OracleSpec(4, "0110", "plain-mcz"), 5)
+            families.build(FamilyRequest(
+                "partial", OracleSpec(4, "0110", "plain-mcz"), diffuser_size=5))
 
     def test_single_call_metadata(self):
-        c = families.build_partial(OracleSpec(4, "0110", "plain-mcz"), 3)
+        c = families.build(FamilyRequest(
+            "partial", OracleSpec(4, "0110", "plain-mcz"), diffuser_size=3))
         assert c.metadata["oracle_calls"] == 1
 
 
@@ -90,49 +95,54 @@ class TestWojter:
 
     def test_theoretical_success(self):
         # block-2 search is exact, so p_t = one 8-element Grover iteration
-        c = families.build_wojter(self.SPEC, self.PART)
+        c = families.build(FamilyRequest("wojter", self.SPEC, partition=self.PART))
         assert abs(p_success(c, "10110") - 25 / 32) < 1e-12
 
     def test_partial_uncompute_count(self):
         # interleaved layout: 3 folds + 4 oracle pieces + 3 G2 + G3
-        c = families.build_wojter(self.SPEC, self.PART, uncompute="partial")
+        c = families.build(FamilyRequest(
+            "wojter", self.SPEC, partition=self.PART, uncompute="partial"))
         assert two_qubit_count(c) == 51
-        full = families.build_wojter(self.SPEC, self.PART, uncompute="full")
+        full = families.build(FamilyRequest(
+            "wojter", self.SPEC, partition=self.PART, uncompute="full"))
         assert two_qubit_count(c) <= two_qubit_count(full)
 
     def test_fused_count_within_target(self):
         # reference target 31; the fused algebraic collapse reaches 25
-        c = families.build_wojter(self.SPEC, self.PART, fused=True)
+        c = families.build(FamilyRequest("wojter", self.SPEC, partition=self.PART, fused=True))
         assert two_qubit_count(c) <= 36
 
     def test_fused_matches_faithful_all_masks(self):
         for v in range(32):
             mask = format(v, "05b")
             spec = OracleSpec(5, mask, "ancilla-relphase")
-            a = families.build_wojter(spec, self.PART)
-            b = families.build_wojter(spec, self.PART, fused=True)
+            a = families.build(FamilyRequest("wojter", spec, partition=self.PART))
+            b = families.build(FamilyRequest("wojter", spec, partition=self.PART, fused=True))
             assert tv_distance(data_distribution(a), data_distribution(b)) < 1e-10
 
     def test_degenerate_partition_is_grover(self):
-        a = families.build_wojter(self.SPEC, Partition((5,)))
-        b = families.build_grover(self.SPEC, 1)
+        a = families.build(FamilyRequest("wojter", self.SPEC, partition=Partition((5,))))
+        b = families.build(FamilyRequest("grover", self.SPEC))
         assert tv_distance(data_distribution(a), data_distribution(b)) < 1e-12
 
     def test_styles_agree(self):
-        a = families.build_wojter(self.SPEC, self.PART)
-        b = families.build_wojter(OracleSpec(5, "10110", "plain-mcz"), self.PART)
+        a = families.build(FamilyRequest("wojter", self.SPEC, partition=self.PART))
+        b = families.build(FamilyRequest(
+            "wojter", OracleSpec(5, "10110", "plain-mcz"), partition=self.PART))
         assert tv_distance(data_distribution(a), data_distribution(b)) < 1e-10
 
     def test_measurement_assisted_uncompute_agrees(self):
-        c = families.build_wojter(self.SPEC, self.PART, uncompute="measurement-assisted")
-        a = families.build_wojter(self.SPEC, self.PART)
+        c = families.build(FamilyRequest(
+            "wojter", self.SPEC, partition=self.PART, uncompute="measurement-assisted"))
+        a = families.build(FamilyRequest("wojter", self.SPEC, partition=self.PART))
         assert tv_distance(data_distribution(a), data_distribution(c)) < 1e-10
 
     def test_unsupported_partition(self):
         with pytest.raises(UnsupportedPartition):
-            families.build_wojter(self.SPEC, Partition((1, 1, 3)))
+            families.build(FamilyRequest("wojter", self.SPEC, partition=Partition((1, 1, 3))))
         with pytest.raises(UnsupportedPartition):
-            families.build_wojter(OracleSpec(6, "101101", "ancilla-relphase"), Partition((3, 3)))
+            families.build(FamilyRequest(
+                "wojter", OracleSpec(6, "101101", "ancilla-relphase"), partition=Partition((3, 3))))
 
 
 class TestWojterAA:
@@ -140,24 +150,24 @@ class TestWojterAA:
     PART = Partition((3, 2))
 
     def test_amplification_improves(self):
-        base = families.build_wojter(self.SPEC, self.PART)
-        aa = families.build_wojter_aa(self.SPEC, self.PART)
+        base = families.build(FamilyRequest("wojter", self.SPEC, partition=self.PART))
+        aa = families.build(FamilyRequest("wojter-aa", self.SPEC, partition=self.PART))
         assert p_success(aa, "10110") > p_success(base, "10110")
 
     def test_degenerate_is_two_iteration_grover(self):
-        a = families.build_wojter_aa(self.SPEC, Partition((5,)))
-        b = families.build_grover(self.SPEC, 2)
+        a = families.build(FamilyRequest("wojter-aa", self.SPEC, partition=Partition((5,))))
+        b = families.build(FamilyRequest("grover", self.SPEC, iterations=2))
         assert tv_distance(data_distribution(a), data_distribution(b)) < 1e-12
         assert a.metadata["family"] == "wojter-aa"
         assert '"family": "wojter-aa"' in qasm.serialize(a)
 
     def test_needs_a_partition(self):
         with pytest.raises(UnsupportedPartition, match="^partition: wojter-aa needs a partition$"):
-            families.build_wojter_aa(self.SPEC, None)
+            families.build(FamilyRequest("wojter-aa", self.SPEC, partition=None))
 
     def test_call_count(self):
-        base = families.build_wojter(self.SPEC, self.PART)
-        aa = families.build_wojter_aa(self.SPEC, self.PART)
+        base = families.build(FamilyRequest("wojter", self.SPEC, partition=self.PART))
+        aa = families.build(FamilyRequest("wojter-aa", self.SPEC, partition=self.PART))
         assert aa.metadata["oracle_calls"] == base.metadata["oracle_calls"] + 1
 
 
@@ -166,19 +176,22 @@ class TestDrzewker:
     PART = Partition((3, 2))
 
     def test_partial_uncompute_count(self):
-        c = families.build_drzewker(self.SPEC, self.PART, uncompute="partial")
+        c = families.build(FamilyRequest(
+            "drzewker", self.SPEC, partition=self.PART, uncompute="partial"))
         assert two_qubit_count(c) <= 50
         assert two_qubit_count(c) == 44  # reference count
 
     def test_partial_vs_full(self):
-        on = families.build_drzewker(self.SPEC, self.PART, uncompute="partial")
-        off = families.build_drzewker(self.SPEC, self.PART, uncompute="full")
+        on = families.build(FamilyRequest(
+            "drzewker", self.SPEC, partition=self.PART, uncompute="partial"))
+        off = families.build(FamilyRequest(
+            "drzewker", self.SPEC, partition=self.PART, uncompute="full"))
         assert tv_distance(data_distribution(on), data_distribution(off)) < 1e-10
         assert two_qubit_count(on) < two_qubit_count(off)
 
     def test_degenerate(self):
-        a = families.build_drzewker(self.SPEC, Partition((5,)))
-        b = families.build_grover(self.SPEC, 1)
+        a = families.build(FamilyRequest("drzewker", self.SPEC, partition=Partition((5,))))
+        b = families.build(FamilyRequest("grover", self.SPEC))
         assert tv_distance(data_distribution(a), data_distribution(b)) < 1e-12
 
 
@@ -188,15 +201,17 @@ class TestPartialDrzewker:
 
     def test_prefix_of_drzewker(self):
         # canonical builds: the truncation is literally a prefix
-        pd = families.build_partial_drzewker(self.SPEC, self.PART, uncompute="full")
-        d = families.build_drzewker(self.SPEC, self.PART, uncompute="full")
+        pd = families.build(FamilyRequest(
+            "partial-drzewker", self.SPEC, partition=self.PART, uncompute="full"))
+        d = families.build(FamilyRequest(
+            "drzewker", self.SPEC, partition=self.PART, uncompute="full"))
         pd_body = [i for i in pd.instructions if i.gate.name != "measure"]
         d_body = [i for i in d.instructions if i.gate.name != "measure"]
         assert len(pd_body) < len(d_body)
         assert pd_body == d_body[: len(pd_body)]
 
     def test_reference_value_recorded(self):
-        pd = families.build_partial_drzewker(self.SPEC, self.PART)
+        pd = families.build(FamilyRequest("partial-drzewker", self.SPEC, partition=self.PART))
         assert 0.0 < p_success(pd, "10110") < 1.0
 
     @pytest.mark.parametrize("mode", families.UNCOMPUTE_MODES)
@@ -205,23 +220,25 @@ class TestPartialDrzewker:
             FamilyRequest("partial-drzewker", self.SPEC, partition=self.PART, uncompute=mode)
         )
         assert c.metadata["uncompute"] == mode
-        assert c == families.build_partial_drzewker(self.SPEC, self.PART, uncompute=mode)
+        assert c == families.build(FamilyRequest(
+            "partial-drzewker", self.SPEC, partition=self.PART, uncompute=mode))
 
     def test_fewer_gates_than_full(self):
-        pd = families.build_partial_drzewker(self.SPEC, self.PART)
-        d = families.build_drzewker(self.SPEC, self.PART, uncompute="partial")
+        pd = families.build(FamilyRequest("partial-drzewker", self.SPEC, partition=self.PART))
+        d = families.build(FamilyRequest(
+            "drzewker", self.SPEC, partition=self.PART, uncompute="partial"))
         assert two_qubit_count(pd) < two_qubit_count(d)
 
 
 class TestWielomianer:
     def test_single_mid_circuit_measurement(self):
-        c = families.build_wielomianer_p43(OracleSpec(4, "1011", "plain-mcz"))
+        c = families.build(FamilyRequest("wielomianer", OracleSpec(4, "1011", "plain-mcz")))
         measures = [i for i in c.instructions if i.gate.name == "measure"]
         mid = [m for m in measures if m.gate.clbit == 4]
         assert len(mid) == 1
 
     def test_deferred_equivalence(self):
-        c = families.build_wielomianer_p43(OracleSpec(4, "1011", "plain-mcz"))
+        c = families.build(FamilyRequest("wielomianer", OracleSpec(4, "1011", "plain-mcz")))
         branching = sim.run_exact(c).marginal([0, 1, 2, 3])
         deferred = run_deferred(c).marginal([0, 1, 2, 3])
         assert tv_distance(branching, deferred) < 1e-10
@@ -231,7 +248,7 @@ class TestWielomianer:
         diffs = []
         for v in range(16):
             mask = format(v, "04b")
-            c = families.build_wielomianer_p43(OracleSpec(4, mask, "plain-mcz"))
+            c = families.build(FamilyRequest("wielomianer", OracleSpec(4, mask, "plain-mcz")))
             flipped_instrs = tuple(
                 i if i.condition is None else type(i)(i.gate, (i.condition[0], 1))
                 for i in c.instructions
@@ -244,26 +261,26 @@ class TestWielomianer:
 
     def test_bad_width(self):
         with pytest.raises(BadWidth):
-            families.build_wielomianer_p43(OracleSpec(3, "101", "plain-mcz"))
+            families.build(FamilyRequest("wielomianer", OracleSpec(3, "101", "plain-mcz")))
 
     def test_single_call_metadata(self):
-        c = families.build_wielomianer_p43(OracleSpec(4, "1011", "plain-mcz"))
+        c = families.build(FamilyRequest("wielomianer", OracleSpec(4, "1011", "plain-mcz")))
         assert c.metadata["oracle_calls"] == 1
 
 
 def _family_cases():
+    def case(family, style="ancilla-relphase", **options):
+        return family, lambda m: families.build(FamilyRequest(
+            family, OracleSpec(4, m, style), **options)), 4
+
     return [
-        ("grover", lambda m: families.build_grover(OracleSpec(4, m, "ancilla-relphase"), 1), 4),
-        ("partial", lambda m: families.build_partial(OracleSpec(4, m, "ancilla-relphase"), 3), 4),
-        ("wojter", lambda m: families.build_wojter(
-            OracleSpec(4, m, "ancilla-relphase"), Partition((2, 2))), 4),
-        ("wojter-aa", lambda m: families.build_wojter_aa(
-            OracleSpec(4, m, "ancilla-relphase"), Partition((2, 2))), 4),
-        ("drzewker", lambda m: families.build_drzewker(
-            OracleSpec(4, m, "ancilla-relphase"), Partition((2, 2))), 4),
-        ("partial-drzewker", lambda m: families.build_partial_drzewker(
-            OracleSpec(4, m, "ancilla-relphase"), Partition((2, 2))), 4),
-        ("wielomianer", lambda m: families.build_wielomianer_p43(OracleSpec(4, m, "plain-mcz")), 4),
+        case("grover"),
+        case("partial", diffuser_size=3),
+        case("wojter", partition=Partition((2, 2))),
+        case("wojter-aa", partition=Partition((2, 2))),
+        case("drzewker", partition=Partition((2, 2))),
+        case("partial-drzewker", partition=Partition((2, 2))),
+        case("wielomianer", "plain-mcz"),
     ]
 
 
@@ -369,7 +386,8 @@ def test_one_part_partition_is_grover_in_the_requested_style(style):
         spec = OracleSpec(n, "1" * (n - 1) + "0", style)
         for family in families.BLOCK_FAMILIES:
             c = families.build(FamilyRequest(family, spec, partition=Partition((n,))))
-            grover = families.build_grover(spec, 2 if family == "wojter-aa" else 1)
+            grover = families.build(FamilyRequest(
+                "grover", spec, iterations=2 if family == "wojter-aa" else 1))
             assert (c.n_qubits, c.n_clbits) == (grover.n_qubits, grover.n_clbits)
             assert c.instructions == grover.instructions, (family, n)
             assert c.metadata["oracle_style"] == style

@@ -117,3 +117,10 @@ def test_readme_references_resolve():
     text = (ROOT / "README.md").read_text()
     assert _README_REFERENCE.search(text)
     assert unresolved_references(text) == []
+
+
+def test_readme_library_example_prints_its_comment(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    (stated,) = re.findall(r"# (\d\.\d+)", block)
+    assert abs(float(capsys.readouterr().out) - float(stated)) <= 1e-10

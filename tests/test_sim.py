@@ -13,7 +13,6 @@ from conftest import (
     dense_gate,
     dense_unitary,
     family_circuits,
-    family_mask_sets,
     frag_circuit,
     ideal_oracle_diag,
     measured_circuits,
@@ -48,6 +47,7 @@ from qsearch.errors import (
     UndefinedGateSemantics,
     ValidationError,
 )
+from qsearch.families import FamilyRequest
 from qsearch.sim import Distribution, NoiseModel
 from qsearch.synth import OracleSpec
 
@@ -63,27 +63,28 @@ class TestRunExact:
         assert abs(d.probability(1) - 0.5) < 1e-12
 
     def test_grover_four_qubits(self):
-        c = families.build_grover(OracleSpec(4, "0110", "plain-mcz"), 1)
+        c = families.build(FamilyRequest("grover", OracleSpec(4, "0110", "plain-mcz")))
         d = sim.run_exact(c).marginal([0, 1, 2, 3])
         # (3 - 4/16)^2 / 16 = 121/256
         assert abs(d.probability(0b0110) - 121 / 256) < 1e-12
 
     def test_branching_matches_deferred(self):
-        c = families.build_wielomianer_p43(OracleSpec(4, "0101", "plain-mcz"))
+        c = families.build(FamilyRequest("wielomianer", OracleSpec(4, "0101", "plain-mcz")))
         a = sim.run_exact(c).marginal([0, 1, 2, 3])
         b = run_deferred(c).marginal([0, 1, 2, 3])
         assert tv_distance(a, b) < 1e-10
 
     def test_deferred_covers_measurement_bearing_families(self):
         cases = [
-            (families.build_wielomianer_p43(OracleSpec(4, "1011", "plain-mcz")), [0, 1, 2, 3]),
-            (families.build_grover(OracleSpec(5, "10110", "measurement-assisted"), 1),
+            (families.build(FamilyRequest(
+                "wielomianer", OracleSpec(4, "1011", "plain-mcz"))), [0, 1, 2, 3]),
+            (families.build(FamilyRequest(
+                "grover", OracleSpec(5, "10110", "measurement-assisted"))),
              [0, 1, 2, 3, 4]),
-            (families.build_wojter(
-                OracleSpec(5, "10110", "ancilla-relphase"),
-                families.Partition((3, 2)),
-                uncompute="measurement-assisted",
-            ), [0, 1, 2, 3, 4]),
+            (families.build(FamilyRequest(
+                "wojter", OracleSpec(5, "10110", "ancilla-relphase"),
+                partition=families.Partition((3, 2)), uncompute="measurement-assisted")),
+             [0, 1, 2, 3, 4]),
         ]
         for circ, data in cases:
             a = sim.run_exact(circ).marginal(data)
@@ -135,10 +136,9 @@ class TestRunExact:
         assert abs(d.probability(0b11) - 0.5) < 1e-12
 
     def test_distribution_normalized(self):
-        c = families.build_wojter(
-            OracleSpec(5, "01001", "ancilla-relphase"),
-            families.Partition((3, 2)),
-        )
+        c = families.build(FamilyRequest(
+            "wojter", OracleSpec(5, "01001", "ancilla-relphase"),
+            partition=families.Partition((3, 2))))
         d = sim.run_exact(c)
         assert abs(d.as_probabilities().sum() - 1.0) < 1e-12
 
@@ -217,19 +217,9 @@ class TestRunExactReference:
 
 
 class TestRunExactBatch:
-    """run_exact_batch simulates many circuits as rows of one batch; each
-    circuit's distribution is the one it gets alone."""
-
-    @given(st.integers(1, 4).flatmap(
-        lambda n: st.lists(measured_circuits(n=n), min_size=1, max_size=6)))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_reference_per_circuit(self, circuits):
-        got = sim.run_exact_batch(circuits)
-        assert len(got) == len(circuits)
-        for c, d in zip(circuits, got):
-            want = run_exact_reference(c)
-            assert d.n_bits == want.n_bits
-            assert np.abs(d.probabilities - want.probabilities).max() <= 1e-15
+    """run_exact_template runs a template's keys as the rows of one batch,
+    in consecutive groups of at most _BLOCK amplitudes; each key's
+    distribution is the one its fill gets alone."""
 
     @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
     @pytest.mark.parametrize("family", families.FAMILIES)
@@ -243,7 +233,7 @@ class TestRunExactBatch:
 
     @pytest.mark.parametrize("family, diffuser_size", [("grover", None), ("partial", 3)])
     def test_bit_identical_at_six_qubits(self, family, diffuser_size):
-        plan = families.plan(families.FamilyRequest(
+        plan = families.plan(FamilyRequest(
             family, OracleSpec(6, "000000", "plain-mcz"), diffuser_size=diffuser_size))
         masks = all_masks(6)
         for mask, d in zip(masks, sim.run_exact_template(plan.template, masks), strict=True):
@@ -251,42 +241,35 @@ class TestRunExactBatch:
 
     @pytest.mark.parametrize("block", [1, 64, 1024])
     def test_terminal_pass_in_blocks_is_bit_identical(self, block, monkeypatch):
-        # several terminal kinds, branching circuits among plain ones, split
-        # into blocks of whole circuits: every circuit's bytes are its own run's
-        mask_sets = family_mask_sets("grover", "measurement-assisted", max_n=3, all_masks=True)
-        circuits = [c for cs in mask_sets for c in cs if c.n_qubits == 4]
-        circuits += [frag_circuit([h(q) for q in range(4)], 4), frag_circuit([h(0), cx(0, 3)], 4)]
-        want = [sim.run_exact(c).probabilities for c in circuits]
+        # measurement-assisted Grover-3 branches over its mid-circuit
+        # measurements; with kernels and collapses working in blocks of
+        # `block` amplitudes and the keys in groups of whole keys, every key's
+        # bytes are its fill's alone, and each group takes one terminal pass
+        plan = families.plan(FamilyRequest("grover", OracleSpec(3, "000", "measurement-assisted")))
+        masks = all_masks(3)
+        want = [sim.run_exact(plan.fill(mask)).probabilities for mask in masks]
+        c = plan.fill("000")
+        per_group = max(1, block >> sim._exact_width(c.n_qubits, terminal_split(c)[0]))
         calls = []
         histograms = sim._terminal_histograms
         monkeypatch.setattr(sim, "_terminal_histograms",
                             lambda *args: calls.append(args[-1]) or histograms(*args))
         monkeypatch.setattr(sim, "_BLOCK", block)
-        got = sim.run_exact_batch(circuits)
+        got = sim.run_exact_template(plan.template, masks)
         assert all(np.array_equal(d.probabilities, w) for d, w in zip(got, want))
-        assert calls == [1] * len(circuits)  # one circuit at a time
+        assert calls == [min(per_group, 8 - i) for i in range(0, 8, per_group)]
 
     def test_terminal_pass_is_one_pass_per_kind(self, monkeypatch):
         # a template's keys share one terminal split, so one group of them
-        # takes one pass; a library batch runs each circuit on its own
+        # takes one pass, whatever their holes make
         calls = []
         histograms = sim._terminal_histograms
         monkeypatch.setattr(sim, "_terminal_histograms",
                             lambda *args: calls.append(args[-1]) or histograms(*args))
         sim.run_exact_template(CircuitTemplate(2, 0, [[h(0)], lambda q: [x(q)]]), [0, 1, 0])
-        assert calls == [3]
-        calls.clear()
-        circuits = [frag_circuit([h(0), x(q)], 2) for q in (0, 1, 0)]
-        circuits.append(frag_circuit([h(1), measure(1, 0)], 2, 1))
-        sim.run_exact_batch(circuits)
-        assert calls == [1, 1, 1, 1]
-
-    def test_mixed_widths_refused(self):
-        with pytest.raises(ValidationError, match="share a width"):
-            sim.run_exact_batch([frag_circuit([h(0)], 1), frag_circuit([h(0)], 2)])
-
-    def test_empty_batch(self):
-        assert sim.run_exact_batch([]) == []
+        measured = CircuitTemplate(2, 1, [[h(0)], lambda q: [x(q)], [h(1), measure(1, 0)]])
+        sim.run_exact_template(measured, [0, 1, 0, 1])
+        assert calls == [3, 4]
 
     def test_shared_instruction_runs_once(self, monkeypatch):
         calls = []
@@ -303,40 +286,42 @@ class TestRunExactBatch:
             assert d.probabilities.tolist() == sim.run_exact(template.fill(key, {})).probabilities.tolist()
 
     def test_mid_circuit_measurements_branch_per_circuit(self):
-        b = CircuitBuilder(2, 2)
-        b.h(0).measure(0, 0)
-        b.add(x(1), condition=(0, 1))
-        b.measure(1, 1)
-        branching = b.build()
-        plain = frag_circuit([h(1)], 2)
-        for batch in ([branching, plain], [plain, branching, branching]):
-            for c, d in zip(batch, sim.run_exact_batch(batch)):
-                assert d.probabilities.tolist() == sim.run_exact(c).probabilities.tolist()
+        # key 1 puts wire 0 in superposition before it is measured, key 0 does
+        # not: one group holds branching and plain keys alike
+        template = CircuitTemplate(2, 2, [[h(1)], lambda k: [h(0)] * k,
+                                          [measure(0, 0), Instruction(x(1), (0, 1)), measure(1, 1)]])
+        for keys in ([1, 0], [0, 1, 1]):
+            for key, d in zip(keys, sim.run_exact_template(template, keys)):
+                assert d.probabilities.tolist() == sim.run_exact(template.fill(key, {})).probabilities.tolist()
 
     def test_errors_name_their_circuit(self, monkeypatch):
+        # a circuit is one key, so its errors name index 0; of a template's
+        # keys, the first whose norm drifts is named
         ops = (h(0), rz(float("nan"), 0), h(0), measure(0, 0))
-        bad = Circuit._trusted(1, 1, tuple(Instruction(g) for g in ops), {})
-        good = frag_circuit([h(0), measure(0, 0)], 1, 1)
         with pytest.raises(ValidationError, match="norm drifted") as info:
-            sim.run_exact_batch([good, good, bad, good])
-        assert info.value.circuit == 2
+            sim.run_exact(Circuit._trusted(1, 1, tuple(Instruction(g) for g in ops), {}))
+        assert info.value.circuit == 0
+        nan = float("nan")
+        template = CircuitTemplate(1, 1, [[h(0)], lambda a: [rz(a, 0)], [h(0), measure(0, 0)]])
+        monkeypatch.setattr(CircuitTemplate, "_made",
+                            lambda self, hole, written, key: [Instruction(g) for g in hole(key)])
         with pytest.raises(ValidationError, match="norm drifted") as info:
-            sim.run_exact_batch([good, bad, good, bad])  # the first drifting circuit
+            sim.run_exact_template(template, [0.1, nan, 0.2, nan])
         assert info.value.circuit == 1
         monkeypatch.setattr(sim, "MAX_EXACT_WIDTH", 2)
         wide = frag_circuit([h(0), measure(0, 0), h(0), measure(0, 1), h(0), measure(0, 2)], 1, 3)
         with pytest.raises(TooWide) as info:
-            sim.run_exact_batch([good, wide])
-        assert info.value.circuit == 1
+            sim.run_exact(wide)
+        assert info.value.circuit == 0
 
     def test_measurements_copy_only_rows_with_two_live_outcomes(self, monkeypatch):
         # measurement-assisted Grover-3 measures an ancilla whose outcomes are
         # both live; the last circuit measures a wire in |1> mid-circuit
-        circuits = [families.build(families.FamilyRequest(
-            "grover", OracleSpec(3, format(v, "03b"), "measurement-assisted"))) for v in range(8)]
-        circuits.append(frag_circuit([h(0), measure(0, 0), x(1), measure(1, 1), h(1)], 4, 2))
-        want = [sim.run_exact(c).probabilities for c in circuits]
-        copied, expected, one_live = [], [], []
+        plan = families.plan(FamilyRequest("grover", OracleSpec(3, "000", "measurement-assisted")))
+        masks = all_masks(3)
+        one_live = frag_circuit([h(0), measure(0, 0), x(1), measure(1, 1), h(1)], 4, 2)
+        want = [sim.run_exact(c).probabilities for c in [*map(plan.fill, masks), one_live]]
+        copied, expected, one_lives = [], [], []
         grow, split = sim._Rows.grow, sim._Rows.split
 
         def counting_grow(table, src):
@@ -349,21 +334,21 @@ class TestRunExactBatch:
                                if i >> (table.n - 1 - q) & 1) for r in measured])
             both = measured[(p1 > 1e-12) & (1 - p1 > 1e-12)]
             expected.append((table.active, both.tolist()))
-            one_live.append(len(measured) - len(both))
+            one_lives.append(len(measured) - len(both))
             return split(table, rows, outcome, recorded, q, c)
 
         monkeypatch.setattr(sim._Rows, "grow", counting_grow)
         monkeypatch.setattr(sim._Rows, "split", checking_split)
-        got = sim.run_exact_batch(circuits)
+        got = sim.run_exact_template(plan.template, masks) + [sim.run_exact(one_live)]
         # some measurements copy rows, and some leave a measured row uncopied
-        assert copied == expected and any(src for _, src in copied) and any(one_live)
-        assert all(np.array_equal(d.probabilities, w) for d, w in zip(got, want))
+        assert copied == expected and any(src for _, src in copied) and any(one_lives)
+        assert all(np.array_equal(d.probabilities, w) for d, w in zip(got, want, strict=True))
 
     @pytest.mark.parametrize("per_group", [1, 2, 3, 8])
     def test_groups_are_bit_identical(self, per_group, monkeypatch):
         # measurement-assisted Grover-3 branches over its mid-circuit
         # measurements; its keys go in consecutive groups of _BLOCK amplitudes
-        plan = families.plan(families.FamilyRequest(
+        plan = families.plan(FamilyRequest(
             "grover", OracleSpec(3, "000", "measurement-assisted")))
         masks = all_masks(3)
         want = sim.run_exact_template(plan.template, masks)  # one group
@@ -380,36 +365,22 @@ class TestRunExactBatch:
         assert all(np.array_equal(d.probabilities, w.probabilities) for d, w in zip(got, want))
 
     def test_error_in_a_later_group_names_its_circuit(self, monkeypatch):
-        ops = (h(0), rz(float("nan"), 0), h(0), measure(0, 0))
-        bad = Circuit._trusted(1, 1, tuple(Instruction(g) for g in ops), {})
-        good = frag_circuit([h(0), measure(0, 0)], 1, 1)
-        monkeypatch.setattr(sim, "_BLOCK", 4)  # two circuits of two amplitudes per group
-        with pytest.raises(ValidationError, match="norm drifted") as info:
-            sim.run_exact_batch([good, good, good, bad, good])
+        # two keys of two amplitudes per group; key 3's hole makes an rz that
+        # fails in the kernel, in the second group
+        apply_gate = sim._apply_gate
+
+        def failing(state, gate, n):
+            if gate.name == "rz":
+                raise UndefinedGateSemantics("marked rz")
+            apply_gate(state, gate, n)
+
+        monkeypatch.setattr(sim, "_apply_gate", failing)
+        monkeypatch.setattr(sim, "_BLOCK", 4)
+        template = CircuitTemplate(1, 1, [[h(0)], lambda k: [rz(0.125, 0)] if k == 3 else [x(0)],
+                                          [h(0), measure(0, 0)]])
+        with pytest.raises(UndefinedGateSemantics) as info:
+            sim.run_exact_template(template, [0, 1, 2, 3, 4])
         assert info.value.circuit == 3
-
-    def test_draws_and_checks_one_circuit_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(sim, "MAX_EXACT_WIDTH", 2)
-        good = frag_circuit([h(0), measure(0, 0)], 1, 1)
-        wide = frag_circuit([h(0), measure(0, 0), h(0), measure(0, 1), h(0), measure(0, 2)], 1, 3)
-
-        def too_wide_second():
-            yield good
-            yield wide
-            raise AssertionError("drew a circuit after one too wide")
-
-        with pytest.raises(TooWide) as info:
-            sim.run_exact_batch(too_wide_second())
-        assert info.value.circuit == 1
-
-        def failing_third():
-            yield good
-            yield good
-            raise ValidationError("cannot build it")
-
-        with pytest.raises(ValidationError, match="cannot build it") as info:
-            sim.run_exact_batch(failing_third())
-        assert info.value.circuit == 2
 
 
 class TestRunExactTemplate:
@@ -433,7 +404,7 @@ class TestRunExactTemplate:
         def unexpected(*args):
             raise AssertionError("made a hole or ran a gate before checking the width")
 
-        plan = families.plan(families.FamilyRequest(
+        plan = families.plan(FamilyRequest(
             "grover", OracleSpec(10, "0" * 10, "measurement-assisted"), iterations=3))
         monkeypatch.setattr(CircuitTemplate, "_made", unexpected)
         monkeypatch.setattr(sim, "_apply_gate", unexpected)
@@ -536,7 +507,8 @@ class TestRunNoisyReference:
     def test_measurement_free_counts_pinned(self, n, mask, shots, seed, counts):
         # error-free trajectories share the reference row here; a given seed
         # keeps giving the counts the per-trajectory loop gave
-        c = synth.compile(families.build_grover(OracleSpec(n, mask, "ancilla-relphase"), 1))
+        c = synth.compile(families.build(FamilyRequest(
+            "grover", OracleSpec(n, mask, "ancilla-relphase"))))
         d = sim.run_noisy(c, NoiseModel(p2=0.01), shots, seed=seed)
         assert d.counts.tolist() == counts
 
@@ -547,27 +519,23 @@ def noisy_needs(template, keys, shots):
 
 
 class TestRunNoisyBatch:
-    """run_noisy_batch samples each circuit alone, as run_noisy_template
-    samples a template without holes; run_noisy_template samples a
-    template's keys as rows of one batch.  Each circuit or key gets the
-    counts its own seed gives it alone."""
+    """run_noisy_template samples a template's keys as the rows of one
+    batch, in consecutive groups within MAX_NOISY_BYTES; each key gets the
+    counts its own seed gives its fill alone."""
 
     NOISE = NoiseModel(p1=0.02, p2=0.05, p_meas=0.03)
 
-    @given(st.integers(1, 4).flatmap(
-               lambda n: st.lists(measured_circuits(n=n), min_size=1, max_size=6)),
-           st.integers(1, 40), st.sampled_from([sim.TRAJECTORY_CHUNK, 7]),
+    @given(measured_circuits(), st.integers(1, 40), st.sampled_from([sim.TRAJECTORY_CHUNK, 7]),
            st.sampled_from([sim._BLOCK, 2]), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_matches_reference_per_circuit(self, circuits, shots, chunk, block, seed):
-        circuits = [synth.compile(c) for c in circuits]
-        seeds = [seed + i for i in range(len(circuits))]
+    def test_matches_reference_per_circuit(self, c, shots, chunk, block, seed):
+        c = synth.compile(c)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "TRAJECTORY_CHUNK", chunk)  # 7: shots cross chunk boundaries
             patch.setattr(sim, "_BLOCK", block)  # 2: every kernel works one row at a time
-            got = sim.run_noisy_batch(circuits, self.NOISE, shots, seeds)
-            want = [run_noisy_reference(c, self.NOISE, shots, s) for c, s in zip(circuits, seeds)]
-        assert [d.counts.tolist() for d in got] == [d.counts.tolist() for d in want]
+            got = sim.run_noisy(c, self.NOISE, shots, seed)
+            want = run_noisy_reference(c, self.NOISE, shots, seed)
+        assert got.counts.tolist() == want.counts.tolist()
 
     @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
     @pytest.mark.parametrize("family", families.FAMILIES)
@@ -587,7 +555,8 @@ class TestRunNoisyBatch:
     def test_error_free_trajectories_share_rows_through_measurements(self, monkeypatch):
         # wielomianer measures one wire mid-circuit and conditions 48 gates on it;
         # without noise its 400 trajectories ride one row per outcome
-        c = synth.compile(families.build_wielomianer_p43(OracleSpec(4, "1011", "plain-mcz")))
+        c = synth.compile(families.build(FamilyRequest(
+            "wielomianer", OracleSpec(4, "1011", "plain-mcz"))))
         rows = []
         grow = sim._Rows.grow
 
@@ -603,38 +572,32 @@ class TestRunNoisyBatch:
 
     def test_shared_instruction_runs_once(self, monkeypatch):
         # three keys of one template: each fixed instruction runs once, and
-        # each hole's distinct instructions once; a library batch of their
-        # fills runs each circuit alone
+        # each hole's distinct instructions once
         calls = []
         apply_gate = sim._apply_gate
         monkeypatch.setattr(sim, "_apply_gate", lambda s, g, n: calls.append(g) or apply_gate(s, g, n))
         template = CircuitTemplate(2, 0, [[h(0), h(1)], lambda q: [x(q)], [cz(0, 1)]])
         sim.run_noisy_template(template, [0, 1, 0], NoiseModel(), 50, [1, 2, 3])
         assert sorted(g.name for g in calls) == ["cz", "h", "h", "x", "x"]
-        calls.clear()
-        sim.run_noisy_batch([template.fill(q) for q in (0, 1, 0)], NoiseModel(), 50, [1, 2, 3])
-        assert len(calls) == 12
-
-    def test_mixed_widths_refused(self):
-        with pytest.raises(ValidationError, match="share a width"):
-            sim.run_noisy_batch([frag_circuit([h(0)], 1), frag_circuit([h(0)], 2)],
-                                NoiseModel(), 10, [0, 1])
 
     def test_one_seed_per_circuit(self):
-        with pytest.raises(ValidationError, match="2 circuits need as many seeds, got 1"):
-            sim.run_noisy_batch([frag_circuit([h(0)], 1)] * 2, NoiseModel(), 10, [0])
-        assert sim.run_noisy_batch([], NoiseModel(), 10, []) == []
+        template = CircuitTemplate(1, 0, [[h(0)]])
+        with pytest.raises(ValidationError, match="2 keys need as many seeds, got 1"):
+            sim.run_noisy_template(template, [None, None], NoiseModel(), 10, [0])
+        assert sim.run_noisy_template(template, [], NoiseModel(), 10, []) == []
 
     def test_errors_name_their_circuit(self, monkeypatch):
+        # a circuit is one key, so its errors name index 0; of a template's
+        # keys, the one whose fill is over the budget is named
         with pytest.raises(NotLowered) as info:
-            sim.run_noisy_batch([frag_circuit([h(0)], 3), frag_circuit([cz(0, 1, 2)], 3)],
-                                NoiseModel(), 10, [0, 1])
-        assert info.value.circuit == 1
-        good, long = frag_circuit([h(0), cx(0, 1)], 2), frag_circuit([h(0), cx(0, 1)] * 8, 2)
+            sim.run_noisy(frag_circuit([cz(0, 1, 2)], 3), NoiseModel(), 10, 0)
+        assert info.value.circuit == 0
+        good = frag_circuit([h(0), cx(0, 1)], 2)
         alone = [sim.run_noisy(good, self.NOISE, 10, s).counts.tolist() for s in (0, 1)]
+        longer = CircuitTemplate(2, 0, [[h(0), cx(0, 1)], lambda k: [h(0), cx(0, 1)] * 7 * k])
         monkeypatch.setattr(sim, "MAX_NOISY_BYTES", noisy_needs(CircuitTemplate.of(good), [None], 10)[0])
         with pytest.raises(OverBudget, match="10 trajectories of 35 uniforms") as info:
-            sim.run_noisy_batch([good, long], NoiseModel(), 10, [0, 1])
+            sim.run_noisy_template(longer, [0, 1], NoiseModel(), 10, [0, 1])
         assert info.value.circuit == 1
         # each of two keys fits the budget, both together do not: two groups
         sizes = []
@@ -647,7 +610,7 @@ class TestRunNoisyBatch:
 
     @pytest.mark.parametrize("per_group", [1, 2, 16])
     def test_groups_are_bit_identical(self, per_group, monkeypatch):
-        plan = families.plan(families.FamilyRequest("wielomianer", OracleSpec(4, "0000")))
+        plan = families.plan(FamilyRequest("wielomianer", OracleSpec(4, "0000")))
         compiled, masks = synth.compile_template(plan.template), all_masks(4)
         seeds = list(range(100, 116))
         want = sim.run_noisy_template(compiled, masks, self.NOISE, 50, seeds)  # one group
@@ -694,7 +657,7 @@ class TestRunNoisyTemplate:
     def test_fixed_instructions_and_split_cores_run_once(self, monkeypatch):
         # plain-mcz Grover-3: the oracle's polarized cz splits into X holes
         # around its all-ones expansion, a fixed part that all 8 masks share
-        plan = families.plan(families.FamilyRequest("grover", OracleSpec(3, "000")))
+        plan = families.plan(FamilyRequest("grover", OracleSpec(3, "000")))
         compiled, masks = synth.compile_template(plan.template), all_masks(3)
         calls = []
         apply_gate = sim._apply_gate
@@ -725,7 +688,7 @@ class TestNoiseModel:
 
 class TestRunNoisy:
     def test_zero_noise_matches_exact(self):
-        c = families.build_grover(OracleSpec(3, "101", "plain-mcz"), 1)
+        c = families.build(FamilyRequest("grover", OracleSpec(3, "101", "plain-mcz")))
         low = synth.lower(c)
         shots = 20000
         d = sim.run_noisy(low, NoiseModel(), shots, seed=11).marginal([0, 1, 2])
@@ -735,7 +698,7 @@ class TestRunNoisy:
             assert abs(sampled[v] - exact[v]) < 4 * binom_sigma(exact[v], shots)
 
     def test_full_depolarization_uniform(self):
-        c = families.build_grover(OracleSpec(3, "111", "plain-mcz"), 1)
+        c = families.build(FamilyRequest("grover", OracleSpec(3, "111", "plain-mcz")))
         low = synth.lower(c)
         shots = 20000
         d = sim.run_noisy(low, NoiseModel(p2=1.0), shots, seed=5).marginal([0, 1, 2])
@@ -789,14 +752,14 @@ class TestRunNoisy:
         assert (extra >= 0).all() and extra.sum() == more - fewer
 
     def test_seed_reproducibility(self):
-        c = synth.lower(families.build_grover(OracleSpec(3, "011", "plain-mcz"), 1))
+        c = synth.lower(families.build(FamilyRequest("grover", OracleSpec(3, "011", "plain-mcz"))))
         noise = NoiseModel(p1=0.01, p2=0.02, p_meas=0.01)
         a = sim.run_noisy(c, noise, 5000, seed=42)
         b = sim.run_noisy(c, noise, 5000, seed=42)
         assert np.array_equal(a.counts, b.counts)
 
     def test_different_seeds_differ(self):
-        c = synth.lower(families.build_grover(OracleSpec(3, "011", "plain-mcz"), 1))
+        c = synth.lower(families.build(FamilyRequest("grover", OracleSpec(3, "011", "plain-mcz"))))
         noise = NoiseModel(p2=0.05)
         a = sim.run_noisy(c, noise, 5000, seed=1)
         b = sim.run_noisy(c, noise, 5000, seed=2)
@@ -806,13 +769,14 @@ class TestRunNoisy:
         "circuit, noise, seed, counts",
         [
             (
-                families.build_wielomianer_p43(OracleSpec(4, "1011", "plain-mcz")),
+                families.build(FamilyRequest("wielomianer", OracleSpec(4, "1011", "plain-mcz"))),
                 NoiseModel(p1=0.01, p2=0.01, p_meas=0.05), 5,
                 [4, 5, 5, 4, 8, 4, 15, 9, 3, 4, 10, 3, 6, 6, 6, 8,
                  12, 1, 25, 6, 14, 6, 60, 22, 8, 5, 6, 1, 13, 1, 10, 10],
             ),
             (
-                families.build_grover(OracleSpec(5, "10110", "measurement-assisted"), 1),
+                families.build(FamilyRequest(
+                    "grover", OracleSpec(5, "10110", "measurement-assisted"))),
                 NoiseModel(p1=0.01, p2=0.02, p_meas=0.03), 6,
                 [10, 1, 3, 5, 2, 4, 5, 1, 2, 7, 4, 1, 4, 4, 5, 4,
                  8, 3, 1, 2, 6, 4, 4, 1, 6, 4, 3, 4, 4, 5, 9, 5,
@@ -864,7 +828,7 @@ class TestRunNoisy:
             cases.append(("grover", 7, "plain-mcz", ["0110101"], None))
             cases = [case[:4] + (shots,) for case in cases for shots in (1, 8)]
         for family, n, style, masks, shots in cases:
-            plan = families.plan(families.FamilyRequest(family, OracleSpec(n, masks[0], style)))
+            plan = families.plan(FamilyRequest(family, OracleSpec(n, masks[0], style)))
             compiled = synth.compile_template(plan.template)
             seeds = list(range(3, 3 + len(masks)))
             sim.run_noisy_template(compiled, masks, noise, shots, seeds)

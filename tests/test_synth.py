@@ -38,6 +38,7 @@ from qsearch.errors import (
     MethodArityMismatch,
     MissingAncilla,
 )
+from qsearch.families import FamilyRequest
 from qsearch.synth import OracleSpec
 
 
@@ -277,8 +278,8 @@ class TestMeasurementAssisted:
         assert abs(outcome.probability(0) - 0.5) < 1e-12  # H|0> measured: uniform
 
     def test_grover_variant_matches_unitary(self):
-        cm = families.build_grover(OracleSpec(5, "01011", "measurement-assisted"), 1)
-        cu = families.build_grover(OracleSpec(5, "01011", "ancilla-relphase"), 1)
+        cm = families.build(FamilyRequest("grover", OracleSpec(5, "01011", "measurement-assisted")))
+        cu = families.build(FamilyRequest("grover", OracleSpec(5, "01011", "ancilla-relphase")))
         dm = sim.run_exact(cm).marginal(list(range(5)))
         du = sim.run_exact(cu).marginal(list(range(5)))
         assert tv_distance(dm, du) < 1e-10
@@ -468,6 +469,6 @@ class TestBorrowedMcz:
         """One plain-mcz Grover iteration: oracle and diffuser, each a C^{n-1}Z."""
         expected = {2: 2, 3: 12, 4: 48, 5: 152, 6: 352, 7: 648, 8: 1040, 9: 1528, 10: 2112}
         for n, count in expected.items():
-            c = families.build_grover(OracleSpec(n, "1" * n, "plain-mcz"), 1)
+            c = families.build(FamilyRequest("grover", OracleSpec(n, "1" * n, "plain-mcz")))
             assert census(synth.lower(c)).two_qubit_count == count, n
             assert census(synth.compile(c)).two_qubit_count == count, n
