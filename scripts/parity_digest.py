@@ -10,13 +10,14 @@ family does not read at its default), the digest covers the
 `qasm.serialize` text of the built and of the compiled circuit, the
 compiled census, and the raw bytes of the `run_exact` probabilities of
 both.  A refused build adds its exception class and message instead.
-Each option set's masks are built by one `families.build_masks` call, as
-`qsearch run` builds them; a refused request or build comes before the
-first circuit and is recorded for every mask.
+Each option set's masks are filled from one `families.plan(request)`, as
+`qsearch build` and `qsearch run` plan them, and each circuit is compiled
+alone (`synth.compile`); a refused request, plan or fill comes before
+the first circuit and is recorded for every mask.
 With --noisy the digest also covers the raw bytes of the sampled counts
 of every compiled circuit: NOISY_SHOTS shots at the rates in NOISE, each
 mask seeded by its value, sampled by one `sim.run_noisy_template` call
-over the option set's compiled template (`synth.compile_template`), as
+over the same plan's compiled template (`synth.compile_template`), as
 `qsearch run` samples, so two checkouts' trajectory samplers can be
 compared too.  With --reports it also covers, per option set, the bytes
 `cli.write_report` writes for the `run_experiment` report over every mask,
@@ -111,10 +112,11 @@ def main():
                 diffuser_size=max(1, n - 1) if family == "partial" else None,
                 uncompute=uncompute, fused=fused,
             )
-            circuits = list(families.build_masks(request, masks))
+            plan = families.plan(request)
+            circuits = [plan.fill(mask) for mask in masks]
             if args.noisy:
                 sampled = sim.run_noisy_template(
-                    synth.compile_template(families.plan(request).template), masks, NOISE,
+                    synth.compile_template(plan.template), masks, NOISE,
                     NOISY_SHOTS, [int(mask, 2) for mask in masks])
         except QsearchError as exc:
             circuits = [exc] * len(masks)

@@ -165,14 +165,17 @@ def _census_dict(c) -> dict:
 
 
 def cmd_build(cfg: ExperimentConfig, outdir: Path) -> int:
+    """Write each mask's circuit and print its compiled census, from one
+    families.plan and one synth.compile_template for the set, as run does."""
     request = cfg.validate()
     masks = resolve_masks(cfg)
-    circuits = families.build_masks(request, masks)
+    plan = families.plan(request)
+    compiled = synth.compile_template(plan.template)
     outdir.mkdir(parents=True, exist_ok=True)
-    for mask, circ in zip(masks, circuits):
+    for mask in masks:
         path = outdir / f"circuit_{cfg.family}_{mask}.qasm"
-        path.write_text(qasm.serialize(circ))
-        cens = census(synth.compile(circ))
+        path.write_text(qasm.serialize(plan.fill(mask)))
+        cens = census(compiled.fill(mask))
         print(
             f"{path.name}: two_qubit_count={cens.two_qubit_count} "
             f"(cx={cens.by_kind.get('cx', 0)}, cz={cens.by_kind.get('cz', 0)}) "

@@ -2,16 +2,17 @@
 
 A `FamilyRequest` is one option set of a family; it refuses, when made,
 an option set its family cannot build or an option its circuit would not
-read.  `plan(request)` makes the request's template once,
-`build_masks(request, masks)` fills it for each mask of a run, and
-`build(request)` is its one-mask case.  The circuits of one option set
-differ only in the X conjugation of a block's zero bits, a few polarities
-and the `mask` metadata, so each family describes its circuit once, as a
-`CircuitTemplate` whose mask-independent fragments (H-wall, diffusers,
-fold trees and their uncompute, exact cores, measurements) are made and
-checked once per plan; each mask fills only the holes that hold its
-conjugation and its polarized gates.  The simulators walk the template,
-the trajectory simulator its compiled form (synth.compile_template).
+read.  `plan(request)` is the one way from a request to its circuits: it
+makes the request's template once, and `Plan.fill(mask)` makes each
+mask's circuit; `build(request)` is the fill for the request's own mask.
+The circuits of one option set differ only in the X conjugation of a
+block's zero bits, a few polarities and the `mask` metadata, so each
+family describes its circuit once, as a `CircuitTemplate` whose
+mask-independent fragments (H-wall, diffusers, fold trees and their
+uncompute, exact cores, measurements) are made and checked once per plan;
+each mask fills only the holes that hold its conjugation and its
+polarized gates.  The simulators walk the template, the trajectory
+simulator its compiled form (synth.compile_template).
 
 Every family but wielomianer is one skeleton, `_search_template`.  The
 block families interleave self-contained full-mask oracle calls with
@@ -21,13 +22,13 @@ uncompute/recompute pairs across support-disjoint diffusers, and
 trailing-uncompute elimination drops the final fold uncompute that no
 measurement can observe, giving the compact layouts the gate-count
 targets refer to.  What the two passes keep does not depend on the mask,
-so they run once per plan, on the template (CircuitTemplate.tidied); each
-X of a block's conjugation is its own hole, as the passes may keep some
-qubits' X and not others'.
+so `_block_family` runs them once per plan, on the template
+(CircuitTemplate.tidied); each X of a block's conjugation is its own
+hole, as the passes may keep some qubits' X and not others'.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,7 +94,7 @@ class Partition:
 
 @dataclass(frozen=True)
 class FamilyRequest:
-    """One option set of a family; build_masks makes its circuit per mask.
+    """One option set of a family; plan(request).fill makes its circuit per mask.
 
     A request constructs only if its family can build it and reads every
     option it sets: an option the family's circuit would not read must keep
@@ -165,7 +166,7 @@ class FamilyRequest:
     @property
     def oracle_calls(self) -> int:
         """The oracle calls in each of the request's circuits, known before
-        any build; build_masks writes it as their oracle_calls metadata."""
+        any build; plan writes it as their oracle_calls metadata."""
         if self.family == "grover":
             return self.iterations
         if self.family not in BLOCK_FAMILIES:
@@ -177,70 +178,44 @@ class FamilyRequest:
 
 
 def build(request: FamilyRequest) -> Circuit:
-    """The circuit for request's own mask: build_masks of that one mask."""
-    (circuit,) = build_masks(request, [request.oracle.mask])
-    return circuit
-
-
-def build_masks(request: FamilyRequest, masks: Iterable[str]) -> Iterator[Circuit]:
-    """Each mask's circuit under request's options, in mask order: the fill
-    of plan(request) for each mask (request.oracle's own mask is not used).
-
-    Every mask is checked, and the plan made, before the iterator returns,
-    so a bad fragment is an error of the option set and of no mask.  Each
-    mask then adds only its conjugation and polarized gates, checked as the
-    iterator reaches it, and gets its own metadata dict and lists.
-    """
-    n, style = request.oracle.n, request.oracle.style
-    specs = [OracleSpec(n, mask, style) for mask in masks]
-    fill = plan(request).fill
-    return (fill(spec.mask) for spec in specs)
+    """The circuit for request's own mask: plan(request).fill of that mask."""
+    return plan(request).fill(request.oracle.mask)
 
 
 class Plan(NamedTuple):
-    """One option set's circuits: the template, every metadata entry but the
-    mask, and, when each circuit gets the partial-uncompute passes and the
-    template is not yet tidied, the keys CircuitTemplate.tidied probes and
-    checks it with."""
+    """One option set's circuits: the template, tidied when the options ask
+    for it, and every metadata entry but the mask."""
 
     template: CircuitTemplate
     metadata: dict
-    probes: tuple[str, str] | None = None
 
     def fill(self, mask: str) -> Circuit:
         """The circuit for mask, with its own copy of the metadata, its lists
-        included, and its mask."""
+        included, and its mask; BadMask refuses a mask that is not a
+        pattern of the plan's n bits."""
+        OracleSpec(self.metadata["n"], mask)
         metadata = {k: list(v) if isinstance(v, list) else v for k, v in self.metadata.items()}
         return self.template.fill(mask, {**metadata, "mask": mask})
 
 
 def plan(request: FamilyRequest) -> Plan:
-    """The request's plan, tidied: each mask-independent fragment is made and
-    checked once, against the request's register sizes, and with partial
-    uncompute peephole_cancel and strip_trailing_uncompute run once, on the
-    template (CircuitTemplate.tidied, probed with the all-zeros mask and
-    checked with the all-ones mask).  Plan.fill makes a mask's circuit."""
-    untidied = _family_plan(request)
-    if untidied.probes is None:
-        return untidied
-    return Plan(untidied.template.tidied(*untidied.probes), untidied.metadata)
-
-
-def _family_plan(request: FamilyRequest) -> Plan:
-    """The request's plan, its template not yet tidied."""
+    """The request's plan: each mask-independent fragment is made and checked
+    once, against the request's register sizes, and with partial uncompute
+    the template is tidied once (see _block_family).  Plan.fill makes a
+    mask's circuit."""
     fam, n, style = request.family, request.oracle.n, request.oracle.style
     if fam == "grover":
-        plan = _grover(n, style, request.iterations)
+        made = _grover(n, style, request.iterations)
     elif fam == "partial":
-        plan = _partial(n, style, request.diffuser_size)
+        made = _partial(n, style, request.diffuser_size)
     elif fam == "wielomianer":
-        plan = _wielomianer()
+        made = _wielomianer()
     elif fam == "wojter" and request.fused:
-        plan = _wojter_fused(n, style, request.partition)
+        made = _wojter_fused(n, style, request.partition)
     else:
-        plan = _block_family(fam, n, style, request.partition, request.uncompute)
-    plan.metadata["oracle_calls"] = request.oracle_calls
-    return plan
+        made = _block_family(fam, n, style, request.partition, request.uncompute)
+    made.metadata["oracle_calls"] = request.oracle_calls
+    return made
 
 
 # template holes: the gates that follow the mask ------------------------------
@@ -406,10 +381,13 @@ def _block_family(
         ancillas=list(ancillas),
         oracle_tree="fold3-left-deep",
     )
-    # with partial uncompute, uncompute/recompute pairs across disjoint
-    # diffusers cancel, and uncompute that no measurement can see falls away;
-    # the all-zeros mask conjugates every block-1 qubit, the all-ones none
-    return plan._replace(probes=("0" * n, "1" * n)) if uncompute == "partial" else plan
+    if uncompute != "partial":
+        return plan
+    # uncompute/recompute pairs across disjoint diffusers cancel, and
+    # uncompute that no measurement can see falls away: probed with the
+    # all-zeros mask, which conjugates every block-1 qubit, and checked with
+    # the all-ones mask, which conjugates none
+    return plan._replace(template=plan.template.tidied("0" * n, "1" * n))
 
 
 def _wojter_fused(n: int, style: str, partition: Partition) -> Plan:

@@ -1,6 +1,7 @@
 """Shared helpers and hypothesis strategies."""
 from dataclasses import replace
 from math import pi, sqrt
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -218,14 +219,21 @@ def lower_reference(circuit: Circuit) -> Circuit:
     return builder.build()
 
 
-def build_masks_reference(request: FamilyRequest, masks):
-    """The per-mask path that families.build_masks replaced: fill the
-    family's template for each mask and, with partial uncompute, run
-    peephole_cancel and then strip_trailing_uncompute on each circuit."""
-    plan = families._family_plan(request)
-    for mask in masks:
-        circuit = plan.fill(mask)
-        yield strip_trailing_uncompute(peephole_cancel(circuit)) if plan.probes else circuit
+def per_mask_tidy_reference(request: FamilyRequest, masks) -> list[Circuit]:
+    """The per-mask path that tidying the template once replaced: fill the
+    family's untidied template (CircuitTemplate.tidied patched to return its
+    template) for each mask and, when the plan tidies, run peephole_cancel
+    and then strip_trailing_uncompute on each circuit."""
+    tidied = []
+
+    def untidied(template, *keys):
+        tidied.append(keys)
+        return template
+
+    with mock.patch.object(CircuitTemplate, "tidied", untidied):
+        plan = families.plan(request)
+    circuits = [plan.fill(mask) for mask in masks]
+    return [strip_trailing_uncompute(peephole_cancel(c)) for c in circuits] if tidied else circuits
 
 
 # The list-of-branches exact simulator that sim.run_exact replaced, with the
@@ -437,7 +445,8 @@ def family_circuits(family: str, style: str, max_n: int = 5, all_masks: bool = F
             [format(v, f"0{n}b") for v in range(1 << n)] if all_masks
             else ["1" * n, "0" * n, ("10" * n)[:n]]
         )
-        yield from families.build_masks(request, masks)
+        plan = families.plan(request)
+        yield from (plan.fill(mask) for mask in masks)
 
 
 def wire_sequences(circuit: Circuit) -> tuple[dict, dict]:

@@ -32,7 +32,6 @@ from qsearch.circuit import (
     rz,
     strip_trailing_uncompute,
     x,
-    z,
 )
 from qsearch.errors import (
     IndexOutOfRange,
@@ -134,8 +133,8 @@ class TestDirectCircuit:
             circuit_module, "_validate_instruction", lambda *a: checked.append(a[3]) or real(*a)
         )
         masks = [format(v, "04b") for v in range(16)]
-        request = FamilyRequest("grover", OracleSpec(4, "0000", "ancilla-relphase"))
-        circuits = list(families.build_masks(request, masks))
+        plan = families.plan(FamilyRequest("grover", OracleSpec(4, "0000", "ancilla-relphase")))
+        circuits = [plan.fill(mask) for mask in masks]
         assert len(checked) == len(circuits[-1].instructions) + sum(2 * m.count("0") for m in masks)
         assert sum(len(c.instructions) for c in circuits) > 8 * len(checked)
 
@@ -154,7 +153,8 @@ class TestDirectCircuit:
         blocks = {} if family == "wielomianer" else dict(partition=Partition((3, 2)),
                                                           uncompute=uncompute)
         request = FamilyRequest(family, OracleSpec(n, masks[0], "ancilla-relphase"), **blocks)
-        circuits = list(families.build_masks(request, masks))
+        plan = families.plan(request)
+        circuits = [plan.fill(mask) for mask in masks]
         most = Counter()
         for c in circuits:
             most |= Counter(map(id, c.instructions))
@@ -167,7 +167,7 @@ class TestDirectCircuit:
         )
         request = FamilyRequest("grover", OracleSpec(3, "000", "ancilla-relphase"))
         with pytest.raises(ValidationError, match="qubit 99 outside register of size 4"):
-            families.build_masks(request, ["000", "111"])  # before it returns the iterator
+            families.plan(request)  # before any mask is filled
 
 
 class TestCircuitTemplate:

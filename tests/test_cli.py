@@ -76,6 +76,39 @@ class TestBuild:
         assert err.startswith("error:")
         assert "partition" in err
 
+    def test_compiles_the_plan_template_once(self, tmp_path, monkeypatch):
+        """build plans and compiles the set once, as run does: no circuit is
+        compiled alone."""
+        calls = []
+        compile_template = synth.compile_template
+        monkeypatch.setattr(synth, "compile_template",
+                            lambda template: calls.append(template) or compile_template(template))
+        monkeypatch.setattr(synth, "compile", None)
+        assert main(["build", "--n", "4", "--oracle-set", "all", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        assert len(list(tmp_path.glob("*.qasm"))) == 16
+
+    @pytest.mark.parametrize("argv,masks", [
+        (["--n", "8", "--oracle-set", "sample:2:7"], ["10100000", "11110000"]),
+        (["--family", "drzewker", "--n", "5", "--style", "ancilla-relphase",
+          "--partition", "3,2", "--oracle-set", "all"], [format(v, "05b") for v in range(32)]),
+    ], ids=["grover-8", "drzewker-5"])
+    def test_counts_equal_each_circuit_compiled_alone(self, argv, masks, tmp_path, capsys):
+        """The counts build prints from the compiled template are the census
+        of each mask's circuit built and compiled alone."""
+        assert main(["build", *argv, "--out", str(tmp_path)]) == 0
+        cfg = cli.load_config(cli.make_parser().parse_args(["build", *argv]))
+        assert resolve_masks(cfg) == masks
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(masks)
+        for mask, line in zip(masks, lines):
+            cens = census(synth.compile(families.build(build_request(cfg, mask))))
+            assert line == (
+                f"circuit_{cfg.family}_{mask}.qasm: two_qubit_count={cens.two_qubit_count} "
+                f"(cx={cens.by_kind.get('cx', 0)}, cz={cens.by_kind.get('cz', 0)}) "
+                f"one_qubit={cens.one_qubit_count}"
+            )
+
 
 class TestRun:
     def test_zero_noise_grover(self, tmp_path):

@@ -7,12 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import build_masks_reference, family_requests, run_deferred, tv_distance
+from conftest import family_requests, per_mask_tidy_reference, run_deferred, tv_distance
 from qsearch import circuit as circuit_module
 from qsearch import cli, families, qasm, sim, synth
 from qsearch.circuit import CircuitTemplate, census, x
 from qsearch.errors import (
     BadDiffuserSize,
+    BadMask,
     BadWidth,
     QsearchError,
     UnsupportedPartition,
@@ -427,19 +428,21 @@ def _option_sets(family, style, max_n=5):
 
 
 class TestBuildMasks:
-    """build_masks makes each mask-independent fragment, and with partial
-    uncompute tidies the template, once per call; its circuits must be
-    those the per-mask reference makes."""
+    """families.plan makes each mask-independent fragment, and with partial
+    uncompute tidies the template, once per option set; the circuits
+    Plan.fill makes of it must be those the per-mask reference makes.  (Named
+    for families.build_masks, the per-run builder that Plan.fill replaced.)"""
 
     @pytest.mark.parametrize("style", synth.ORACLE_STYLES)
     @pytest.mark.parametrize("family", families.FAMILIES)
     def test_equals_build_of_each_mask(self, family, style):
-        """Every mask list gives each mask the circuit it gets alone.
+        """Every mask list filled from one plan gives each mask the circuit
+        it gets alone.
 
-        families.build is build_masks of one mask, so this checks that a
-        circuit does not depend on the other masks of the call; it is not
-        an independent check of the template path, which
-        test_equals_per_mask_tidy_reference makes.
+        families.build is the fill of one mask from a plan of its own, so
+        this checks that a circuit does not depend on the other masks filled
+        from its plan; it is not an independent check of the template path,
+        which test_equals_per_mask_tidy_reference makes.
         """
         for request in _option_sets(family, style):
             n = request.oracle.n
@@ -452,9 +455,10 @@ class TestBuildMasks:
                         alone.append(families.build(replace(request, oracle=spec)))
                 except QsearchError as exc:
                     with pytest.raises(type(exc), match=re.escape(str(exc))):
-                        next(families.build_masks(request, masks))
+                        families.plan(request).fill(masks[0])
                     break
-                per_run = list(families.build_masks(request, masks))
+                plan = families.plan(request)
+                per_run = [plan.fill(mask) for mask in masks]
                 assert [c.metadata["mask"] for c in per_run] == masks
                 for one, c in zip(alone, per_run):
                     assert (c.n_qubits, c.n_clbits) == (one.n_qubits, one.n_clbits)
@@ -468,7 +472,8 @@ class TestBuildMasks:
         blocks = dict(partition=Partition((3, 2)), fused=fused) if family == "wojter" else {}
         request = FamilyRequest(family, OracleSpec(n, "0" * n, "ancilla-relphase"), **blocks)
         masks = ["0" * n, "1" * n, "0" * (n - 1) + "1"]
-        first, *others = families.build_masks(request, masks)
+        plan = families.plan(request)
+        first, *others = [plan.fill(mask) for mask in masks]
         lists = [key for key, value in first.metadata.items() if isinstance(value, list)]
         assert len(lists) >= 2
         for key in lists:
@@ -490,8 +495,9 @@ class TestBuildMasks:
             request = FamilyRequest(
                 family, OracleSpec(n, masks[0], style), partition=Partition((n - k2, k2))
             )
-            pairs = zip(families.build_masks(request, masks),
-                        build_masks_reference(request, masks), strict=True)
+            plan = families.plan(request)
+            pairs = zip([plan.fill(mask) for mask in masks],
+                        per_mask_tidy_reference(request, masks), strict=True)
             for c, ref in pairs:
                 assert (c.n_qubits, c.n_clbits) == (ref.n_qubits, ref.n_clbits)
                 assert c.instructions == ref.instructions, (request, c.metadata["mask"])
@@ -500,7 +506,8 @@ class TestBuildMasks:
     @pytest.mark.parametrize("count", [1, 2, 32])
     def test_tidy_passes_run_twice_per_call(self, count, monkeypatch):
         """The probe, by position, and the check, through the passes
-        themselves: two runs of each pass's decisions, whatever the mask count."""
+        themselves: two runs of each pass's decisions per plan, whatever the
+        mask count."""
         calls = []
         for name in ("_cancel_flags", "_strip_flags"):
             tidy = getattr(circuit_module, name)
@@ -511,7 +518,8 @@ class TestBuildMasks:
             request = FamilyRequest(family, OracleSpec(5, masks[0], "ancilla-relphase"),
                                     partition=Partition((3, 2)))
             calls.clear()
-            assert len(list(families.build_masks(request, masks))) == count
+            plan = families.plan(request)
+            assert len([plan.fill(mask) for mask in masks]) == count
             assert Counter(calls) == {"_cancel_flags": 2, "_strip_flags": 2}
 
     def test_each_kept_fixed_instruction_checked_once(self, monkeypatch):
@@ -528,7 +536,8 @@ class TestBuildMasks:
             templates.clear()
             request = FamilyRequest(family, OracleSpec(5, "00000", "ancilla-relphase"),
                                     partition=Partition((3, 2)))
-            first, *rest = families.build_masks(request, [format(v, "05b") for v in range(count)])
+            plan = families.plan(request)
+            first, *rest = [plan.fill(format(v, "05b")) for v in range(count)]
             (template,) = templates
             positions = Counter(id(i) for part in template._fixed for i in part)
             kept = set(map(id, first.instructions)).intersection(
@@ -552,10 +561,22 @@ class TestBuildMasks:
             "error: partial uncompute: the passes keep other gates for key '11111'\n"
         )
 
-    def test_bad_mask_refused_before_any_circuit(self):
-        request = FamilyRequest("grover", OracleSpec(3, "000"))
-        with pytest.raises(QsearchError, match="'10' is not a pattern of 3 bits"):
-            next(families.build_masks(request, ["000", "10"]))
+    def test_bad_mask_refused_before_any_circuit(self, monkeypatch):
+        """Plan.fill refuses a mask that is not n bits, as OracleSpec does,
+        before it fills the template."""
+        plan = families.plan(FamilyRequest("grover", OracleSpec(3, "000")))
+        filled = []
+        monkeypatch.setattr(CircuitTemplate, "fill", lambda self, *args: filled.append(args))
+        for mask in ("10", "1000", "1a0"):
+            with pytest.raises(BadMask, match=f"{mask!r} is not a pattern of 3 bits"):
+                plan.fill(mask)
+        assert filled == []
 
-    def test_no_mask_gives_no_circuit(self):
-        assert list(families.build_masks(FamilyRequest("grover", OracleSpec(3, "000")), [])) == []
+    def test_no_mask_gives_no_circuit(self, monkeypatch):
+        """Planning fills no circuit: only Plan.fill makes one."""
+        filled = []
+        fill = CircuitTemplate.fill
+        monkeypatch.setattr(CircuitTemplate, "fill",
+                            lambda self, *args: filled.append(args) or fill(self, *args))
+        families.plan(FamilyRequest("grover", OracleSpec(3, "000")))
+        assert filled == []

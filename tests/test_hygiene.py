@@ -1,6 +1,6 @@
-"""Source hygiene: no module or script imports a name it never uses, none
-defines a private top-level name it never reads, and every module
-attribute the README names exists.
+"""Source hygiene: no module, script or test module imports a name it never
+uses, no module or script defines a private top-level name it never reads,
+and every module attribute the README names exists.
 
 No linter ships with the test dependencies, so these checks parse each
 module with the standard-library ast instead.  As with flake8, an import
@@ -16,12 +16,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qsearch"
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + SCRIPTS
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + SCRIPTS + TESTS
 ALL_MODULES = sorted(SRC.glob("*.py")) + SCRIPTS
 
 
 def _id(path: Path) -> str:
-    return path.name if path.parent == SRC else f"scripts/{path.name}"
+    return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
 
 
 def unused_from_imports(source: str) -> list[str]:
