@@ -12,6 +12,7 @@ corresponding basis index is int("10110", 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isfinite
 
 from .errors import (
@@ -245,27 +246,8 @@ class CircuitBuilder:
     def x(self, q):
         return self.add(x(q))
 
-    def z(self, q):
-        return self.add(z(q))
-
-    def rz(self, angle, q):
-        return self.add(rz(angle, q))
-
-    def cx(self, *qs, polarity=None):
-        return self.add(cx(*qs, polarity=polarity))
-
-    def cz(self, *qs, polarity=None):
-        return self.add(cz(*qs, polarity=polarity))
-
     def measure(self, q, c):
         return self.add(measure(q, c))
-
-    def barrier(self):
-        return self.add(barrier())
-
-    def metadata(self, **kv):
-        self._metadata.update(kv)
-        return self
 
     def build(self) -> Circuit:
         return Circuit._trusted(
@@ -276,17 +258,57 @@ class CircuitBuilder:
         )
 
 
-class CircuitTemplate:
-    """Circuits that share all but a few gates, each made by filling one template.
+@dataclass(frozen=True)
+class Hole:
+    """One gate of a CircuitTemplate that follows the key, a mask string.
 
-    `parts` lists, in circuit order, gate lists and holes.  A gate list
-    (Gates or Instructions) is checked once, here, as CircuitBuilder.extend
-    checks it.  A hole is a function of the key that `fill` gets; the gates
-    it returns are checked at every fill, against the classical bits
-    written before the hole.  This is sound because a hole may not
-    measure: it writes no classical bit, so the bits written before every
-    instruction, and with them the classical checks of the fixed gates
-    (bits written, conditions read), are the same for every key.
+    An "x" hole is the X on its qubit for a key whose bit bits[0] is "0",
+    and nothing for a "1".  A "cx" or "cz" hole is the gate on its qubits
+    (target last for cx) whose control j takes polarity int(key[bits[j]]),
+    or 1 where bits[j] is None, as the cx or cz constructor makes it.
+    Either is under condition when it has one.
+    """
+
+    name: str
+    qubits: tuple[int, ...]
+    bits: tuple[int | None, ...]
+    condition: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.name not in ("x", "cx", "cz"):
+            raise ValidationError(f"a template hole is an x, cx or cz, not {self.name!r}")
+        if self.name == "x":
+            if len(self.qubits) != 1 or len(self.bits) != 1 or self.bits[0] is None:
+                raise ValidationError("an x template hole takes one qubit and its key bit")
+        elif len(self.bits) != len(self.qubits) - (self.name == "cx"):
+            raise ValidationError(f"a {self.name} template hole takes a key bit or None per control")
+
+    @cached_property
+    def instruction(self) -> Instruction:
+        """What the hole makes with every control at polarity 1: the X of an
+        "x" hole, or the all-ones cx or cz; CircuitTemplate checks it."""
+        return Instruction({"x": x, "cx": cx, "cz": cz}[self.name](*self.qubits), self.condition)
+
+    def made(self, key: str) -> tuple[Instruction, ...]:
+        """The instructions the hole makes for key: none or one."""
+        if self.name == "x":
+            return (self.instruction,) if key[self.bits[0]] == "0" else ()
+        polarity = tuple(1 if b is None else int(key[b]) for b in self.bits)
+        gate = (cx if self.name == "cx" else cz)(*self.qubits, polarity=polarity)
+        return (Instruction(gate, self.condition),)
+
+
+class CircuitTemplate:
+    """Circuits that share all but a few gates, each made by filling one
+    template for its key, a mask string.
+
+    `parts` lists, in circuit order, gate lists and holes (Hole).  Each is
+    checked once, here, as CircuitBuilder.extend checks it: a gate list
+    (Gates or Instructions) gate by gate, and a hole as its instruction
+    (Hole.instruction).  What a hole makes for any key is nothing or that
+    instruction with other polarities, and it measures nothing, so the bits
+    written before every instruction, and with them every check, are the
+    same for every key.
     """
 
     def __init__(self, n_qubits: int, n_clbits: int, parts) -> None:
@@ -294,14 +316,14 @@ class CircuitTemplate:
         done = builder._instructions
         self.n_qubits, self.n_clbits = n_qubits, n_clbits
         self._fixed: list[tuple[Instruction, ...]] = []  # the gates around the holes
-        self._holes: list[tuple] = []  # (hole, the bits written before it)
+        self._holes: list[Hole] = []
         start = 0
         for part in parts:
-            if callable(part):
+            if isinstance(part, Hole):
+                _validate_instruction(n_qubits, n_clbits, builder._written, part.instruction)
                 self._fixed.append(tuple(done[start:]))
                 start = len(done)
-                written = {bit: list(conds) for bit, conds in builder._written.items()}
-                self._holes.append((part, written))
+                self._holes.append(part)
             else:
                 builder.extend(part)
         self._fixed.append(tuple(done[start:]))
@@ -310,7 +332,7 @@ class CircuitTemplate:
     def _trusted(
         cls, n_qubits: int, n_clbits: int, fixed: list, holes: list
     ) -> "CircuitTemplate":
-        """Make a template of checked fixed parts without checking them again."""
+        """Make a template of checked fixed parts and holes without checking them again."""
         template = object.__new__(cls)
         template.n_qubits, template.n_clbits = n_qubits, n_clbits
         template._fixed, template._holes = fixed, holes
@@ -321,22 +343,11 @@ class CircuitTemplate:
         """The template without holes whose fill, for any key, is circuit."""
         return cls._trusted(circuit.n_qubits, circuit.n_clbits, [circuit.instructions], [])
 
-    def _made(self, hole, written, key) -> list[Instruction]:
-        """The instructions hole makes for key, each checked."""
-        made = []
-        for gate in hole(key):
-            instr = gate if isinstance(gate, Instruction) else Instruction(gate)
-            if instr.gate.name == "measure":
-                raise ValidationError("a template hole cannot measure")
-            _validate_instruction(self.n_qubits, self.n_clbits, written, instr)
-            made.append(instr)
-        return made
-
     def _kept(self, key) -> tuple[list[bool] | None, list[tuple[Instruction, ...]]]:
         """What the fill for key keeps: a flag per fixed instruction, over
         every fixed part in order (None: every one is kept), and the
-        instructions each hole makes, checked."""
-        return None, [tuple(self._made(hole, written, key)) for hole, written in self._holes]
+        instructions each hole makes."""
+        return None, [hole.made(key) for hole in self._holes]
 
     def _assemble(self, flags, made) -> list[Instruction]:
         """The fill that _kept's flags and hole instructions describe."""
@@ -357,11 +368,11 @@ class CircuitTemplate:
         strip_trailing_uncompute keep of this template's fill for that key.
 
         The passes run once, by position, on the fill for probe, for which
-        every hole makes its gates, keeping the fixed instructions and whole
-        holes they keep.  That is right only when what they keep does not
-        depend on the key, so InternalError refuses a partly kept hole and
-        a fill for check, for which the holes make the fewest gates, other
-        than what the passes make of this template's.
+        every hole makes its gate, keeping the fixed instructions and holes
+        they keep.  That is right only when what they keep does not depend
+        on the key, so InternalError refuses a fill for check, for which
+        the holes make the fewest gates, other than what the passes make of
+        this template's.
         """
         _, made = self._kept(probe)
         ops = self._assemble(None, made)
@@ -370,19 +381,11 @@ class CircuitTemplate:
         for j, k in zip(survivors, _strip_flags([ops[j] for j in survivors], self.n_qubits)):
             kept[j] = k
         fixed, holes, at = [()], [], 0
-        for j, part in enumerate(self._fixed):
+        for part, hole, slot in zip(self._fixed, [*self._holes, None], [*made, ()]):
             fixed[-1] += tuple(i for i, k in zip(part, kept[at:at + len(part)]) if k)
-            at += len(part)
-            if j == len(self._holes):
-                break
-            hole = kept[at:at + len(made[j])]
-            at += len(hole)
-            if any(hole) and not all(hole):
-                raise InternalError(
-                    f"partial uncompute: the passes keep only part of template hole {j}"
-                )
-            if all(hole):
-                holes.append(self._holes[j])
+            at += len(part) + len(slot)
+            if hole is not None and all(kept[at - len(slot):at]):
+                holes.append(hole)
                 fixed.append(())
         tidied = CircuitTemplate._trusted(self.n_qubits, self.n_clbits, fixed, holes)
         passes = strip_trailing_uncompute(peephole_cancel(self.fill(check)))

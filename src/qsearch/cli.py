@@ -404,7 +404,8 @@ def cmd_plot(report_path: Path, outdir: Path | None = None) -> int:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"report: {report_path} is not a qsearch report") from exc
     if not (_is_int(n) and 1 <= n <= 16 and all(
-        isinstance(s, list) and len(s) == 1 << n and all(map(_is_number, s))
+        isinstance(s, list) and len(s) == 1 << n
+        and all(_is_number(p) and -inf < p < inf for p in s)  # NaN is not
         for s in (theory, measured)
     )):
         raise ConfigError(f"report: {report_path} has malformed relabeled averages")

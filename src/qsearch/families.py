@@ -10,9 +10,10 @@ block's zero bits, a few polarities and the `mask` metadata, so each
 family describes its circuit once, as a `CircuitTemplate` whose
 mask-independent fragments (H-wall, diffusers, fold trees and their
 uncompute, exact cores, measurements) are made and checked once per plan;
-each mask fills only the holes that hold its conjugation and its
-polarized gates.  The simulators walk the template, the trajectory
-simulator its compiled form (synth.compile_template).
+each mask fills only the holes (circuit.Hole, each checked once per plan
+too) that hold its conjugation and its polarized gates, one gate a hole.
+The simulators walk the template, the trajectory simulator its compiled
+form (synth.compile_template).
 
 Every family but wielomianer is one skeleton, `_search_template`.  The
 block families interleave self-contained full-mask oracle calls with
@@ -28,21 +29,18 @@ hole, as the passes may keep some qubits' X and not others'.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import synth
 from .circuit import (
     Circuit,
     CircuitTemplate,
+    Hole,
     Instruction,
-    cx,
-    cz,
     h,
     measure,
     peephole_cancel,  # noqa: F401 - perfbench's tests read it
-    x,
 )
 from .errors import (
     BadDiffuserSize,
@@ -220,23 +218,17 @@ def plan(request: FamilyRequest) -> Plan:
 
 # template holes: the gates that follow the mask ------------------------------
 
-def _zeros(qubits) -> list[Callable[[str], tuple]]:
+def _zeros(qubits) -> list[Hole]:
     """X on each of the qubits whose mask bit is 0: one hole per qubit, so
     that the partial-uncompute passes may keep some qubits' X and not
     others'."""
-    return [_zero(q) for q in qubits]
+    return [Hole("x", (q,), (q,)) for q in qubits]
 
 
-def _zero(q: int) -> Callable[[str], tuple]:
-    gate = (x(q),)
-    return lambda mask: gate if mask[q] == "0" else ()
-
-
-def _marked_cz(held, qubits) -> Callable[[str], list]:
+def _marked_cz(held, qubits) -> Hole:
     """cz on the held wires, marked at 1, and on the search qubits, each
     marked at its mask bit."""
-    wires, ones = tuple(held) + tuple(qubits), (1,) * len(held)
-    return lambda mask: [cz(*wires, polarity=ones + tuple(int(mask[q]) for q in qubits))]
+    return Hole("cz", (*held, *qubits), (None,) * len(held) + tuple(qubits))
 
 
 def _marked(qubits: tuple[int, ...], core: list) -> list:
@@ -435,21 +427,15 @@ def _wielomianer() -> Plan:
     """
     q1, q2, a, q3, q4, extra = range(6)
     cond = (4, 0)
-
-    def pol34(m):
-        return (1, int(m[2]), int(m[3]))
-
-    def call(m):
-        return [cx(q1, q2, a, polarity=(int(m[0]), int(m[1]))), cz(a, q3, q4, polarity=pol34(m))]
-
+    call = [Hole("cx", (q1, q2, a), (0, 1)), Hole("cz", (a, q3, q4), (None, 2, 3))]
     parts = [
         [h(q) for q in (q1, q2, q3, q4)],
-        call,
+        *call,
         synth.diffuser(2, (q3, q4)),
-        lambda m: [cx(a, q3, q4, extra, polarity=pol34(m))],
+        Hole("cx", (a, q3, q4, extra), (None, 2, 3)),
         [measure(extra, 4)],
         _under(cond, synth.diffuser(2, (q1, q2))),
-        lambda m: _under(cond, call(m)),
+        *(replace(hole, condition=cond) for hole in call),
         _under(cond, synth.diffuser(2, (q3, q4))),
         [measure(q, c) for q, c in ((q1, 0), (q2, 1), (q3, 2), (q4, 3))],
     ]

@@ -134,7 +134,6 @@ def _build_gate(name: str, param: str | None, operands: list[tuple[int, bool]], 
 
 def parse(text: str) -> Circuit:
     """Parse the text format back into a Circuit (round-trips serialize)."""
-    n_qubits = n_clbits = None
     metadata: dict = {}
     statements: list[tuple[str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,6 +145,8 @@ def parse(text: str) -> Circuit:
                     metadata = json.loads(body[len("meta:"):])
                 except json.JSONDecodeError as exc:
                     raise ParseError("bad metadata JSON", lineno) from exc
+                if not isinstance(metadata, dict):
+                    raise ParseError("metadata must be a JSON object", lineno)
             continue
         if "#" in line:
             line = line[: line.index("#")]
@@ -154,25 +155,23 @@ def parse(text: str) -> Circuit:
             if stmt:
                 statements.append((stmt, lineno))
 
+    sizes: dict[str, int] = {}  # per declaration kind
     body: list[tuple[str, int]] = []
     for stmt, lineno in statements:
         m = _REG_RE.match(stmt)
         if m:
             kind, reg, size = m.groups()
-            if (kind, reg) == ("qreg", "q"):
-                n_qubits = int(size)
-            elif (kind, reg) == ("creg", "c"):
-                n_clbits = int(size)
-            else:
+            if (kind, reg) not in (("qreg", "q"), ("creg", "c")):
                 raise ParseError(f"register {reg!r} must match declaration {kind!r}", lineno)
+            if kind in sizes:
+                raise ParseError(f"second {kind} declaration", lineno)
+            sizes[kind] = int(size)
             continue
         body.append((stmt, lineno))
-    if n_qubits is None:
+    if "qreg" not in sizes:
         raise ParseError("missing qreg declaration", 1)
-    if n_clbits is None:
-        n_clbits = 0
 
-    builder = CircuitBuilder(n_qubits, n_clbits, metadata=metadata)
+    builder = CircuitBuilder(sizes["qreg"], sizes.get("creg", 0), metadata=metadata)
     for stmt, lineno in body:
         try:
             condition = None

@@ -476,7 +476,7 @@ def run_exact(circuit: Circuit) -> Distribution:
     """Exact outcome distribution: run_exact_template of the circuit as a
     template without holes, with one key, so a blamed error's circuit
     attribute is 0."""
-    return run_exact_template(CircuitTemplate.of(circuit), [None])[0]
+    return run_exact_template(CircuitTemplate.of(circuit), [""])[0]
 
 
 # noisy simulation ----------------------------------------------------------
@@ -775,4 +775,4 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: int) -> Dis
     """Monte-Carlo trajectory sampling of a lowered circuit: run_noisy_template
     of it as a template without holes, with one key and the seed, so a
     blamed error's circuit attribute is 0."""
-    return run_noisy_template(CircuitTemplate.of(circuit), [None], noise, shots, [seed])[0]
+    return run_noisy_template(CircuitTemplate.of(circuit), [""], noise, shots, [seed])[0]

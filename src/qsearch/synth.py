@@ -20,6 +20,7 @@ from .circuit import (
     Circuit,
     CircuitTemplate,
     Gate,
+    Hole,
     Instruction,
     _cancel_flags,
     cx,
@@ -33,7 +34,6 @@ from .circuit import (
 from .errors import (
     BadArity,
     BadMask,
-    InternalError,
     MethodArityMismatch,
     MissingAncilla,
     ValidationError,
@@ -543,25 +543,20 @@ def lower(circuit: Circuit) -> Circuit:
 def compile(circuit: Circuit) -> Circuit:  # noqa: A001 - the pipeline's name
     """The compile pipeline, lower to 1q/2q gates and then peephole-cancel:
     compile_template's case without holes."""
-    return compile_template(CircuitTemplate.of(circuit)).fill(None, dict(circuit.metadata))
+    return compile_template(CircuitTemplate.of(circuit)).fill("", dict(circuit.metadata))
 
 
 def compile_template(template: CircuitTemplate) -> CircuitTemplate:
     """The template whose fill for each key is compile(template.fill(key)).
 
-    Its fixed parts and each key's holes are lowered through one cache, and
-    a fill keeps, by position, what peephole_cancel keeps.  lower makes of
-    a polarized cx or cz X gates on its 0-polarity controls around the
-    all-ones expansion, so the first key splits each hole that makes only
-    cx and cz gates into a hole per control (its X or nothing), that
-    expansion as a fixed part, and the control holes again; a later key
-    whose split hole makes other gates is refused (InternalError).
+    Its fixed parts are lowered through one cache, and a fill keeps, by
+    position, what peephole_cancel keeps.  An x hole lowers to itself.  lower
+    makes of a cx or cz X gates on its 0-polarity controls around the
+    all-ones expansion, so each cx or cz hole becomes an x hole per marked
+    control, in the gate's control order, that expansion as a fixed part,
+    and the same x holes again.
     """
     return _CompiledTemplate(template)
-
-
-def _shape(gates: list[Instruction]) -> tuple:
-    return tuple((i.gate.name, i.gate.qubits, i.condition) for i in gates)
 
 
 class _CompiledTemplate(CircuitTemplate):
@@ -569,58 +564,36 @@ class _CompiledTemplate(CircuitTemplate):
 
     def __init__(self, source: CircuitTemplate):
         self.n_qubits, self.n_clbits = source.n_qubits, source.n_clbits
-        self._source, self._cache, self._xs = source, {}, {}
-        self._fixed = [tuple(_lowered(part, self._cache)) for part in source._fixed]
-        self._forms = None  # per source hole, once split: the shape it split, or None
+        cache: dict = {}
+        self._fixed, self._holes = [_lowered(source._fixed[0], cache)], []
+        for hole, after in zip(source._holes, source._fixed[1:]):
+            if hole.name == "x":
+                layout = [hole]
+            else:
+                bit = dict(zip(hole.qubits, hole.bits))
+                xs = [Hole("x", (q,), (bit[q],), hole.condition)
+                      for q in hole.instruction.gate.controls() if bit[q] is not None]
+                layout = [*xs, _lowered([hole.instruction], cache), *xs]
+            for part in layout + [_lowered(after, cache)]:
+                if isinstance(part, Hole):
+                    self._holes.append(part)
+                    self._fixed.append([])
+                else:
+                    self._fixed[-1] += part
+        self._fixed = [tuple(part) for part in self._fixed]
         self._last = None  # the last key _kept answered, and its answer
-
-    def _split(self, made: list[list[Instruction]]) -> None:
-        """Lay out the fixed parts around the holes, splitting each source
-        hole that makes only cx and cz gates for the first key (made)."""
-        fixed, self._forms = [list(self._fixed[0])], []
-        for gates, after in zip(made, self._fixed[1:]):
-            split = bool(gates) and all(i.gate.name in ("cx", "cz") for i in gates)
-            self._forms.append(_shape(gates) if split else None)
-            if not split:
-                fixed.append([])  # the part after the one hole
-            for i in gates if split else ():
-                fixed += [[] for _ in i.gate.controls()]  # a part after each control's hole
-                ones = Instruction(replace(i.gate, polarity=None), i.condition)
-                fixed[-1] += _lowered([ones], self._cache)
-                fixed += [[] for _ in i.gate.controls()]
-            fixed[-1] += after
-        self._fixed = [tuple(part) for part in fixed]
-
-    def _x(self, q: int, condition) -> tuple[Instruction]:
-        if (q, condition) not in self._xs:  # one X per wire and condition, shared by every key
-            self._xs[q, condition] = (Instruction(x(q), condition),)
-        return self._xs[q, condition]
 
     def _kept(self, key) -> tuple[list[bool], list[tuple[Instruction, ...]]]:
         # a sampled run asks for its first key twice: for the census, then to
         # plan its walk; one key, not all, as a set may hold 2^16 of them
         if self._last is not None and self._last[0] == key:
             return self._last[1]
-        made = [self._source._made(hole, written, key) for hole, written in self._source._holes]
-        if self._forms is None:
-            self._split(made)
-        holes = []
-        for j, (gates, form) in enumerate(zip(made, self._forms)):
-            if form is None:
-                holes.append(tuple(_lowered(gates, self._cache)))
-                continue
-            if _shape(gates) != form:
-                raise InternalError(f"template hole {j} makes other gates than it split into")
-            for i in gates:
-                xs = [self._x(q, i.condition) if p == 0 else ()
-                      for q, p in zip(i.gate.controls(), i.gate.effective_polarity())]
-                holes += xs + xs
-        kept = _cancel_flags(self._assemble(None, holes), self.n_qubits, self.n_clbits)
+        _, made = super()._kept(key)
+        kept = _cancel_flags(self._assemble(None, made), self.n_qubits, self.n_clbits)
         flags, slots, at = [], [], 0
-        for part, hole in zip(self._fixed, holes):
+        for part, hole in zip(self._fixed, made):
             flags += kept[at:at + len(part)]
             at += len(part) + len(hole)
-            hole_flags = kept[at - len(hole):at]
-            slots.append(hole if all(hole_flags) else tuple(i for i, k in zip(hole, hole_flags) if k))
+            slots.append(hole if all(kept[at - len(hole):at]) else ())
         self._last = key, (flags + kept[at:], slots)
         return self._last[1]

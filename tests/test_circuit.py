@@ -21,6 +21,7 @@ from qsearch.circuit import (
     Circuit,
     CircuitBuilder,
     CircuitTemplate,
+    Hole,
     Instruction,
     barrier,
     census,
@@ -124,9 +125,9 @@ class TestDirectCircuit:
         assert len(calls) == len(c.instructions)
 
     def test_each_fragment_checked_once_per_run(self, monkeypatch):
-        """Over a k-mask run each mask-independent instruction is checked once, and
-        each mask gate once per mask: 1111's circuit is all fragments, and every
-        other mask adds an X on each side of the oracle for each zero bit."""
+        """Over a k-mask run each mask-independent instruction and each hole is
+        checked once, when the plan is made: 1111's circuit is all fragments,
+        and an X hole per oracle qubit occurs on either side of the oracle."""
         checked = []
         real = circuit_module._validate_instruction
         monkeypatch.setattr(
@@ -134,15 +135,17 @@ class TestDirectCircuit:
         )
         masks = [format(v, "04b") for v in range(16)]
         plan = families.plan(FamilyRequest("grover", OracleSpec(4, "0000", "ancilla-relphase")))
+        made = len(checked)
         circuits = [plan.fill(mask) for mask in masks]
-        assert len(checked) == len(circuits[-1].instructions) + sum(2 * m.count("0") for m in masks)
+        assert len(checked) == made == len(circuits[-1].instructions) + 2 * 4
         assert sum(len(c.instructions) for c in circuits) > 8 * len(checked)
 
     @pytest.mark.parametrize("family,uncompute", [("wojter", "measurement-assisted"),
                                                   ("drzewker", "full"), ("wielomianer", "full")])
     def test_every_instruction_of_every_circuit_checked(self, monkeypatch, family, uncompute):
-        """Each instruction object is checked as often as it occurs in one circuit:
-        fragments are shared by the run's circuits, mask gates are each circuit's own."""
+        """Each fixed instruction object is checked as often as it occurs in one
+        circuit, as the run's circuits share it; every other instruction is
+        made by a hole, whose instruction was checked."""
         checked = []
         real = circuit_module._validate_instruction
         monkeypatch.setattr(
@@ -154,11 +157,16 @@ class TestDirectCircuit:
                                                           uncompute=uncompute)
         request = FamilyRequest(family, OracleSpec(n, masks[0], "ancilla-relphase"), **blocks)
         plan = families.plan(request)
-        circuits = [plan.fill(mask) for mask in masks]
+        holes = plan.template._holes
+        fixed = {id(i) for part in plan.template._fixed for i in part}
+        assert holes and {id(hole.instruction) for hole in holes} <= set(map(id, checked))
         most = Counter()
-        for c in circuits:
-            most |= Counter(map(id, c.instructions))
-        assert Counter(map(id, checked)) == most
+        for mask in masks:
+            c = plan.fill(mask)
+            most |= Counter(id(i) for i in c.instructions if id(i) in fixed)
+            made = [i for hole in holes for i in hole.made(mask)]
+            assert Counter(i for i in c.instructions if id(i) not in fixed) == Counter(made)
+        assert Counter(i for i in map(id, checked) if i in fixed) == most
 
     def test_bad_fragment_refused_at_the_first_mask(self, monkeypatch):
         diffuser = synth.diffuser
@@ -171,68 +179,79 @@ class TestDirectCircuit:
 
 
 class TestCircuitTemplate:
-    def test_holes_checked_at_each_fill(self):
-        template = CircuitTemplate(2, 1, [[h(0)], lambda q: [cx(0, q)], [measure(0, 0)]])
-        assert template.fill(1, {}).instructions[1] == Instruction(cx(0, 1))
+    def test_holes_checked_when_the_template_is_made(self):
+        template = CircuitTemplate(2, 1, [[h(0)], Hole("cx", (0, 1), (0,)), [measure(0, 0)]])
+        assert template.fill("1", {}).instructions[1] == Instruction(cx(0, 1))
+        assert template.fill("0", {}).instructions[1] == Instruction(cx(0, 1, polarity=(0,)))
         with pytest.raises(IndexOutOfRange):
-            template.fill(2, {})
+            CircuitTemplate(2, 1, [[h(0)], Hole("cx", (0, 2), (0,)), [measure(0, 0)]])
         with pytest.raises(ValidationError, match="duplicate qubit"):
-            template.fill(0, {})
+            CircuitTemplate(2, 1, [[h(0)], Hole("cx", (0, 0), (0,)), [measure(0, 0)]])
 
     def test_fixed_parts_checked_once_at_construction(self):
         with pytest.raises(IndexOutOfRange):
-            CircuitTemplate(1, 0, [[h(0)], lambda key: [], [x(1)]])
+            CircuitTemplate(1, 0, [[h(0)], Hole("x", (0,), (0,)), [x(1)]])
 
     def test_hole_cannot_measure(self):
-        template = CircuitTemplate(1, 1, [lambda key: [measure(0, 0)]])
-        with pytest.raises(ValidationError, match="cannot measure"):
-            template.fill(None, {})
+        with pytest.raises(ValidationError, match="not 'measure'"):
+            CircuitTemplate(1, 1, [Hole("measure", (0,), (0,))])
+        with pytest.raises(TypeError):  # a hole is a Hole, not a function of the key
+            CircuitTemplate(1, 1, [lambda key: [measure(0, 0)]])
+
+    @pytest.mark.parametrize("args", [("x", (0, 1), (0,)), ("x", (0,), (None,)),
+                                      ("cx", (0, 1), (0, 1)), ("cz", (0, 1), (0,))],
+                             ids=["x-two-qubits", "x-unmarked", "cx-bits", "cz-bits"])
+    def test_hole_bits_cover_its_controls(self, args):
+        with pytest.raises(ValidationError, match="template hole takes"):
+            Hole(*args)
 
     def test_hole_conditions_read_bits_written_before_it(self):
-        def hole(key):
-            return [Instruction(x(1), condition=(0, 1))]
-
-        early = CircuitTemplate(2, 1, [hole, [measure(0, 0)]])
+        hole = Hole("x", (1,), (0,), condition=(0, 1))
         with pytest.raises(UnwrittenClassicalBit):
-            early.fill(None, {})
+            CircuitTemplate(2, 1, [hole, [measure(0, 0)]])
         late = CircuitTemplate(2, 1, [[measure(0, 0)], hole])
-        assert late.fill(None, {}).instructions[1].condition == (0, 1)
+        assert late.fill("0", {}).instructions[1].condition == (0, 1)
+        assert len(late.fill("1", {}).instructions) == 1
 
     def test_each_fill_owns_its_hole_gates_and_metadata(self):
-        template = CircuitTemplate(2, 0, [[h(0)], lambda q: [x(q)], [h(1)]])
-        a, b = template.fill(0, {"k": 0}), template.fill(1, {"k": 1})
+        template = CircuitTemplate(2, 0, [[h(0)], Hole("x", (0,), (0,)), Hole("x", (1,), (1,)),
+                                          [h(1)]])
+        a, b = template.fill("01", {"k": 0}), template.fill("10", {"k": 1})
         assert [i.gate for i in a.instructions] == [h(0), x(0), h(1)]
         assert [i.gate for i in b.instructions] == [h(0), x(1), h(1)]
         assert a.instructions[0] is b.instructions[0]
         assert (a.metadata, b.metadata) == ({"k": 0}, {"k": 1})
 
-    @staticmethod
-    def x_on(q):
-        return lambda key: [x(q)] if key == 0 else []
+    def test_marked_holes_fill_as_the_constructors_make(self):
+        """Marked controls take their key bit's polarity, unmarked ones 1."""
+        cz_hole = Hole("cz", (2, 0, 1), (None, 1, 0))
+        cx_hole = Hole("cx", (2, 0, 1), (1, None), condition=(0, 0))
+        template = CircuitTemplate(3, 1, [[measure(0, 0)], cz_hole, cx_hole])
+        for key in ("00", "01", "10", "11"):
+            a, b = int(key[0]), int(key[1])
+            assert template.fill(key).instructions[1:] == (
+                Instruction(cz(2, 0, 1, polarity=(1, b, a))),
+                Instruction(cx(2, 0, 1, polarity=(b, 1)), (0, 0)))
 
     def test_tidied_fills_what_the_passes_keep(self):
-        """Key 0's X pair on wire 0 cancels across the gates on wire 1, so both
+        """Key 00's X pair on wire 0 cancels across the gates on wire 1, so both
         of those holes go; the X on wire 1 stays a hole."""
-        parts = [[h(0), h(1)], self.x_on(0), [rz(0.5, 1), h(1)], self.x_on(0), self.x_on(1),
-                 [measure(0, 0), measure(1, 1)]]
+        x0, x1 = Hole("x", (0,), (0,)), Hole("x", (1,), (1,))
+        parts = [[h(0), h(1)], x0, [rz(0.5, 1), h(1)], x0, x1, [measure(0, 0), measure(1, 1)]]
         template = CircuitTemplate(2, 2, parts)
-        tidied = template.tidied(0, 1)
-        assert len(tidied._holes) == 1
-        for key in (0, 1):
+        tidied = template.tidied("00", "11")
+        assert tidied._holes == [x1]
+        for key in ("00", "01", "10", "11"):
             tidy = strip_trailing_uncompute(peephole_cancel(template.fill(key, {})))
             assert tidied.fill(key, {"k": key}).instructions == tidy.instructions
-        assert x(1) in [i.gate for i in tidied.fill(0, {}).instructions]
-
-    def test_tidied_refuses_a_partly_kept_hole(self):
-        template = CircuitTemplate(1, 1, [[h(0)], lambda key: [h(0), x(0)], [measure(0, 0)]])
-        with pytest.raises(InternalError, match="keep only part of template hole 0$"):
-            template.tidied(0, 1)
+        assert x(1) in [i.gate for i in tidied.fill("00", {}).instructions]
 
     def test_tidied_refuses_a_key_dependent_tidy(self):
         """Key 0's X cancels the fixed X after it; without it the fixed X stays."""
-        template = CircuitTemplate(1, 1, [[h(0)], self.x_on(0), [x(0), h(0), measure(0, 0)]])
-        with pytest.raises(InternalError, match="keep other gates for key 1$"):
-            template.tidied(0, 1)
+        template = CircuitTemplate(1, 1, [[h(0)], Hole("x", (0,), (0,)),
+                                          [x(0), h(0), measure(0, 0)]])
+        with pytest.raises(InternalError, match="keep other gates for key '1'$"):
+            template.tidied("0", "1")
 
 
 class TestCensus:
@@ -418,7 +437,7 @@ class TestStripTrailing:
 
     def test_keeps_live_gates(self):
         b = CircuitBuilder(2, 2)
-        b.h(0).cx(0, 1).measure(0, 0).measure(1, 1)
+        b.h(0).add(cx(0, 1)).measure(0, 0).measure(1, 1)
         c = b.build()
         assert strip_trailing_uncompute(c).instructions == c.instructions
 
@@ -452,6 +471,19 @@ class TestSerialization:
         assert exc.value.line == 2
         assert isinstance(exc.value, ValidationError)
         assert not isinstance(exc.value.__cause__, ParseError)  # wrapped once at most
+
+    @pytest.mark.parametrize("text", ["# meta: [1, 2]", '# meta: "x"', "qreg q[3];", "creg c[2];",
+                                      "creg c[1]; h q[0];"])
+    def test_bad_header_names_its_line(self, text):
+        """Metadata that is not a JSON object, and a second register
+        declaration, are refused on their line."""
+        with pytest.raises(ParseError, match="^line 2, ") as exc:
+            parse(f"qreg q[2]; creg c[1];\n{text}\nh q[1];\n")
+        assert exc.value.line == 2
+
+    def test_second_qreg_on_one_line_refused(self):
+        with pytest.raises(ParseError, match="^line 1, col 0: second qreg declaration$"):
+            parse("qreg q[2]; qreg q[3]; h q[2];")
 
     def test_non_finite_rz_refused(self):
         text = "qreg q[1]; creg c[1]; h q[0]; rz(nan) q[0]; h q[0]; measure q[0] -> c[0];"

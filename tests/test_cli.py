@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import binom_sigma, terminal_split
 from qsearch import cli, families, qasm, sim, synth
-from qsearch.circuit import CircuitTemplate, Instruction, census, cz, rz
+from qsearch.circuit import CircuitTemplate, Hole, Instruction, census, cz, rz
 from qsearch.cli import (
     ExperimentConfig,
     _census_dict,
@@ -506,6 +506,16 @@ class TestConfig:
         assert exc.value.code == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_plot_rejects_non_finite_averages(self, value, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(f'{{"config": {{"n": 1}}, "relabeled_theoretical": [{value}, 0.5], '
+                        '"relabeled_average": [0.5, 0.5]}')
+        assert main(["plot", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: report: {path} has malformed relabeled averages\n")
+        assert not (tmp_path / "report.csv").exists()
+
     def test_plot_rejects_non_report(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n": 3}))
@@ -622,7 +632,7 @@ class TestExactBatches:
         template = families.plan(cfg.validate()).template
         gates = sum(i.gate.name not in ("measure", "barrier") for part in template._fixed for i in part)
         for hole in template._holes:
-            gates += sum(map(len, {tuple(template._made(*hole, m)) for m in masks}))
+            gates += sum(map(len, {hole.made(m) for m in masks}))
         calls = [0]
         apply_gate = sim._apply_gate
 
@@ -658,7 +668,7 @@ class TestExactBatches:
             raise AssertionError("made a hole or ran a gate before checking the exact width")
 
         compiled, compile_template = [], synth.compile_template
-        monkeypatch.setattr(CircuitTemplate, "_made", unexpected)
+        monkeypatch.setattr(Hole, "made", unexpected)
         monkeypatch.setattr(sim, "_apply_gate", unexpected)
         monkeypatch.setattr(synth, "compile_template",
                             lambda t: compiled.append(t) or compile_template(t))
@@ -673,24 +683,14 @@ class TestExactBatches:
         assert compiled == []
 
     def test_error_names_the_failing_mask(self, tmp_path, monkeypatch, capsys):
-        # mask 101's hole makes a NaN rz: refused as it is made, or, past the
-        # check, drifting only 101's norm
-        made = CircuitTemplate._made
+        # mask 101's holes each make a NaN rz too, which drifts only 101's norm
+        made = Hole.made
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"oracle_set": ["110", "101", "011"]}))
-        for checked, message in ((True, "rz angle nan is not finite"),
-                                 (False, "statevector norm drifted")):
-            def nan_for_101(template, hole, written, mask, checked=checked):
-                out = made(template, hole, written, mask)
-                if mask != "101":
-                    return out
-                if checked:
-                    return made(template, lambda _: [rz(float("nan"), 0)], written, mask)
-                return [Instruction(rz(float("nan"), 0))] + out
-
-            monkeypatch.setattr(CircuitTemplate, "_made", nan_for_101)
-            assert main(["run", "--n", "3", "--config", str(path), "--out", str(tmp_path)]) == 1
-            assert capsys.readouterr().err == f"error: oracle 101: {message}\n"
+        monkeypatch.setattr(Hole, "made", lambda hole, mask: made(hole, mask) if mask != "101"
+                            else (Instruction(rz(float("nan"), 0)), *made(hole, mask)))
+        assert main(["run", "--n", "3", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: oracle 101: statevector norm drifted\n"
 
     @pytest.mark.parametrize("masks", [["101"], ["110", "101"]], ids=["census", "sampler"])
     def test_named_error_keeps_its_class(self, masks, tmp_path, monkeypatch, capsys):

@@ -10,7 +10,7 @@ import pytest
 from conftest import family_requests, per_mask_tidy_reference, run_deferred, tv_distance
 from qsearch import circuit as circuit_module
 from qsearch import cli, families, qasm, sim, synth
-from qsearch.circuit import CircuitTemplate, census, x
+from qsearch.circuit import CircuitTemplate, Hole, census, x
 from qsearch.errors import (
     BadDiffuserSize,
     BadMask,
@@ -541,9 +541,28 @@ class TestBuildMasks:
             (template,) = templates
             positions = Counter(id(i) for part in template._fixed for i in part)
             kept = set(map(id, first.instructions)).intersection(
-                *(map(id, c.instructions) for c in rest))
+                *(map(id, c.instructions) for c in rest)) - {id(h.instruction) for h in template._holes}
             assert kept and kept <= set(positions)
             assert {k: checked[k] for k in kept} == {k: positions[k] for k in kept}
+
+    def test_each_hole_checked_once_per_plan(self, monkeypatch):
+        """One plan and the fills of all its masks check each fixed instruction
+        and each hole once, when the template is made: no fill checks any."""
+        parts, calls = [], []
+        init, validate = CircuitTemplate.__init__, circuit_module._validate_instruction
+        monkeypatch.setattr(CircuitTemplate, "__init__", lambda self, n_qubits, n_clbits, given:
+                            parts.extend(given) or init(self, n_qubits, n_clbits, given))
+        monkeypatch.setattr(circuit_module, "_validate_instruction",
+                            lambda *args: calls.append(args[-1]) or validate(*args))
+        request = FamilyRequest("drzewker", OracleSpec(5, "00000", "ancilla-relphase"),
+                                partition=Partition((3, 2)))
+        plan = families.plan(request)
+        holes = [part for part in parts if isinstance(part, Hole)]
+        fixed = [i for part in parts if not isinstance(part, Hole) for i in part]
+        assert len(holes) == 3 * (2 * 3 + 1)  # per call, an X per block-1 qubit each side, a cz
+        assert len(calls) == len(fixed) + len(holes)
+        assert all(plan.fill(format(v, "05b")) for v in range(32))
+        assert len(calls) == len(fixed) + len(holes)
 
     def test_probe_gate_cancelling_a_fixed_gate_is_an_internal_error(
         self, monkeypatch, tmp_path, capsys

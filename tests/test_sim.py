@@ -30,6 +30,7 @@ from qsearch.circuit import (
     Circuit,
     CircuitBuilder,
     CircuitTemplate,
+    Hole,
     Instruction,
     cx,
     cz,
@@ -50,6 +51,17 @@ from qsearch.errors import (
 from qsearch.families import FamilyRequest
 from qsearch.sim import Distribution, NoiseModel
 from qsearch.synth import OracleSpec
+
+
+# key q's X on qubit q, for keys "01" and "10"
+X_ON = [Hole("x", (0,), (0,)), Hole("x", (1,), (1,))]
+
+
+def nan_for_1(monkeypatch):
+    """Make each hole's gate for key "1" an rz of NaN, which no check refuses."""
+    made = Hole.made
+    monkeypatch.setattr(Hole, "made", lambda hole, key: (Instruction(rz(float("nan"), 0)),)
+                        if key == "1" else made(hole, key))
 
 
 def all_masks(n: int) -> list[str]:
@@ -266,31 +278,32 @@ class TestRunExactBatch:
         histograms = sim._terminal_histograms
         monkeypatch.setattr(sim, "_terminal_histograms",
                             lambda *args: calls.append(args[-1]) or histograms(*args))
-        sim.run_exact_template(CircuitTemplate(2, 0, [[h(0)], lambda q: [x(q)]]), [0, 1, 0])
-        measured = CircuitTemplate(2, 1, [[h(0)], lambda q: [x(q)], [h(1), measure(1, 0)]])
-        sim.run_exact_template(measured, [0, 1, 0, 1])
+        sim.run_exact_template(CircuitTemplate(2, 0, [[h(0)], *X_ON]), ["01", "10", "01"])
+        measured = CircuitTemplate(2, 1, [[h(0)], *X_ON, [h(1), measure(1, 0)]])
+        sim.run_exact_template(measured, ["01", "10", "01", "10"])
         assert calls == [3, 4]
 
     def test_shared_instruction_runs_once(self, monkeypatch):
         calls = []
         apply_gate = sim._apply_gate
         monkeypatch.setattr(sim, "_apply_gate", lambda s, g, n: calls.append(g) or apply_gate(s, g, n))
-        template = CircuitTemplate(2, 0, [[h(0), h(1)], lambda q: [x(q)], [cz(0, 1)]])
-        dists = sim.run_exact_template(template, [0, 1, 0])
+        template = CircuitTemplate(2, 0, [[h(0), h(1)], *X_ON, [cz(0, 1)]])
+        keys = ["01", "10", "01"]
+        dists = sim.run_exact_template(template, keys)
         # the fixed h(0), h(1) and cz(0, 1) once each for all three keys; the
         # hole's x(0) once for two keys, x(1) once
         assert [(g.name, g.qubits) for g in calls] == [
             ("h", (0,)), ("h", (1,)), ("x", (0,)), ("x", (1,)), ("cz", (0, 1))]
         assert dists[0].probabilities.tolist() == dists[2].probabilities.tolist()
-        for key, d in zip([0, 1, 0], dists):
+        for key, d in zip(keys, dists):
             assert d.probabilities.tolist() == sim.run_exact(template.fill(key, {})).probabilities.tolist()
 
     def test_mid_circuit_measurements_branch_per_circuit(self):
-        # key 1 puts wire 0 in superposition before it is measured, key 0 does
-        # not: one group holds branching and plain keys alike
-        template = CircuitTemplate(2, 2, [[h(1)], lambda k: [h(0)] * k,
+        # key 0 entangles wire 0 with wire 1 before wire 0 is measured, key 1
+        # does not, as wire 2 is |0>: one group holds branching and plain keys alike
+        template = CircuitTemplate(3, 2, [[h(1)], Hole("cx", (2, 1, 0), (0, None)),
                                           [measure(0, 0), Instruction(x(1), (0, 1)), measure(1, 1)]])
-        for keys in ([1, 0], [0, 1, 1]):
+        for keys in (["0", "1"], ["1", "0", "0"]):
             for key, d in zip(keys, sim.run_exact_template(template, keys)):
                 assert d.probabilities.tolist() == sim.run_exact(template.fill(key, {})).probabilities.tolist()
 
@@ -301,12 +314,10 @@ class TestRunExactBatch:
         with pytest.raises(ValidationError, match="norm drifted") as info:
             sim.run_exact(Circuit._trusted(1, 1, tuple(Instruction(g) for g in ops), {}))
         assert info.value.circuit == 0
-        nan = float("nan")
-        template = CircuitTemplate(1, 1, [[h(0)], lambda a: [rz(a, 0)], [h(0), measure(0, 0)]])
-        monkeypatch.setattr(CircuitTemplate, "_made",
-                            lambda self, hole, written, key: [Instruction(g) for g in hole(key)])
+        template = CircuitTemplate(1, 1, [[h(0)], Hole("x", (0,), (0,)), [h(0), measure(0, 0)]])
+        nan_for_1(monkeypatch)
         with pytest.raises(ValidationError, match="norm drifted") as info:
-            sim.run_exact_template(template, [0.1, nan, 0.2, nan])
+            sim.run_exact_template(template, ["0", "1", "0", "1"])
         assert info.value.circuit == 1
         monkeypatch.setattr(sim, "MAX_EXACT_WIDTH", 2)
         wide = frag_circuit([h(0), measure(0, 0), h(0), measure(0, 1), h(0), measure(0, 2)], 1, 3)
@@ -365,21 +376,20 @@ class TestRunExactBatch:
         assert all(np.array_equal(d.probabilities, w.probabilities) for d, w in zip(got, want))
 
     def test_error_in_a_later_group_names_its_circuit(self, monkeypatch):
-        # two keys of two amplitudes per group; key 3's hole makes an rz that
+        # two keys of two amplitudes per group; key 3's hole makes an X that
         # fails in the kernel, in the second group
         apply_gate = sim._apply_gate
 
         def failing(state, gate, n):
-            if gate.name == "rz":
-                raise UndefinedGateSemantics("marked rz")
+            if gate.name == "x":
+                raise UndefinedGateSemantics("marked x")
             apply_gate(state, gate, n)
 
         monkeypatch.setattr(sim, "_apply_gate", failing)
         monkeypatch.setattr(sim, "_BLOCK", 4)
-        template = CircuitTemplate(1, 1, [[h(0)], lambda k: [rz(0.125, 0)] if k == 3 else [x(0)],
-                                          [h(0), measure(0, 0)]])
+        template = CircuitTemplate(1, 1, [[h(0)], Hole("x", (0,), (0,)), [h(0), measure(0, 0)]])
         with pytest.raises(UndefinedGateSemantics) as info:
-            sim.run_exact_template(template, [0, 1, 2, 3, 4])
+            sim.run_exact_template(template, ["1", "1", "1", "0", "1"])
         assert info.value.circuit == 3
 
 
@@ -406,7 +416,7 @@ class TestRunExactTemplate:
 
         plan = families.plan(FamilyRequest(
             "grover", OracleSpec(10, "0" * 10, "measurement-assisted"), iterations=3))
-        monkeypatch.setattr(CircuitTemplate, "_made", unexpected)
+        monkeypatch.setattr(Hole, "made", unexpected)
         monkeypatch.setattr(sim, "_apply_gate", unexpected)
         with pytest.raises(TooWide, match="^14 qubits and 12 mid-circuit measurements exceed "
                                           "exact limit 24$") as info:
@@ -415,32 +425,24 @@ class TestRunExactTemplate:
 
     @pytest.mark.parametrize("block", [None, 4])
     def test_hole_errors_name_their_key(self, block, monkeypatch):
-        # a hole that makes a bad gate for one key is refused as it makes it;
-        # one whose gate slips past the check drifts the norm of its key only
+        # a hole whose gate for one key is bad drifts the norm of that key only
         if block is not None:
             monkeypatch.setattr(sim, "_BLOCK", block)  # one key per group
-        nan = float("nan")
-        checked = CircuitTemplate(1, 1, [[h(0)], lambda a: [rz(a, 0)], [h(0), measure(0, 0)]])
-        with pytest.raises(ValidationError, match="rz angle nan is not finite") as info:
-            sim.run_exact_template(checked, [0.1, 0.2, 0.3, nan, 0.5])
-        assert info.value.circuit == 3
-        unchecked = CircuitTemplate(1, 1, [[h(0)], lambda a: [rz(a, 0)], [h(0), measure(0, 0)]])
-        monkeypatch.setattr(CircuitTemplate, "_made",
-                            lambda self, hole, written, key: [Instruction(g) for g in hole(key)])
+        template = CircuitTemplate(1, 1, [[h(0)], Hole("x", (0,), (0,)), [h(0), measure(0, 0)]])
+        nan_for_1(monkeypatch)
         with pytest.raises(ValidationError, match="norm drifted") as info:
-            sim.run_exact_template(unchecked, [0.1, 0.2, 0.3, nan, 0.5])
+            sim.run_exact_template(template, ["0", "0", "0", "1", "0"])
         assert info.value.circuit == 3
 
     def test_split_that_a_key_could_move_refused(self):
         # for a key whose hole makes nothing, measure(0, 0) would be terminal too
-        template = CircuitTemplate(2, 2, [[h(0), measure(0, 0)], lambda k: [x(1)] * k,
-                                          [measure(1, 1)]])
+        x1 = Hole("x", (1,), (0,))
+        template = CircuitTemplate(2, 2, [[h(0), measure(0, 0)], x1, [measure(1, 1)]])
         with pytest.raises(InternalError, match="terminal measurements") as info:
-            sim.run_exact_template(template, [0, 1])
+            sim.run_exact_template(template, ["1", "0"])
         assert info.value.circuit == 0
-        template = CircuitTemplate(2, 2, [[h(0), measure(0, 0)], lambda k: [x(1)] * k,
-                                          [h(1), measure(1, 1)]])
-        for key, d in zip([0, 1], sim.run_exact_template(template, [0, 1])):
+        template = CircuitTemplate(2, 2, [[h(0), measure(0, 0)], x1, [h(1), measure(1, 1)]])
+        for key, d in zip(["1", "0"], sim.run_exact_template(template, ["1", "0"])):
             assert d.probabilities.tolist() == sim.run_exact(template.fill(key, {})).probabilities.tolist()
 
     def test_no_keys(self):
@@ -576,14 +578,14 @@ class TestRunNoisyBatch:
         calls = []
         apply_gate = sim._apply_gate
         monkeypatch.setattr(sim, "_apply_gate", lambda s, g, n: calls.append(g) or apply_gate(s, g, n))
-        template = CircuitTemplate(2, 0, [[h(0), h(1)], lambda q: [x(q)], [cz(0, 1)]])
-        sim.run_noisy_template(template, [0, 1, 0], NoiseModel(), 50, [1, 2, 3])
+        template = CircuitTemplate(2, 0, [[h(0), h(1)], *X_ON, [cz(0, 1)]])
+        sim.run_noisy_template(template, ["01", "10", "01"], NoiseModel(), 50, [1, 2, 3])
         assert sorted(g.name for g in calls) == ["cz", "h", "h", "x", "x"]
 
     def test_one_seed_per_circuit(self):
         template = CircuitTemplate(1, 0, [[h(0)]])
         with pytest.raises(ValidationError, match="2 keys need as many seeds, got 1"):
-            sim.run_noisy_template(template, [None, None], NoiseModel(), 10, [0])
+            sim.run_noisy_template(template, ["", ""], NoiseModel(), 10, [0])
         assert sim.run_noisy_template(template, [], NoiseModel(), 10, []) == []
 
     def test_errors_name_their_circuit(self, monkeypatch):
@@ -594,17 +596,17 @@ class TestRunNoisyBatch:
         assert info.value.circuit == 0
         good = frag_circuit([h(0), cx(0, 1)], 2)
         alone = [sim.run_noisy(good, self.NOISE, 10, s).counts.tolist() for s in (0, 1)]
-        longer = CircuitTemplate(2, 0, [[h(0), cx(0, 1)], lambda k: [h(0), cx(0, 1)] * 7 * k])
-        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", noisy_needs(CircuitTemplate.of(good), [None], 10)[0])
+        longer = CircuitTemplate(2, 0, [[h(0), cx(0, 1)], *[Hole("x", (0,), (0,))] * 14])
+        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", noisy_needs(CircuitTemplate.of(good), [""], 10)[0])
         with pytest.raises(OverBudget, match="10 trajectories of 35 uniforms") as info:
-            sim.run_noisy_template(longer, [0, 1], NoiseModel(), 10, [0, 1])
+            sim.run_noisy_template(longer, ["1", "0"], NoiseModel(), 10, [0, 1])
         assert info.value.circuit == 1
         # each of two keys fits the budget, both together do not: two groups
         sizes = []
         noisy_group = sim._noisy_group
         monkeypatch.setattr(sim, "_noisy_group", lambda template, split, kept, *args:
                             sizes.append(len(kept)) or noisy_group(template, split, kept, *args))
-        got = sim.run_noisy_template(CircuitTemplate.of(good), [None, None], self.NOISE, 10, [0, 1])
+        got = sim.run_noisy_template(CircuitTemplate.of(good), ["", ""], self.NOISE, 10, [0, 1])
         assert sizes == [1, 1]
         assert [d.counts.tolist() for d in got] == alone
 
@@ -626,25 +628,27 @@ class TestRunNoisyBatch:
         assert [d.counts.tolist() for d in got] == [d.counts.tolist() for d in want]
 
     def test_error_in_a_later_group_names_its_circuit(self, monkeypatch):
-        # key 2's hole makes a gate on three qubits, or an rz that fails in the kernel
-        template = CircuitTemplate(3, 0, [[h(0)], lambda k: [cz(0, 1, 2)] if k == 2 else [cx(0, 1)],
-                                          [h(1)]])
-        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", noisy_needs(template, [0], 10)[0])
-        with pytest.raises(NotLowered) as info:  # refused by its plan, before any group
-            sim.run_noisy_template(template, [0, 1, 2], self.NOISE, 10, [0, 1, 2])
+        # key 2's hole makes a gate on three qubits, or a cx on a 0-polarity
+        # control that fails in the kernel
+        template = CircuitTemplate(3, 0, [[h(0)], Hole("cx", (0, 1), (0,)), [h(1)]])
+        monkeypatch.setattr(sim, "MAX_NOISY_BYTES", noisy_needs(template, ["1"], 10)[0])
+        made = Hole.made
+        with monkeypatch.context() as patch:
+            patch.setattr(Hole, "made", lambda hole, key: (Instruction(cz(0, 1, 2)),) if key == "0"
+                          else made(hole, key))
+            with pytest.raises(NotLowered) as info:  # refused by its plan, before any group
+                sim.run_noisy_template(template, ["1", "1", "0"], self.NOISE, 10, [0, 1, 2])
         assert info.value.circuit == 2
         apply_gate = sim._apply_gate
 
         def failing(state, gate, n):
-            if gate.name == "rz":
-                raise UndefinedGateSemantics("marked rz")
+            if gate.polarity == (0,):
+                raise UndefinedGateSemantics("marked cx")
             apply_gate(state, gate, n)
 
         monkeypatch.setattr(sim, "_apply_gate", failing)
-        template = CircuitTemplate(3, 0, [[h(0)], lambda k: [rz(0.125, 1)] if k == 2 else [cx(0, 1)],
-                                          [h(1)]])
         with pytest.raises(UndefinedGateSemantics) as info:  # one key per group
-            sim.run_noisy_template(template, [0, 1, 2, 3], self.NOISE, 10, [0, 1, 2, 3])
+            sim.run_noisy_template(template, ["1", "1", "0", "1"], self.NOISE, 10, [0, 1, 2, 3])
         assert info.value.circuit == 2
 
 

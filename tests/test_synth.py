@@ -23,6 +23,7 @@ from qsearch import families, sim, synth
 from qsearch.circuit import (
     CircuitBuilder,
     CircuitTemplate,
+    Hole,
     census,
     cx,
     cz,
@@ -34,7 +35,6 @@ from qsearch.circuit import (
 from qsearch.errors import (
     BadArity,
     BadMask,
-    InternalError,
     MethodArityMismatch,
     MissingAncilla,
 )
@@ -356,24 +356,20 @@ class TestCompileTemplate:
                 assert want.instructions == peephole_cancel(synth.lower(plan.fill(mask))).instructions
                 assert compiled.fill(mask).instructions == want.instructions, (request, mask)
 
-    def test_split_hole_refuses_other_wires(self):
-        # the first key splits the hole's polarized cz; key 2's cz on other
-        # wires would need another layout
-        def marked(k):
-            return [cz(0, 1, 2, polarity=(k & 1, 1, 0))] if k < 2 else [cz(0, 1, polarity=(0, 1))]
-
-        template = CircuitTemplate(3, 3, [[h(0), h(1), h(2)], marked,
+    def test_marked_holes_split_by_construction(self):
+        # a cz hole with two marked controls and an unmarked one, then a
+        # conditioned cx hole: an x hole per marked control, in the gate's
+        # control order, on each side of the all-ones expansion
+        template = CircuitTemplate(4, 4, [[h(0), h(1), h(2), h(3), measure(3, 3)],
+                                          Hole("cz", (2, 0, 1), (1, None, 0)),
+                                          Hole("cx", (0, 1, 2), (None, 1), condition=(3, 1)),
                                           [h(2), measure(0, 0), measure(1, 1), measure(2, 2)]])
         compiled = synth.compile_template(template)
-        for k in (0, 1):
-            assert compiled.fill(k).instructions == synth.compile(template.fill(k)).instructions
+        assert compiled._holes == [Hole("x", (1,), (0,)), Hole("x", (2,), (1,))] * 2 + [
+            Hole("x", (1,), (1,), condition=(3, 1))] * 2
+        for key in ("00", "01", "10", "11"):
+            assert compiled.fill(key).instructions == synth.compile(template.fill(key)).instructions
         assert synth.lower(frag_circuit([cz(0, 1, 2)], 3)).instructions in compiled._fixed
-        with pytest.raises(InternalError, match="hole 0 makes other gates than it split into"):
-            compiled.fill(2)
-        with pytest.raises(InternalError) as info:
-            sim.run_noisy_template(synth.compile_template(template), [0, 1, 2],
-                                   sim.NoiseModel(), 8, [0, 1, 2])
-        assert info.value.circuit == 2
 
 
 def distance_on_states(a, b, n_qubits, n_states=4):
