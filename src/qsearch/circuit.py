@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
 
+import numpy as np
+
 from .errors import (
+    BadMask,
     IndexOutOfRange,
     InternalError,
     NotLowered,
@@ -300,7 +303,7 @@ class Hole:
 
 class CircuitTemplate:
     """Circuits that share all but a few gates, each made by filling one
-    template for its key, a mask string.
+    template for its key, a mask string of key_width bits.
 
     `parts` lists, in circuit order, gate lists and holes (Hole).  Each is
     checked once, here, as CircuitBuilder.extend checks it: a gate list
@@ -308,10 +311,11 @@ class CircuitTemplate:
     (Hole.instruction).  What a hole makes for any key is nothing or that
     instruction with other polarities, and it measures nothing, so the bits
     written before every instruction, and with them every check, are the
-    same for every key.
+    same for every key.  key_width defaults to the fewest bits the holes
+    read.
     """
 
-    def __init__(self, n_qubits: int, n_clbits: int, parts) -> None:
+    def __init__(self, n_qubits: int, n_clbits: int, parts, key_width: int | None = None) -> None:
         builder = CircuitBuilder(n_qubits, n_clbits)
         done = builder._instructions
         self.n_qubits, self.n_clbits = n_qubits, n_clbits
@@ -327,30 +331,52 @@ class CircuitTemplate:
             else:
                 builder.extend(part)
         self._fixed.append(tuple(done[start:]))
+        if key_width is None:
+            key_width = 1 + max((b for hole in self._holes for b in hole.bits if b is not None),
+                                default=-1)
+        self.key_width = key_width
 
     @classmethod
     def _trusted(
-        cls, n_qubits: int, n_clbits: int, fixed: list, holes: list
+        cls, n_qubits: int, n_clbits: int, fixed: list, holes: list, key_width: int
     ) -> "CircuitTemplate":
         """Make a template of checked fixed parts and holes without checking them again."""
         template = object.__new__(cls)
         template.n_qubits, template.n_clbits = n_qubits, n_clbits
-        template._fixed, template._holes = fixed, holes
+        template._fixed, template._holes, template.key_width = fixed, holes, key_width
         return template
 
     @classmethod
     def of(cls, circuit: Circuit) -> "CircuitTemplate":
-        """The template without holes whose fill, for any key, is circuit."""
-        return cls._trusted(circuit.n_qubits, circuit.n_clbits, [circuit.instructions], [])
+        """The template without holes whose fill, for the key "", is circuit."""
+        return cls._trusted(circuit.n_qubits, circuit.n_clbits, [circuit.instructions], [], 0)
 
-    def _kept(self, key) -> tuple[list[bool] | None, list[tuple[Instruction, ...]]]:
+    def key_bits(self, keys: list) -> np.ndarray:
+        """The keys' bits as a (keys, key_width) bool table, True for "1";
+        BadMask, its circuit set to the key's index, refuses a key that is
+        not a string of key_width "0"s and "1"s."""
+        width = self.key_width
+        for i, key in enumerate(keys):
+            if not isinstance(key, str) or len(key) != width or key.strip("01"):
+                exc = BadMask(f"key {key!r} is not a mask of {width} bits")
+                exc.circuit = i
+                raise exc
+        flat = np.frombuffer("".join(keys).encode(), dtype=np.uint8) == ord("1")
+        return flat.reshape(len(keys), width)
+
+    def _kept(self, key) -> tuple[list[bool] | None, list[tuple[Instruction, ...]] | None]:
         """What the fill for key keeps: a flag per fixed instruction, over
-        every fixed part in order (None: every one is kept), and the
-        instructions each hole makes."""
-        return None, [hole.made(key) for hole in self._holes]
+        every fixed part in order, and the instructions each hole makes;
+        None for either: every fixed instruction, and what each hole makes
+        for key (Hole.made)."""
+        return None, None
+
+    def _made(self, key, made=None) -> list[tuple[Instruction, ...]]:
+        """made as _kept gives it for key, with None made explicit."""
+        return [hole.made(key) for hole in self._holes] if made is None else made
 
     def _assemble(self, flags, made) -> list[Instruction]:
-        """The fill that _kept's flags and hole instructions describe."""
+        """The fill that _kept's flags and the holes' instructions describe."""
         out, at = [], 0
         for part, slot in zip(self._fixed, [*made, ()]):
             out += part if flags is None else [i for i, k in zip(part, flags[at:at + len(part)]) if k]
@@ -359,8 +385,11 @@ class CircuitTemplate:
         return out
 
     def fill(self, key, metadata: dict | None = None) -> Circuit:
-        """The circuit with every hole filled for key; it keeps metadata as given."""
-        out = self._assemble(*self._kept(key))
+        """The circuit with every hole filled for key, refused as key_bits
+        refuses it; it keeps metadata as given."""
+        self.key_bits([key])
+        flags, made = self._kept(key)
+        out = self._assemble(flags, self._made(key, made))
         return Circuit._trusted(self.n_qubits, self.n_clbits, tuple(out), metadata or {})
 
     def tidied(self, probe, check) -> "CircuitTemplate":
@@ -374,7 +403,7 @@ class CircuitTemplate:
         the holes make the fewest gates, other than what the passes make of
         this template's.
         """
-        _, made = self._kept(probe)
+        made = self._made(probe)
         ops = self._assemble(None, made)
         kept = _cancel_flags(ops, self.n_qubits, self.n_clbits)
         survivors = [j for j, k in enumerate(kept) if k]
@@ -387,7 +416,7 @@ class CircuitTemplate:
             if hole is not None and all(kept[at - len(slot):at]):
                 holes.append(hole)
                 fixed.append(())
-        tidied = CircuitTemplate._trusted(self.n_qubits, self.n_clbits, fixed, holes)
+        tidied = CircuitTemplate._trusted(self.n_qubits, self.n_clbits, fixed, holes, self.key_width)
         passes = strip_trailing_uncompute(peephole_cancel(self.fill(check)))
         if passes.instructions != tidied.fill(check).instructions:
             raise InternalError(

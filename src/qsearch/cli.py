@@ -194,14 +194,15 @@ def _named(exc: QsearchError, masks: list[str], at: int) -> QsearchError:
 
 def _exact_oracles(
     cfg: ExperimentConfig, request: FamilyRequest
-) -> tuple[list[tuple], dict, int, CircuitTemplate]:
+) -> tuple[list[tuple], dict, int, sim.NoisyTemplatePlan | None]:
     """Plan the set's oracles by one families.plan call and walk the plan's
     template once for every mask's exact distribution: (mask, data bits,
     exact data-bit distribution) per mask, the first mask's compiled census,
-    the oracle calls per circuit and the compiled template that a sampled
-    run walks.  Too many calls are refused before any build, and a template
-    too wide to simulate exactly before any hole, naming the first mask.
-    Nothing here depends on the noise or the seed.
+    the oracle calls per circuit and, when cfg samples, the compiled
+    template's noisy plan of the masks (sim.plan_noisy_template).  Too many
+    calls are refused before any build, and a template too wide to simulate
+    exactly before any hole, naming the first mask.  Nothing here depends
+    on the noise or the seed.
     """
     masks = resolve_masks(cfg)
     analysis.classical_baselines(cfg.n, request.oracle_calls)  # refuses calls outside 1..2^n
@@ -211,10 +212,11 @@ def _exact_oracles(
         dists = sim.run_exact_template(plan.template, masks)
         compiled = synth.compile_template(plan.template)
         census_dict = _census_dict(census(compiled.fill(masks[0])))
+        sampler = sim.plan_noisy_template(compiled, masks, cfg.shots) if cfg.shots > 0 else None
     except QsearchError as exc:
         raise _named(exc, masks, 0)
     oracles = [(mask, data_bits, dist.marginal(data_bits)) for mask, dist in zip(masks, dists)]
-    return oracles, census_dict, request.oracle_calls, compiled
+    return oracles, census_dict, request.oracle_calls, sampler
 
 
 def _noise_model(cfg: ExperimentConfig) -> sim.NoiseModel:
@@ -231,9 +233,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def _report(cfg: ExperimentConfig, noise: sim.NoiseModel, exact_oracles, t0: float) -> dict:
     """Sample every oracle under cfg's noise and seed when cfg.shots > 0, by
-    one sim.run_noisy_template call with a derived seed per mask, and
+    one sample of the masks' noisy plan with a derived seed per mask, and
     analyze the runs; exact_oracles comes from _exact_oracles(cfg)."""
-    oracles, census_dict, calls, compiled = exact_oracles
+    oracles, census_dict, calls, sampler = exact_oracles
     masks = [mask for mask, _, _ in oracles]
     oracle_rows = []
     exact_runs: list[analysis.OracleRun] = []
@@ -242,7 +244,7 @@ def _report(cfg: ExperimentConfig, noise: sim.NoiseModel, exact_oracles, t0: flo
     try:
         if cfg.shots > 0:
             seeds = [_derive_seed(cfg.seed, int(mask, 2)) for mask in masks]
-            sampled = sim.run_noisy_template(compiled, masks, noise, cfg.shots, seeds)
+            sampled = sampler.sample(noise, seeds)
         for i, (mask, data_bits, exact) in enumerate(oracles):
             dist = sampled[i].marginal(data_bits) if cfg.shots > 0 else exact
             p_t = exact.probability(int(mask, 2))

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, CircuitTemplate, Instruction, census
+from .circuit import Circuit, CircuitTemplate, Hole, Instruction, census
 from .errors import (
     InternalError,
     OverBudget,
@@ -123,44 +124,71 @@ def _marginal(batch: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
 _SQRT_HALF = sqrt(0.5)
 
 
-def _at(n: int, fixed, rows=slice(None)) -> tuple:
-    """Index of a (B, 2, ..., 2) view: the given rows, with the given
-    (wire, value) pairs fixed."""
-    idx = [rows] + [slice(None)] * n
-    for q, v in fixed:
-        idx[q + 1] = v
-    return tuple(idx)
+class _Kernel(NamedTuple):
+    """One gate on a (B, 2^n) batch (_kernel): the shape after B of the
+    batch's view, with an axis per gate wire and one per run of the other
+    wires; the index of the slice that the gate scales by phase or of its
+    target's 0 slice (lo), and of the target's 1 slice (hi, None for a
+    phase); and the phase, "h" or "swap"."""
+
+    shape: tuple[int, ...]
+    lo: tuple
+    hi: tuple | None
+    op: object
 
 
-def _apply_gate(state: np.ndarray, gate, n: int) -> None:
-    """Apply one gate in place to a C-contiguous (B, 2^n) batch.
+@lru_cache(maxsize=1024)
+def _kernel(gate, n: int) -> _Kernel:
+    """The kernel of gate on n wires, built once per (gate, n): the gate
+    fixes its controls at their polarities, and every wire of a z, rz or
+    cz; an h or an x fixes its target at 0 (lo) and 1 (hi)."""
+    name, qubits = gate.name, gate.qubits
+    if name not in ("z", "rz", "cz", "x", "cx", "h"):
+        raise UndefinedGateSemantics(f"no matrix semantics for {name!r}")
+    shape, axis, last = [], {}, -1
+    for q in sorted(qubits):
+        if q > last + 1:
+            shape.append(1 << (q - last - 1))
+        axis[q] = len(shape) + 1  # axis 0 holds the rows
+        shape.append(2)
+        last = q
+    if last < n - 1:
+        shape.append(1 << (n - 1 - last))
 
-    The gate fixes some wires of the (B, 2, ..., 2) view (its controls with
-    their polarities) and acts on the remaining slice: a phase, a swap of
-    the target's 0 and 1 slices, or a Hadamard mix of those two slices.
-    """
-    name = gate.name
-    if name == "barrier":
-        return
-    view = state.reshape((state.shape[0],) + (2,) * n)
-    qubits = gate.qubits
+    def at(fixed) -> tuple:
+        fixed = tuple(fixed)
+        idx = [slice(None)] * (1 + max(axis[q] for q, _ in fixed))
+        for q, v in fixed:
+            idx[axis[q]] = v
+        return tuple(idx)
+
     if name in ("z", "rz", "cz"):
         polarity = gate.effective_polarity() if name == "cz" else (1,)
         phase = np.exp(1j * gate.angle) if name == "rz" else -1.0
-        view[_at(n, zip(qubits, polarity))] *= phase
+        return _Kernel(tuple(shape), at(zip(qubits, polarity)), None, phase)
+    fixed = tuple(zip(qubits[:-1], gate.effective_polarity() if name == "cx" else ()))
+    target = qubits[-1]
+    return _Kernel(tuple(shape), at((*fixed, (target, 0))), at((*fixed, (target, 1))),
+                   "h" if name == "h" else "swap")
+
+
+def _apply_gate(state: np.ndarray, gate, n: int) -> None:
+    """Apply one gate in place to a C-contiguous (B, 2^n) batch by its
+    kernel (_kernel): a phase on one slice of the view, a swap of the
+    target's 0 and 1 slices, or a Hadamard mix of those two slices."""
+    if gate.name == "barrier":
         return
-    if name not in ("x", "cx", "h"):
-        raise UndefinedGateSemantics(f"no matrix semantics for {name!r}")
-    polarity = gate.effective_polarity() if name == "cx" else ()  # h and x have no controls
-    fixed = tuple(zip(qubits[:-1], polarity))
-    lo = view[_at(n, (*fixed, (qubits[-1], 0)))]
-    hi = view[_at(n, (*fixed, (qubits[-1], 1)))]
-    if name == "h":
+    kernel = _kernel(gate, n)
+    view = state.reshape((state.shape[0],) + kernel.shape)
+    if kernel.hi is None:
+        view[kernel.lo] *= kernel.op
+        return
+    lo, hi = view[kernel.lo], view[kernel.hi]
+    if kernel.op == "h":
         diff = lo - hi
         lo += hi
         lo *= _SQRT_HALF
-        diff *= _SQRT_HALF
-        hi[...] = diff
+        np.multiply(diff, _SQRT_HALF, out=hi)
         return
     lo_copy = lo.copy()
     lo[...] = hi
@@ -183,9 +211,38 @@ def _apply_rows(state: np.ndarray, gate, n: int, rows: np.ndarray | None = None)
         state[rows[i:i + step]] = sub
 
 
+def _apply_hole(state: np.ndarray, n: int, hole: Hole, rows: np.ndarray,
+                key_bits: np.ndarray) -> None:
+    """Apply a cx or cz hole in place to the given rows of a (B, 2^n) batch,
+    by _BLOCK, row i with the control polarities that the bits key_bits[i]
+    of its key give (1 where a control reads no bit): a cz negates, and a
+    cx swaps with its target's other value, each amplitude whose controls
+    match, the cx by one gather."""
+    controls = hole.qubits if hole.name == "cz" else hole.qubits[:-1]
+    weight = [1 << (n - 1 - q) for q in controls]
+    marked = [j for j, b in enumerate(hole.bits) if b is not None]
+    want = sum(w for w, b in zip(weight, hole.bits) if b is None) + (
+        key_bits[:, [hole.bits[j] for j in marked]] @ np.array([weight[j] for j in marked],
+                                                              dtype=np.int64))
+    index = np.arange(1 << n)
+    on = index & sum(weight)
+    if hole.name == "cx":
+        swapped = index ^ (1 << (n - 1 - hole.qubits[-1]))
+    step = max(1, _BLOCK >> n)
+    for i in range(0, rows.size, step):
+        block = rows[i:i + step]
+        match = on == want[i:i + step, None]
+        sub = state[block]
+        if hole.name == "cz":
+            np.multiply(sub, -1.0, out=sub, where=match)
+        else:
+            sub = np.take_along_axis(sub, np.where(match, swapped, index), axis=1)
+        state[block] = sub
+
+
 def _collapse(state: np.ndarray, n: int, rows: np.ndarray, q: int, value: int) -> None:
     """Project the given rows onto wire q = value and renormalise each, by _BLOCK."""
-    state.reshape((len(state),) + (2,) * n)[_at(n, ((q, 1 - value),), rows)] = 0.0
+    state.reshape(len(state), 1 << q, 2, 1 << (n - 1 - q))[rows, :, 1 - value] = 0.0
     step = max(1, _BLOCK >> n)
     for i in range(0, rows.size, step):
         block = rows[i:i + step]
@@ -250,18 +307,33 @@ class _Rows:
             table[start:self.active] = table[src]
         return np.arange(start, self.active)
 
-    def select(self, instr: Instruction, group: list[int]) -> np.ndarray | None:
-        """Live rows that instr acts on: those whose owner is in group and
-        whose bits meet its condition, or None when that is every live row."""
-        if len(group) == self.count and instr.condition is None:
-            return None
-        member = np.zeros(self.count, dtype=bool)
-        member[group] = True
-        select = member[self.owner[:self.active]]
-        if instr.condition is not None:
-            bit, value = instr.condition
+    def select(self, keys: np.ndarray | None, condition) -> np.ndarray | None:
+        """Live rows of the given keys (None: every key) whose bits meet
+        condition, or None when that is every live row."""
+        if keys is None:
+            if condition is None:
+                return None
+            select = np.ones(self.active, dtype=bool)
+        else:
+            member = np.zeros(self.count, dtype=bool)
+            member[keys] = True
+            select = member[self.owner[:self.active]]
+        if condition is not None:
+            bit, value = condition
             select &= self.bits[:self.active, bit] == value
         return np.flatnonzero(select)
+
+    def step(self, step: Instruction | Hole, keys: np.ndarray | None, key_bits: np.ndarray) -> None:
+        """Apply a gate step of the walk (_walk_group), an instruction or a
+        cx or cz hole, to the live rows of the given keys (None: every key)
+        that meet its condition; key_bits holds every key's bits."""
+        rows = self.select(keys, step.condition)
+        if isinstance(step, Hole):
+            if rows is None:
+                rows = np.arange(self.active)
+            _apply_hole(self.state, self.n, step, rows, key_bits[self.owner[rows]])
+        else:
+            _apply_rows(self.state[:self.active], step.gate, self.n, rows)
 
     def split(self, rows: np.ndarray, outcome: np.ndarray, recorded: np.ndarray,
               q: int, c: int) -> np.ndarray:
@@ -314,52 +386,95 @@ def _template_split(template: CircuitTemplate) -> _Split:
     return _Split(pairs, template.n_clbits, len(last) - k)
 
 
-def _kept_all(template: CircuitTemplate, keys: list, split: _Split) -> list[tuple]:
-    """template._kept(key) for each key, flags as an array; an error blames
-    the key's index, and a key that drops the gate before the terminal
-    measurements (_template_split) is refused (InternalError)."""
-    out = []
+class _Kept(NamedTuple):
+    """What each key of a group keeps of a template (_kept_all): its bits,
+    a (keys, key_width) bool table; its flags over the fixed instructions,
+    a (keys, fixed) table, or None when every key keeps every one; and
+    whether it makes each hole's gate, a (keys, holes) table, or None when
+    each hole follows the bits: an x hole for a key whose bit is 0, a cx or
+    cz hole for every key."""
+
+    bits: np.ndarray
+    flags: np.ndarray | None
+    makes: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def take(self, group: range) -> "_Kept":
+        """The keys of a consecutive group."""
+        part = slice(group.start, group.stop)
+        return _Kept(*(None if table is None else table[part] for table in self))
+
+
+def _kept_all(template: CircuitTemplate, keys: list, bits: np.ndarray, split: _Split,
+              each=None) -> _Kept:
+    """What the keys, with bits template.key_bits(keys), keep of template
+    (template._kept), calling each(key, flags, made) as each key's are
+    made; an error blames the key's index, and a key that drops the gate
+    before the terminal measurements (_template_split) is refused
+    (InternalError)."""
+    flags_of, makes_of = [], []
     for i, key in enumerate(keys):
         try:
             flags, made = template._kept(key)
             cut = split.cut
             if flags is not None and cut is not None and cut < len(flags) and not flags[-cut - 1]:
                 raise InternalError("a key drops the gate before the terminal measurements")
+            if each is not None:
+                each(key, flags, made)
         except QsearchError as exc:
             raise _blame(exc, i)
-        out.append((None if flags is None else np.array(flags, dtype=bool), made))
-    return out
+        flags_of.append(None if flags is None else np.array(flags, dtype=bool))
+        makes_of.append(None if made is None else [bool(slot) for slot in made])
+    return _Kept(bits, None if flags_of[0] is None else np.array(flags_of),
+                 None if makes_of[0] is None else
+                 np.array(makes_of, dtype=bool).reshape(len(keys), len(template._holes)))
 
 
-def _walk_group(template: CircuitTemplate, kept: list[tuple],
-                cut: int | None) -> Iterator[tuple[Instruction, list[int]]]:
+def _walk_group(template: CircuitTemplate, kept: _Kept,
+                cut: int | None) -> Iterator[tuple[Instruction | Hole, np.ndarray | None]]:
     """Step a group of keys through their fills together, in template order,
     up to the cut terminal measurements: each fixed instruction once, with
-    the keys (indices into kept) whose flags keep it, and each instruction
-    of each hole's distinct kept tuple once, with the keys that made it, so
-    every key meets exactly its own fill's instructions, in order."""
-    everyone = list(range(len(kept)))
-    keeps = None if kept[0][0] is None else np.array([flags for flags, _ in kept])
-    every = None if keeps is None else keeps.all(axis=0).tolist()
+    the keys (indices into kept) whose flags keep it, and each hole once,
+    with the keys that make it, an x hole as its instruction and a cx or
+    cz hole as itself, whose polarities each row takes from its key's bits
+    (_Rows.step).  None stands for every key, so every key meets exactly
+    its own fill's instructions, in order."""
+    flags, makes, count = kept.flags, kept.makes, len(kept)
+    every = None if flags is None else flags.all(axis=0).tolist()
     fixed, at = template._fixed, 0
     for j, part in enumerate(fixed):
         end = len(part) - (cut or 0) if j == len(fixed) - 1 else len(part)
         for t, instr in enumerate(part[:end], at):
             if every is None or every[t]:
-                yield instr, everyone
+                yield instr, None
                 continue
-            group = np.flatnonzero(keeps[:, t]).tolist()
-            if group:
+            group = np.flatnonzero(flags[:, t])
+            if group.size:
                 yield instr, group
         at += len(part)
         if j == len(fixed) - 1:
             break
-        made: dict[tuple, list[int]] = {}  # each distinct kept tuple -> the keys making it
-        for i, (_, holes) in enumerate(kept):
-            made.setdefault(holes[j], []).append(i)
-        for instrs, group in made.items():
-            for instr in instrs:
-                yield instr, group
+        hole = template._holes[j]
+        step = hole.instruction if hole.name == "x" else hole
+        if makes is not None:
+            group = np.flatnonzero(makes[:, j])
+        elif hole.name == "x":
+            group = np.flatnonzero(~kept.bits[:, hole.bits[0]])
+        else:
+            group = None
+        if group is None or group.size == count:
+            yield step, None
+        elif group.size:
+            yield step, group
+
+
+def _plain(step: Instruction | Hole, keys: np.ndarray | None) -> bool:
+    """Whether a step of the walk is an unconditioned gate of every key's,
+    which runs straight on every live row."""
+    return (keys is None and step.condition is None and type(step) is Instruction
+            and step.gate.name != "measure")
 
 
 # exact simulation ----------------------------------------------------------
@@ -404,12 +519,13 @@ def run_exact_template(template: CircuitTemplate, keys: Iterable) -> list[Distri
     """Exact outcome distribution of template's fill for each key, in key
     order, over the classical bits (or the qubits when nothing is measured).
 
-    The terminal split and the refusal when n + m > MAX_EXACT_WIDTH come
-    before any hole is made.  The keys run in consecutive groups of at most
-    _BLOCK amplitudes, 2^(n+m) per key, each group walking the template
-    once (_walk_group); a measurement whose two outcomes are both above
-    1e-15 copies a row for outcome 1.  A key's distribution is bit for bit
-    its fill's alone (on one wire, an rz may move the last bit: numpy
+    Every key is checked (CircuitTemplate.key_bits), and then the terminal
+    split and the refusal when n + m > MAX_EXACT_WIDTH come, before any
+    hole is made.  The keys run in consecutive groups of at most _BLOCK
+    amplitudes, 2^(n+m) per key, each group walking the template once
+    (_walk_group); a measurement whose two outcomes are both above 1e-15
+    copies a row for outcome 1.  A key's distribution is bit for bit its
+    fill's alone (on one wire, an rz may move the last bit: numpy
     multiplies a lone complex amplitude without the fused multiply-add of
     its vector loop).  An error of one key carries its index as circuit
     attribute; one of the split or the width, key 0.
@@ -417,6 +533,7 @@ def run_exact_template(template: CircuitTemplate, keys: Iterable) -> list[Distri
     keys = list(keys)
     if not keys:
         return []
+    bits = template.key_bits(keys)
     n = template.n_qubits
     try:
         split = _template_split(template)
@@ -425,19 +542,32 @@ def run_exact_template(template: CircuitTemplate, keys: Iterable) -> list[Distri
     except QsearchError as exc:
         raise _blame(exc, 0)
     return _in_groups(
-        lambda group: _exact_group(template, [keys[i] for i in group], split, branches),
+        lambda group: _exact_group(template, keys[group.start:group.stop],
+                                   bits[group.start:group.stop], split, branches),
         [branches << n] * len(keys), _BLOCK)
 
 
-def _exact_group(template: CircuitTemplate, keys: list, split: _Split,
+def _exact_group(template: CircuitTemplate, keys: list, bits: np.ndarray, split: _Split,
                  branches: int) -> list[Distribution]:
-    """run_exact_template on one group of keys, given the template's split
-    and its branch bound per key."""
+    """run_exact_template on one group of keys with those bits, given the
+    template's split and its branch bound per key.  An unconditioned gate
+    of every key's runs straight on every live row.  An error blames the
+    first key of its step, and a branch weight that no longer sums to 1 the
+    first such key."""
     count = len(keys)
-    kept = _kept_all(template, keys, split)
+    kept = _kept_all(template, keys, bits, split)
     table = _Rows(count, count * branches, template.n_qubits, split.n_bits, 1.0)
-    for instr, group in _walk_group(template, kept, split.cut):
-        _exact_step(table, instr, group)
+    group = None
+    try:
+        for step, group in _walk_group(template, kept, split.cut):
+            if _plain(step, group):
+                _apply_rows(table.state[:table.active], step.gate, table.n)
+            elif type(step) is Instruction and step.gate.name == "measure":
+                _exact_measure(table, step, group)
+            else:
+                table.step(step, group, bits)
+    except QsearchError as exc:
+        raise _blame(exc, 0 if group is None else int(group[0]))
     live = slice(0, table.active)
     hist = _terminal_histograms(table.state[live], table.n, split.terminal,
                                 table.bits[live, :split.n_bits].copy(), table.mass[live],
@@ -446,30 +576,23 @@ def _exact_group(template: CircuitTemplate, keys: list, split: _Split,
     return [Distribution(split.n_bits, probabilities=probs) for probs in hist]
 
 
-def _exact_step(table: _Rows, instr: Instruction, group: list[int]) -> None:
-    """Run one instruction on the live rows of the keys in group that meet
-    its condition; an error blames the first key of group, and a branch
-    weight that no longer sums to 1 the first such key."""
-    try:
-        rows = table.select(instr, group)
-        gate = instr.gate
-        if gate.name != "measure":  # _apply_gate passes over a barrier
-            _apply_rows(table.state[:table.active], gate, table.n, rows)
-            return
-        if rows is None:
-            rows = np.arange(table.active)
-        q = gate.qubits[0]
-        p = _marginal(np.abs(table.state[rows]) ** 2, table.n, [q])
-        k, outcome = np.nonzero(p > 1e-15)
-        dest = table.split(rows[k], outcome, outcome, q, gate.clbit)
-        table.mass[dest] *= p[k, outcome]
-        live = slice(0, table.active)
-        total = np.bincount(table.owner[live], table.mass[live], minlength=table.count)
-        for i in group:
-            if not abs(total[i] - 1.0) <= 1e-12:  # NaN fails too
-                raise _blame(ValidationError("branch weights do not sum to 1"), i)
-    except QsearchError as exc:
-        raise _blame(exc, group[0])
+def _exact_measure(table: _Rows, instr: Instruction, group: np.ndarray | None) -> None:
+    """Measure on the live rows of the keys in group (None: every key) that
+    meet the condition, each row branching by its possible outcomes."""
+    rows = table.select(group, instr.condition)
+    if rows is None:
+        rows = np.arange(table.active)
+    gate = instr.gate
+    q = gate.qubits[0]
+    p = _marginal(np.abs(table.state[rows]) ** 2, table.n, [q])
+    k, outcome = np.nonzero(p > 1e-15)
+    dest = table.split(rows[k], outcome, outcome, q, gate.clbit)
+    table.mass[dest] *= p[k, outcome]
+    live = slice(0, table.active)
+    total = np.bincount(table.owner[live], table.mass[live], minlength=table.count)
+    for i in range(table.count) if group is None else group:
+        if not abs(total[i] - 1.0) <= 1e-12:  # NaN fails too
+            raise _blame(ValidationError("branch weights do not sum to 1"), int(i))
 
 
 def run_exact(circuit: Circuit) -> Distribution:
@@ -500,11 +623,10 @@ def _insert_paulis(state: np.ndarray, n: int, qubits, rows: np.ndarray, picks: n
     for i in range(0, rows.size, step):
         block, part = rows[i:i + step], parts[i:i + step]
         sub = state[block]  # one gather and one scatter; between them, slices of it
-        view = sub.reshape((len(block),) + (2,) * n)
-        each_row = (len(block),) + (1,) * (n - 1)
         for j, q in enumerate(qubits):
-            lo, hi = view[_at(n, ((q, 0),))], view[_at(n, ((q, 1),))]
-            has_z, has_x = part[:, j, 0].reshape(each_row), part[:, j, 1].reshape(each_row)
+            view = sub.reshape(len(block), 1 << q, 2, 1 << (n - 1 - q))
+            lo, hi = view[:, :, 0], view[:, :, 1]
+            has_z, has_x = part[:, j, 0, None, None], part[:, j, 1, None, None]
             # z then x on a wire is -iY: a global phase per trajectory
             np.negative(hi, out=hi, where=has_z)
             was_lo = lo.copy()
@@ -526,7 +648,8 @@ class _NoisyPlan:
     cols: int
 
     @classmethod
-    def of(cls, template: CircuitTemplate, flags, made, split: _Split) -> "_NoisyPlan":
+    def of(cls, template: CircuitTemplate, key, flags, made, split: _Split) -> "_NoisyPlan":
+        made = template._made(key, made)
         ops = template._assemble(flags, made)
         # raises NotLowered when gates above 2 qubits remain
         census(Circuit._trusted(template.n_qubits, template.n_clbits, tuple(ops), {}))
@@ -647,55 +770,78 @@ def run_noisy_template(template: CircuitTemplate, keys: Iterable, noise: NoiseMo
     and recorded bits flip with probability p_meas.  Chunk c of
     TRAJECTORY_CHUNK trajectories draws key i's uniforms, a row per
     trajectory, from SeedSequence(entropy=seeds[i], spawn_key=(c,)), so
-    trajectory t depends only on (seed, t).  Each key is planned, and
-    refused over MAX_NOISY_BYTES, before any draw (_noisy_plans); the keys
-    run in consecutive groups within that budget, each walking the template
-    once (_walk_group) as rows of one batch (_Trajectories), so every key
-    gets bit for bit the counts its fill gets alone.  An error of one key
-    carries its index as circuit attribute.
+    trajectory t depends only on (seed, t).  Each key is checked and
+    planned, and refused over MAX_NOISY_BYTES, before any draw
+    (plan_noisy_template); the keys run in consecutive groups within that
+    budget, each walking the template once (_walk_group) as rows of one
+    batch (_Trajectories), so every key gets bit for bit the counts its
+    fill gets alone.  An error of one key carries its index as circuit
+    attribute.
     """
-    keys, seeds = list(keys), list(seeds)
-    if len(seeds) != len(keys):
-        raise ValidationError(f"{len(keys)} keys need as many seeds, got {len(seeds)}")
+    return plan_noisy_template(template, keys, shots).sample(noise, seeds)
+
+
+class NoisyTemplatePlan(NamedTuple):
+    """What run_noisy_template plans of a template's keys at a shot count,
+    none of it depending on the noise or the seeds (plan_noisy_template):
+    the split, what each key keeps, and per key its plan and chunk bytes."""
+
+    template: CircuitTemplate
+    shots: int
+    split: _Split | None
+    kept: _Kept | None
+    plans: list[_NoisyPlan]
+    needs: list[int]
+
+    def sample(self, noise: NoiseModel, seeds: list[int]) -> list[Distribution]:
+        """run_noisy_template of the planned keys under noise, key i with seed seeds[i]."""
+        seeds = list(seeds)
+        if len(seeds) != len(self.plans):
+            raise ValidationError(f"{len(self.plans)} keys need as many seeds, got {len(seeds)}")
+        if not seeds:
+            return []
+        return _in_groups(
+            lambda group: _noisy_group(self.template, self.split, self.kept.take(group),
+                                       self.plans[group.start:group.stop], noise, self.shots,
+                                       seeds[group.start:group.stop]),
+            self.needs, MAX_NOISY_BYTES)
+
+
+def plan_noisy_template(template: CircuitTemplate, keys: Iterable, shots: int) -> NoisyTemplatePlan:
+    """run_noisy_template's plan of the keys at shots, so that a sweep
+    plans its keys once for every noise and seed: each key is checked
+    (CircuitTemplate.key_bits), its keep flags made once, its fill checked
+    to be lowered and its chunk refused over MAX_NOISY_BYTES (OverBudget);
+    an error blames the key."""
+    keys = list(keys)
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     if not keys:
-        return []
-    split, kept, plans, needs = _noisy_plans(template, keys, shots)
-    return _in_groups(
-        lambda group: _noisy_group(template, split, [kept[i] for i in group],
-                                   [plans[i] for i in group], noise, shots,
-                                   [seeds[i] for i in group]),
-        needs, MAX_NOISY_BYTES)
-
-
-def _noisy_plans(template: CircuitTemplate, keys: list, shots: int):
-    """(split, and per key its kept instructions, plan and chunk bytes),
-    refusing a key over MAX_NOISY_BYTES; an error blames the key."""
+        return NoisyTemplatePlan(template, shots, None, None, [], [])
+    bits = template.key_bits(keys)
     n = template.n_qubits
     try:
         split = _template_split(template)
     except QsearchError as exc:
         raise _blame(exc, 0)
-    kept = _kept_all(template, keys, split)
     plans, needs = [], []
-    for i, (flags, made) in enumerate(kept):
-        try:
-            plan = _NoisyPlan.of(template, flags, made, split)
-            need = plan.chunk_bytes(n, shots)
-            if need > MAX_NOISY_BYTES:
-                raise OverBudget(
-                    f"{min(shots, TRAJECTORY_CHUNK)} trajectories of {plan.cols} uniforms and "
-                    f"{n}-qubit states need {need / 2**30:.2f} GiB per chunk, over the "
-                    f"{MAX_NOISY_BYTES / 2**30:.2f} GiB budget")
-        except QsearchError as exc:
-            raise _blame(exc, i)
+
+    def plan(key, flags, made):
+        plan = _NoisyPlan.of(template, key, flags, made, split)
+        need = plan.chunk_bytes(n, shots)
+        if need > MAX_NOISY_BYTES:
+            raise OverBudget(
+                f"{min(shots, TRAJECTORY_CHUNK)} trajectories of {plan.cols} uniforms and "
+                f"{n}-qubit states need {need / 2**30:.2f} GiB per chunk, over the "
+                f"{MAX_NOISY_BYTES / 2**30:.2f} GiB budget")
         plans.append(plan)
         needs.append(need)
-    return split, kept, plans, needs
+
+    kept = _kept_all(template, keys, bits, split, plan)
+    return NoisyTemplatePlan(template, shots, split, kept, plans, needs)
 
 
-def _noisy_group(template: CircuitTemplate, split: _Split, kept: list[tuple],
+def _noisy_group(template: CircuitTemplate, split: _Split, kept: _Kept,
                  plans: list[_NoisyPlan], noise: NoiseModel, shots: int,
                  seeds: list[int]) -> list[Distribution]:
     """run_noisy_template on one group of keys, chunk by chunk."""
@@ -706,7 +852,7 @@ def _noisy_group(template: CircuitTemplate, split: _Split, kept: list[tuple],
     return [Distribution(split.n_bits, counts=c, shots=shots) for c in counts]
 
 
-def _noisy_chunk(template: CircuitTemplate, split: _Split, kept: list[tuple],
+def _noisy_chunk(template: CircuitTemplate, split: _Split, kept: _Kept,
                  plans: list[_NoisyPlan], noise: NoiseModel, seeds: list[int], chunk: int,
                  b: int) -> np.ndarray:
     """The outcome counts of one chunk's trajectories, a row per key."""
@@ -731,22 +877,23 @@ def _noisy_chunk(template: CircuitTemplate, split: _Split, kept: list[tuple],
     hit_traj, hit_pick = np.concatenate(hit_traj), np.concatenate(hit_pick)
     site_no, mid = [0] * count, 0  # every key meets every measurement
 
-    for instr, group in _walk_group(template, kept, split.cut):
-        gate = instr.gate
-        if gate.name == "barrier":
-            continue
-        try:
-            rows = batch.select(instr, group)
-            if gate.name == "measure":
-                if rows is None:
-                    rows = np.arange(batch.active)
-                batch.measure(rows, gate.qubits[0], gate.clbit, u_mid[:, mid], u_mid_ro[:, mid],
-                              noise.p_meas)
-                mid += 1
+    everyone, group = range(count), None
+    try:
+        for step, group in _walk_group(template, kept, split.cut):
+            qubits = step.qubits if type(step) is Hole else step.gate.qubits
+            if type(step) is Instruction and step.gate.name in ("barrier", "measure"):
+                if step.gate.name == "measure":
+                    rows = batch.select(group, step.condition)
+                    batch.measure(np.arange(batch.active) if rows is None else rows, qubits[0],
+                                  step.gate.clbit, u_mid[:, mid], u_mid_ro[:, mid], noise.p_meas)
+                    mid += 1
                 continue
-            _apply_rows(batch.state[:batch.active], gate, n, rows)
+            if _plain(step, group):
+                _apply_rows(batch.state[:batch.active], step.gate, n)
+            else:
+                batch.step(step, group, kept.bits)
             spans = []
-            for i in group:
+            for i in everyone if group is None else group.tolist():
                 s = base[i] + site_no[i]
                 site_no[i] += 1
                 if ptr[s + 1] > ptr[s]:
@@ -755,13 +902,13 @@ def _noisy_chunk(template: CircuitTemplate, split: _Split, kept: list[tuple],
                 continue
             hits = np.concatenate([hit_traj[s] for s in spans])
             picks = np.concatenate([hit_pick[s] for s in spans])
-            if instr.condition is not None:
-                bit, value = instr.condition
+            if step.condition is not None:
+                bit, value = step.condition
                 met = batch.bits[batch.trow[hits], bit] == value
                 hits, picks = hits[met], picks[met]
-            _insert_paulis(batch.state, n, gate.qubits, batch.leave(hits), picks)
-        except QsearchError as exc:
-            raise _blame(exc, group[0])
+            _insert_paulis(batch.state, n, qubits, batch.leave(hits), picks)
+    except QsearchError as exc:
+        raise _blame(exc, 0 if group is None else int(group[0]))
 
     sampled, dim = batch.sample(u_final), 1 << split.n_bits
     clbits = batch.bits[batch.trow, :split.n_bits]

@@ -564,6 +564,7 @@ class _CompiledTemplate(CircuitTemplate):
 
     def __init__(self, source: CircuitTemplate):
         self.n_qubits, self.n_clbits = source.n_qubits, source.n_clbits
+        self.key_width = source.key_width
         cache: dict = {}
         self._fixed, self._holes = [_lowered(source._fixed[0], cache)], []
         for hole, after in zip(source._holes, source._fixed[1:]):
@@ -588,7 +589,7 @@ class _CompiledTemplate(CircuitTemplate):
         # plan its walk; one key, not all, as a set may hold 2^16 of them
         if self._last is not None and self._last[0] == key:
             return self._last[1]
-        _, made = super()._kept(key)
+        made = self._made(key)
         kept = _cancel_flags(self._assemble(None, made), self.n_qubits, self.n_clbits)
         flags, slots, at = [], [], 0
         for part, hole in zip(self._fixed, made):

@@ -22,7 +22,7 @@ from qsearch.circuit import (
     x,
     z,
 )
-from qsearch.errors import TooWide, ValidationError
+from qsearch.errors import TooWide, UndefinedGateSemantics, ValidationError
 from qsearch.families import FamilyRequest, Partition
 from qsearch.synth import OracleSpec
 
@@ -46,7 +46,59 @@ def frag_unitary(frag, n_qubits) -> np.ndarray:
 
 
 # Independent checks on circuits and distributions: dense unitaries and
-# deferred measurement.
+# deferred measurement, on an n-axis gate loop of their own.
+
+def _at(n: int, fixed, rows=slice(None)) -> tuple:
+    """Index of a (B, 2, ..., 2) view: the given rows, with the given
+    (wire, value) pairs fixed."""
+    idx = [rows] + [slice(None)] * n
+    for q, v in fixed:
+        idx[q + 1] = v
+    return tuple(idx)
+
+
+def apply_gate_reference(state: np.ndarray, gate, n: int) -> None:
+    """The n-axis gate loop that sim's per-gate kernels replaced: apply one
+    gate in place to a C-contiguous (B, 2^n) batch.
+
+    The gate fixes some wires of the (B, 2, ..., 2) view (its controls with
+    their polarities) and acts on the remaining slice: a phase, a swap of
+    the target's 0 and 1 slices, or a Hadamard mix of those two slices.
+    """
+    name = gate.name
+    if name == "barrier":
+        return
+    view = state.reshape((state.shape[0],) + (2,) * n)
+    qubits = gate.qubits
+    if name in ("z", "rz", "cz"):
+        polarity = gate.effective_polarity() if name == "cz" else (1,)
+        phase = np.exp(1j * gate.angle) if name == "rz" else -1.0
+        view[_at(n, zip(qubits, polarity))] *= phase
+        return
+    if name not in ("x", "cx", "h"):
+        raise UndefinedGateSemantics(f"no matrix semantics for {name!r}")
+    polarity = gate.effective_polarity() if name == "cx" else ()  # h and x have no controls
+    fixed = tuple(zip(qubits[:-1], polarity))
+    lo = view[_at(n, (*fixed, (qubits[-1], 0)))]
+    hi = view[_at(n, (*fixed, (qubits[-1], 1)))]
+    if name == "h":
+        diff = lo - hi
+        lo += hi
+        lo *= sqrt(0.5)
+        diff *= sqrt(0.5)
+        hi[...] = diff
+        return
+    lo_copy = lo.copy()
+    lo[...] = hi
+    hi[...] = lo_copy
+
+
+def apply_rows_reference(state: np.ndarray, gate, n: int, rows: np.ndarray) -> None:
+    """apply_gate_reference on the given rows of a (B, 2^n) batch."""
+    sub = state[rows]
+    apply_gate_reference(sub, gate, n)
+    state[rows] = sub
+
 
 MAX_UNITARY_WIDTH = 12
 
@@ -68,7 +120,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     dim = 1 << n
     batch = np.eye(dim, dtype=complex)  # row b is basis state b
     for instr in circuit.instructions:
-        sim._apply_gate(batch, instr.gate, n)
+        apply_gate_reference(batch, instr.gate, n)
     return batch.T.copy()
 
 
@@ -100,20 +152,20 @@ def tv_distance(a: sim.Distribution, b: sim.Distribution) -> float:
 
 
 def _apply_controlled(state: np.ndarray, gate, n: int, control) -> None:
-    """sim._apply_gate on the part of a (B, 2^n) batch where the (wire,
+    """apply_gate_reference on the part of a (B, 2^n) batch where the (wire,
     value) pair in control holds, or on all of it when control is empty.
 
     The part is the batch with the control wire dropped; the gate's wires
     lie below the control wire, so they keep their numbers there.
     """
     if not control:
-        sim._apply_gate(state, gate, n)
+        apply_gate_reference(state, gate, n)
         return
     ((wire, value),) = control
     assert max(gate.qubits) < wire
     part = np.moveaxis(state.reshape((len(state),) + (2,) * n), wire + 1, 1)[:, value]
     sub = part.reshape(len(state), -1)  # contiguous: a copy, as part is strided
-    sim._apply_gate(sub, gate, n - 1)
+    apply_gate_reference(sub, gate, n - 1)
     part[...] = sub.reshape(part.shape)
 
 
@@ -147,7 +199,7 @@ def run_deferred(circuit: Circuit) -> sim.Distribution:
             if control:
                 raise HasMeasurement("conditioned measurements cannot be deferred")
             record[gate.clbit] = next_wire
-            sim._apply_gate(state, cx(gate.qubits[0], next_wire), n)
+            apply_gate_reference(state, cx(gate.qubits[0], next_wire), n)
             next_wire += 1
         elif gate.name != "barrier":
             _apply_controlled(state, gate, n, control)
@@ -270,7 +322,7 @@ def _terminal_outcomes(
 
 def _collapse(state: np.ndarray, q: int, n: int, outcome: int, prob: float) -> np.ndarray:
     out = state / sqrt(prob)
-    out.reshape((1,) + (2,) * n)[sim._at(n, ((q, 1 - outcome),))] = 0.0
+    out.reshape((1,) + (2,) * n)[_at(n, ((q, 1 - outcome),))] = 0.0
     return out
 
 
@@ -304,7 +356,7 @@ def run_exact_reference(circuit: Circuit) -> sim.Distribution:
                     bits[c] = outcome
                     next_branches.append((collapsed, weight * p, bits))
             else:
-                sim._apply_gate(state[None, :], gate, n)
+                apply_gate_reference(state[None, :], gate, n)
                 next_branches.append((state, weight, clbits))
         branches = next_branches
         total = sum(w for _, w, _ in branches)
@@ -358,11 +410,13 @@ def run_noisy_reference(circuit: Circuit, noise: sim.NoiseModel, shots: int,
                 p1 = sim._marginal(np.abs(state) ** 2, n, [q])[rows, 1]
                 outcome = (u_mid[rows, mid_no] < p1).astype(np.int8)
                 for value in (0, 1):
-                    sim._collapse(state, n, rows[outcome == value], q, value)
+                    collapsed = rows[outcome == value]
+                    state.reshape((b,) + (2,) * n)[_at(n, ((q, 1 - value),), collapsed)] = 0.0
+                    state[collapsed] /= np.linalg.norm(state[collapsed], axis=1)[:, None]
                 clbits[rows, gate.clbit] = outcome ^ (u_mid_ro[rows, mid_no] < noise.p_meas)
                 mid_no += 1
                 continue
-            sim._apply_rows(state, gate, n, rows)
+            apply_rows_reference(state, gate, n, rows)
             p_err = noise.p2 if len(gate.qubits) == 2 else noise.p1
             if p_err > 0.0:
                 hit = rows[u_site[rows, site_no] < p_err]
@@ -371,7 +425,7 @@ def run_noisy_reference(circuit: Circuit, noise: sim.NoiseModel, shots: int,
                 for j, q in enumerate(gate.qubits):
                     # z then x on a wire is -iY: a global phase per trajectory
                     for k, op in enumerate((z(q), x(q))):
-                        sim._apply_rows(state, op, n, hit[parts[:, j, k]])
+                        apply_rows_reference(state, op, n, hit[parts[:, j, k]])
             site_no += 1
 
         cdf = np.cumsum(np.abs(state) ** 2, axis=1)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import binom_sigma, terminal_split
 from qsearch import cli, families, qasm, sim, synth
-from qsearch.circuit import CircuitTemplate, Hole, Instruction, census, cz, rz
+from qsearch.circuit import CircuitTemplate, Hole, Instruction, census, cz
 from qsearch.cli import (
     ExperimentConfig,
     _census_dict,
@@ -443,7 +443,7 @@ class TestConfig:
         def exhausted(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(sim, "run_noisy_template", exhausted)
+        monkeypatch.setattr(sim.NoisyTemplatePlan, "sample", exhausted)
         rc = main(["run", "--n", "3", "--oracle", "101", "--shots", "8", "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -624,23 +624,24 @@ class TestExactBatches:
             assert all(map(np.array_equal, results[1], results[group]))
 
     def test_shared_instructions_run_once(self, tmp_path, monkeypatch):
-        # each fixed instruction once for all 32 masks, and each hole's
-        # distinct instructions once for the masks that make them
+        # each fixed instruction once for all 32 masks, and each hole once,
+        # as one step for the masks that make it
         cfg = ExperimentConfig(family="wojter-aa", n=5, oracle_style="ancilla-relphase",
                                partition=[3, 2])
-        masks = resolve_masks(cfg)
         template = families.plan(cfg.validate()).template
         gates = sum(i.gate.name not in ("measure", "barrier") for part in template._fixed for i in part)
-        for hole in template._holes:
-            gates += sum(map(len, {hole.made(m) for m in masks}))
+        gates += len(template._holes)  # each made by some of the 32 masks
         calls = [0]
-        apply_gate = sim._apply_gate
 
-        def counting(*args):
-            calls[0] += 1
-            return apply_gate(*args)
+        def counting(run):
+            def counted(*args):
+                calls[0] += 1
+                return run(*args)
+            return counted
 
-        monkeypatch.setattr(sim, "_apply_gate", counting)
+        monkeypatch.setattr(sim, "_apply_gate", counting(sim._apply_gate))
+        monkeypatch.setattr(sim, "_apply_hole", counting(sim._apply_hole))
+        masks = resolve_masks(cfg)
         for m in masks:
             sim.run_exact(families.build(build_request(cfg, m)))
         one_by_one, calls[0] = calls[0], 0
@@ -683,12 +684,17 @@ class TestExactBatches:
         assert compiled == []
 
     def test_error_names_the_failing_mask(self, tmp_path, monkeypatch, capsys):
-        # mask 101's holes each make a NaN rz too, which drifts only 101's norm
-        made = Hole.made
+        # the oracle's hole step writes NaN on mask 101's rows, which drifts
+        # only 101's norm
+        apply_hole = sim._apply_hole
+
+        def nan_for_101(state, n, hole, rows, key_bits):
+            apply_hole(state, n, hole, rows, key_bits)
+            state[rows[(key_bits == [True, False, True]).all(axis=1)]] = np.nan
+
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"oracle_set": ["110", "101", "011"]}))
-        monkeypatch.setattr(Hole, "made", lambda hole, mask: made(hole, mask) if mask != "101"
-                            else (Instruction(rz(float("nan"), 0)), *made(hole, mask)))
+        monkeypatch.setattr(sim, "_apply_hole", nan_for_101)
         assert main(["run", "--n", "3", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: oracle 101: statevector norm drifted\n"
 
@@ -749,30 +755,31 @@ class TestFuzz:
 
 
 class TestNoisyBatches:
-    """`run` and `sweep` sample a run's masks by one sim.run_noisy_template
-    call over the compiled template, which runs them in groups
-    (sim._noisy_group) bounded by sim.MAX_NOISY_BYTES."""
+    """`run` and `sweep` plan a run's masks once over the compiled template
+    (sim.plan_noisy_template) and sample each noise point by one call of
+    the plan, which runs them in groups (sim._noisy_group) bounded by
+    sim.MAX_NOISY_BYTES."""
 
     def test_groups_do_not_change_reports(self, monkeypatch):
         cfg = ExperimentConfig(family="wielomianer", n=4, oracle_set="all", shots=50,
                                noise={"p1": 0.01, "p2": 0.02, "p_meas": 0.03}, seed=5)
         compiled = synth.compile_template(families.plan(build_request(cfg, "0000")).template)
-        needs = sim._noisy_plans(compiled, resolve_masks(cfg), cfg.shots)[3]
+        needs = sim.plan_noisy_template(compiled, resolve_masks(cfg), cfg.shots).needs
         assert 2 * min(needs) > max(needs)  # so a budget of k * max holds k masks
-        run_noisy_template, noisy_group = sim.run_noisy_template, sim._noisy_group
+        plan_noisy_template, noisy_group = sim.plan_noisy_template, sim._noisy_group
         reports = {}
         for group in (1, 2, 16):
             calls, sizes = [], []
 
             def walk(template, masks, *args):
                 calls.append(len(masks))
-                return run_noisy_template(template, masks, *args)
+                return plan_noisy_template(template, masks, *args)
 
             def grouped(template, split, kept, *args):
                 sizes.append(len(kept))
                 return noisy_group(template, split, kept, *args)
 
-            monkeypatch.setattr(sim, "run_noisy_template", walk)
+            monkeypatch.setattr(sim, "plan_noisy_template", walk)
             monkeypatch.setattr(sim, "_noisy_group", grouped)
             monkeypatch.setattr(sim, "MAX_NOISY_BYTES", group * max(needs))
             report = run_experiment(cfg)
@@ -783,17 +790,29 @@ class TestNoisyBatches:
 
     def test_sweep_samples_each_point_in_one_group(self, tmp_path, monkeypatch):
         sizes = []
-        run_noisy_template = sim.run_noisy_template
+        sample = sim.NoisyTemplatePlan.sample
 
-        def walk(template, masks, *args):
-            sizes.append(len(masks))
-            return run_noisy_template(template, masks, *args)
+        def walk(plan, noise, seeds):
+            sizes.append(len(seeds))
+            return sample(plan, noise, seeds)
 
-        monkeypatch.setattr(sim, "run_noisy_template", walk)
+        monkeypatch.setattr(sim.NoisyTemplatePlan, "sample", walk)
         argv = ["sweep", "--n", "3", "--oracle-set", "all", "--shots", "20", "--grid", "0,0.1",
                 "--out", str(tmp_path)]
         assert main(argv) == 0
         assert sizes == [8, 8]
+
+    def test_sweep_plans_its_masks_once(self, tmp_path, monkeypatch):
+        # nothing a key's plan holds depends on the noise or the seed: one
+        # keep-flag pass for the census and one per mask, for all 5 points
+        calls = []
+        kept = synth._CompiledTemplate._kept
+        monkeypatch.setattr(synth._CompiledTemplate, "_kept",
+                            lambda self, key: calls.append(key) or kept(self, key))
+        argv = ["sweep", "--n", "5", "--style", "ancilla-relphase", "--oracle-set", "all",
+                "--shots", "16", "--grid", "0,0.01,0.02,0.05,0.1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(calls) == 1 + 32
 
     @pytest.mark.parametrize("oracle_set, shots", [(["101"], 20), ("all", 20), ("all", 0)])
     def test_keep_flags_once_per_mask(self, oracle_set, shots, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     HasMeasurement,
     accepted_requests,
+    apply_gate_reference,
     binom_sigma,
     dense_gate,
     dense_unitary,
@@ -41,6 +42,7 @@ from qsearch.circuit import (
     z,
 )
 from qsearch.errors import (
+    BadMask,
     InternalError,
     NotLowered,
     OverBudget,
@@ -57,15 +59,221 @@ from qsearch.synth import OracleSpec
 X_ON = [Hole("x", (0,), (0,)), Hole("x", (1,), (1,))]
 
 
-def nan_for_1(monkeypatch):
-    """Make each hole's gate for key "1" an rz of NaN, which no check refuses."""
-    made = Hole.made
-    monkeypatch.setattr(Hole, "made", lambda hole, key: (Instruction(rz(float("nan"), 0)),)
-                        if key == "1" else made(hole, key))
+def nan_on_x(monkeypatch):
+    """Make the x kernel write NaN over the rows it acts on, which no check
+    refuses: an x hole acts only on the rows of the keys whose bit is "0"."""
+    apply_gate = sim._apply_gate
+
+    def nan_x(state, gate, n):
+        if gate.name == "x":
+            state[...] = np.nan
+        else:
+            apply_gate(state, gate, n)
+
+    monkeypatch.setattr(sim, "_apply_gate", nan_x)
 
 
 def all_masks(n: int) -> list[str]:
     return [format(v, f"0{n}b") for v in range(1 << n)]
+
+
+@st.composite
+def kernel_gates(draw):
+    """(gate, n): an x, h, z, rz, or a cx or cz with up to 5 controls at any
+    polarity, on n <= 9 wires."""
+    name = draw(st.sampled_from(["x", "h", "z", "rz", "cx", "cz"]))
+    least = 2 if name in ("cx", "cz") else 1
+    n = draw(st.integers(least, 9))
+    qubits = draw(st.permutations(range(n)))[:draw(st.integers(least, min(n, 6)))]
+    if name == "rz":
+        return rz(draw(st.floats(-7.0, 7.0)), qubits[0]), n
+    if name in ("cx", "cz"):
+        width = len(qubits) - (name == "cx")
+        polarity = draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+        return (cx if name == "cx" else cz)(*qubits, polarity=polarity), n
+    return {"x": x, "h": h, "z": z}[name](qubits[0]), n
+
+
+@st.composite
+def hole_steps(draw):
+    """(hole, n, key width): a cx or cz hole with up to 5 controls on n <= 9
+    wires, each control reading a key bit or None."""
+    name = draw(st.sampled_from(["cx", "cz"]))
+    n = draw(st.integers(2, 9))
+    qubits = tuple(draw(st.permutations(range(n)))[:draw(st.integers(2, min(n, 6)))])
+    width = draw(st.integers(1, 4))
+    bits = draw(st.lists(st.none() | st.integers(0, width - 1),
+                         min_size=len(qubits) - (name == "cx"),
+                         max_size=len(qubits) - (name == "cx")))
+    return Hole(name, qubits, tuple(bits)), n, width
+
+
+def random_rows(seed: int, rows: int, n: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+
+
+class TestKernels:
+    """sim._apply_gate applies each gate by a kernel built once per (gate,
+    n); conftest.apply_gate_reference is the n-axis loop, an independent
+    reference, that it must match bit for bit."""
+
+    @given(kernel_gates(), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference(self, gate_n, rows, seed):
+        gate, n = gate_n
+        state = random_rows(seed, rows, n)
+        want = state.copy()
+        apply_gate_reference(want, gate, n)
+        sim._apply_gate(state, gate, n)
+        assert state.tobytes() == want.tobytes()
+
+    @given(kernel_gates(), st.integers(1, 70), st.integers(1, 1 << 11), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_in_blocks_bit_identical(self, gate_n, rows, block, some, seed):
+        # a low _BLOCK splits the rows into blocks of one or a few rows each
+        gate, n = gate_n
+        state = random_rows(seed, rows, n)
+        picked = np.flatnonzero(np.random.default_rng(seed).random(rows) < 0.5) if some else None
+        want = state.copy()
+        if some:
+            part = want[picked]
+            apply_gate_reference(part, gate, n)
+            want[picked] = part
+        else:
+            apply_gate_reference(want, gate, n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_BLOCK", block)
+            sim._apply_rows(state, gate, n, picked)
+        assert state.tobytes() == want.tobytes()
+
+    def test_kernel_built_once_per_gate_and_width(self):
+        sim._kernel.cache_clear()
+        state = random_rows(0, 2, 4)
+        for _ in range(3):
+            for gate in (h(1), cx(0, 2, polarity=(0,)), rz(0.5, 3)):
+                sim._apply_gate(state, gate, 4)
+        sim._apply_gate(state[:, :8].copy(), h(1), 3)
+        info = sim._kernel.cache_info()
+        assert (info.misses, info.hits) == (4, 6) and info.maxsize is not None
+
+
+class TestHoleSteps:
+    """A cx or cz hole is one step for every key that makes it
+    (sim._apply_hole): each row takes the control polarities its key's bits
+    give, so it gets bit for bit what its key's gate (Hole.made) gives it."""
+
+    @given(hole_steps(), st.integers(1, 40), st.integers(1, 1 << 11), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_each_row_gets_its_keys_gate(self, case, rows, block, seed):
+        hole, n, width = case
+        state = random_rows(seed, rows, n)
+        key_bits = np.random.default_rng(seed + 1).random((rows, width)) < 0.5
+        want = state.copy()
+        for r, bits in enumerate(key_bits):
+            (made,) = hole.made("".join("1" if b else "0" for b in bits))
+            apply_gate_reference(want[r:r + 1], made.gate, n)
+        picked = np.arange(rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_BLOCK", block)  # low: blocks of a few rows
+            sim._apply_hole(state, n, hole, picked, key_bits)
+        assert state.tobytes() == want.tobytes()
+
+    # a cx hole with a control that reads no bit, conditioned holes as
+    # measurement-assisted uncompute makes them, and an x hole
+    TEMPLATE = CircuitTemplate(4, 4, [
+        [h(0), h(1), h(2)],
+        Hole("cx", (0, 2, 1), (None, 1)),
+        Hole("cz", (0, 1, 2), (0, None, 1)),
+        [h(3), cx(1, 3), measure(3, 0)],
+        Hole("cx", (0, 1, 2), (1, 0), condition=(0, 1)),
+        Hole("cz", (1, 2), (None, 0), condition=(0, 0)),
+        Hole("x", (2,), (1,), condition=(0, 1)),
+        [h(0), h(1), measure(0, 1), measure(1, 2), measure(2, 3)],
+    ])
+
+    @pytest.mark.parametrize("block", [None, 64, 2])
+    def test_exact_walk_bit_identical_to_each_fill(self, block, monkeypatch):
+        # 64: two keys of 32 amplitudes per group, and blocks of 4 rows in
+        # each hole step; 2: one key per group and one row per block
+        keys = all_masks(2) * 3
+        want = [sim.run_exact(self.TEMPLATE.fill(key)) for key in keys]
+        if block is not None:
+            monkeypatch.setattr(sim, "_BLOCK", block)
+        got = sim.run_exact_template(self.TEMPLATE, keys)
+        for key, d, w in zip(keys, got, want, strict=True):
+            assert d.probabilities.tobytes() == w.probabilities.tobytes()
+            ref = run_exact_reference(self.TEMPLATE.fill(key))
+            assert np.abs(d.probabilities - ref.probabilities).max() <= 1e-12
+
+    # the same kinds of holes, on at most two wires, as a sampled run needs
+    LOWERED = CircuitTemplate(3, 3, [
+        [h(0), h(1), h(2)],
+        Hole("cx", (0, 1), (None,)),
+        Hole("cz", (0, 2), (0, 1)),
+        [h(2), measure(2, 0)],
+        Hole("cx", (1, 0), (1,), condition=(0, 1)),
+        Hole("cz", (1, 2), (None, 0), condition=(0, 0)),
+        Hole("x", (2,), (1,), condition=(0, 1)),
+        [h(0), h(1), measure(0, 1), measure(1, 2)],
+    ])
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_noisy_walk_bit_identical_to_each_fill(self, block, monkeypatch):
+        keys = all_masks(2) * 2
+        noise = NoiseModel(p1=0.05, p2=0.1, p_meas=0.02)
+        seeds = list(range(10, 10 + len(keys)))
+        want = [sim.run_noisy(self.LOWERED.fill(key), noise, 40, s) for key, s in zip(keys, seeds)]
+        if block is not None:
+            monkeypatch.setattr(sim, "_BLOCK", block)
+        got = sim.run_noisy_template(self.LOWERED, keys, noise, 40, seeds)
+        assert [d.counts.tolist() for d in got] == [w.counts.tolist() for w in want]
+
+    def test_plain_mcz_grover6_takes_one_step_per_hole(self, monkeypatch):
+        # the oracle's cz follows every mask bit: 64 masks make 64 gates,
+        # walked as one step on every row
+        template = families.plan(FamilyRequest("grover", OracleSpec(6, "000000"))).template
+        holes, gates = [], []
+        apply_hole, apply_gate = sim._apply_hole, sim._apply_gate
+        monkeypatch.setattr(sim, "_apply_hole", lambda state, n, hole, rows, bits:
+                            holes.append(len(rows)) or apply_hole(state, n, hole, rows, bits))
+        monkeypatch.setattr(sim, "_apply_gate", lambda s, g, n: gates.append(g) or apply_gate(s, g, n))
+        got = sim.run_exact_template(template, all_masks(6))
+        assert len(template._holes) == 1 and holes == [64]
+        fixed = [i.gate for part in template._fixed for i in part if i.gate.name != "measure"]
+        assert gates == fixed
+        for mask in ("000000", "101101"):
+            want = sim.run_exact(template.fill(mask))
+            assert got[int(mask, 2)].probabilities.tobytes() == want.probabilities.tobytes()
+
+
+class TestKeys:
+    """A key must be a mask of the template's width: both walkers and fill
+    refuse any other with BadMask, its circuit the key's index."""
+
+    @pytest.mark.parametrize("bad", ["01", "0a1", "0110", 5])
+    def test_refused_naming_the_key(self, bad):
+        template = families.plan(FamilyRequest("grover", OracleSpec(3, "000"))).template
+        assert template.key_width == 3
+        keys = ["000", "111", bad]
+        compiled = synth.compile_template(template)
+        for run in (lambda: sim.run_exact_template(template, keys),
+                    lambda: sim.run_noisy_template(compiled, keys, NoiseModel(), 4, [0, 1, 2])):
+            with pytest.raises(BadMask, match="is not a mask of 3 bits") as info:
+                run()
+            assert info.value.circuit == 2
+        for t in (template, compiled):
+            with pytest.raises(BadMask, match="is not a mask of 3 bits") as info:
+                t.fill(bad)
+            assert info.value.circuit == 0
+
+    def test_a_circuit_takes_the_empty_key(self):
+        template = CircuitTemplate.of(frag_circuit([h(0)], 1))
+        assert template.key_width == 0 and template.fill("").instructions
+        with pytest.raises(BadMask) as info:
+            sim.run_exact_template(template, ["", "0"])
+        assert info.value.circuit == 1
 
 
 class TestRunExact:
@@ -315,9 +523,9 @@ class TestRunExactBatch:
             sim.run_exact(Circuit._trusted(1, 1, tuple(Instruction(g) for g in ops), {}))
         assert info.value.circuit == 0
         template = CircuitTemplate(1, 1, [[h(0)], Hole("x", (0,), (0,)), [h(0), measure(0, 0)]])
-        nan_for_1(monkeypatch)
+        nan_on_x(monkeypatch)
         with pytest.raises(ValidationError, match="norm drifted") as info:
-            sim.run_exact_template(template, ["0", "1", "0", "1"])
+            sim.run_exact_template(template, ["1", "0", "1", "0"])
         assert info.value.circuit == 1
         monkeypatch.setattr(sim, "MAX_EXACT_WIDTH", 2)
         wide = frag_circuit([h(0), measure(0, 0), h(0), measure(0, 1), h(0), measure(0, 2)], 1, 3)
@@ -425,13 +633,14 @@ class TestRunExactTemplate:
 
     @pytest.mark.parametrize("block", [None, 4])
     def test_hole_errors_name_their_key(self, block, monkeypatch):
-        # a hole whose gate for one key is bad drifts the norm of that key only
+        # a hole whose gate is bad for the one key that makes it drifts the
+        # norm of that key only
         if block is not None:
-            monkeypatch.setattr(sim, "_BLOCK", block)  # one key per group
+            monkeypatch.setattr(sim, "_BLOCK", block)  # two keys per group
         template = CircuitTemplate(1, 1, [[h(0)], Hole("x", (0,), (0,)), [h(0), measure(0, 0)]])
-        nan_for_1(monkeypatch)
+        nan_on_x(monkeypatch)
         with pytest.raises(ValidationError, match="norm drifted") as info:
-            sim.run_exact_template(template, ["0", "0", "0", "1", "0"])
+            sim.run_exact_template(template, ["1", "1", "1", "0", "1"])
         assert info.value.circuit == 3
 
     def test_split_that_a_key_could_move_refused(self):
@@ -517,7 +726,7 @@ class TestRunNoisyReference:
 
 def noisy_needs(template, keys, shots):
     """Each key's chunk estimate (_NoisyPlan.chunk_bytes), as run_noisy_template plans it."""
-    return sim._noisy_plans(template, keys, shots)[3]
+    return sim.plan_noisy_template(template, keys, shots).needs
 
 
 class TestRunNoisyBatch:
@@ -629,7 +838,7 @@ class TestRunNoisyBatch:
 
     def test_error_in_a_later_group_names_its_circuit(self, monkeypatch):
         # key 2's hole makes a gate on three qubits, or a cx on a 0-polarity
-        # control that fails in the kernel
+        # control that fails in the hole step
         template = CircuitTemplate(3, 0, [[h(0)], Hole("cx", (0, 1), (0,)), [h(1)]])
         monkeypatch.setattr(sim, "MAX_NOISY_BYTES", noisy_needs(template, ["1"], 10)[0])
         made = Hole.made
@@ -639,14 +848,14 @@ class TestRunNoisyBatch:
             with pytest.raises(NotLowered) as info:  # refused by its plan, before any group
                 sim.run_noisy_template(template, ["1", "1", "0"], self.NOISE, 10, [0, 1, 2])
         assert info.value.circuit == 2
-        apply_gate = sim._apply_gate
+        apply_hole = sim._apply_hole
 
-        def failing(state, gate, n):
-            if gate.polarity == (0,):
+        def failing(state, n, hole, rows, key_bits):
+            if not key_bits[:, 0].all():
                 raise UndefinedGateSemantics("marked cx")
-            apply_gate(state, gate, n)
+            apply_hole(state, n, hole, rows, key_bits)
 
-        monkeypatch.setattr(sim, "_apply_gate", failing)
+        monkeypatch.setattr(sim, "_apply_hole", failing)
         with pytest.raises(UndefinedGateSemantics) as info:  # one key per group
             sim.run_noisy_template(template, ["1", "1", "0", "1"], self.NOISE, 10, [0, 1, 2, 3])
         assert info.value.circuit == 2
