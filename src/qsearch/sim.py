@@ -181,7 +181,14 @@ def _apply_gate(state: np.ndarray, gate, n: int) -> None:
     kernel = _kernel(gate, n)
     view = state.reshape((state.shape[0],) + kernel.shape)
     if kernel.hi is None:
-        view[kernel.lo] *= kernel.op
+        part = view[kernel.lo]
+        if part.size == 1:
+            # in place, numpy multiplies a lone complex amplitude without
+            # the fused multiply-add of its vector loop: an rz on one wire
+            # would then depend on how many rows share the call
+            part[...] = part * kernel.op
+        else:
+            part *= kernel.op
         return
     lo, hi = view[kernel.lo], view[kernel.hi]
     if kernel.op == "h":
@@ -525,9 +532,7 @@ def run_exact_template(template: CircuitTemplate, keys: Iterable) -> list[Distri
     amplitudes, 2^(n+m) per key, each group walking the template once
     (_walk_group); a measurement whose two outcomes are both above 1e-15
     copies a row for outcome 1.  A key's distribution is bit for bit its
-    fill's alone (on one wire, an rz may move the last bit: numpy
-    multiplies a lone complex amplitude without the fused multiply-add of
-    its vector loop).  An error of one key carries its index as circuit
+    fill's alone.  An error of one key carries its index as circuit
     attribute; one of the split or the width, key 0.
     """
     keys = list(keys)

@@ -73,7 +73,10 @@ def apply_gate_reference(state: np.ndarray, gate, n: int) -> None:
     if name in ("z", "rz", "cz"):
         polarity = gate.effective_polarity() if name == "cz" else (1,)
         phase = np.exp(1j * gate.angle) if name == "rz" else -1.0
-        view[_at(n, zip(qubits, polarity))] *= phase
+        idx = _at(n, zip(qubits, polarity))
+        # not in place: numpy's in-place multiply of a lone complex amplitude
+        # skips the fused multiply-add of its vector loop
+        view[idx] = view[idx] * phase
         return
     if name not in ("x", "cx", "h"):
         raise UndefinedGateSemantics(f"no matrix semantics for {name!r}")
