@@ -311,11 +311,10 @@ class CircuitTemplate:
     (Hole.instruction).  What a hole makes for any key is nothing or that
     instruction with other polarities, and it measures nothing, so the bits
     written before every instruction, and with them every check, are the
-    same for every key.  key_width defaults to the fewest bits the holes
-    read.
+    same for every key.  key_width is the fewest bits the holes read.
     """
 
-    def __init__(self, n_qubits: int, n_clbits: int, parts, key_width: int | None = None) -> None:
+    def __init__(self, n_qubits: int, n_clbits: int, parts) -> None:
         builder = CircuitBuilder(n_qubits, n_clbits)
         done = builder._instructions
         self.n_qubits, self.n_clbits = n_qubits, n_clbits
@@ -331,10 +330,8 @@ class CircuitTemplate:
             else:
                 builder.extend(part)
         self._fixed.append(tuple(done[start:]))
-        if key_width is None:
-            key_width = 1 + max((b for hole in self._holes for b in hole.bits if b is not None),
-                                default=-1)
-        self.key_width = key_width
+        self.key_width = 1 + max((b for hole in self._holes for b in hole.bits if b is not None),
+                                 default=-1)
 
     @classmethod
     def _trusted(

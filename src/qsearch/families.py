@@ -251,7 +251,7 @@ def _search_template(
     family, n, the data bits and the diffuser phase."""
     parts = [[h(q) for q in range(n)], *body, [measure(q, q) for q in range(n)]]
     return Plan(
-        CircuitTemplate(n + n_anc, n_clbits, parts, key_width=n),
+        CircuitTemplate(n + n_anc, n_clbits, parts),
         dict(family=family, n=n, data_clbits=list(range(n)), diffuser_phase="-1", **metadata),
     )
 
@@ -440,7 +440,7 @@ def _wielomianer() -> Plan:
         [measure(q, c) for q, c in ((q1, 0), (q2, 1), (q3, 2), (q4, 3))],
     ]
     return Plan(
-        CircuitTemplate(6, 5, parts, key_width=4),
+        CircuitTemplate(6, 5, parts),
         dict(
             family="wielomianer",
             n=4,

@@ -222,28 +222,35 @@ def _apply_hole(state: np.ndarray, n: int, hole: Hole, rows: np.ndarray,
                 key_bits: np.ndarray) -> None:
     """Apply a cx or cz hole in place to the given rows of a (B, 2^n) batch,
     by _BLOCK, row i with the control polarities that the bits key_bits[i]
-    of its key give (1 where a control reads no bit): a cz negates, and a
-    cx swaps with its target's other value, each amplitude whose controls
-    match, the cx by one gather."""
+    of its key give (1 where a control reads no bit): a cz negates each
+    amplitude whose controls match, and a cx swaps each such amplitude of
+    its target's 0 slice with its partner in the 1 slice.  Beside the
+    gathered block, the temporaries are a bool match and, for a cx, a copy
+    of the 0 slice: at most 9 bytes per amplitude."""
     controls = hole.qubits if hole.name == "cz" else hole.qubits[:-1]
     weight = [1 << (n - 1 - q) for q in controls]
     marked = [j for j, b in enumerate(hole.bits) if b is not None]
     want = sum(w for w, b in zip(weight, hole.bits) if b is None) + (
         key_bits[:, [hole.bits[j] for j in marked]] @ np.array([weight[j] for j in marked],
                                                               dtype=np.int64))
-    index = np.arange(1 << n)
-    on = index & sum(weight)
+    on = np.arange(1 << n) & sum(weight)
     if hole.name == "cx":
-        swapped = index ^ (1 << (n - 1 - hole.qubits[-1]))
+        t = hole.qubits[-1]
+        shape = (1 << t, 2, 1 << (n - 1 - t))
+        on = on.reshape(shape)[:, 0]  # the target's 0 slice: no control reads it
     step = max(1, _BLOCK >> n)
     for i in range(0, rows.size, step):
         block = rows[i:i + step]
-        match = on == want[i:i + step, None]
+        match = on == want[i:i + step].reshape((-1,) + (1,) * on.ndim)
         sub = state[block]
         if hole.name == "cz":
             np.multiply(sub, -1.0, out=sub, where=match)
         else:
-            sub = np.take_along_axis(sub, np.where(match, swapped, index), axis=1)
+            view = sub.reshape((len(block),) + shape)
+            lo, hi = view[:, :, 0], view[:, :, 1]
+            saved = lo.copy()
+            np.copyto(lo, hi, where=match)
+            np.copyto(hi, saved, where=match)
         state[block] = sub
 
 
@@ -477,13 +484,6 @@ def _walk_group(template: CircuitTemplate, kept: _Kept,
             yield step, group
 
 
-def _plain(step: Instruction | Hole, keys: np.ndarray | None) -> bool:
-    """Whether a step of the walk is an unconditioned gate of every key's,
-    which runs straight on every live row."""
-    return (keys is None and step.condition is None and type(step) is Instruction
-            and step.gate.name != "measure")
-
-
 # exact simulation ----------------------------------------------------------
 
 def _exact_width(n_qubits: int, body: list[Instruction]) -> int:
@@ -555,8 +555,7 @@ def run_exact_template(template: CircuitTemplate, keys: Iterable) -> list[Distri
 def _exact_group(template: CircuitTemplate, keys: list, bits: np.ndarray, split: _Split,
                  branches: int) -> list[Distribution]:
     """run_exact_template on one group of keys with those bits, given the
-    template's split and its branch bound per key.  An unconditioned gate
-    of every key's runs straight on every live row.  An error blames the
+    template's split and its branch bound per key.  An error blames the
     first key of its step, and a branch weight that no longer sums to 1 the
     first such key."""
     count = len(keys)
@@ -565,9 +564,7 @@ def _exact_group(template: CircuitTemplate, keys: list, bits: np.ndarray, split:
     group = None
     try:
         for step, group in _walk_group(template, kept, split.cut):
-            if _plain(step, group):
-                _apply_rows(table.state[:table.active], step.gate, table.n)
-            elif type(step) is Instruction and step.gate.name == "measure":
+            if type(step) is Instruction and step.gate.name == "measure":
                 _exact_measure(table, step, group)
             else:
                 table.step(step, group, bits)
@@ -691,7 +688,8 @@ class _NoisyPlan:
         walk = self.instructions * (1 + 1 + 8 + 8 + 8 + 8 + 32 + 8 + 56 + 8)
         # per amplitude of up to b+1 live rows, the state (16) and the largest
         # temporary beside it (32: a Pauli insertion's gathered block, saved
-        # half and numpy's copy of the other; a measurement takes 24, the final
+        # half and numpy's copy of the other; a cx or cz hole step's gathered
+        # block and temporaries take at most 25, a measurement 24, the final
         # sampling 16); 16 KiB for what every key makes whatever its size (the
         # generator and its seed sequence, array headers, small lists, frames)
         return uniforms + hits + site_bookkeeping + walk + (b + 1) * (48 << n) + (16 << 10)
@@ -893,10 +891,7 @@ def _noisy_chunk(template: CircuitTemplate, split: _Split, kept: _Kept,
                                   step.gate.clbit, u_mid[:, mid], u_mid_ro[:, mid], noise.p_meas)
                     mid += 1
                 continue
-            if _plain(step, group):
-                _apply_rows(batch.state[:batch.active], step.gate, n)
-            else:
-                batch.step(step, group, kept.bits)
+            batch.step(step, group, kept.bits)
             spans = []
             for i in everyone if group is None else group.tolist():
                 s = base[i] + site_no[i]

@@ -550,8 +550,8 @@ class TestBuildMasks:
         and each hole once, when the template is made: no fill checks any."""
         parts, calls = [], []
         init, validate = CircuitTemplate.__init__, circuit_module._validate_instruction
-        monkeypatch.setattr(CircuitTemplate, "__init__", lambda self, n_qubits, n_clbits, given, **kw:
-                            parts.extend(given) or init(self, n_qubits, n_clbits, given, **kw))
+        monkeypatch.setattr(CircuitTemplate, "__init__", lambda self, n_qubits, n_clbits, given:
+                            parts.extend(given) or init(self, n_qubits, n_clbits, given))
         monkeypatch.setattr(circuit_module, "_validate_instruction",
                             lambda *args: calls.append(args[-1]) or validate(*args))
         request = FamilyRequest("drzewker", OracleSpec(5, "00000", "ancilla-relphase"),

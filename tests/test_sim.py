@@ -1054,6 +1054,29 @@ class TestRunNoisy:
             need = sum(noisy_needs(compiled, masks, shots))
             assert peak <= need, (family, n, style, len(masks), shots)
 
+    # lowered cx and cz holes on 9 wires, each a step over every row
+    HOLES = CircuitTemplate(9, 9, [
+        [h(q) for q in range(9)],
+        Hole("cx", (0, 5), (0,)),
+        Hole("cz", (3, 8), (1, None)),
+        Hole("cx", (7, 2), (None,)),
+        [h(q) for q in range(9)] + [measure(q, q) for q in range(9)],
+    ])
+
+    @pytest.mark.parametrize("shots", [64, 512])
+    def test_hole_steps_within_estimate(self, shots):
+        # every site hit, so every trajectory owns its row when the holes run
+        keys, seeds = all_masks(2), [5, 6, 7, 8]
+        noise = NoiseModel(p1=1.0, p2=1.0)
+        sim.run_noisy_template(self.HOLES, keys, noise, shots, seeds)
+        tracemalloc.start()
+        try:
+            sim.run_noisy_template(self.HOLES, keys, noise, shots, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(noisy_needs(self.HOLES, keys, shots))
+
     def test_readout_flip_only(self):
         b = CircuitBuilder(1, 1)
         b.measure(0, 0)
